@@ -34,6 +34,7 @@ from .compose import (
     synthesize,
 )
 from .core import (
+    LEVEL_SPECS,
     SECONDS_PER_YEAR,
     Level,
     LoadClass,
@@ -69,7 +70,6 @@ from .toydata import (
 )
 from .validate import (
     metrics_to_csv,
-    pooled_amplitudes,
     psd,
     psd_to_csv,
     seam_stats,
@@ -309,25 +309,24 @@ def cmd_validate(args) -> int:
     lines = []
 
     for level, model in ((Level.L1, models.l1), (Level.L2, models.l2)):
-        real = datasets.of(level)
-        if not real:
+        if not datasets.of(level):
             continue
-        n = min(len(real), 500)
-        gen = gan_generate(model, n, seed=args.seed)
-        w = wasserstein_1d(pooled_amplitudes(real[:n]), pooled_amplitudes(gen))
+        real = np.array([p.samples for p in datasets.of(level)[:500]])
+        gen = gan_generate(model, len(real), seed=args.seed)
+        w = wasserstein_1d(real, gen)
         rows.append((f"wasserstein_exact_{level.value}", "real_vs_generated", w))
         lines.append(f"level {level.value[-1]} amplitude distance (exact): {w:.6f}")
-        freqs, real_psd = psd(real[:n])
-        _, gen_psd = psd(gen)
+        period = LEVEL_SPECS[level].sampling_period_s
+        freqs, real_psd = psd(real, period)
+        _, gen_psd = psd(gen, period)
         psd_to_csv(out_dir / f"psd_{level.value}_real.csv", freqs, real_psd)
         psd_to_csv(out_dir / f"psd_{level.value}_generated.csv", freqs, gen_psd)
 
-    l3_real = datasets.l3
+    l3_real = datasets.l3[:500]
     if l3_real:
-        n = min(len(l3_real), 500)
-        labels = [(p.load_class, p.season) for p in l3_real[:n]]
-        gen = gan_generate(models.l3, n, seed=args.seed, labels=labels)
-        w = wasserstein_1d(pooled_amplitudes(l3_real[:n]), pooled_amplitudes(gen))
+        labels = [(p.load_class, p.season) for p in l3_real]
+        gen = gan_generate(models.l3, len(l3_real), seed=args.seed, labels=labels)
+        w = wasserstein_1d([p.samples for p in l3_real], gen)
         rows.append(("wasserstein_exact_l3", "real_vs_generated", w))
         lines.append(f"level 3 amplitude distance (exact): {w:.6f}")
 
@@ -337,11 +336,11 @@ def cmd_validate(args) -> int:
             (LoadClass.MAINLY_RESIDENTIAL, models.l4_residential),
             (LoadClass.MAINLY_INDUSTRIAL, models.l4_industrial),
         ):
-            real_cls = [p for p in l4_real if p.load_class is cls]
+            real_cls = [p.samples for p in l4_real if p.load_class is cls]
             if not real_cls:
                 continue
             gen = svd_generate(model, max(len(real_cls), 50), seed=args.seed)
-            w = wasserstein_1d(pooled_amplitudes(real_cls), pooled_amplitudes(gen))
+            w = wasserstein_1d(real_cls, gen)
             rows.append((f"wasserstein_exact_l4_{cls.value}", "real_vs_generated", w))
             lines.append(f"level 4 {cls.value} amplitude distance (exact): {w:.6f}")
 

@@ -8,7 +8,10 @@ The pipeline per load:
    season-of-week map from January 1st for auto-yearly requests, or sit
    inside the requested season's 13-week run (seed-chosen start);
 3. scale year -> week -> hour -> 30 s: each child profile is multiplied so
-   its mean equals the parent sample it refines;
+   its mean equals the parent sample it refines.  Every level's profiles
+   arrive from its generator as one (count, length) array and are scaled,
+   re-trended and concatenated as whole matrices; no LoadProfile (the
+   dataset/ingest type) is built here;
 4. smooth only the week-level junctions with the learned 5-tap filter
    (junctions at the two bottom levels are left untouched);
 5. for sub-hour output, add the degree-4 trend interpolated through the
@@ -28,7 +31,6 @@ the boundary.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -43,7 +45,6 @@ from .core import (
     LoadClass,
     LoadProfile,
     Metric,
-    Normalization,
     Resolution,
     Season,
     downsample,
@@ -135,18 +136,17 @@ def apply_seam_filter(series, seam_indices, filt: SeamFilter) -> np.ndarray:
     return out
 
 
-def scale_to_parent(child: LoadProfile, parent_value: float) -> LoadProfile:
-    """Rescale a profile so its mean equals the parent-level sample."""
-    m = float(child.samples.mean())
-    if parent_value <= 0:
-        raise DegenerateProfile(f"parent value {parent_value!r} must be positive")
-    if m <= 0:
-        raise DegenerateProfile(f"child mean {m!r} must be positive")
-    return dataclasses.replace(
-        child,
-        samples=child.samples * (parent_value / m),
-        normalization=Normalization.RAW,
-    )
+def scale_to_parent(children, parent_values) -> np.ndarray:
+    """Rescale each row of a (n, length) array so its mean equals the
+    matching parent-level sample in ``parent_values`` (n,)."""
+    children = np.asarray(children, dtype=np.float64)
+    parent_values = np.asarray(parent_values, dtype=np.float64)
+    if np.any(parent_values <= 0):
+        raise DegenerateProfile(f"parent values {parent_values!r} must be positive")
+    means = children.mean(axis=1)
+    if np.any(means <= 0):
+        raise DegenerateProfile(f"child means {means!r} must be positive")
+    return children * (parent_values / means)[:, None]
 
 
 _HOUR_POSITIONS = (-2, -1, 0, 1, 2)
@@ -155,27 +155,30 @@ _HOUR_POSITIONS = (-2, -1, 0, 1, 2)
 def add_hour_trend(
     hour_samples,
     hourly_context,
-    positions: Sequence[int] = _HOUR_POSITIONS,
+    positions=_HOUR_POSITIONS,
 ) -> np.ndarray:
-    """Add the degree-4 interpolant through five hourly values to an hour.
+    """Add to each hour the degree-4 interpolant through its five hourly values.
 
-    ``positions`` are the context hours' offsets (in hours) from the hour
-    of interest, normally (-2..2); a shifted window near a series edge
-    passes e.g. (0..4).  Five points, five coefficients: the interpolation
-    is exact, so context lying on a quartic reproduces that quartic.
+    ``hour_samples`` is (n, 120), ``hourly_context`` (n, 5) and
+    ``positions`` (n, 5) or one row for all hours: the context hours'
+    offsets (in hours) from the hour of interest, normally (-2..2); a
+    shifted window near a series edge passes e.g. (0..4).  Five points,
+    five coefficients: the interpolation is exact, so context lying on a
+    quartic reproduces that quartic.
     """
-    hour = np.asarray(hour_samples, dtype=np.float64)
+    hours = np.asarray(hour_samples, dtype=np.float64)
     context = np.asarray(hourly_context, dtype=np.float64)
-    if hour.shape != (HALFMIN_PER_HOUR,) or context.shape != (5,):
-        raise ValueError("expected 120 sub-samples and 5 context values")
-    pos = np.asarray(positions, dtype=np.float64)
-    vander = np.vander(pos, 5, increasing=True)
-    coeffs = np.linalg.solve(vander, context)
+    n = hours.shape[0]
+    if hours.shape != (n, HALFMIN_PER_HOUR) or context.shape != (n, 5):
+        raise ValueError("expected (n, 120) sub-samples and (n, 5) context values")
+    pos = np.broadcast_to(np.asarray(positions, dtype=np.float64), (n, 5))
+    vander = pos[:, :, None] ** np.arange(5)
+    coeffs = np.linalg.solve(vander, context[:, :, None])[:, :, 0]
     # sub-sample abscissae: centres of the 120 half-minute cells, in hours
     # relative to the centre of the hour of interest
     x = (np.arange(HALFMIN_PER_HOUR) - 59.5) / HALFMIN_PER_HOUR
-    trend = np.polynomial.polynomial.polyval(x, coeffs)
-    return hour + trend
+    trend = np.polynomial.polynomial.polyval(x, coeffs.T)
+    return hours + trend
 
 
 @dataclass(frozen=True)
@@ -339,15 +342,14 @@ def _l4_week_values(
     if n_years > 53:
         raise DurationExceedsYear("a single synthesis covers at most 53 years")
     model = models.l4_for(load_class)
-    profiles = svd_generate(model, n_years, seed=_sub_seed(request.seed, load_index, 4))
+    years = svd_generate(model, n_years, seed=_sub_seed(request.seed, load_index, 4))
     if debug is not None:
         debug.invocations[Level.L4] += n_years
-    years = [p.samples for p in profiles]
-    values = np.array([years[year][week] for year, week, _ in plan])
+    values = np.array([years[year, week] for year, week, _ in plan])
     if extend_last:
         # the 53rd week (days 365/366) carries the final week's value
         prev_year, prev_week, _ = plan[-2]
-        values[-1] = years[prev_year][prev_week]
+        values[-1] = years[prev_year, prev_week]
     return values
 
 
@@ -394,12 +396,7 @@ def _driving_series(
     )
     if debug is not None:
         debug.invocations[Level.L3] += weeks_total
-    hourly = np.concatenate(
-        [
-            scale_to_parent(prof, float(v)).samples
-            for prof, v in zip(week_profiles, l4_values)
-        ]
-    )
+    hourly = scale_to_parent(week_profiles, l4_values).ravel()
     seams = [HOURS_PER_WEEK * (k + 1) - 1 for k in range(weeks_total - 1)]
     dbg.hourly_prefilter = hourly.copy()
     dbg.l3_seam_indices = seams
@@ -415,19 +412,16 @@ def _driving_series(
     # sub-hour: how many hours of 30-second data the request consumes
     needed_halfmin = span if driving is Level.L2 else int(math.ceil(span / TICKS_PER_HALFMIN))
     n_hours = int(math.ceil(needed_halfmin / HALFMIN_PER_HOUR))
-    n_hours_total = hourly.size
     hour_profiles = gan_generate(
         models.l2, n_hours, seed=_sub_seed(request.seed, load_index, 2)
     )
     if debug is not None:
         debug.invocations[Level.L2] += n_hours
-    chunks = []
-    for h in range(n_hours):
-        ctx_start = min(max(h - 2, 0), n_hours_total - 5)
-        positions = tuple(ctx_start + i - h for i in range(5))
-        fluctuation = hour_profiles[h].samples * hourly[h]
-        chunks.append(add_hour_trend(fluctuation, hourly[ctx_start : ctx_start + 5], positions))
-    halfmin = np.concatenate(chunks)
+    h = np.arange(n_hours)
+    window = np.clip(h - 2, 0, hourly.size - 5)[:, None] + np.arange(5)
+    halfmin = add_hour_trend(
+        hour_profiles * hourly[:n_hours, None], hourly[window], window - h[:, None]
+    ).ravel()
     dbg.l2_seam_indices = [HALFMIN_PER_HOUR * (k + 1) - 1 for k in range(n_hours - 1)]
 
     if driving is Level.L2:
@@ -439,9 +433,7 @@ def _driving_series(
     )
     if debug is not None:
         debug.invocations[Level.L1] += n_ticks
-    fast = np.concatenate(
-        [prof.samples * halfmin[t] for t, prof in enumerate(tick_profiles)]
-    )
+    fast = (tick_profiles * halfmin[:n_ticks, None]).ravel()
     dbg.l1_seam_indices = [TICKS_PER_HALFMIN * (k + 1) - 1 for k in range(n_ticks - 1)]
     return fast, dbg
 

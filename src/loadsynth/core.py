@@ -275,9 +275,3 @@ def season_of_week(week_index: int) -> Season:
     if w <= 35:
         return Season.SUMMER
     return Season.FALL
-
-
-SEASON_WEEKS = {
-    season: tuple(w for w in range(52) if season_of_week(w) is season)
-    for season in Season
-}

@@ -76,10 +76,6 @@ class NoSeams(LoadSynthError):
     """Seam statistics requested over an empty seam set."""
 
 
-class MixedSamplingPeriods(LoadSynthError):
-    """PSD input profiles disagree in length or sampling period."""
-
-
 class SeriesTooShort(LoadSynthError):
     """Forecast series shorter than the autoregression needs."""
 

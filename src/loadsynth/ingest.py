@@ -418,7 +418,7 @@ def read_level_datasets(directory) -> LevelDatasets:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != DATASET_HEADER:
-                raise ValueError(f"unexpected dataset header in {path}: {header!r}")
+                raise InsufficientData(f"unexpected dataset header in {path}: {header!r}")
             rows: dict[str, list] = {}
             order: list[str] = []
             for line in fh:
@@ -434,6 +434,11 @@ def read_level_datasets(directory) -> LevelDatasets:
             cls, season, samples = rows[pid]
             samples.sort()
             values = np.array([v for _, v in samples])
+            if values.size != spec.profile_length:
+                raise InsufficientData(
+                    f"profile {pid!r} in {path} has {values.size} samples; level "
+                    f"{level.value!r} profiles have {spec.profile_length}"
+                )
             entry = meta.get(pid, {})
             out.of(level).append(
                 LoadProfile(

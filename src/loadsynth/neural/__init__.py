@@ -11,7 +11,7 @@ from .gan import (
     train_cgan,
     train_gan,
 )
-from .network import Network, NetworkSpec, backward
+from .network import Network, NetworkSpec
 from .optim import Adam
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "Network",
     "NetworkSpec",
     "TrainingLog",
-    "backward",
     "discriminator_spec",
     "encode_labels",
     "gan_generate",

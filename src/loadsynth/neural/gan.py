@@ -13,6 +13,10 @@ non-saturating loss.  Everything is a pure function of (dataset order,
 hyperparameters, seed); if losses go non-finite the run restarts once with
 the step halved on an explicitly different seed path, then gives up.
 
+Generation returns one float64 (count, profile length) array of samples;
+LoadProfile, with its labels and normalization, is the type of the
+training datasets only.
+
 Per epoch the log records mean losses plus the distribution distance
 between pooled real and generated amplitudes over 500-sample subsets,
 estimated both with the 100-bin histogram recipe and exactly.
@@ -20,7 +24,6 @@ estimated both with the 100-bin histogram recipe and exactly.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -36,7 +39,13 @@ from ..core import (
     Normalization,
     Season,
 )
-from ..errors import DatasetTooSmall, DivergenceDetected, LabelRequired, MissingLabelCoverage
+from ..errors import (
+    DatasetTooSmall,
+    DegenerateProfile,
+    DivergenceDetected,
+    LabelRequired,
+    MissingLabelCoverage,
+)
 from ..validate import wasserstein_1d, wasserstein_histogram
 from .network import Network, NetworkSpec
 from .optim import Adam
@@ -173,10 +182,6 @@ class GanModel:
     @property
     def conditional(self) -> bool:
         return False
-
-    @property
-    def profile_length(self) -> int:
-        return LEVEL_SPECS[self.level].profile_length
 
     @property
     def centre(self) -> float:
@@ -408,10 +413,14 @@ def gan_generate(
     count: int,
     seed: int,
     labels: Optional[Sequence[tuple[LoadClass, Season]] | tuple[LoadClass, Season]] = None,
-    load_class: Optional[LoadClass] = None,
-) -> list[LoadProfile]:
-    """Sample profiles; mean-one levels are rescaled to mean exactly 1,
-    the detrended level to mean exactly 0."""
+) -> np.ndarray:
+    """Sample ``count`` profiles as one float64 (count, profile length) array.
+
+    Mean-one levels are rescaled to mean exactly 1, the detrended level to
+    mean exactly 0.  Rows are plain samples; wrap them in a LoadProfile
+    only where a dataset is built.  Raises DegenerateProfile when any
+    sample is non-finite (for example from a non-finite weight).
+    """
     if model.conditional:
         if labels is None:
             raise LabelRequired("conditional generation needs (load class, season) labels")
@@ -423,8 +432,6 @@ def gan_generate(
     elif labels is not None:
         raise ValueError("unconditional models take no labels")
 
-    if count == 0:
-        return []
     spec = LEVEL_SPECS[model.level]
     zero_mean = LEVEL_NORMALIZATION[model.level] is Normalization.ZERO_MEAN_DETRENDED
 
@@ -443,18 +450,8 @@ def gan_generate(
         outputs = np.maximum(outputs, 0.0)
     means = outputs.mean(axis=1, keepdims=True)
     outputs = outputs - means if zero_mean else outputs / means
-
-    profiles = []
-    for i in range(count):
-        cls = labels[i][0] if model.conditional else load_class
-        season = labels[i][1] if model.conditional else None
-        profiles.append(
-            LoadProfile(
-                samples=outputs[i],
-                sampling_period_s=spec.sampling_period_s,
-                load_class=cls,
-                season=season,
-                normalization=LEVEL_NORMALIZATION[model.level],
-            )
+    if not np.all(np.isfinite(outputs)):
+        raise DegenerateProfile(
+            f"level {model.level.value} generator produced non-finite samples"
         )
-    return profiles
+    return outputs

@@ -193,18 +193,6 @@ class LeakyReLU(Layer):
         return ("leaky_relu", self.alpha)
 
 
-class Tanh(Layer):
-    def forward(self, x):
-        self._y = np.tanh(x)
-        return self._y
-
-    def backward(self, gy):
-        return gy * (1.0 - self._y**2)
-
-    def spec(self):
-        return ("tanh",)
-
-
 class Sigmoid(Layer):
     def forward(self, x):
         self._y = 1.0 / (1.0 + np.exp(-x))

@@ -9,7 +9,6 @@ weights, which is the backbone of the end-to-end determinism contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -49,8 +48,6 @@ def _build_layer(spec: tuple, rng: np.random.Generator) -> L.Layer:
         return L.ReLU()
     if kind == "leaky_relu":
         return L.LeakyReLU(args[0] if args else 0.2)
-    if kind == "tanh":
-        return L.Tanh()
     if kind == "sigmoid":
         return L.Sigmoid()
     if kind == "scaled_tanh":
@@ -101,24 +98,3 @@ class Network:
             offset += p.size
         if offset != flat.size:
             raise ValueError(f"weight blob has {flat.size} values, network needs {offset}")
-
-
-def backward(
-    network: Network, x: np.ndarray, upstream_gradient: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Gradients of a scalar loss wrt the input and every parameter.
-
-    Runs the forward pass to populate the caches, then backpropagates the
-    given upstream gradient.  Returns (input gradient, parameter gradients
-    in layer order).
-    """
-    network.forward(x)
-    gx = network.backward(np.asarray(upstream_gradient, dtype=np.float64))
-    return gx, [g.copy() for g in network.gradients()]
-
-
-def output_length(spec: NetworkSpec, input_shape: Sequence[int]) -> tuple:
-    """Shape-check a spec by pushing a dummy batch through a fresh build."""
-    net = Network(spec, np.random.default_rng(0))
-    out = net.forward(np.zeros((1, *input_shape)))
-    return out.shape[1:]

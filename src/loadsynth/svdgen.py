@@ -5,8 +5,9 @@ Decomposing the (profiles x 52 weeks) training matrix as L = U S Vt, the
 rows of Vt are prototypical yearly patterns weighted by the singular
 values; each training profile is a linear combination with coefficients
 from the matching row of U.  Generation samples a fresh coefficient vector
-from per-column Gaussians fitted to U and multiplies by S Vt.  One model
-per load class; they share nothing.
+from per-column Gaussians fitted to U and multiplies by S Vt, returning a
+(count, 52) array; LoadProfile is only the training-input type.  One
+model per load class; they share nothing.
 
 With a dozen profiles per class nothing richer than independent per-column
 Gaussians is statistically justified; the independence is a simplification.
@@ -15,12 +16,12 @@ Gaussians is statistically justified; the independence is a simplification.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import LEVEL_SPECS, Level, LoadClass, LoadProfile, Normalization
+from .core import LoadClass, LoadProfile
 from .errors import RankDeficientWarning
 
 _WEEKS = 52
@@ -90,16 +91,14 @@ def svd_generate(
     count: int,
     seed: int,
     coefficients: Optional[np.ndarray] = None,
-) -> list[LoadProfile]:
-    """Sample year profiles; each is rescaled to mean exactly 1.
+) -> np.ndarray:
+    """Sample year profiles as one (count, 52) array; each row has mean 1.
 
     ``coefficients`` (count x r) overrides the Gaussian sampling — the test
     hook that reproduces training profiles from their own U rows.  Values
     below 0.01 are floored there before rescaling (Gaussian tails can dip
     negative; loads cannot).
     """
-    if count == 0:
-        return []
     r = model.rank
     if coefficients is None:
         coeffs = np.empty((count, r))
@@ -111,14 +110,4 @@ def svd_generate(
 
     raw = coeffs @ model.patterns
     raw = np.maximum(raw, _CLAMP)
-    raw = raw / raw.mean(axis=1, keepdims=True)
-    spec = LEVEL_SPECS[Level.L4]
-    return [
-        LoadProfile(
-            samples=row,
-            sampling_period_s=spec.sampling_period_s,
-            load_class=model.load_class,
-            normalization=Normalization.MEAN_ONE,
-        )
-        for row in raw
-    ]
+    return raw / raw.mean(axis=1, keepdims=True)

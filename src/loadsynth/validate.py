@@ -10,15 +10,13 @@ adversarial training; the two agree to within a bin width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import LoadProfile
 from .errors import (
     EmptyInput,
     InsufficientData,
-    MixedSamplingPeriods,
     NoSeams,
     SeriesTooShort,
 )
@@ -63,39 +61,25 @@ def wasserstein_histogram(a, b, bins: int = 100) -> float:
     return float(np.sum(np.abs(cdf_a - cdf_b)) * width)
 
 
-def pooled_amplitudes(profiles: Sequence[LoadProfile]) -> np.ndarray:
-    if not profiles:
-        raise EmptyInput("no profiles to pool")
-    return np.concatenate([p.samples for p in profiles])
-
-
-def psd(profiles: Sequence[LoadProfile]) -> tuple[np.ndarray, np.ndarray]:
-    """Mean one-sided periodogram of a profile collection.
+def psd(profiles, sampling_period_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean one-sided periodogram of a (count, length) profile array.
 
     Per profile: squared magnitude of the DFT, normalized by length and
     sampling rate, frequencies 0..Nyquist; non-edge bins doubled so the
     density integrates to the mean squared signal value.  Averaged across
     profiles.
     """
-    if not profiles:
+    profiles = np.asarray(profiles, dtype=np.float64)
+    if profiles.size == 0:
         raise EmptyInput("psd needs at least one profile")
-    n = len(profiles[0])
-    period = profiles[0].sampling_period_s
-    for p in profiles:
-        if len(p) != n or p.sampling_period_s != period:
-            raise MixedSamplingPeriods(
-                "all profiles must share length and sampling period"
-            )
-    fs = 1.0 / period
-    freqs = np.fft.rfftfreq(n, d=period)
-    acc = np.zeros(freqs.size)
-    for p in profiles:
-        spec = np.abs(np.fft.rfft(p.samples)) ** 2 / (n * fs)
-        spec[1:] *= 2.0
-        if n % 2 == 0:
-            spec[-1] /= 2.0  # Nyquist bin appears once
-        acc += spec
-    return freqs, acc / len(profiles)
+    n = profiles.shape[1]
+    fs = 1.0 / sampling_period_s
+    freqs = np.fft.rfftfreq(n, d=sampling_period_s)
+    spec = np.abs(np.fft.rfft(profiles, axis=1)) ** 2 / (n * fs)
+    spec[:, 1:] *= 2.0
+    if n % 2 == 0:
+        spec[:, -1] /= 2.0  # Nyquist bin appears once
+    return freqs, spec.sum(axis=0) / profiles.shape[0]
 
 
 @dataclass(frozen=True)

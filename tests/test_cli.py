@@ -1,5 +1,6 @@
 """Command-line contract: row counts, exit codes, estimates, round trips."""
 
+import copy
 import json
 import math
 
@@ -211,6 +212,20 @@ class TestGenerate:
         _, series = read_series_csv(tmp_path / "override.csv")
         assert series.shape == (1, 24)
 
+    def test_non_finite_generator_exits_4(self, tiny_models, tmp_path, capsys):
+        models = copy.deepcopy(tiny_models)
+        models.l3.generator.parameters()[-1][...] = np.nan  # output-layer bias
+        bundle = tmp_path / "nan.lsb"
+        ModelBundle(models=models, provenance={}).save(bundle)
+        code = main(
+            [
+                "generate", "--bundle", str(bundle), "--residential", "1",
+                "--resolution", "1/h", "--length", "1d", "--output", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == 4
+        assert "DegenerateProfile" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_2(self, bundle_path, tmp_path):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"no_such_flag": 1}))
@@ -249,6 +264,40 @@ class TestTrainCli:
             ["train", "--data", str(tmp_path / "nodata"), "--output", str(tmp_path / "b.lsb")]
         )
         assert code == 3
+
+
+def write_defective_datasets(datasets, directory, defect):
+    write_level_datasets(datasets, directory)
+    path = directory / "level2.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    if defect == "short_profile":
+        lines = lines[:-1]  # the last profile loses its last sample
+    else:
+        lines[0] = "id,class,season,index,value\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("defect", ["short_profile", "bad_header"])
+class TestDefectiveDatasets:
+    def test_validate_exits_3(self, defect, bundle_path, tiny_datasets, tmp_path, capsys):
+        write_defective_datasets(tiny_datasets, tmp_path / "data", defect)
+        code = main(
+            [
+                "validate", "--bundle", str(bundle_path), "--data", str(tmp_path / "data"),
+                "--output-dir", str(tmp_path / "reports"),
+            ]
+        )
+        assert code == 3
+        assert "level2.csv" in capsys.readouterr().err
+
+    def test_train_exits_3(self, defect, tiny_datasets, tmp_path, capsys):
+        write_defective_datasets(tiny_datasets, tmp_path / "data", defect)
+        code = main(
+            ["train", "--data", str(tmp_path / "data"), "--output", str(tmp_path / "b.lsb")]
+        )
+        assert code == 3
+        assert "level2.csv" in capsys.readouterr().err
+        assert not (tmp_path / "b.lsb").exists()
 
 
 class TestOtherSubcommands:

@@ -4,6 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from loadsynth.compose import (
     GenerationRequest,
@@ -163,46 +166,47 @@ class TestApplySeamFilter:
 
 class TestScaleToParent:
     def test_basic(self):
-        child = mean_one([0.9, 1.1], period=WEEK_S)
-        out = scale_to_parent(child, 50.0)
-        np.testing.assert_allclose(out.samples, [45.0, 55.0], rtol=1e-12)
+        out = scale_to_parent([[0.9, 1.1]], [50.0])
+        np.testing.assert_allclose(out, [[45.0, 55.0]], rtol=1e-12)
 
     def test_non_mean_one_child(self):
-        child = LoadProfile(samples=np.array([2.0, 2.0]), sampling_period_s=1.0)
-        out = scale_to_parent(child, 3.0)
-        np.testing.assert_allclose(out.samples, [3.0, 3.0], rtol=1e-15)
+        out = scale_to_parent([[2.0, 2.0]], [3.0])
+        np.testing.assert_allclose(out, [[3.0, 3.0]], rtol=1e-15)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_output_mean_is_parent(self, seed):
         rng = np.random.default_rng(seed)
-        child = mean_one(rng.uniform(0.5, 1.5, 168))
+        child = mean_one(rng.uniform(0.5, 1.5, 168)).samples
         parent = float(rng.uniform(1.0, 200.0))
-        out = scale_to_parent(child, parent)
-        assert out.samples.mean() == pytest.approx(parent, rel=1e-12)
+        out = scale_to_parent(child[None, :], [parent])
+        assert out.shape == (1, 168)
+        assert out.mean() == pytest.approx(parent, rel=1e-12)
 
     def test_degenerate(self):
-        child = mean_one([1.0, 1.0])
         with pytest.raises(DegenerateProfile):
-            scale_to_parent(child, 0.0)
+            scale_to_parent([[1.0, 1.0]], [0.0])
+        with pytest.raises(DegenerateProfile):
+            scale_to_parent([[1.0, 1.0], [-1.0, 0.5]], [2.0, 2.0])
 
 
 class TestAddHourTrend:
     def test_constant_context(self):
-        out = add_hour_trend(np.zeros(120), np.full(5, 7.0))
+        out = add_hour_trend(np.zeros((1, 120)), np.full((1, 5), 7.0))
+        assert out.shape == (1, 120)
         np.testing.assert_allclose(out, 7.0, rtol=1e-14)
 
     def test_quartic_context_exact(self):
         q = np.array([1.0, -0.3, 0.02, 0.05, -0.01])  # coefficients, low first
         pos = np.arange(-2.0, 3.0)
         context = np.polynomial.polynomial.polyval(pos, q)
-        out = add_hour_trend(np.zeros(120), context)
+        out = add_hour_trend(np.zeros((1, 120)), context[None, :])[0]
         x = (np.arange(120) - 59.5) / 120.0
         want = np.polynomial.polynomial.polyval(x, q)
         np.testing.assert_allclose(out, want, atol=1e-10)
 
     def test_peak_context_against_lagrange_oracle(self):
         context = np.array([1.0, 2.0, 3.0, 2.0, 1.0])
-        out = add_hour_trend(np.zeros(120), context)
+        out = add_hour_trend(np.zeros((1, 120)), context[None, :])[0]
         pos = np.arange(-2.0, 3.0)
         x = (np.arange(120) - 59.5) / 120.0
 
@@ -226,7 +230,7 @@ class TestAddHourTrend:
         q = np.array([2.0, 0.1, -0.05, 0.0, 0.002])
         pos = np.arange(0.0, 5.0)  # edge window: hour of interest first
         context = np.polynomial.polynomial.polyval(pos, q)
-        out = add_hour_trend(np.zeros(120), context, positions=tuple(pos))
+        out = add_hour_trend(np.zeros((1, 120)), context[None, :], positions=pos[None, :])[0]
         x = (np.arange(120) - 59.5) / 120.0
         np.testing.assert_allclose(out, np.polynomial.polynomial.polyval(x, q), atol=1e-10)
 
@@ -242,8 +246,49 @@ class TestAddHourTrend:
         np.testing.assert_allclose(detrended, 0.0, atol=1e-9)
         centres = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
         context = np.polynomial.polynomial.polyval(centres, q)
-        out = add_hour_trend(detrended, context)
+        out = add_hour_trend(detrended[None, :], context[None, :])[0]
         np.testing.assert_allclose(out, window[240:360], atol=1e-8)
+
+
+def seed_add_hour_trend(hour_samples, hourly_context, positions):
+    """One hour at a time, as first written: the oracle for the batched trend."""
+    hour = np.asarray(hour_samples, dtype=np.float64)
+    context = np.asarray(hourly_context, dtype=np.float64)
+    pos = np.asarray(positions, dtype=np.float64)
+    vander = np.vander(pos, 5, increasing=True)
+    coeffs = np.linalg.solve(vander, context)
+    x = (np.arange(120) - 59.5) / 120
+    trend = np.polynomial.polynomial.polyval(x, coeffs)
+    return hour + trend
+
+
+# centred window and the four shifted windows used at series edges
+WINDOWS = np.array([[s + i for i in range(5)] for s in (-2, -1, 0, -3, -4)])
+
+
+class TestBatchedHourTrend:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        n_hours=st.integers(5, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_hour_oracle_bit_for_bit(self, data, n_hours, seed):
+        context = data.draw(
+            arrays(
+                np.float64,
+                (n_hours, 5),
+                elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+            )
+        )
+        shifts = data.draw(arrays(np.int64, n_hours, elements=st.integers(0, 4)))
+        hours = np.random.default_rng(seed).normal(size=(n_hours, 120))
+        positions = WINDOWS[shifts]
+        got = add_hour_trend(hours, context, positions)
+        want = np.array(
+            [seed_add_hour_trend(hours[h], context[h], positions[h]) for h in range(n_hours)]
+        )
+        np.testing.assert_array_equal(got, want)
 
 
 class TestDrivingLevel:

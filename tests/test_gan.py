@@ -100,7 +100,7 @@ class TestTrainGan:
         hyper = HyperParams(epochs=4, batch_size=8, trace_samples=32)
         model = train_gan(dataset, Level.L1, hyper, seed=7)
         out = gan_generate(model, 500, seed=1)
-        deviation = np.mean([np.abs(p.samples - 1.0).mean() for p in out])
+        deviation = np.abs(out - 1.0).mean()
         assert deviation < 0.05
 
     def test_training_log_has_both_trace_estimates(self, small_l2_dataset):
@@ -172,8 +172,8 @@ class TestTrainCGan:
         ind = gan_generate(
             model, 64, seed=2, labels=(LoadClass.MAINLY_INDUSTRIAL, Season.WINTER)
         )
-        res_first_half = np.mean([p.samples[:84].mean() for p in res])
-        ind_first_half = np.mean([p.samples[:84].mean() for p in ind])
+        res_first_half = res[:, :84].mean()
+        ind_first_half = ind[:, :84].mean()
         # residential profiles fall (high first half), industrial rise
         assert res_first_half - ind_first_half > 0.5
 
@@ -197,28 +197,25 @@ class TestGenerate:
         return generate_model
 
     def test_count_zero(self, model):
-        assert gan_generate(model, 0, seed=0) == []
+        out = gan_generate(model, 0, seed=0)
+        assert out.shape == (0, 120)
 
     def test_zero_mean_contract(self, model):
         out = gan_generate(model, 5, seed=1)
-        for prof in out:
-            assert len(prof) == 120
-            assert abs(prof.samples.mean()) < 1e-12
-            assert prof.normalization is Normalization.ZERO_MEAN_DETRENDED
+        assert out.shape == (5, 120) and out.dtype == np.float64
+        assert np.all(np.abs(out.mean(axis=1)) < 1e-12)
 
     def test_fixed_seed_reproducible(self, model):
         a = gan_generate(model, 7, seed=3)
         b = gan_generate(model, 7, seed=3)
-        for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa.samples, pb.samples)
+        np.testing.assert_array_equal(a, b)
 
     def test_chunking_invariance(self, model):
         # profile i draws its noise from (seed, i) alone; outputs agree to
         # BLAS reassociation error when the batch split changes
         a = gan_generate(model, 3, seed=4)
         b = gan_generate(model, 9, seed=4)
-        for pa, pb in zip(a, b[:3]):
-            np.testing.assert_allclose(pa.samples, pb.samples, atol=1e-12)
+        np.testing.assert_allclose(a, b[:3], atol=1e-12)
 
     def test_unconditional_rejects_labels(self, model):
         with pytest.raises(ValueError, match="no labels"):
@@ -232,8 +229,6 @@ class TestGenerate:
         with pytest.raises(LabelRequired):
             gan_generate(model, 2, seed=0)
         out = gan_generate(model, 3, seed=0, labels=(LoadClass.MAINLY_INDUSTRIAL, Season.SUMMER))
-        for prof in out:
-            assert prof.load_class is LoadClass.MAINLY_INDUSTRIAL
-            assert prof.season is Season.SUMMER
-            assert len(prof) == 168
-            assert abs(prof.samples.mean() - 1.0) < 1e-9
+        assert out.shape == (3, 168)
+        assert np.all(out >= 0)
+        assert np.all(np.abs(out.mean(axis=1) - 1.0) < 1e-9)

@@ -14,9 +14,8 @@ from loadsynth.neural.layers import (
     Reshape,
     ScaledTanh,
     Sigmoid,
-    Tanh,
 )
-from loadsynth.neural.network import Network, NetworkSpec, backward, output_length
+from loadsynth.neural.network import Network, NetworkSpec
 from loadsynth.neural.optim import Adam
 from loadsynth.neural.gan import discriminator_spec, generator_spec
 from loadsynth.core import Level
@@ -209,7 +208,7 @@ class TestGradients:
 
     @pytest.mark.parametrize(
         "factory",
-        [ReLU, lambda: LeakyReLU(0.2), Tanh, Sigmoid, lambda: ScaledTanh(1.0, 0.5)],
+        [ReLU, lambda: LeakyReLU(0.2), Sigmoid, lambda: ScaledTanh(1.0, 0.5)],
     )
     @pytest.mark.parametrize("seed", range(2))
     def test_activations(self, factory, seed):
@@ -245,24 +244,46 @@ class TestNetwork:
         np.testing.assert_array_equal(net.forward(x), net2.forward(x))
 
     def test_backward_function(self):
+        # Network.backward chains the layer gradients: check the input and
+        # every parameter gradient of a small stack against central differences
         rng = np.random.default_rng(2)
-        spec = NetworkSpec(layers=(("dense", 4, 3), ("tanh",), ("dense", 3, 2)))
+        spec = NetworkSpec(
+            layers=(("dense", 4, 3), ("scaled_tanh", 0.0, 1.0), ("dense", 3, 2))
+        )
         net = Network(spec, rng)
         x = rng.normal(size=(5, 4))
         gy = rng.normal(size=(5, 2))
-        gx, grads = backward(net, x, gy)
+        net.forward(x)
+        gx = net.backward(gy)
+        grads = [g.copy() for g in net.gradients()]
         assert gx.shape == x.shape
         assert len(grads) == 4  # two dense layers, weights + biases
+
+        def loss():
+            return float(np.sum(net.forward(x) * gy))
+
+        step = 1e-6
+        for values, analytic in [(x, gx), *zip(net.parameters(), grads)]:
+            flat, flat_g = values.ravel(), analytic.ravel()
+            for i in range(flat.size):
+                keep = flat[i]
+                flat[i] = keep + step
+                up = loss()
+                flat[i] = keep - step
+                down = loss()
+                flat[i] = keep
+                assert flat_g[i] == pytest.approx((up - down) / (2 * step), rel=1e-5, abs=1e-8)
 
     @pytest.mark.parametrize(
         "level,length", [(Level.L1, 900), (Level.L2, 120), (Level.L3, 168)]
     )
     def test_architectures_hit_profile_length(self, level, length):
         label = 6 if level is Level.L3 else 0
-        shape = output_length(generator_spec(level, 100, label), (100 + label,))
-        assert shape == (length,)
-        disc_shape = output_length(discriminator_spec(level, label), (1 + label, length))
-        assert disc_shape == (1,)
+        rng = np.random.default_rng(0)
+        gen = Network(generator_spec(level, 100, label), rng)
+        assert gen.forward(np.zeros((2, 100 + label))).shape == (2, length)
+        disc = Network(discriminator_spec(level, label), rng)
+        assert disc.forward(np.zeros((2, 1 + label, length))).shape == (2, 1)
 
     def test_discriminator_output_in_unit_interval(self):
         rng = np.random.default_rng(3)

@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-from loadsynth.core import LoadProfile, Normalization
 from loadsynth.errors import (
     EmptyInput,
-    MixedSamplingPeriods,
     NoSeams,
     SeriesTooShort,
 )
@@ -82,14 +80,9 @@ class TestWasserstein:
         assert wasserstein_histogram([2.0, 2.0], [2.0]) == 0.0
 
 
-def profile(samples, period=1.0):
-    return LoadProfile(samples=np.asarray(samples, float), sampling_period_s=period)
-
-
 class TestPsd:
     def test_constant_profiles_all_dc(self):
-        profs = [profile(np.full(64, 3.0))]
-        freqs, dens = psd(profs)
+        freqs, dens = psd(np.full((1, 64), 3.0), 1.0)
         assert freqs[0] == 0.0
         assert dens[0] > 0
         assert np.all(dens[1:] < 1e-12 * dens[0])
@@ -98,8 +91,7 @@ class TestPsd:
         n, period = 128, 0.5
         t = np.arange(n) * period
         f0 = 4 / (n * period)  # bin-aligned
-        profs = [profile(2.0 + np.sin(2 * np.pi * f0 * t), period)]
-        freqs, dens = psd(profs)
+        freqs, dens = psd((2.0 + np.sin(2 * np.pi * f0 * t))[None, :], period)
         k = int(np.argmin(np.abs(freqs - f0)))
         others = np.delete(dens[1:], k - 1)
         assert dens[k] > 1e6 * np.max(others)
@@ -109,7 +101,7 @@ class TestPsd:
         rng = np.random.default_rng(n)
         samples = rng.uniform(0.1, 2.0, n)
         period = 1 / 30
-        freqs, dens = psd([LoadProfile(samples=samples, sampling_period_s=period)])
+        freqs, dens = psd(samples[None, :], period)
         binwidth = 1.0 / (n * period)
         power_freq = np.sum(dens) * binwidth
         power_time = np.mean(samples**2)
@@ -117,19 +109,16 @@ class TestPsd:
 
     def test_nonnegative_and_nyquist(self):
         rng = np.random.default_rng(5)
-        profs = [profile(rng.uniform(1, 2, 120), 30.0) for _ in range(4)]
-        freqs, dens = psd(profs)
+        profs = rng.uniform(1, 2, (4, 120))
+        freqs, dens = psd(profs, 30.0)
         assert np.all(dens >= 0)
         assert freqs[-1] == pytest.approx(1 / (2 * 30.0))
+        per_row = [psd(row[None, :], 30.0)[1] for row in profs]
+        np.testing.assert_allclose(dens, np.mean(per_row, axis=0), rtol=1e-12)
 
-    def test_mixed_periods_rejected(self):
-        a = profile(np.ones(8), 1.0)
-        b = profile(np.ones(8), 2.0)
-        with pytest.raises(MixedSamplingPeriods):
-            psd([a, b])
-        c = profile(np.ones(9), 1.0)
-        with pytest.raises(MixedSamplingPeriods):
-            psd([a, c])
+    def test_empty_rejected(self):
+        with pytest.raises(EmptyInput):
+            psd(np.empty((0, 8)), 1.0)
 
 
 class TestSeamStats:
