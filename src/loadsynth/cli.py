@@ -1,7 +1,7 @@
 """Command-line front end: train, generate, validate, simulate, ingest.
 
-Exit codes: 0 success, 2 invalid arguments, 3 missing or incompatible
-bundle/datasets, 4 generation failure, 5 training divergence.
+Exit codes: 0 success, 2 invalid arguments, 3 missing/incompatible bundle
+or missing/malformed input data, 4 generation failure, 5 training divergence.
 
 A JSON configuration file (--config) may supply any flag, keyed by the
 flag's long name (dashes or underscores); explicit command-line flags win.
@@ -395,8 +395,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_ingest(args) -> int:
     if args.phasors:
-        records = read_phasor_csv(args.phasors)
-        series = compute_bus_load(records)
+        series = compute_bus_load(read_phasor_csv(args.phasors))
     else:
         _, data = read_series_csv(args.series)
         series = data[0]

@@ -29,12 +29,12 @@ class ResolutionTooFine(LoadSynthError):
     """Requested effective sampling period is below the 1/30 s ceiling."""
 
 
-class MissingChannel(LoadSynthError):
-    """A phasor record lacks the voltage/current pair for some line."""
-
-
 class InsufficientData(LoadSynthError):
-    """Not enough input data to extract or fit something."""
+    """Input data is missing, malformed, or too short to extract or fit something."""
+
+
+class MissingChannel(InsufficientData):
+    """A phasor record lacks the voltage/current pair for some line."""
 
 
 class WindowTooShort(LoadSynthError):

@@ -1,7 +1,7 @@
 """From raw phasor streams to the four normalized training datasets.
 
-Pipeline: complex voltage/current pairs per line -> net active power at the
-bus (30 Hz) -> block means -> per-level profile extraction:
+Pipeline: phasor CSV rows read into (record x line) arrays -> net active power
+at the bus (30 Hz), summed in one vectorised pass -> block means -> profiles:
 
 * level 1: consecutive 900-sample windows at 30 Hz, mean-one normalized;
 * level 2: 30-second means reshaped into 120-sample hours, divided by the
@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,43 +53,28 @@ WEEKS_PER_YEAR = 52
 HALFMIN_PER_HOUR = 120
 
 
-@dataclass(frozen=True)
-class LinePhasor:
-    """One line's voltage and current phasor (kV/kA magnitudes, radians)."""
+@dataclass(frozen=True, eq=False)
+class PhasorTable:
+    """Phasor records as columns: the first record's sorted ``line_ids`` and
+    (n_records, n_lines) phasor arrays, magnitudes in kV/kA, angles in radians."""
 
-    v_mag: float
-    v_ang: float
-    i_mag: float
-    i_ang: float
-
-
-@dataclass(frozen=True)
-class PhasorRecord:
-    timestamp_s: float
-    lines: Mapping[str, LinePhasor]
+    timestamps_s: np.ndarray
+    line_ids: tuple[str, ...]
+    v_mag: np.ndarray
+    v_ang: np.ndarray
+    i_mag: np.ndarray
+    i_ang: np.ndarray
 
 
-def compute_bus_load(records: Sequence[PhasorRecord]) -> np.ndarray:
+def compute_bus_load(table: PhasorTable) -> np.ndarray:
     """Net active power injection per record: P = sum_lines Re(V * conj(I)).
 
-    Positive means consumption.  With voltages in kV and currents in kA the
-    result is in MW.  The line set is fixed by the first record; any record
-    missing one of those lines raises MissingChannel.
+    Positive means consumption; with kV and kA the result is in MW.  Lines
+    are added in sorted order, one ``v_mag * i_mag * cos(v_ang - i_ang)`` each.
     """
-    if not records:
-        return np.zeros(0)
-    line_ids = sorted(records[0].lines.keys())
-    out = np.empty(len(records))
-    for k, rec in enumerate(records):
-        p = 0.0
-        for lid in line_ids:
-            ph = rec.lines.get(lid)
-            if ph is None:
-                raise MissingChannel(
-                    f"record at t={rec.timestamp_s} lacks phasors for line {lid!r}"
-                )
-            p += ph.v_mag * ph.i_mag * math.cos(ph.v_ang - ph.i_ang)
-        out[k] = p
+    out = np.zeros(table.timestamps_s.size)
+    for j in range(len(table.line_ids)):
+        out += table.v_mag[:, j] * table.i_mag[:, j] * np.cos(table.v_ang[:, j] - table.i_ang[:, j])
     return out
 
 
@@ -302,64 +287,79 @@ def extract_level_datasets(
 # ----------------------------------------------------------------------
 
 PHASOR_HEADER = "timestamp,line_id,v_mag,v_ang,i_mag,i_ang"
+_PHASOR_FIELDS = ("v_mag", "v_ang", "i_mag", "i_ang")
+# line_id is an object field: a fixed-width string would truncate long ids
+_PHASOR_ROW = np.dtype([("t", "f8"), ("line_id", object)] + [(f, "f8") for f in _PHASOR_FIELDS])
 
 _NOMINAL_STEP = 1.0 / 30.0
 
 
-def read_phasor_csv(path) -> list[PhasorRecord]:
-    """Read `timestamp,line_id,v_mag,v_ang,i_mag,i_ang` rows into records.
+def read_phasor_csv(path) -> PhasorTable:
+    """Read `timestamp,line_id,v_mag,v_ang,i_mag,i_ang` rows into a table.
 
-    Rows with the same timestamp form one record.  Timestamps must be
-    strictly increasing at nominally 30 Hz (each step within +-10%).
+    Consecutive rows with the same timestamp form one record, and record
+    timestamps must step at nominally 30 Hz (each step within +-10%).  The
+    first record fixes the line set: extra lines in later records are
+    ignored, a record lacking one of its lines raises MissingChannel, and
+    within a record the last row of a line wins.  Blank lines are skipped.
+    Any other defect raises InsufficientData naming the offending row.
     """
-    records: list[PhasorRecord] = []
-    current_t = None
-    current_lines: dict[str, LinePhasor] = {}
+    line_no, line = 1, ""  # the line loadtxt parses; blank ones, which it rejects, are skipped
 
-    def flush():
-        if current_t is not None:
-            records.append(PhasorRecord(current_t, dict(current_lines)))
-
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != PHASOR_HEADER:
-            raise ValueError(f"unexpected phasor CSV header {header!r}")
+    def data_lines(fh):
+        nonlocal line_no, line
         for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 6:
-                raise ValueError(f"line {line_no}: expected 6 fields")
-            t = float(parts[0])
-            if current_t is None or t != current_t:
-                if current_t is not None:
-                    step = t - current_t
-                    if not (0.9 * _NOMINAL_STEP <= step <= 1.1 * _NOMINAL_STEP):
-                        raise ValueError(
-                            f"line {line_no}: timestamp step {step:.6f}s breaks the "
-                            "30 Hz +-10% spacing"
-                        )
-                flush()
-                current_t = t
-                current_lines = {}
-            current_lines[parts[1]] = LinePhasor(
-                float(parts[2]), float(parts[3]), float(parts[4]), float(parts[5])
-            )
-    flush()
-    return records
+            if not line.isspace():
+                yield line
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a header-only file is an empty table
+            if fh.readline().strip() != PHASOR_HEADER:
+                raise InsufficientData(f"{path} line 1: expected the header {PHASOR_HEADER!r}")
+            rows = np.loadtxt(data_lines(fh), dtype=_PHASOR_ROW, delimiter=",", comments=None, ndmin=1)
+    except UnicodeDecodeError as exc:
+        raise InsufficientData(f"phasor CSV {path} is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:  # a row without 6 fields or with an unparsable number
+        raise InsufficientData(
+            f"{path} line {line_no}: expected the 6 fields {PHASOR_HEADER}, got {line.strip()!r}"
+        ) from exc
+
+    t, ids = rows["t"], rows["line_id"]
+    starts = np.ones(t.size, dtype=bool)
+    starts[1:] = t[1:] != t[:-1]
+    first = np.flatnonzero(starts)  # first row of each record
+    record = np.cumsum(starts) - 1  # record index of each row
+    step = np.diff(t[first])
+    off_grid = np.flatnonzero(~((step >= 0.9 * _NOMINAL_STEP) & (step <= 1.1 * _NOMINAL_STEP)))
+    if off_grid.size:
+        k = off_grid[0]
+        raise InsufficientData(
+            f"{path}: the row at t={t[first[k + 1]]} follows t={t[first[k]]}, a step of "
+            f"{step[k]:.6f}s that breaks the 30 Hz +-10% spacing"
+        )
+    line_ids = tuple(sorted(set(ids[record == 0])))
+    grid = np.full((first.size, len(line_ids)), -1)  # (record, line) -> row
+    for j, lid in enumerate(line_ids):
+        at = np.flatnonzero(ids == lid)
+        rec = record[at]
+        last = np.append(rec[1:] != rec[:-1], True)  # of duplicates, the last row wins
+        grid[rec[last], j] = at[last]
+    missing = np.argwhere(grid < 0)
+    if missing.size:
+        k, j = missing[0]
+        raise MissingChannel(f"{path}: record at t={t[first[k]]} lacks phasors for line {line_ids[j]!r}")
+    return PhasorTable(t[first], line_ids, *(rows[name][grid] for name in _PHASOR_FIELDS))
 
 
-def write_phasor_csv(path, records: Sequence[PhasorRecord]) -> None:
+def write_phasor_csv(path, table: PhasorTable) -> None:
+    """Write a table as phasor CSV rows, one per (record, line), floats by repr."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(PHASOR_HEADER + "\n")
-        for rec in records:
-            for lid in sorted(rec.lines):
-                ph = rec.lines[lid]
-                fh.write(
-                    f"{float(rec.timestamp_s)!r},{lid},{float(ph.v_mag)!r},"
-                    f"{float(ph.v_ang)!r},{float(ph.i_mag)!r},{float(ph.i_ang)!r}\n"
-                )
+        for k, t in enumerate(table.timestamps_s.tolist()):
+            for j, lid in enumerate(table.line_ids):
+                values = (float(getattr(table, name)[k, j]) for name in _PHASOR_FIELDS)
+                fh.write(",".join([repr(t), lid, *map(repr, values)]) + "\n")
 
 
 _LEVEL_FILES = {
@@ -419,19 +419,20 @@ def read_level_datasets(directory) -> LevelDatasets:
             header = fh.readline().strip()
             if header != DATASET_HEADER:
                 raise InsufficientData(f"unexpected dataset header in {path}: {header!r}")
-            rows: dict[str, list] = {}
-            order: list[str] = []
-            for line in fh:
+            rows: dict[str, tuple] = {}  # profile id -> (load class, season, samples)
+            for line_no, line in enumerate(fh, start=2):
                 line = line.strip()
                 if not line:
                     continue
-                pid, cls, season, idx, value = line.split(",")
-                if pid not in rows:
-                    rows[pid] = [cls, season, []]
-                    order.append(pid)
-                rows[pid][2].append((int(idx), float(value)))
-        for pid in order:
-            cls, season, samples = rows[pid]
+                try:
+                    pid, cls, season, idx, value = line.split(",")
+                    sample = (int(idx), float(value))
+                    if pid not in rows:
+                        rows[pid] = (LoadClass(cls) if cls else None, Season(season) if season else None, [])
+                except ValueError as exc:
+                    raise InsufficientData(f"{path} line {line_no}: bad row {line!r}: {exc}") from exc
+                rows[pid][2].append(sample)
+        for pid, (cls, season, samples) in rows.items():
             samples.sort()
             values = np.array([v for _, v in samples])
             if values.size != spec.profile_length:
@@ -444,8 +445,8 @@ def read_level_datasets(directory) -> LevelDatasets:
                 LoadProfile(
                     samples=values,
                     sampling_period_s=spec.sampling_period_s,
-                    load_class=LoadClass(cls) if cls else None,
-                    season=Season(season) if season else None,
+                    load_class=cls,
+                    season=season,
                     normalization=(
                         Normalization.ZERO_MEAN_DETRENDED
                         if level is Level.L2

@@ -17,7 +17,7 @@ from loadsynth.cli import (
 from loadsynth.compose import GenerationRequest
 from loadsynth.core import parse_resolution
 from loadsynth.errors import ParseError
-from loadsynth.ingest import write_level_datasets
+from loadsynth.ingest import PHASOR_HEADER, write_level_datasets
 from loadsynth.modelio import ModelBundle
 
 WEEK_S = 604_800.0
@@ -266,18 +266,37 @@ class TestTrainCli:
         assert code == 3
 
 
+# defects of one level2.csv row: (field index, replacement); line 2 is the
+# first row of the first profile, whose labels the reader keeps
+ROW_DEFECTS = {
+    "non_numeric": (4, "abc"),
+    "field_count": (4, None),
+    "fractional_index": (3, "1.5"),
+    "unknown_class": (1, "commercial"),
+    "unknown_season": (2, "monsoon"),
+}
+
+
 def write_defective_datasets(datasets, directory, defect):
     write_level_datasets(datasets, directory)
     path = directory / "level2.csv"
     lines = path.read_text().splitlines(keepends=True)
     if defect == "short_profile":
         lines = lines[:-1]  # the last profile loses its last sample
-    else:
+    elif defect == "bad_header":
         lines[0] = "id,class,season,index,value\n"
+    else:
+        field, text = ROW_DEFECTS[defect]
+        fields = lines[1].rstrip("\n").split(",")
+        if text is None:
+            del fields[field]
+        else:
+            fields[field] = text
+        lines[1] = ",".join(fields) + "\n"
     path.write_text("".join(lines))
 
 
-@pytest.mark.parametrize("defect", ["short_profile", "bad_header"])
+@pytest.mark.parametrize("defect", ["short_profile", "bad_header", *ROW_DEFECTS])
 class TestDefectiveDatasets:
     def test_validate_exits_3(self, defect, bundle_path, tiny_datasets, tmp_path, capsys):
         write_defective_datasets(tiny_datasets, tmp_path / "data", defect)
@@ -288,7 +307,9 @@ class TestDefectiveDatasets:
             ]
         )
         assert code == 3
-        assert "level2.csv" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "level2.csv" in err
+        assert defect not in ROW_DEFECTS or "line 2:" in err
 
     def test_train_exits_3(self, defect, tiny_datasets, tmp_path, capsys):
         write_defective_datasets(tiny_datasets, tmp_path / "data", defect)
@@ -296,8 +317,42 @@ class TestDefectiveDatasets:
             ["train", "--data", str(tmp_path / "data"), "--output", str(tmp_path / "b.lsb")]
         )
         assert code == 3
-        assert "level2.csv" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "level2.csv" in err
+        assert defect not in ROW_DEFECTS or "line 2:" in err
         assert not (tmp_path / "b.lsb").exists()
+
+
+# two records of lines line0 and line1 with a blank line between, so a
+# defect appended below sits on file line 6
+GOOD_PHASOR_LINES = [
+    "0.0,line0,1,0,1,0", "0.0,line1,1,0,1,0", "", "0.03333333333333333,line0,1,0,1,0",
+]
+# each case: (header, rows appended after the good lines, words the error names)
+PHASOR_DEFECTS = {
+    "header": (PHASOR_HEADER.replace("line_id", "line"), ["0.03333333333333333,line1,1,0,1,0"], ["line 1"]),
+    "fields": (PHASOR_HEADER, ["0.03333333333333333,line1,1,0,1"], ["line 6", "6 fields"]),
+    "number": (PHASOR_HEADER, ["0.03333333333333333,line1,1,x,1,0"], ["line 6", "line1,1,x,1,0"]),
+    "spacing": (PHASOR_HEADER, ["0.5,line1,1,0,1,0"], ["t=0.5", "spacing"]),
+    "missing_channel": (PHASOR_HEADER, [], ["line1"]),
+}
+
+
+@pytest.mark.parametrize("defect", PHASOR_DEFECTS)
+def test_defective_phasor_csv_exits_3(defect, tmp_path, capsys):
+    header, rows, words = PHASOR_DEFECTS[defect]
+    path = tmp_path / "pmu.csv"
+    path.write_text("\n".join([header, *GOOD_PHASOR_LINES, *rows]) + "\n")
+    code = main(
+        [
+            "ingest", "--phasors", str(path), "--load-class", "residential",
+            "--output-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 3
+    err = capsys.readouterr().err
+    assert all(word in err for word in words), err
+    assert not (tmp_path / "out").exists()
 
 
 class TestOtherSubcommands:

@@ -10,8 +10,8 @@ from loadsynth.errors import InsufficientData, MissingChannel, WindowTooShort
 from loadsynth.ingest import (
     DETREND_CENTER,
     DETREND_WINDOW,
-    LinePhasor,
-    PhasorRecord,
+    PHASOR_HEADER,
+    PhasorTable,
     compute_bus_load,
     detrend_hour,
     extract_l2_profiles,
@@ -25,70 +25,56 @@ from loadsynth.ingest import (
 from loadsynth.toydata import ToyLoadConfig, simulate_block_means
 
 
-def record(t, *lines):
-    return PhasorRecord(t, {f"line{i}": ph for i, ph in enumerate(lines)})
+def table(phasors):
+    """30 Hz PhasorTable from (n_records, n_lines, 4) rows of (v_mag, v_ang, i_mag, i_ang)."""
+    ph = np.asarray(phasors, dtype=np.float64)
+    line_ids = tuple(f"line{i}" for i in range(ph.shape[1]))
+    return PhasorTable(np.arange(ph.shape[0]) / 30.0, line_ids, *(ph[..., f].copy() for f in range(4)))
+
+
+def random_phasors(rng, shape, min_mag=0.5):
+    """(*shape, 4) random (v_mag, v_ang, i_mag, i_ang)."""
+    mags = [rng.uniform(min_mag, 2.0, shape) for _ in range(2)]
+    angles = [rng.uniform(-3, 3, shape) for _ in range(2)]
+    return np.stack([mags[0], angles[0], mags[1], angles[1]], axis=-1)
+
+
+def complex_power(v_mag, v_ang, i_mag, i_ang):
+    return (v_mag * np.exp(1j * v_ang) * np.conj(i_mag * np.exp(1j * i_ang))).real
 
 
 class TestComputeBusLoad:
     def test_unity_power_factor(self):
-        out = compute_bus_load([record(0.0, LinePhasor(1.0, 0.0, 2.0, 0.0))])
+        out = compute_bus_load(table([[(1.0, 0.0, 2.0, 0.0)]]))
         np.testing.assert_allclose(out, [2.0])
 
     def test_pure_export(self):
-        out = compute_bus_load([record(0.0, LinePhasor(1.0, 0.0, 1.0, math.pi))])
+        out = compute_bus_load(table([[(1.0, 0.0, 1.0, math.pi)]]))
         np.testing.assert_allclose(out, [-1.0])
 
     def test_two_lines_against_complex_oracle(self):
         deg = math.pi / 180.0
-        phasors = [LinePhasor(1.0, 0.0, 1.0, -30 * deg), LinePhasor(1.0, 30 * deg, 2.0, 0.0)]
-        out = compute_bus_load([record(0.0, *phasors)])
+        phasors = [(1.0, 0.0, 1.0, -30 * deg), (1.0, 30 * deg, 2.0, 0.0)]
+        out = compute_bus_load(table([phasors]))
         # independent route: complex multiply-accumulate
-        oracle = sum(
-            (ph.v_mag * np.exp(1j * ph.v_ang) * np.conj(ph.i_mag * np.exp(1j * ph.i_ang))).real
-            for ph in phasors
-        )
+        oracle = sum(complex_power(*ph) for ph in phasors)
         assert oracle == pytest.approx(3.0 * math.sqrt(3.0) / 2.0, rel=1e-12)
         np.testing.assert_allclose(out, [oracle], rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_against_complex_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        records = []
-        oracle = []
-        for t in range(10):
-            lines = [
-                LinePhasor(rng.uniform(0.1, 2.0), rng.uniform(-3, 3),
-                           rng.uniform(0.1, 2.0), rng.uniform(-3, 3))
-                for _ in range(3)
-            ]
-            records.append(record(t / 30.0, *lines))
-            oracle.append(
-                sum(
-                    (
-                        ph.v_mag * np.exp(1j * ph.v_ang)
-                        * np.conj(ph.i_mag * np.exp(1j * ph.i_ang))
-                    ).real
-                    for ph in lines
-                )
-            )
-        np.testing.assert_allclose(compute_bus_load(records), oracle, rtol=1e-12)
+        phasors = random_phasors(rng, (10, 3), min_mag=0.1)
+        oracle = [sum(complex_power(*ph) for ph in record) for record in phasors]
+        np.testing.assert_allclose(compute_bus_load(table(phasors)), oracle, rtol=1e-12)
 
     def test_linear_in_currents(self):
         rng = np.random.default_rng(1)
-        lines = [
-            LinePhasor(rng.uniform(0.5, 2), rng.uniform(-3, 3), rng.uniform(0.5, 2), rng.uniform(-3, 3))
-            for _ in range(4)
-        ]
-        doubled = [LinePhasor(ph.v_mag, ph.v_ang, 2 * ph.i_mag, ph.i_ang) for ph in lines]
-        p1 = compute_bus_load([record(0.0, *lines)])
-        p2 = compute_bus_load([record(0.0, *doubled)])
+        phasors = random_phasors(rng, 4)
+        doubled = phasors * [1.0, 1.0, 2.0, 1.0]
+        p1 = compute_bus_load(table([phasors]))
+        p2 = compute_bus_load(table([doubled]))
         np.testing.assert_array_equal(p2, 2.0 * p1)
-
-    def test_missing_channel(self):
-        r0 = record(0.0, LinePhasor(1, 0, 1, 0), LinePhasor(1, 0, 1, 0))
-        r1 = PhasorRecord(1 / 30, {"line0": LinePhasor(1, 0, 1, 0)})
-        with pytest.raises(MissingChannel):
-            compute_bus_load([r0, r1])
 
 
 def _poly_window(coeffs):
@@ -215,18 +201,14 @@ class TestExtraction:
 class TestFiles:
     def test_phasor_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
-        records = [
-            record(
-                k / 30.0,
-                LinePhasor(rng.uniform(0.5, 2), rng.uniform(-3, 3), rng.uniform(0.5, 2), rng.uniform(-3, 3)),
-                LinePhasor(rng.uniform(0.5, 2), rng.uniform(-3, 3), rng.uniform(0.5, 2), rng.uniform(-3, 3)),
-            )
-            for k in range(12)
-        ]
+        phasors = random_phasors(rng, (12, 2))
+        written = table(phasors)
         path = tmp_path / "phasors.csv"
-        write_phasor_csv(path, records)
+        write_phasor_csv(path, written)
         back = read_phasor_csv(path)
-        assert back == records
+        assert back.line_ids == written.line_ids
+        for name in ("timestamps_s", "v_mag", "v_ang", "i_mag", "i_ang"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(written, name))
 
     def test_phasor_rejects_bad_spacing(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -234,8 +216,44 @@ class TestFiles:
             fh.write("timestamp,line_id,v_mag,v_ang,i_mag,i_ang\n")
             fh.write("0.0,line0,1,0,1,0\n")
             fh.write("0.5,line0,1,0,1,0\n")
-        with pytest.raises(ValueError, match="spacing"):
+        with pytest.raises(InsufficientData, match="spacing"):
             read_phasor_csv(path)
+
+    def test_phasor_missing_channel(self, tmp_path):
+        path = tmp_path / "missing.csv"
+        path.write_text(
+            PHASOR_HEADER + "\n0.0,line0,1,0,1,0\n0.0,line1,1,0,1,0\n"
+            "0.03333333333333333,line1,1,0,1,0\n"
+        )
+        with pytest.raises(MissingChannel, match="line0"):
+            read_phasor_csv(path)
+
+    def test_phasor_record_rules(self, tmp_path):
+        """Same-timestamp grouping, last duplicate wins, extra lines ignored, blanks skipped."""
+        path = tmp_path / "rules.csv"
+        rows = [
+            "0.0,b#2,1,0,2,0", "0.0,a,1,0,5,0", "0.0,a,1,0,3,0", " \t", "",
+            "0.03333333333333333,c,9,0,9,0", "0.03333333333333333,b#2,1,0,4,0",
+            "0.03333333333333333,a,1,0,1,0",
+        ]
+        path.write_bytes((PHASOR_HEADER + "\r\n" + "\r\n".join(rows) + "\r\n").encode())
+        back = read_phasor_csv(path)
+        assert back.line_ids == ("a", "b#2")
+        np.testing.assert_array_equal(back.i_mag, [[3.0, 2.0], [1.0, 4.0]])
+        np.testing.assert_array_equal(compute_bus_load(back), [5.0, 5.0])
+
+    def test_phasor_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(PHASOR_HEADER.encode() + b"\n0.0,l\xe9,1,0,1,0\n")
+        with pytest.raises(InsufficientData, match="UTF-8"):
+            read_phasor_csv(path)
+
+    def test_phasor_header_only_is_empty(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(PHASOR_HEADER + "\n\n")
+        back = read_phasor_csv(path)
+        assert back.line_ids == () and back.v_mag.shape == (0, 0)
+        assert compute_bus_load(back).shape == (0,)
 
     def test_level_dataset_round_trip(self, tmp_path):
         cfg = ToyLoadConfig.residential(seed=41)
