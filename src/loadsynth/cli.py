@@ -114,31 +114,90 @@ def estimate_file_size(request: GenerationRequest) -> int:
     return rows * (TIMESTAMP_BYTES + request.n_loads * NUMERIC_BYTES) + header
 
 
-def _format_timestamp(offset_s: float) -> str:
-    stamp = EPOCH_START + timedelta(seconds=float(offset_s))
-    return stamp.isoformat()
+# rows formatted per write: bounds the writer's memory whatever the duration
+CSV_BLOCK_ROWS = 65_536
+_US_PER_DAY = 86_400_000_000
+
+
+def _offset_us(times_s: np.ndarray) -> np.ndarray:
+    """Offsets in whole microseconds, rounded half to even as `timedelta` does."""
+    frac, whole = np.modf(times_s)
+    return whole.astype(np.int64) * 1_000_000 + np.rint(frac * 1e6).astype(np.int64)
+
+
+def _label_each(values: np.ndarray, label) -> list:
+    """`label(v)` for every value, calling `label` once per distinct value."""
+    distinct, index = np.unique(values, return_inverse=True)
+    return np.array([label(v) for v in distinct.tolist()], dtype=object)[index].tolist()
+
+
+def _day_label(day: int) -> str:
+    return (EPOCH_START + timedelta(days=day)).date().isoformat()
+
+
+def _clock_label(second: int) -> str:
+    return "%02d:%02d:%02d" % (second // 3600, second // 60 % 60, second % 60)
+
+
+def _fraction_label(micro: int) -> str:
+    return f".{micro:06d}" if micro else ""
 
 
 def write_series_csv(path, times_s: np.ndarray, series: np.ndarray) -> None:
-    n_loads = series.shape[0]
+    """CSV of `series` (n_loads, n_rows) with ISO timestamps at `times_s`.
+
+    A timestamp is EPOCH_START (a midnight) plus its offset rounded half to
+    even to whole microseconds, as `timedelta(seconds=t)` rounds it;
+    `.ffffff` is printed only when non-zero, as `datetime.isoformat` does.
+    Rows are formatted CSV_BLOCK_ROWS at a time by one `%` each; the date,
+    clock and fraction strings are formatted once per distinct value.
+    """
+    n_loads, n_rows = series.shape
+    times_s = np.asarray(times_s, dtype=np.float64)
+    row = "%sT%s%s," + ",".join(["%.6g"] * n_loads) + "\n"
+    width = 3 + n_loads
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("timestamp" + "".join(f",load_{i+1}" for i in range(n_loads)) + "\n")
-        for k in range(series.shape[1]):
-            cells = ",".join(f"{series[i, k]:.6g}" for i in range(n_loads))
-            fh.write(f"{_format_timestamp(times_s[k])},{cells}\n")
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            stop = min(start + CSV_BLOCK_ROWS, n_rows)
+            days, us = np.divmod(_offset_us(times_s[start:stop]), _US_PER_DAY)
+            seconds, micro = np.divmod(us, 1_000_000)
+            cells = [None] * ((stop - start) * width)
+            cells[0::width] = _label_each(days, _day_label)
+            cells[1::width] = _label_each(seconds, _clock_label)
+            cells[2::width] = _label_each(micro, _fraction_label)
+            for i in range(n_loads):
+                cells[3 + i :: width] = series[i, start:stop].tolist()
+            fh.write(row * (stop - start) % tuple(cells))
 
 
 def read_series_csv(path) -> tuple[list[str], np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        stamps, rows = [], []
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != len(header):
-                raise ValueError(f"ragged CSV row in {path}")
-            stamps.append(parts[0])
-            rows.append([float(v) for v in parts[1:]])
-    return stamps, np.asarray(rows).T
+    """Timestamps and the (n_loads, n_rows) values of a series CSV.
+
+    A ragged row or a value that is not a number raises InsufficientData
+    naming the file and line; a header-only file has no rows.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            stamps, rows = [], []
+            for line_no, line in enumerate(fh, start=2):
+                parts = line.strip().split(",")
+                if len(parts) != len(header):
+                    raise InsufficientData(
+                        f"{path} line {line_no}: ragged row {line.strip()!r}: "
+                        f"{len(parts)} fields, the header has {len(header)}"
+                    )
+                try:
+                    rows.append([float(v) for v in parts[1:]])
+                except ValueError as exc:
+                    raise InsufficientData(
+                        f"{path} line {line_no}: bad row {line.strip()!r}: {exc}"
+                    ) from exc
+                stamps.append(parts[0])
+    except UnicodeDecodeError as exc:
+        raise InsufficientData(f"{path} is not UTF-8 text: {exc}") from exc
+    return stamps, np.array(rows, dtype=np.float64).reshape(len(rows), len(header) - 1).T
 
 
 # ----------------------------------------------------------------------
@@ -290,7 +349,11 @@ def cmd_generate(args) -> int:
         print(f"error: generation failed in {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     write_series_csv(args.output, times, series)
-    print(f"wrote {series.shape[1]} rows x {series.shape[0]} loads to {args.output}", file=sys.stderr)
+    print(
+        f"wrote {series.shape[1]} rows x {series.shape[0]} loads "
+        f"({os.path.getsize(args.output)} bytes) to {args.output}",
+        file=sys.stderr,
+    )
     return 0
 
 

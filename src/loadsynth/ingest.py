@@ -407,8 +407,13 @@ def read_level_datasets(directory) -> LevelDatasets:
     meta_path = directory / _META_FILE
     meta = {}
     if meta_path.exists():
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
+        try:
+            with open(meta_path, "r", encoding="utf-8") as fh:
+                meta = json.load(fh)
+        except ValueError as exc:  # JSON syntax or UTF-8
+            raise InsufficientData(f"{meta_path} is not valid JSON: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise InsufficientData(f"{meta_path} must hold a JSON object")
     out = LevelDatasets()
     for level in Level:
         path = directory / _LEVEL_FILES[level]

@@ -21,10 +21,10 @@ Bundle file:
     u32 n, n bytes UTF-8 manifest JSON: artifact names in order + provenance
     per artifact: u16 n, n bytes name; u64 n, n bytes container
 
-A bundle loads only if the magic and version match and all six artifacts
-(l1, l2, l3, l4_residential, l4_industrial, seam) are present.  Nothing
-time- or path-dependent is written, so identical training runs produce
-byte-identical bundles.
+A bundle loads only if the magic and version match, all six artifacts
+(l1, l2, l3, l4_residential, l4_industrial, seam) are present and every
+weight is finite.  Nothing time- or path-dependent is written, so identical
+training runs produce byte-identical bundles.
 """
 
 from __future__ import annotations
@@ -125,6 +125,8 @@ def _rebuild_network(spec_json: dict, flat: np.ndarray) -> Network:
 
 def load_artifact(data: bytes):
     tag, meta, blob = _unpack_artifact(data)
+    if not np.isfinite(blob).all():
+        raise BundleError(f"{tag} weight blob holds non-finite values")
     if tag in ("gan", "cgan"):
         n_gen = meta["weights"]["generator"]
         n_disc = meta["weights"]["discriminator"]
@@ -240,7 +242,12 @@ class ModelBundle:
         missing = [n for n in ARTIFACT_NAMES if n not in artifacts]
         if missing:
             raise BundleError(f"bundle is missing artifacts: {', '.join(missing)}")
-        loaded = {name: load_artifact(artifacts[name]) for name in ARTIFACT_NAMES}
+        loaded = {}
+        for name in ARTIFACT_NAMES:
+            try:
+                loaded[name] = load_artifact(artifacts[name])
+            except BundleError as exc:
+                raise BundleError(f"artifact {name!r} in {path}: {exc}") from exc
         models = ModelSet(
             l1=loaded["l1"],
             l2=loaded["l2"],

@@ -65,6 +65,15 @@ class TestEstimate:
         assert estimate_file_size(two) - estimate_file_size(one) == 24 * 10 + len(",load_2")
 
 
+# weights of one artifact each, to be made non-finite in a bundle
+NON_FINITE_TARGETS = {
+    "l3": lambda m: m.l3.generator.parameters()[-1],  # output-layer bias
+    "l1": lambda m: m.l1.generator.parameters()[0],  # ahead of a ReLU
+    "l4_residential": lambda m: m.l4_residential.u,
+    "seam": lambda m: m.seam.beta,
+}
+
+
 class TestGenerate:
     def test_day_at_ten_minutes(self, bundle_path, tmp_path):
         out = tmp_path / "day.csv"
@@ -212,19 +221,36 @@ class TestGenerate:
         _, series = read_series_csv(tmp_path / "override.csv")
         assert series.shape == (1, 24)
 
-    def test_non_finite_generator_exits_4(self, tiny_models, tmp_path, capsys):
+    @pytest.mark.parametrize("artifact", NON_FINITE_TARGETS)
+    def test_non_finite_weights_exit_3(self, artifact, tiny_models, tmp_path, capsys):
         models = copy.deepcopy(tiny_models)
-        models.l3.generator.parameters()[-1][...] = np.nan  # output-layer bias
+        NON_FINITE_TARGETS[artifact](models).flat[0] = np.nan
         bundle = tmp_path / "nan.lsb"
         ModelBundle(models=models, provenance={}).save(bundle)
+        out = tmp_path / "x.csv"
         code = main(
             [
                 "generate", "--bundle", str(bundle), "--residential", "1",
-                "--resolution", "1/h", "--length", "1d", "--output", str(tmp_path / "x.csv"),
+                "--resolution", "1/h", "--length", "1d", "--output", str(out),
             ]
         )
-        assert code == 4
-        assert "DegenerateProfile" in capsys.readouterr().err
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"artifact {artifact!r}" in err and "non-finite" in err
+        assert not out.exists()
+
+    def test_reports_actual_size(self, bundle_path, tmp_path, capsys):
+        out = tmp_path / "sized.csv"
+        code = main(
+            [
+                "generate", "--bundle", str(bundle_path), "--residential", "1",
+                "--industrial", "1", "--resolution", "1/10min", "--length", "1d",
+                "--output", str(out),
+            ]
+        )
+        assert code == 0
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert last == f"wrote 144 rows x 2 loads ({out.stat().st_size} bytes) to {out}"
 
     def test_unknown_config_key_exits_2(self, bundle_path, tmp_path):
         config = tmp_path / "bad.json"
@@ -323,6 +349,35 @@ class TestDefectiveDatasets:
         assert not (tmp_path / "b.lsb").exists()
 
 
+@pytest.mark.parametrize(
+    "text", [b"{not json", b"[1, 2]", b"\xff{}"], ids=["syntax", "not_object", "not_utf8"]
+)
+class TestDefectiveLevelMeta:
+    def write(self, datasets, directory, text):
+        write_level_datasets(datasets, directory)
+        (directory / "level_meta.json").write_bytes(text)
+
+    def test_validate_exits_3(self, text, bundle_path, tiny_datasets, tmp_path, capsys):
+        self.write(tiny_datasets, tmp_path / "data", text)
+        code = main(
+            [
+                "validate", "--bundle", str(bundle_path), "--data", str(tmp_path / "data"),
+                "--output-dir", str(tmp_path / "reports"),
+            ]
+        )
+        assert code == 3
+        assert "level_meta.json" in capsys.readouterr().err
+
+    def test_train_exits_3(self, text, tiny_datasets, tmp_path, capsys):
+        self.write(tiny_datasets, tmp_path / "data", text)
+        code = main(
+            ["train", "--data", str(tmp_path / "data"), "--output", str(tmp_path / "b.lsb")]
+        )
+        assert code == 3
+        assert "level_meta.json" in capsys.readouterr().err
+        assert not (tmp_path / "b.lsb").exists()
+
+
 # two records of lines line0 and line1 with a blank line between, so a
 # defect appended below sits on file line 6
 GOOD_PHASOR_LINES = [
@@ -353,6 +408,35 @@ def test_defective_phasor_csv_exits_3(defect, tmp_path, capsys):
     err = capsys.readouterr().err
     assert all(word in err for word in words), err
     assert not (tmp_path / "out").exists()
+
+
+# each case: a series CSV with a defect on file line 3
+SERIES_DEFECTS = {
+    "value": "2021-01-01T00:00:00.033333,abc\n",
+    "ragged": "2021-01-01T00:00:00.033333,1.5,2.5\n",
+}
+
+
+@pytest.mark.parametrize("defect", SERIES_DEFECTS)
+def test_defective_series_csv_exits_3(defect, tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    path.write_text("timestamp,load_1\n2021-01-01T00:00:00,1.5\n" + SERIES_DEFECTS[defect])
+    code = main(
+        [
+            "ingest", "--series", str(path), "--load-class", "residential",
+            "--output-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 3
+    assert f"{path} line 3:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_header_only_series_csv_has_no_rows(tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("timestamp,load_1,load_2\n")
+    stamps, values = read_series_csv(path)
+    assert stamps == [] and values.shape == (2, 0)
 
 
 class TestOtherSubcommands:

@@ -1,10 +1,13 @@
 """Binary container and bundle round trips."""
 
+import copy
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from loadsynth.compose import ModelSet, SeamFilter
-from loadsynth.errors import BundleError
+from loadsynth.errors import BundleError, DegenerateProfile
 from loadsynth.modelio import (
     ModelBundle,
     dump_gan,
@@ -57,6 +60,23 @@ class TestArtifactRoundTrips:
         with pytest.raises(BundleError):
             load_artifact(b"XXXX" + b"\x00" * 32)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["gan", "svd", "seam"])
+    def test_non_finite_weight_rejected(self, tiny_models, kind, bad):
+        if kind == "gan":
+            model = copy.deepcopy(tiny_models.l2)
+            model.discriminator.parameters()[0].flat[3] = bad
+            data = dump_gan(model)
+        elif kind == "svd":
+            model = copy.deepcopy(tiny_models.l4_industrial)
+            model.s[0] = bad
+            data = dump_svd(model)
+        else:
+            # a SeamFilter refuses non-finite weights, so pass a stand-in
+            data = dump_seam(SimpleNamespace(beta=np.array([0.1, bad, 0.5, 0.3, 0.4])))
+        with pytest.raises(BundleError, match=f"{kind} weight blob holds non-finite"):
+            load_artifact(data)
+
 
 class TestBundle:
     def test_round_trip(self, tiny_models, tmp_path):
@@ -79,6 +99,16 @@ class TestBundle:
         bundle.save(p1)
         bundle.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_non_finite_after_load_is_degenerate(self, tiny_models, tmp_path):
+        # loading rejects non-finite weights; gan_generate still catches
+        # weights that turn non-finite later
+        path = tmp_path / "models.lsb"
+        ModelBundle(models=tiny_models).save(path)
+        l3 = ModelBundle.load(path).models.l3
+        l3.generator.parameters()[-1][...] = np.nan  # output-layer bias
+        with pytest.raises(DegenerateProfile):
+            gan_generate(l3, 2, seed=1, labels=(LoadClass.MAINLY_RESIDENTIAL, Season.WINTER))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(BundleError, match="no model bundle"):
