@@ -442,26 +442,35 @@ def cmd_simulate(args) -> int:
         if args.load_class == "residential"
         else ToyLoadConfig.industrial
     )
-    config = factory(seed=args.seed, base_mw=args.base_mw)
     duration = parse_duration(args.duration)
-    if args.block_s is not None:
-        n_blocks = int(duration // args.block_s)
-        values = simulate_block_means(config, args.block_s, n_blocks)
-        times = args.block_s * np.arange(n_blocks)
-    else:
-        values = simulate_ground_truth(config, duration)
-        times = np.arange(values.size) / 30.0
+    if args.block_s is not None and not args.block_s > 0:
+        raise RequestError(f"--block-s {args.block_s} must be a positive multiple of 1/30 s")
+    try:  # the simulator validates its arguments with ValueError
+        config = factory(seed=args.seed, base_mw=args.base_mw)
+        if args.block_s is not None:
+            n_blocks = int(duration // args.block_s)
+            values = simulate_block_means(config, args.block_s, n_blocks)
+            times = args.block_s * np.arange(n_blocks)
+        else:
+            values = simulate_ground_truth(config, duration)
+            times = np.arange(values.size) / 30.0
+    except ValueError as exc:
+        raise RequestError(f"simulate: {exc}") from exc
     write_series_csv(args.output, times, values[None, :])
     print(f"wrote {values.size} samples to {args.output}", file=sys.stderr)
     return 0
 
 
 def cmd_ingest(args) -> int:
-    if args.phasors:
-        series = compute_bus_load(read_phasor_csv(args.phasors))
-    else:
-        _, data = read_series_csv(args.series)
-        series = data[0]
+    path = args.phasors or args.series
+    try:
+        if args.phasors:
+            series = compute_bus_load(read_phasor_csv(path))
+        else:
+            _, data = read_series_csv(path)
+            series = data[0]
+    except OSError as exc:
+        raise InsufficientData(f"cannot read {path}: {exc.strerror or exc}") from exc
     load_class = LoadClass(args.load_class)
     datasets = extract_level_datasets(
         series,

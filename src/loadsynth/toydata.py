@@ -28,13 +28,22 @@ year), so two sampling paths are provided:
   end state.  Within a block the noise is weighted by the deterministic
   value at the block centre (the deterministic factor moves by <0.5% over
   30 s, so the error is far below the noise scale).
+
+The deterministic curve depends on neither the seed nor base_mw, and on
+the class only through the Fourier amplitudes.  :func:`desk_level_datasets`
+therefore computes it once per fleet: each cosine array once for all its
+loads, weighted once per distinct shape (config up to seed and base_mw),
+by the same expressions and in the same order as for a single load, so
+the floats are those of :func:`simulate_block_means` load by load.  Only
+the AR(1) block noise is drawn per load.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.signal import lfilter
@@ -53,6 +62,24 @@ _RIPPLE_PHASE_3 = 2.1
 _NOISE_CLIP = 0.9
 
 
+def _yearly_cosines(t):
+    """The cosines that yearly(t) weights; they depend on t alone."""
+    t = np.asarray(t, dtype=np.float64)
+    w = 2.0 * np.pi / YEAR_S
+    return np.cos(w * t), np.cos(2 * w * t)
+
+
+def _daily_cosines(t):
+    """The cosines that daily(t) weights; they depend on t alone."""
+    t = np.asarray(t, dtype=np.float64)
+    w = 2.0 * np.pi / DAY_S
+    return (
+        np.cos(w * (t - _DAILY_PEAK_S)),
+        np.cos(2 * w * t + _RIPPLE_PHASE_2),
+        np.cos(3 * w * t + _RIPPLE_PHASE_3),
+    )
+
+
 @dataclass(frozen=True)
 class ToyLoadConfig:
     """Parameters of one simulated load; immutable and fully deterministic."""
@@ -68,7 +95,7 @@ class ToyLoadConfig:
     seed: int
 
     def __post_init__(self):
-        if self.base_mw <= 0:
+        if not self.base_mw > 0:
             raise ValueError("base_mw must be positive")
         if not 0.0 <= self.ar_coeff < 1.0:
             raise ValueError("ar_coeff must be in [0, 1)")
@@ -105,23 +132,20 @@ class ToyLoadConfig:
 
     def yearly(self, t):
         """Seasonal modulation at time t (seconds from Jan 1); mean ~1."""
-        t = np.asarray(t, dtype=np.float64)
-        w = 2.0 * np.pi / YEAR_S
-        return 1.0 + self.seasonal_tilt * np.cos(w * t) + self.seasonal_amp * np.cos(2 * w * t)
+        return self._yearly_of(*_yearly_cosines(t))
 
     def daily(self, t):
         """Within-day modulation at time t; mean 1 over any whole day."""
-        t = np.asarray(t, dtype=np.float64)
-        w = 2.0 * np.pi / DAY_S
-        return (
-            1.0
-            + self.daily_amp * np.cos(w * (t - _DAILY_PEAK_S))
-            + self.daily_ripple * np.cos(2 * w * t + _RIPPLE_PHASE_2)
-            + self.daily_ripple * np.cos(3 * w * t + _RIPPLE_PHASE_3)
-        )
+        return self._daily_of(*_daily_cosines(t))
 
     def deterministic(self, t):
         return self.yearly(t) * self.daily(t)
+
+    def _yearly_of(self, c1, c2):
+        return 1.0 + self.seasonal_tilt * c1 + self.seasonal_amp * c2
+
+    def _daily_of(self, c1, c2, c3):
+        return 1.0 + self.daily_amp * c1 + self.daily_ripple * c2 + self.daily_ripple * c3
 
     def to_json(self) -> str:
         d = asdict(self)
@@ -171,23 +195,31 @@ def _cosine_terms(config: ToyLoadConfig) -> list[tuple[float, float, float]]:
     return terms
 
 
-def _block_means_of_terms(terms, starts: np.ndarray, m: int, h: float) -> np.ndarray:
-    """Exact mean of a cosine sum over m samples spaced h from each start.
+def _block_means_of_terms(term_lists, starts: np.ndarray, m: int, h: float) -> list[np.ndarray]:
+    """Exact mean of each cosine sum over m samples spaced h from each start.
+
+    The sums must list the same (omega, phase) terms in the same order, as
+    every :func:`_cosine_terms` list does; only the amplitudes differ.  Each
+    term's cosine array is therefore computed once for all the sums.
 
     Uses the closed form (1/m) sum_k cos(t0*w + p + k*w*h)
     = cos(t0*w + p + (m-1)*w*h/2) * sin(m*w*h/2) / (m*sin(w*h/2)),
     which matches the discrete sample average of the 30 Hz path to float
     precision, not just to quadrature order.
     """
-    out = np.zeros(starts.size)
-    for amp, omega, phase in terms:
+    outs = [np.zeros(starts.size) for _ in term_lists]
+    for column in zip(*term_lists):
+        _, omega, phase = column[0]
         if omega == 0.0:
-            out += amp * math.cos(phase)
+            for out, (amp, _, _) in zip(outs, column):
+                out += amp * math.cos(phase)
         else:
             half = 0.5 * omega * h
             gain = math.sin(m * half) / (m * math.sin(half))
-            out += amp * gain * np.cos(omega * starts + phase + half * (m - 1))
-    return out
+            cos = np.cos(omega * starts + phase + half * (m - 1))
+            for out, (amp, _, _) in zip(outs, column):
+                out += amp * gain * cos
+    return outs
 
 
 def _ar1_block_moments(rho: float, sigma_e: float, m: int):
@@ -246,25 +278,45 @@ def simulate_ground_truth(
     return det * (1.0 + noise)
 
 
-def simulate_block_means(
-    config: ToyLoadConfig, block_s: float, n_blocks: int, start_time_s: float = 0.0
-) -> np.ndarray:
-    """Block averages of the simulated load without materializing 30 Hz data.
-
-    ``block_s`` must be a whole number of 30 Hz samples.  One value per
-    block; deterministic in (config, start_time_s, block_s).
-    """
+def _samples_per_block(block_s: float) -> int:
     m = block_s * 30.0
-    if abs(m - round(m)) > 1e-9 or m < 1:
+    if not 1 <= m < math.inf or abs(m - round(m)) > 1e-9:
         raise ValueError("block_s must be a positive multiple of 1/30 s")
-    m = int(round(m))
-    starts = start_time_s + block_s * np.arange(n_blocks)
-    det_mean = _block_means_of_terms(_cosine_terms(config), starts, m, 1.0 / 30.0)
+    return int(round(m))
 
+
+def _shape_block_curves(
+    shapes: list[ToyLoadConfig], block_s: float, n_blocks: int, start_time_s: float = 0.0
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each shape's deterministic block means and its value at the block centres.
+
+    A shape's seed and base_mw are not used.  Every cosine array is computed
+    once for all the shapes; a shape's floats do not depend on which other
+    shapes are in the list.
+    """
+    m = _samples_per_block(block_s)
+    starts = start_time_s + block_s * np.arange(n_blocks)
+    means = _block_means_of_terms([_cosine_terms(s) for s in shapes], starts, m, 1.0 / 30.0)
+    centres = starts + 0.5 * block_s
+    yearly, daily = _yearly_cosines(centres), _daily_cosines(centres)
+    return [
+        (mean, shape._yearly_of(*yearly) * shape._daily_of(*daily))
+        for shape, mean in zip(shapes, means)
+    ]
+
+
+def _add_block_noise(
+    config: ToyLoadConfig, curve: tuple[np.ndarray, np.ndarray], block_s: float,
+    start_time_s: float = 0.0,
+) -> np.ndarray:
+    """One load's block means: its shape's curve with its own AR(1) block noise."""
+    det_mean, det_center = curve
+    m = _samples_per_block(block_s)
     sigma_e = config.noise_rel_std * math.sqrt(1.0 - config.ar_coeff**2)
     if sigma_e == 0.0:
         return config.base_mw * det_mean
 
+    n_blocks = det_mean.size
     rho = config.ar_coeff
     A, rho_m, var_eta, var_zeta, cov = _ar1_block_moments(rho, sigma_e, m)
     rng = _rng_for(config, 1, int(round(start_time_s * 30.0)))
@@ -281,9 +333,34 @@ def simulate_block_means(
     end, _ = lfilter([1.0], [1.0, -rho_m], eta, zi=np.array([rho_m * n_init]))
     start_states = np.concatenate(([n_init], end[:-1]))
     noise_mean = np.clip((A * start_states + zeta) / m, -_NOISE_CLIP, _NOISE_CLIP)
-
-    det_center = config.deterministic(starts + 0.5 * block_s)
     return config.base_mw * (det_mean + det_center * noise_mean)
+
+
+def _fleet_block_means(
+    configs: list[ToyLoadConfig], block_s: float, n_blocks: int, start_time_s: float = 0.0
+) -> Iterator[np.ndarray]:
+    """Yield simulate_block_means(config, ...) for each config in turn.
+
+    The deterministic curves are computed once, one per distinct shape
+    (config up to seed and base_mw); only the noise is drawn per load.
+    """
+    shape_of = [replace(cfg, seed=0, base_mw=1.0) for cfg in configs]
+    shapes = list(dict.fromkeys(shape_of))
+    curves = dict(zip(shapes, _shape_block_curves(shapes, block_s, n_blocks, start_time_s)))
+    for cfg, shape in zip(configs, shape_of):
+        yield _add_block_noise(cfg, curves[shape], block_s, start_time_s)
+
+
+def simulate_block_means(
+    config: ToyLoadConfig, block_s: float, n_blocks: int, start_time_s: float = 0.0
+) -> np.ndarray:
+    """Block averages of the simulated load without materializing 30 Hz data.
+
+    ``block_s`` must be a whole number of 30 Hz samples.  One value per
+    block; deterministic in (config, start_time_s, block_s).
+    """
+    (values,) = _fleet_block_means([config], block_s, n_blocks, start_time_s)
+    return values
 
 
 def desk_level_datasets(
@@ -303,9 +380,8 @@ def desk_level_datasets(
 
     merged = ingest.LevelDatasets()
     span_s = n_years * YEAR_S
-    for cfg in configs:
-        n_blocks = int(round(span_s / 30.0))
-        m30 = simulate_block_means(cfg, 30.0, n_blocks)
+    fleet_m30 = _fleet_block_means(configs, 30.0, int(round(span_s / 30.0)))
+    for cfg, m30 in zip(configs, fleet_m30):
         part = ingest.extract_levels_from_block_means(
             m30, cfg.load_class, 0.0, max_l2_profiles=l2_profiles_per_load
         )

@@ -432,6 +432,43 @@ def test_defective_series_csv_exits_3(defect, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag", ["--series", "--phasors"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_ingest_input_exits_3(flag, kind, tmp_path, capsys):
+    path = tmp_path / "absent.csv" if kind == "missing" else tmp_path
+    code = main(
+        [
+            "ingest", flag, str(path), "--load-class", "residential",
+            "--output-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 3
+    assert f"cannot read {path}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# each case: simulate arguments the simulator cannot honour
+SIMULATE_BAD_ARGS = {
+    "block_zero": ["--duration", "1h", "--block-s", "0"],
+    "block_off_grid": ["--duration", "1h", "--block-s", "0.01"],
+    "block_negative": ["--duration", "1h", "--block-s", "-30"],
+    "block_nan": ["--duration", "1h", "--block-s", "nan"],
+    "block_inf": ["--duration", "1h", "--block-s", "inf"],
+    "full_rate_short": ["--duration", "10s"],
+    "base_negative": ["--duration", "1h", "--base-mw", "-5"],
+    "base_nan": ["--duration", "1h", "--block-s", "30", "--base-mw", "nan"],
+}
+
+
+@pytest.mark.parametrize("case", SIMULATE_BAD_ARGS)
+def test_simulate_bad_arguments_exit_2(case, tmp_path, capsys):
+    out = tmp_path / "sim.csv"
+    code = main(["simulate", *SIMULATE_BAD_ARGS[case], "--output", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_header_only_series_csv_has_no_rows(tmp_path):
     path = tmp_path / "series.csv"
     path.write_text("timestamp,load_1,load_2\n")

@@ -38,6 +38,8 @@ class TestConfig:
         with pytest.raises(ValueError):
             flat_config(base=0.0)
         with pytest.raises(ValueError):
+            flat_config(base=float("nan"))
+        with pytest.raises(ValueError):
             flat_config(ar=1.0)
         with pytest.raises(ValueError):
             flat_config(noise=0.25)
@@ -117,6 +119,11 @@ class TestBlockMeans:
         assert var_eta == pytest.approx(want_var_eta, rel=1e-12)
         assert var_zeta == pytest.approx(want_var_zeta, rel=1e-12)
         assert cov == pytest.approx(want_cov, rel=1e-12)
+
+    @pytest.mark.parametrize("block_s", [0.0, 0.01, -30.0, 45.01, math.inf, math.nan])
+    def test_rejects_block_off_grid(self, block_s):
+        with pytest.raises(ValueError, match="multiple of 1/30 s"):
+            simulate_block_means(flat_config(), block_s, 10)
 
     def test_deterministic(self):
         cfg = ToyLoadConfig.residential(seed=5)
