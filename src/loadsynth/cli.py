@@ -215,7 +215,15 @@ def _dataset_fingerprint(datasets) -> str:
     return digest.hexdigest()
 
 
+def _check_output_dir(path) -> None:
+    """Refuse an output path whose directory does not exist, before any work."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise RequestError(f"cannot write {path}: directory {parent} does not exist")
+
+
 def cmd_train(args) -> int:
+    _check_output_dir(args.output)
     if args.data:
         datasets = read_level_datasets(args.data)
     else:
@@ -252,16 +260,17 @@ def cmd_train(args) -> int:
         "l3": args.seed + 2,
         "l4": args.seed + 3,
     }
+    # the rng-free fits first, so too little data fails before any GAN trains
+    print(f"fitting level 4 pattern models ({len(datasets.l4)} year profiles)", file=sys.stderr)
+    l4_res = fit_svd_model_from_profiles(datasets.l4, LoadClass.MAINLY_RESIDENTIAL)
+    l4_ind = fit_svd_model_from_profiles(datasets.l4, LoadClass.MAINLY_INDUSTRIAL)
+    seam = learn_seam_filter(datasets.l3)
     print(f"training level 1 ({len(datasets.l1)} profiles, {args.l1_epochs} epochs)", file=sys.stderr)
     l1 = train_gan(datasets.l1, Level.L1, HyperParams(epochs=args.l1_epochs, **hyper), seeds["l1"])
     print(f"training level 2 ({len(datasets.l2)} profiles, {args.l2_epochs} epochs)", file=sys.stderr)
     l2 = train_gan(datasets.l2, Level.L2, HyperParams(epochs=args.l2_epochs, **hyper), seeds["l2"])
     print(f"training level 3 ({len(datasets.l3)} profiles, {args.l3_epochs} epochs)", file=sys.stderr)
     l3 = train_cgan(datasets.l3, None, HyperParams(epochs=args.l3_epochs, **hyper), seeds["l3"])
-    print(f"fitting level 4 pattern models ({len(datasets.l4)} year profiles)", file=sys.stderr)
-    l4_res = fit_svd_model_from_profiles(datasets.l4, LoadClass.MAINLY_RESIDENTIAL)
-    l4_ind = fit_svd_model_from_profiles(datasets.l4, LoadClass.MAINLY_INDUSTRIAL)
-    seam = learn_seam_filter(datasets.l3)
 
     models = ModelSet(
         l1=l1, l2=l2, l3=l3, l4_residential=l4_res, l4_industrial=l4_ind, seam=seam
@@ -342,6 +351,7 @@ def cmd_generate(args) -> int:
     if args.estimate_only:
         print(estimate)
         return 0
+    _check_output_dir(args.output)
     bundle = ModelBundle.load(_bundle_path(args))
     try:
         times, series = synthesize(request, bundle.models)
@@ -443,6 +453,7 @@ def cmd_simulate(args) -> int:
         else ToyLoadConfig.industrial
     )
     duration = parse_duration(args.duration)
+    _check_output_dir(args.output)
     if args.block_s is not None and not args.block_s > 0:
         raise RequestError(f"--block-s {args.block_s} must be a positive multiple of 1/30 s")
     try:  # the simulator validates its arguments with ValueError

@@ -22,8 +22,9 @@ Bundle file:
     per artifact: u16 n, n bytes name; u64 n, n bytes container
 
 A bundle loads only if the magic and version match, all six artifacts
-(l1, l2, l3, l4_residential, l4_industrial, seam) are present and every
-weight is finite.  Nothing time- or path-dependent is written, so identical
+(l1, l2, l3, l4_residential, l4_industrial, seam) are present, every field
+decodes, the weights fit the stored specs and every weight is finite;
+otherwise it raises BundleError naming the manifest or the artifact.  Nothing time- or path-dependent is written, so identical
 training runs produce byte-identical bundles.
 """
 
@@ -70,24 +71,19 @@ def _pack_artifact(type_tag: str, meta: dict, blob: np.ndarray) -> bytes:
 def _unpack_artifact(data: bytes) -> tuple[str, dict, np.ndarray]:
     if data[:4] != ARTIFACT_MAGIC:
         raise BundleError("bad artifact magic")
-    off = 4
-    (tag_len,) = struct.unpack_from("<H", data, off)
-    off += 2
-    tag = data[off : off + tag_len].decode("ascii")
-    off += tag_len
+    (tag_len,) = struct.unpack_from("<H", data, 4)
+    off = 6 + tag_len
+    tag = data[6:off].decode("ascii")
     (meta_len,) = struct.unpack_from("<I", data, off)
-    off += 4
-    meta = json.loads(data[off : off + meta_len].decode("utf-8"))
-    off += meta_len
+    off += 4 + meta_len
+    meta = json.loads(data[off - meta_len : off].decode("utf-8"))
     (count,) = struct.unpack_from("<Q", data, off)
-    off += 8
-    blob = np.frombuffer(data, dtype="<f8", count=count, offset=off).astype(np.float64)
+    blob = np.frombuffer(data, dtype="<f8", count=count, offset=off + 8).astype(np.float64)
     return tag, meta, blob
 
 
 def dump_gan(model: GanModel) -> bytes:
-    gen_flat = model.generator.get_flat()
-    disc_flat = model.discriminator.get_flat()
+    gen, disc = model.generator.params, model.discriminator.params
     meta = {
         "level": model.level.value,
         "noise_dim": model.noise_dim,
@@ -95,13 +91,13 @@ def dump_gan(model: GanModel) -> bytes:
         "generator_spec": model.generator.spec.to_jsonable(),
         "discriminator_spec": model.discriminator.spec.to_jsonable(),
         "log": model.log.to_jsonable(),
-        "weights": {"generator": gen_flat.size, "discriminator": disc_flat.size},
+        "weights": {"generator": gen.size, "discriminator": disc.size},
     }
     tag = "gan"
     if isinstance(model, CGanModel):
         tag = "cgan"
         meta["label_vocab"] = [[c.value, s.value] for c, s in model.label_vocab]
-    return _pack_artifact(tag, meta, np.concatenate([gen_flat, disc_flat]))
+    return _pack_artifact(tag, meta, np.concatenate([gen, disc]))
 
 
 def dump_svd(model: SvdModel) -> bytes:
@@ -117,12 +113,6 @@ def dump_seam(filt: SeamFilter) -> bytes:
     return _pack_artifact("seam", {}, filt.beta)
 
 
-def _rebuild_network(spec_json: dict, flat: np.ndarray) -> Network:
-    net = Network(NetworkSpec.from_jsonable(spec_json), np.random.default_rng(0))
-    net.set_flat(flat)
-    return net
-
-
 def load_artifact(data: bytes):
     tag, meta, blob = _unpack_artifact(data)
     if not np.isfinite(blob).all():
@@ -132,8 +122,8 @@ def load_artifact(data: bytes):
         n_disc = meta["weights"]["discriminator"]
         if n_gen + n_disc != blob.size:
             raise BundleError("weight blob size mismatch")
-        gen = _rebuild_network(meta["generator_spec"], blob[:n_gen])
-        disc = _rebuild_network(meta["discriminator_spec"], blob[n_gen:])
+        gen = Network(NetworkSpec.from_jsonable(meta["generator_spec"]), blob[:n_gen])
+        disc = Network(NetworkSpec.from_jsonable(meta["discriminator_spec"]), blob[n_gen:])
         common = dict(
             level=Level(meta["level"]),
             noise_dim=meta["noise_dim"],
@@ -215,45 +205,39 @@ class ModelBundle:
         data = path.read_bytes()
         if data[:4] != BUNDLE_MAGIC:
             raise BundleError(f"{path} is not a model bundle (bad magic)")
-        (version,) = struct.unpack_from("<I", data, 4)
-        if version != FORMAT_VERSION:
-            raise BundleError(
-                f"bundle format version {version} unsupported (expected {FORMAT_VERSION})"
-            )
-        (manifest_len,) = struct.unpack_from("<I", data, 8)
-        off = 12
-        manifest = json.loads(data[off : off + manifest_len].decode("utf-8"))
-        off += manifest_len
+        try:
+            version, manifest_len = struct.unpack_from("<II", data, 4)
+            if version != FORMAT_VERSION:
+                raise BundleError(
+                    f"bundle format version {version} unsupported (expected {FORMAT_VERSION})"
+                )
+            off = 12 + manifest_len
+            provenance = json.loads(data[12:off].decode("utf-8")).get("provenance", {})
+        except (struct.error, ValueError, AttributeError) as exc:
+            raise BundleError(f"{path}: header or manifest does not decode: {exc}") from exc
         artifacts: dict[str, bytes] = {}
         try:
             while off < len(data):
                 (name_len,) = struct.unpack_from("<H", data, off)
-                off += 2
-                name = data[off : off + name_len].decode("ascii")
-                off += name_len
-                (blob_len,) = struct.unpack_from("<Q", data, off)
-                off += 8
-                if off + blob_len > len(data):
+                name = data[off + 2 : off + 2 + name_len].decode("ascii")
+                (blob_len,) = struct.unpack_from("<Q", data, off + 2 + name_len)
+                off += 10 + name_len + blob_len
+                if off > len(data):
                     raise BundleError(f"bundle truncated inside artifact {name!r}")
-                artifacts[name] = data[off : off + blob_len]
-                off += blob_len
-        except struct.error as exc:
+                artifacts[name] = data[off - blob_len : off]
+        except (struct.error, UnicodeDecodeError) as exc:
             raise BundleError(f"bundle truncated or corrupt: {exc}") from exc
         missing = [n for n in ARTIFACT_NAMES if n not in artifacts]
         if missing:
             raise BundleError(f"bundle is missing artifacts: {', '.join(missing)}")
         loaded = {}
-        for name in ARTIFACT_NAMES:
+        for name in ARTIFACT_NAMES:  # the ModelSet field names
             try:
                 loaded[name] = load_artifact(artifacts[name])
             except BundleError as exc:
                 raise BundleError(f"artifact {name!r} in {path}: {exc}") from exc
-        models = ModelSet(
-            l1=loaded["l1"],
-            l2=loaded["l2"],
-            l3=loaded["l3"],
-            l4_residential=loaded["l4_residential"],
-            l4_industrial=loaded["l4_industrial"],
-            seam=loaded["seam"],
-        )
-        return cls(models=models, provenance=manifest.get("provenance", {}))
+            except (struct.error, KeyError, IndexError, TypeError, ValueError) as exc:
+                raise BundleError(
+                    f"artifact {name!r} in {path} does not decode: {type(exc).__name__}: {exc}"
+                ) from exc
+        return cls(models=ModelSet(**loaded), provenance=provenance)

@@ -25,7 +25,7 @@ estimated both with the 100-bin histogram recipe and exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,7 +47,7 @@ from ..errors import (
     MissingLabelCoverage,
 )
 from ..validate import wasserstein_1d, wasserstein_histogram
-from .network import Network, NetworkSpec
+from .network import Network, NetworkSpec, init_params
 from .optim import Adam
 
 LABEL_DIM = 6
@@ -144,21 +144,11 @@ class TrainingLog:
     attempts: list = field(default_factory=list)  # per-attempt dicts
 
     def to_jsonable(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "disc_updates": self.disc_updates,
-            "gen_updates": self.gen_updates,
-            "attempts": self.attempts,
-        }
+        return asdict(self)
 
     @classmethod
     def from_jsonable(cls, d: dict) -> "TrainingLog":
-        return cls(
-            epochs=d["epochs"],
-            disc_updates=d["disc_updates"],
-            gen_updates=d["gen_updates"],
-            attempts=d["attempts"],
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 @dataclass
@@ -185,7 +175,7 @@ class GanModel:
 
     @property
     def centre(self) -> float:
-        return 0.0 if LEVEL_NORMALIZATION[self.level] is Normalization.ZERO_MEAN_DETRENDED else 1.0
+        return _centre(self.level)
 
 
 @dataclass
@@ -195,6 +185,10 @@ class CGanModel(GanModel):
     @property
     def conditional(self) -> bool:
         return True
+
+
+def _centre(level: Level) -> float:
+    return 0.0 if LEVEL_NORMALIZATION[level] is Normalization.ZERO_MEAN_DETRENDED else 1.0
 
 
 def _with_channels(profiles: np.ndarray, onehot: Optional[np.ndarray]) -> np.ndarray:
@@ -249,9 +243,7 @@ def _train_adversarial(
     label_dim = LABEL_DIM if onehot is not None else 0
     log = TrainingLog()
 
-    centre = (
-        0.0 if LEVEL_NORMALIZATION[level] is Normalization.ZERO_MEAN_DETRENDED else 1.0
-    )
+    centre = _centre(level)
     spread = float(np.max(np.abs(X_real - centre)))
     scale = spread / (0.5 * _ACTIVATION_FILL) if spread > 0 else 1.0
     X = centre + (X_real - centre) / scale
@@ -259,14 +251,14 @@ def _train_adversarial(
     for attempt in range(2):
         lr = hyper.learning_rate / (2.0**attempt)
         rng = np.random.default_rng((seed, attempt))
-        gen = Network(generator_spec(level, hyper.noise_dim, label_dim), rng)
-        disc = Network(discriminator_spec(level, label_dim), rng)
-        opt_g = Adam(gen.parameters(), lr, hyper.beta1, hyper.beta2)
-        opt_d = Adam(disc.parameters(), lr, hyper.beta1, hyper.beta2)
+        gen_spec = generator_spec(level, hyper.noise_dim, label_dim)
+        gen = Network(gen_spec, init_params(gen_spec, rng))
+        disc_spec = discriminator_spec(level, label_dim)
+        disc = Network(disc_spec, init_params(disc_spec, rng))
+        opt_g = Adam([gen.params], lr, hyper.beta1, hyper.beta2)
+        opt_d = Adam([disc.params], lr, hyper.beta1, hyper.beta2)
         log.attempts.append({"seed_path": [seed, attempt], "learning_rate": lr})
-        log.epochs = []
-        log.disc_updates = 0
-        log.gen_updates = 0
+        log.epochs, log.disc_updates, log.gen_updates = [], 0, 0
         diverged = False
 
         def disc_step(idx) -> float:
@@ -282,7 +274,7 @@ def _train_adversarial(
             p = disc.forward(d_in)
             loss, grad = _bce_and_grad(p, targets)
             disc.backward(grad)
-            opt_d.step(disc.parameters(), disc.gradients())
+            opt_d.step([disc.params], [disc.grads])
             return loss
 
         def gen_step(idx) -> float:
@@ -296,7 +288,7 @@ def _train_adversarial(
             grad_p = -1.0 / p_c / p.size
             g_d_in = disc.backward(grad_p)
             gen.backward(g_d_in[:, 0, :])
-            opt_g.step(gen.parameters(), gen.gradients())
+            opt_g.step([gen.params], [gen.grads])
             return loss
 
         for _epoch in range(hyper.epochs):
@@ -331,8 +323,8 @@ def _train_adversarial(
             log.epochs.append(entry)
             finite = (
                 np.isfinite(list(entry.values())).all()
-                and np.isfinite(gen.get_flat()).all()
-                and np.isfinite(disc.get_flat()).all()
+                and np.isfinite(gen.params).all()
+                and np.isfinite(disc.params).all()
             )
             if not finite:
                 diverged = True

@@ -12,16 +12,32 @@ crop of the trailing output samples so stride-2 stages can hit an exact
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ShapeMismatch
 
 
 class Layer:
-    """Base: parameterless identity-ish layer with cached-input backward."""
+    """Base: parameterless identity-ish layer with cached-input backward.
 
-    params: list = []
-    grads: list = []
+    A parametrised layer lists its (weight, bias) ``shapes``; ``bind`` hands
+    it views of the owning network's flat parameter and gradient buffers.
+    """
+
+    shapes: tuple = ()
+
+    @property
+    def size(self) -> int:
+        return sum(math.prod(shape) for shape in self.shapes)
+
+    def bind(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Take ``w``/``b`` and ``gw``/``gb`` as views of this layer's slices."""
+        w_shape, _ = self.shapes
+        n_w = math.prod(w_shape)
+        self.w, self.b = params[:n_w].reshape(w_shape), params[n_w:]
+        self.gw, self.gb = grads[:n_w].reshape(w_shape), grads[n_w:]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -34,12 +50,9 @@ class Layer:
 
 
 class Dense(Layer):
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator, init_std: float):
+    def __init__(self, n_in: int, n_out: int):
         self.n_in, self.n_out = n_in, n_out
-        self.w = rng.normal(0.0, init_std, (n_in, n_out))
-        self.b = np.zeros(n_out)
-        self.params = [self.w, self.b]
-        self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
+        self.shapes = ((n_in, n_out), (n_out,))
         self._x = None
 
     def forward(self, x):
@@ -49,8 +62,8 @@ class Dense(Layer):
         return x @ self.w + self.b
 
     def backward(self, gy):
-        self.grads[0][...] = self._x.T @ gy
-        self.grads[1][...] = gy.sum(axis=0)
+        self.gw[...] = self._x.T @ gy
+        self.gb[...] = gy.sum(axis=0)
         return gy @ self.w.T
 
     def spec(self):
@@ -70,12 +83,9 @@ def _conv_windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
 class Conv1d(Layer):
     """Valid cross-correlation: out length = floor((L - k) / stride) + 1."""
 
-    def __init__(self, in_ch, out_ch, k, stride, rng, init_std):
+    def __init__(self, in_ch, out_ch, k, stride):
         self.in_ch, self.out_ch, self.k, self.stride = in_ch, out_ch, k, stride
-        self.w = rng.normal(0.0, init_std, (out_ch, in_ch, k))
-        self.b = np.zeros(out_ch)
-        self.params = [self.w, self.b]
-        self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
+        self.shapes = ((out_ch, in_ch, k), (out_ch,))
         self._x = None
 
     def forward(self, x):
@@ -90,8 +100,8 @@ class Conv1d(Layer):
     def backward(self, gy):
         x = self._x
         windows = _conv_windows(x, self.k, self.stride)
-        self.grads[0][...] = np.einsum("bot,bctk->ock", gy, windows, optimize=True)
-        self.grads[1][...] = gy.sum(axis=(0, 2))
+        self.gw[...] = np.einsum("bot,bctk->ock", gy, windows, optimize=True)
+        self.gb[...] = gy.sum(axis=(0, 2))
         gx = np.zeros_like(x)
         n_pos = gy.shape[2]
         for k in range(self.k):
@@ -112,15 +122,11 @@ class ConvT1d(Layer):
     exact 4x upscale even when k > stride.
     """
 
-    def __init__(self, in_ch, out_ch, k, stride, rng, init_std, out_length=None):
+    def __init__(self, in_ch, out_ch, k, stride, out_length=None):
         self.in_ch, self.out_ch, self.k, self.stride = in_ch, out_ch, k, stride
         self.out_length = out_length
-        self.w = rng.normal(0.0, init_std, (in_ch, out_ch, k))
-        self.b = np.zeros(out_ch)
-        self.params = [self.w, self.b]
-        self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
+        self.shapes = ((in_ch, out_ch, k), (out_ch,))
         self._x = None
-        self._raw_len = None
 
     def forward(self, x):
         if x.ndim != 3 or x.shape[1] != self.in_ch:
@@ -134,7 +140,6 @@ class ConvT1d(Layer):
                 f"convt1d cannot crop raw length {raw_len} up to {self.out_length}"
             )
         self._x = x
-        self._raw_len = raw_len
         y = np.zeros((b, self.out_ch, raw_len))
         for k in range(self.k):
             y[:, :, k : k + self.stride * (n_in - 1) + 1 : self.stride] += np.einsum(
@@ -149,17 +154,15 @@ class ConvT1d(Layer):
         x = self._x
         n_in = x.shape[2]
         if self.out_length is not None:
-            padded = np.zeros((gy.shape[0], self.out_ch, self._raw_len))
+            padded = np.zeros((gy.shape[0], self.out_ch, (n_in - 1) * self.stride + self.k))
             padded[:, :, : self.out_length] = gy
             gy = padded
-        gw = self.grads[0]
-        gw[...] = 0.0
         gx = np.zeros_like(x)
         for k in range(self.k):
             gy_k = gy[:, :, k : k + self.stride * (n_in - 1) + 1 : self.stride]
-            gw[:, :, k] = np.einsum("bct,bot->co", x, gy_k, optimize=True)
+            self.gw[:, :, k] = np.einsum("bct,bot->co", x, gy_k, optimize=True)
             gx += np.einsum("bot,co->bct", gy_k, self.w[:, :, k], optimize=True)
-        self.grads[1][...] = gy.sum(axis=(0, 2))
+        self.gb[...] = gy.sum(axis=(0, 2))
         return gx
 
     def spec(self):

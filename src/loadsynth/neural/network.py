@@ -1,9 +1,17 @@
 """Declarative network specs and the sequential network built from them.
 
-A NetworkSpec is an ordered tuple of layer descriptors (kind + arguments)
-plus a parameter-initialization identifier; it is what gets serialized.
-Building the same spec with the same generator state yields bit-identical
-weights, which is the backbone of the end-to-end determinism contract.
+A NetworkSpec is an ordered tuple of layer descriptors (kind + constructor
+arguments) plus a parameter-initialization identifier; it is serialized.
+
+A Network owns one flat float64 vector ``params`` and one gradient vector
+``grads``; each parametrised layer's weight and bias, and their gradients,
+are views into them in layer order, weight before bias (the order of a
+bundle's weight blob).  The optimizer steps ``params`` as one array,
+serialization writes it as is and loading wraps the decoded blob.
+``init_params`` draws it per parametrised layer, in layer order: one
+``rng.normal(0.0, 0.02, weight_shape)`` call, then a zero bias.  The same
+spec and generator state give bit-identical weights, the backbone of the
+end-to-end determinism contract.
 """
 
 from __future__ import annotations
@@ -35,38 +43,54 @@ class NetworkSpec:
         )
 
 
-def _build_layer(spec: tuple, rng: np.random.Generator) -> L.Layer:
-    kind, *args = spec
-    if kind == "dense":
-        return L.Dense(args[0], args[1], rng, _INIT_STD)
-    if kind == "conv1d":
-        return L.Conv1d(args[0], args[1], args[2], args[3], rng, _INIT_STD)
-    if kind == "convt1d":
-        out_length = args[4] if len(args) > 4 else None
-        return L.ConvT1d(args[0], args[1], args[2], args[3], rng, _INIT_STD, out_length)
-    if kind == "relu":
-        return L.ReLU()
-    if kind == "leaky_relu":
-        return L.LeakyReLU(args[0] if args else 0.2)
-    if kind == "sigmoid":
-        return L.Sigmoid()
-    if kind == "scaled_tanh":
-        return L.ScaledTanh(args[0], args[1])
-    if kind == "reshape":
-        return L.Reshape(args[0], args[1])
-    if kind == "flatten":
-        return L.Flatten()
-    raise ValueError(f"unknown layer kind {kind!r}")
+# layer kind -> class; a spec's arguments are the constructor's
+_LAYER_KINDS = {
+    "dense": L.Dense, "conv1d": L.Conv1d, "convt1d": L.ConvT1d,
+    "relu": L.ReLU, "leaky_relu": L.LeakyReLU, "sigmoid": L.Sigmoid,
+    "scaled_tanh": L.ScaledTanh, "reshape": L.Reshape, "flatten": L.Flatten,
+}
+
+
+def _build_layers(spec: NetworkSpec) -> list[L.Layer]:
+    if spec.init_scheme != INIT_SCHEME:
+        raise ValueError(f"unknown init scheme {spec.init_scheme!r}")
+    unknown = [kind for kind, *_ in spec.layers if kind not in _LAYER_KINDS]
+    if unknown:
+        raise ValueError(f"unknown layer kind {unknown[0]!r}")
+    return [_LAYER_KINDS[kind](*args) for kind, *args in spec.layers]
+
+
+def init_params(spec: NetworkSpec, rng: np.random.Generator) -> np.ndarray:
+    """The initial flat parameter vector: N(0, 0.02) weights, zero biases."""
+    parts = [np.zeros(0)]
+    for layer in _build_layers(spec):
+        if layer.shapes:
+            w_shape, b_shape = layer.shapes
+            parts += [rng.normal(0.0, _INIT_STD, w_shape).ravel(), np.zeros(b_shape)]
+    return np.concatenate(parts)
 
 
 class Network:
     """Sequential stack with reverse-mode gradients over cached activations."""
 
-    def __init__(self, spec: NetworkSpec, rng: np.random.Generator):
-        if spec.init_scheme != INIT_SCHEME:
-            raise ValueError(f"unknown init scheme {spec.init_scheme!r}")
+    def __init__(self, spec: NetworkSpec, params: np.ndarray):
         self.spec = spec
-        self.layers = [_build_layer(s, rng) for s in spec.layers]
+        self.layers = _build_layers(spec)
+        size = sum(layer.size for layer in self.layers)
+        if params.shape != (size,):
+            raise ValueError(f"weight blob has {params.size} values, network needs {size}")
+        self.params = params
+        self.grads = np.zeros(size)
+        offset = 0
+        for layer in self.layers:
+            if layer.shapes:
+                end = offset + layer.size
+                layer.bind(params[offset:end], self.grads[offset:end])
+                offset = end
+
+    def __reduce__(self):
+        # copies and pickles rebuild the layer views over one buffer
+        return Network, (self.spec, self.params)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
@@ -74,27 +98,7 @@ class Network:
         return x
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        """Backpropagate from the output gradient; fills layer grads."""
+        """Backpropagate from the output gradient; fills ``grads``."""
         for layer in reversed(self.layers):
             gy = layer.backward(gy)
         return gy
-
-    def parameters(self) -> list[np.ndarray]:
-        return [p for layer in self.layers for p in layer.params]
-
-    def gradients(self) -> list[np.ndarray]:
-        return [g for layer in self.layers for g in layer.grads]
-
-    def get_flat(self) -> np.ndarray:
-        params = self.parameters()
-        if not params:
-            return np.zeros(0)
-        return np.concatenate([p.ravel() for p in params])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        offset = 0
-        for p in self.parameters():
-            p[...] = flat[offset : offset + p.size].reshape(p.shape)
-            offset += p.size
-        if offset != flat.size:
-            raise ValueError(f"weight blob has {flat.size} values, network needs {offset}")

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import LoadClass, LoadProfile
-from .errors import RankDeficientWarning
+from .errors import InsufficientData, RankDeficientWarning
 
 _WEEKS = 52
 _CLAMP = 0.01
@@ -60,7 +60,7 @@ def fit_svd_model(
     if L.ndim != 2 or L.shape[1] != _WEEKS:
         raise ValueError(f"training matrix must be (n, {_WEEKS}), got {L.shape}")
     if L.shape[0] < 2:
-        raise ValueError("need at least two year profiles per class")
+        raise InsufficientData(f"need at least two {load_class.value} year profiles, got {len(L)}")
     row_means = L.mean(axis=1)
     if np.any(np.abs(row_means - 1.0) > 1e-9):
         raise ValueError("every training profile must be mean-one normalized")
@@ -83,7 +83,7 @@ def fit_svd_model_from_profiles(
     profiles: Sequence[LoadProfile], load_class: LoadClass, rank: Optional[int] = None
 ) -> SvdModel:
     rows = [p.samples for p in profiles if p.load_class is load_class]
-    return fit_svd_model(np.asarray(rows), load_class, rank)
+    return fit_svd_model(np.asarray(rows).reshape(len(rows), _WEEKS), load_class, rank)
 
 
 def svd_generate(

@@ -67,8 +67,8 @@ class TestEstimate:
 
 # weights of one artifact each, to be made non-finite in a bundle
 NON_FINITE_TARGETS = {
-    "l3": lambda m: m.l3.generator.parameters()[-1],  # output-layer bias
-    "l1": lambda m: m.l1.generator.parameters()[0],  # ahead of a ReLU
+    "l3": lambda m: m.l3.generator.params[-1:],  # output-layer bias
+    "l1": lambda m: m.l1.generator.params[:1],  # first weight, ahead of a ReLU
     "l4_residential": lambda m: m.l4_residential.u,
     "seam": lambda m: m.seam.beta,
 }
@@ -260,6 +260,27 @@ class TestGenerate:
         assert code == 2
 
 
+OUTPUT_COMMANDS = {
+    "generate": ["generate", "--residential", "1", "--resolution", "1/h", "--length", "1d"],
+    "simulate": ["simulate", "--duration", "1h", "--block-s", "30"],
+    "train": ["train", "--toy-loads", "2", "--toy-years", "2", "--l1-epochs", "1"],
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+def test_output_into_missing_directory_exits_2(command, bundle_path, tmp_path, capsys):
+    out = tmp_path / "nodir" / "out.file"
+    argv = [*OUTPUT_COMMANDS[command], "--output", str(out)]
+    if command == "generate":
+        argv += ["--bundle", str(bundle_path)]
+    code = main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines()[-1].startswith("error: ") and str(out) in err
+    assert "simulating" not in err and "Traceback" not in err
+    assert not (tmp_path / "nodir").exists()
+
+
 class TestTrainCli:
     def test_mini_train_and_generate(self, tmp_path):
         bundle = tmp_path / "mini.lsb"
@@ -284,6 +305,22 @@ class TestTrainCli:
             ]
         )
         assert code == 0
+
+    def test_too_few_year_profiles_exits_3_before_training(self, tmp_path, capsys):
+        # three loads split into one residential and two industrial: one
+        # simulated year leaves a single residential year profile
+        bundle = tmp_path / "few.lsb"
+        code = main(
+            [
+                "train", "--toy-seed", "5", "--toy-loads", "3", "--toy-years", "1",
+                "--l1-windows", "8", "--l2-profiles", "8", "--output", str(bundle),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error: need at least two residential year profiles, got 1" in err
+        assert "training level" not in err
+        assert not bundle.exists()
 
     def test_missing_data_dir_exits_3(self, tmp_path):
         code = main(

@@ -61,9 +61,9 @@ class TestTrainGan:
         hyper = HyperParams(epochs=2, batch_size=8, trace_samples=50)
         a = train_gan(small_l2_dataset, Level.L2, hyper, seed=42)
         b = train_gan(small_l2_dataset, Level.L2, hyper, seed=42)
-        np.testing.assert_array_equal(a.generator.get_flat(), b.generator.get_flat())
+        np.testing.assert_array_equal(a.generator.params, b.generator.params)
         np.testing.assert_array_equal(
-            a.discriminator.get_flat(), b.discriminator.get_flat()
+            a.discriminator.params, b.discriminator.params
         )
         assert a.log.to_jsonable() == b.log.to_jsonable()
 
@@ -71,7 +71,7 @@ class TestTrainGan:
         hyper = HyperParams(epochs=1, batch_size=8, trace_samples=50)
         a = train_gan(small_l2_dataset, Level.L2, hyper, seed=1)
         b = train_gan(small_l2_dataset, Level.L2, hyper, seed=2)
-        assert not np.array_equal(a.generator.get_flat(), b.generator.get_flat())
+        assert not np.array_equal(a.generator.params, b.generator.params)
 
     def test_two_disc_updates_per_gen_update(self, small_l2_dataset):
         hyper = HyperParams(epochs=3, batch_size=8, trace_samples=50)
@@ -182,7 +182,7 @@ class TestTrainCGan:
         hyper = HyperParams(epochs=1, batch_size=8, trace_samples=16)
         a = train_cgan(dataset, labels, hyper, seed=9)
         b = train_cgan(dataset, labels, hyper, seed=9)
-        np.testing.assert_array_equal(a.generator.get_flat(), b.generator.get_flat())
+        np.testing.assert_array_equal(a.generator.params, b.generator.params)
 
 
 @pytest.fixture(scope="module")

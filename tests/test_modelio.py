@@ -1,11 +1,14 @@
 """Binary container and bundle round trips."""
 
 import copy
+import re
+import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from loadsynth.cli import main
 from loadsynth.compose import ModelSet, SeamFilter
 from loadsynth.errors import BundleError, DegenerateProfile
 from loadsynth.modelio import (
@@ -26,9 +29,9 @@ class TestArtifactRoundTrips:
         assert back.level == model.level
         assert back.noise_dim == model.noise_dim
         assert back.amplitude_scale == model.amplitude_scale
-        np.testing.assert_array_equal(back.generator.get_flat(), model.generator.get_flat())
+        np.testing.assert_array_equal(back.generator.params, model.generator.params)
         np.testing.assert_array_equal(
-            back.discriminator.get_flat(), model.discriminator.get_flat()
+            back.discriminator.params, model.discriminator.params
         )
         assert back.log.to_jsonable() == model.log.to_jsonable()
         a = gan_generate(model, 3, seed=5)
@@ -65,7 +68,7 @@ class TestArtifactRoundTrips:
     def test_non_finite_weight_rejected(self, tiny_models, kind, bad):
         if kind == "gan":
             model = copy.deepcopy(tiny_models.l2)
-            model.discriminator.parameters()[0].flat[3] = bad
+            model.discriminator.params[3] = bad  # first weight tensor
             data = dump_gan(model)
         elif kind == "svd":
             model = copy.deepcopy(tiny_models.l4_industrial)
@@ -86,7 +89,7 @@ class TestBundle:
         back = ModelBundle.load(path)
         assert back.provenance == {"seeds": {"l1": 1}}
         np.testing.assert_array_equal(
-            back.models.l1.generator.get_flat(), tiny_models.l1.generator.get_flat()
+            back.models.l1.generator.params, tiny_models.l1.generator.params
         )
         np.testing.assert_array_equal(back.models.seam.beta, tiny_models.seam.beta)
         np.testing.assert_array_equal(
@@ -106,7 +109,7 @@ class TestBundle:
         path = tmp_path / "models.lsb"
         ModelBundle(models=tiny_models).save(path)
         l3 = ModelBundle.load(path).models.l3
-        l3.generator.parameters()[-1][...] = np.nan  # output-layer bias
+        l3.generator.params[-1] = np.nan  # output-layer bias
         with pytest.raises(DegenerateProfile):
             gan_generate(l3, 2, seed=1, labels=(LoadClass.MAINLY_RESIDENTIAL, Season.WINTER))
 
@@ -138,3 +141,75 @@ class TestBundle:
         path.write_bytes(data[: idx - 2])
         with pytest.raises(BundleError, match="missing|truncated"):
             ModelBundle.load(path)
+
+
+def _replace_once(old: bytes, new: bytes):
+    """A same-length edit of the first occurrence, inside the l1 artifact."""
+    assert len(old) == len(new)
+
+    def edit(data: bytes) -> bytes:
+        assert old in data
+        return data.replace(old, new, 1)
+
+    return edit
+
+
+def _shift_weight_split(data: bytes) -> bytes:
+    # move one count from the l1 generator to its discriminator: the sum
+    # still matches the blob, the split fits neither spec
+    pattern = rb'"weights":\{"discriminator":(\d+),"generator":(\d+)\}'
+    match = re.search(pattern, data)
+    disc, gen = int(match.group(1)), int(match.group(2))
+    edited = b'"weights":{"discriminator":%d,"generator":%d}' % (disc + 1, gen - 1)
+    assert len(edited) == len(match.group(0))
+    return data[: match.start()] + edited + data[match.end() :]
+
+
+def _cut_seam_counts(data: bytes) -> bytes:
+    # end the last artifact (the seam filter) right after its metadata, so
+    # reading its weight count runs off the artifact
+    start = data.rindex(b"LSM1")
+    head = data[start : start + 16]  # magic, tag, metadata "{}"
+    return data[: start - 8] + struct.pack("<Q", len(head)) + head
+
+
+MANIFEST_AT = 12
+BYTE_EDITS = {
+    "manifest_not_utf8": (lambda d: d[:MANIFEST_AT] + b"\xff" + d[MANIFEST_AT + 1 :], "manifest"),
+    "manifest_not_json": (lambda d: d[:MANIFEST_AT] + b"x" + d[MANIFEST_AT + 1 :], "manifest"),
+    "metadata_not_utf8": (_replace_once(b'"level":"l1"', b'\xfflevel":"l1"'), "artifact 'l1'"),
+    "metadata_not_json": (_replace_once(b'"level":"l1"', b'"level";"l1"'), "artifact 'l1'"),
+    "no_amplitude_scale": (
+        _replace_once(b'"amplitude_scale"', b'"amplitude_scalX"'), "artifact 'l1'"
+    ),
+    "no_discriminator_count": (
+        _replace_once(b'"discriminator":', b'"discriminatoX":'), "artifact 'l1'"
+    ),
+    "struct_error": (_cut_seam_counts, "artifact 'seam'"),
+    "unknown_layer_kind": (_replace_once(b'["dense",', b'["dunse",'), "artifact 'l1'"),
+    "unknown_init_scheme": (
+        _replace_once(b'"normal(0,0.02)"', b'"normal(0,0.03)"'), "artifact 'l1'"
+    ),
+    "weight_split": (_shift_weight_split, "artifact 'l1'"),
+}
+
+
+@pytest.mark.parametrize("case", BYTE_EDITS)
+def test_undecodable_bundle_exits_3(case, tiny_models, tmp_path, capsys):
+    edit, where = BYTE_EDITS[case]
+    path = tmp_path / "models.lsb"
+    ModelBundle(models=tiny_models, provenance={"source": "tiny"}).save(path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(BundleError, match=where):
+        ModelBundle.load(path)
+    out = tmp_path / "x.csv"
+    code = main(
+        [
+            "generate", "--bundle", str(path), "--residential", "1",
+            "--resolution", "1/h", "--length", "1d", "--output", str(out),
+        ]
+    )
+    assert code == 3
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert last.startswith("error: ") and where in last and str(path) in last
+    assert not out.exists()

@@ -1,5 +1,7 @@
 """Layer mechanics: forward conventions, exact gradients, adjoint identity."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,18 @@ from loadsynth.neural.layers import (
     ScaledTanh,
     Sigmoid,
 )
-from loadsynth.neural.network import Network, NetworkSpec
+from loadsynth.neural.network import Network, NetworkSpec, init_params
 from loadsynth.neural.optim import Adam
 from loadsynth.neural.gan import discriminator_spec, generator_spec
-from loadsynth.core import Level
+from loadsynth.core import LEVEL_SPECS, Level
+
+
+def bound(layer, rng, std=0.5):
+    """A standalone layer with N(0, std) weights and zero biases in flat buffers."""
+    w_shape, b_shape = layer.shapes
+    params = np.concatenate([rng.normal(0.0, std, w_shape).ravel(), np.zeros(b_shape)])
+    layer.bind(params, np.zeros_like(params))
+    return layer
 
 
 def conv_oracle(x, w, b, stride):
@@ -55,14 +65,14 @@ def convt_oracle(x, w, b, stride):
 
 class TestConvForward:
     def test_edge_detector_kernel(self):
-        conv = Conv1d(1, 1, 3, 1, np.random.default_rng(0), 0.02)
+        conv = bound(Conv1d(1, 1, 3, 1), np.random.default_rng(0), 0.02)
         conv.w[...] = np.array([[[1.0, 0.0, -1.0]]])
         conv.b[...] = 0.0
         out = conv.forward(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
         np.testing.assert_array_equal(out, [[[-2.0, -2.0]]])
 
     def test_identity_tap(self):
-        conv = Conv1d(1, 1, 3, 1, np.random.default_rng(0), 0.02)
+        conv = bound(Conv1d(1, 1, 3, 1), np.random.default_rng(0), 0.02)
         conv.w[...] = np.array([[[0.0, 1.0, 0.0]]])
         conv.b[...] = 0.0
         out = conv.forward(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
@@ -75,7 +85,7 @@ class TestConvForward:
         K = int(rng.integers(1, 5))
         stride = int(rng.integers(1, 4))
         L = K + stride * int(rng.integers(1, 6))
-        conv = Conv1d(C, O, K, stride, rng, 0.5)
+        conv = bound(Conv1d(C, O, K, stride), rng)
         conv.b[...] = rng.normal(size=O)
         x = rng.normal(size=(B, C, L))
         np.testing.assert_allclose(
@@ -83,12 +93,12 @@ class TestConvForward:
         )
 
     def test_output_length_formula(self):
-        conv = Conv1d(1, 16, 25, 5, np.random.default_rng(0), 0.02)
+        conv = bound(Conv1d(1, 16, 25, 5), np.random.default_rng(0), 0.02)
         out = conv.forward(np.zeros((1, 1, 900)))
         assert out.shape == (1, 16, (900 - 25) // 5 + 1) == (1, 16, 176)
 
     def test_shape_mismatch(self):
-        conv = Conv1d(2, 1, 3, 1, np.random.default_rng(0), 0.02)
+        conv = bound(Conv1d(2, 1, 3, 1), np.random.default_rng(0), 0.02)
         with pytest.raises(ShapeMismatch):
             conv.forward(np.zeros((1, 1, 10)))
         with pytest.raises(ShapeMismatch):
@@ -103,7 +113,7 @@ class TestConvTranspose:
         K = int(rng.integers(1, 5))
         stride = int(rng.integers(1, 4))
         L = int(rng.integers(2, 7))
-        layer = ConvT1d(C, O, K, stride, rng, 0.5)
+        layer = bound(ConvT1d(C, O, K, stride), rng)
         layer.b[...] = rng.normal(size=O)
         x = rng.normal(size=(B, C, L))
         np.testing.assert_allclose(
@@ -112,13 +122,13 @@ class TestConvTranspose:
 
     def test_crop_to_out_length(self):
         rng = np.random.default_rng(2)
-        layer = ConvT1d(1, 1, 4, 2, rng, 0.5, out_length=6)
+        layer = bound(ConvT1d(1, 1, 4, 2, out_length=6), rng)
         x = rng.normal(size=(1, 1, 3))
         raw = convt_oracle(x, layer.w, layer.b, 2)  # raw length (3-1)*2+4 = 8
         np.testing.assert_allclose(layer.forward(x), raw[:, :, :6], rtol=1e-12)
 
     def test_crop_cannot_extend(self):
-        layer = ConvT1d(1, 1, 4, 2, np.random.default_rng(0), 0.5, out_length=10)
+        layer = bound(ConvT1d(1, 1, 4, 2, out_length=10), np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
             layer.forward(np.zeros((1, 1, 3)))
 
@@ -131,9 +141,9 @@ class TestConvTranspose:
         stride = int(rng.integers(1, 4))
         n_pos = int(rng.integers(1, 6))
         L = K + stride * (n_pos - 1)  # exact fit
-        conv = Conv1d(C, O, K, stride, rng, 0.5)
+        conv = bound(Conv1d(C, O, K, stride), rng)
         conv.b[...] = 0.0
-        convt = ConvT1d(O, C, K, stride, rng, 0.5)
+        convt = bound(ConvT1d(O, C, K, stride), rng)
         convt.w = conv.w.copy()  # same array, reinterpreted (O->C map)
         convt.b = np.zeros(C)
         x = rng.normal(size=(2, C, L))
@@ -155,7 +165,8 @@ def finite_difference_check(layer, x, step=1e-5):
     layer.forward(x)
     gx = layer.backward(r)
     checks = []
-    for p, g in zip(layer.params, layer.grads):
+    pairs = [(layer.w, layer.gw), (layer.b, layer.gb)] if layer.shapes else []
+    for p, g in pairs:
         flat_p, flat_g = p.ravel(), g.ravel()
         for i in range(flat_p.size):
             keep = flat_p[i]
@@ -185,7 +196,7 @@ class TestGradients:
     @pytest.mark.parametrize("seed", range(4))
     def test_dense(self, seed):
         rng = np.random.default_rng(seed)
-        layer = Dense(int(rng.integers(1, 6)), int(rng.integers(1, 6)), rng, 0.5)
+        layer = bound(Dense(int(rng.integers(1, 6)), int(rng.integers(1, 6))), rng)
         x = rng.normal(size=(3, layer.n_in))
         assert finite_difference_check(layer, x) < 1e-4
 
@@ -193,7 +204,7 @@ class TestGradients:
     def test_conv1d(self, seed):
         rng = np.random.default_rng(10 + seed)
         K, stride = int(rng.integers(1, 4)), int(rng.integers(1, 3))
-        layer = Conv1d(2, 2, K, stride, rng, 0.5)
+        layer = bound(Conv1d(2, 2, K, stride), rng)
         x = rng.normal(size=(2, 2, 8))
         assert finite_difference_check(layer, x) < 1e-4
 
@@ -202,7 +213,7 @@ class TestGradients:
         rng = np.random.default_rng(20 + seed)
         K, stride = int(rng.integers(1, 4)), int(rng.integers(1, 3))
         out_length = None if seed % 2 else (3 - 1) * stride + K - 1
-        layer = ConvT1d(2, 2, K, stride, rng, 0.5, out_length)
+        layer = bound(ConvT1d(2, 2, K, stride, out_length), rng)
         x = rng.normal(size=(2, 2, 3))
         assert finite_difference_check(layer, x) < 1e-4
 
@@ -219,12 +230,16 @@ class TestGradients:
 
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(40)
-        layer = Dense(4, 3, rng, 0.5)
+        layer = bound(Dense(4, 3), rng)
         x = rng.normal(size=(2, 4))
         layer.forward(x)
         gx = layer.backward(np.zeros((2, 3)))
         assert np.all(gx == 0)
-        assert all(np.all(g == 0) for g in layer.grads)
+        assert np.all(layer.gw == 0) and np.all(layer.gb == 0)
+
+
+def build(spec, rng):
+    return Network(spec, init_params(spec, rng))
 
 
 class TestNetwork:
@@ -235,11 +250,9 @@ class TestNetwork:
 
     def test_flat_round_trip(self):
         rng = np.random.default_rng(1)
-        net = Network(discriminator_spec(Level.L2), rng)
-        flat = net.get_flat()
-        net2 = Network(discriminator_spec(Level.L2), np.random.default_rng(99))
-        net2.set_flat(flat)
-        np.testing.assert_array_equal(net2.get_flat(), flat)
+        net = build(discriminator_spec(Level.L2), rng)
+        net2 = Network(discriminator_spec(Level.L2), net.params.copy())
+        np.testing.assert_array_equal(net2.params, net.params)
         x = rng.normal(size=(2, 1, 120))
         np.testing.assert_array_equal(net.forward(x), net2.forward(x))
 
@@ -250,20 +263,20 @@ class TestNetwork:
         spec = NetworkSpec(
             layers=(("dense", 4, 3), ("scaled_tanh", 0.0, 1.0), ("dense", 3, 2))
         )
-        net = Network(spec, rng)
+        net = build(spec, rng)
         x = rng.normal(size=(5, 4))
         gy = rng.normal(size=(5, 2))
         net.forward(x)
         gx = net.backward(gy)
-        grads = [g.copy() for g in net.gradients()]
+        grads = net.grads.copy()
         assert gx.shape == x.shape
-        assert len(grads) == 4  # two dense layers, weights + biases
+        assert grads.size == (4 * 3 + 3) + (3 * 2 + 2)  # two dense layers, weights + biases
 
         def loss():
             return float(np.sum(net.forward(x) * gy))
 
         step = 1e-6
-        for values, analytic in [(x, gx), *zip(net.parameters(), grads)]:
+        for values, analytic in [(x, gx), (net.params, grads)]:
             flat, flat_g = values.ravel(), analytic.ravel()
             for i in range(flat.size):
                 keep = flat[i]
@@ -280,17 +293,114 @@ class TestNetwork:
     def test_architectures_hit_profile_length(self, level, length):
         label = 6 if level is Level.L3 else 0
         rng = np.random.default_rng(0)
-        gen = Network(generator_spec(level, 100, label), rng)
+        gen = build(generator_spec(level, 100, label), rng)
         assert gen.forward(np.zeros((2, 100 + label))).shape == (2, length)
-        disc = Network(discriminator_spec(level, label), rng)
+        disc = build(discriminator_spec(level, label), rng)
         assert disc.forward(np.zeros((2, 1 + label, length))).shape == (2, 1)
 
     def test_discriminator_output_in_unit_interval(self):
         rng = np.random.default_rng(3)
-        net = Network(discriminator_spec(Level.L2), rng)
+        net = build(discriminator_spec(Level.L2), rng)
         x = rng.normal(scale=50.0, size=(8, 1, 120))
         p = net.forward(x)
         assert np.all((p > 0) & (p < 1))
+
+
+# every generator and discriminator spec of levels 1-3, with and without
+# labels, with the shape of one input row
+ALL_SPECS = {
+    f"{kind}-{level.value}-{label}": (spec, row_shape)
+    for level in (Level.L1, Level.L2, Level.L3)
+    for label in (0, 6)
+    for kind, spec, row_shape in (
+        ("gen", generator_spec(level, 100, label), (100 + label,)),
+        ("disc", discriminator_spec(level, label), (1 + label, LEVEL_SPECS[level].profile_length)),
+    )
+}
+
+
+def per_tensor_init(spec, rng):
+    """The per-layer initialisation the flat buffer replaced: one N(0, 0.02)
+    draw per weight with the layer's own weight shape, then a zero bias."""
+    tensors = []
+    for kind, *args in spec.layers:
+        if kind == "dense":
+            w_shape, n_out = (args[0], args[1]), args[1]
+        elif kind == "conv1d":
+            w_shape, n_out = (args[1], args[0], args[2]), args[1]
+        elif kind == "convt1d":
+            w_shape, n_out = (args[0], args[1], args[2]), args[1]
+        else:
+            continue
+        tensors += [rng.normal(0.0, 0.02, w_shape), np.zeros(n_out)]
+    return tensors
+
+
+def param_layers(net):
+    return [layer for layer in net.layers if layer.shapes]
+
+
+class TestFlatBuffer:
+    @pytest.mark.parametrize("name", ALL_SPECS)
+    def test_init_params_matches_per_tensor_draws(self, name):
+        spec, _ = ALL_SPECS[name]
+        rng, oracle_rng = np.random.default_rng(11), np.random.default_rng(11)
+        flat = init_params(spec, rng)
+        want = np.concatenate([t.ravel() for t in per_tensor_init(spec, oracle_rng)])
+        assert flat.dtype == np.float64
+        np.testing.assert_array_equal(flat, want)
+        # the stream continues where the per-tensor draws left it
+        np.testing.assert_array_equal(rng.standard_normal(4), oracle_rng.standard_normal(4))
+
+    @pytest.mark.parametrize("name", ALL_SPECS)
+    def test_layer_tensors_are_views_of_the_buffers(self, name):
+        spec, row_shape = ALL_SPECS[name]
+        net = build(spec, np.random.default_rng(12))
+        tensors = per_tensor_init(spec, np.random.default_rng(12))
+        layers = param_layers(net)
+        assert len(tensors) == 2 * len(layers)
+        for layer, w, b in zip(layers, tensors[0::2], tensors[1::2]):
+            np.testing.assert_array_equal(layer.w, w)
+            np.testing.assert_array_equal(layer.b, b)
+            assert np.shares_memory(layer.w, net.params) and np.shares_memory(layer.b, net.params)
+            assert np.shares_memory(layer.gw, net.grads) and np.shares_memory(layer.gb, net.grads)
+            assert layer.gw.shape == layer.w.shape and layer.gb.shape == layer.b.shape
+        # backward writes every layer gradient into the one gradient buffer
+        y = net.forward(np.random.default_rng(13).normal(size=(3, *row_shape)))
+        net.backward(np.ones_like(y))
+        want = np.concatenate([g.ravel() for layer in layers for g in (layer.gw, layer.gb)])
+        np.testing.assert_array_equal(net.grads, want)
+        assert np.any(net.grads != 0)
+
+    def test_one_adam_step_over_the_buffer_equals_per_tensor_steps(self):
+        spec, _ = ALL_SPECS["disc-l2-6"]
+        rng = np.random.default_rng(14)
+        net = build(spec, rng)
+        tensors = [t.copy() for layer in param_layers(net) for t in (layer.w, layer.b)]
+        flat_opt = Adam([net.params], lr=1e-3, beta1=0.5, beta2=0.999)
+        tensor_opt = Adam(tensors, lr=1e-3, beta1=0.5, beta2=0.999)
+        for _ in range(3):
+            net.grads[...] = rng.normal(size=net.grads.size)
+            grads = [g.copy() for layer in param_layers(net) for g in (layer.gw, layer.gb)]
+            flat_opt.step([net.params], [net.grads])
+            tensor_opt.step(tensors, grads)
+        np.testing.assert_array_equal(net.params, np.concatenate([t.ravel() for t in tensors]))
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_size_mismatch_raises(self, delta):
+        spec, _ = ALL_SPECS["gen-l2-0"]
+        flat = init_params(spec, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="network needs"):
+            Network(spec, np.zeros(flat.size + delta))
+
+    def test_deep_copy_keeps_one_buffer(self):
+        net = build(ALL_SPECS["gen-l3-6"][0], np.random.default_rng(15))
+        twin = copy.deepcopy(net)
+        assert not np.shares_memory(twin.params, net.params)
+        np.testing.assert_array_equal(twin.params, net.params)
+        twin.params[0] = 7.0
+        assert param_layers(twin)[0].w.flat[0] == 7.0
+        assert param_layers(net)[0].w.flat[0] != 7.0
 
 
 class TestAdam:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from loadsynth.core import LoadClass, Metric, Season, downsample, season_of_week
-from loadsynth.errors import RankDeficientWarning
+from loadsynth.errors import InsufficientData, RankDeficientWarning
 from loadsynth.svdgen import SvdModel, fit_svd_model, svd_generate
 from loadsynth.toydata import ToyLoadConfig, simulate_block_means, split_load_seed
 
@@ -102,7 +102,7 @@ class TestFit:
             fit_svd_model(np.full((3, 52), 2.0), LoadClass.MAINLY_RESIDENTIAL)
 
     def test_rejects_single_row(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientData, match="at least two"):
             fit_svd_model(np.ones((1, 52)), LoadClass.MAINLY_RESIDENTIAL)
 
     def test_rank_truncation_knob(self):
