@@ -44,22 +44,30 @@ from .core import (
 )
 from .errors import (
     BundleError,
+    DatasetTooSmall,
     DivergenceDetected,
     InsufficientData,
     LoadSynthError,
+    MissingLabelCoverage,
     ParseError,
     RequestError,
     ResolutionTooFine,
 )
 from .ingest import (
-    compute_bus_load,
     extract_level_datasets,
     read_level_datasets,
     read_phasor_csv,
     write_level_datasets,
 )
 from .modelio import ModelBundle
-from .neural.gan import HyperParams, gan_generate, train_cgan, train_gan
+from .neural.gan import (
+    HyperParams,
+    check_batches,
+    check_label_coverage,
+    gan_generate,
+    train_cgan,
+    train_gan,
+)
 from .svdgen import fit_svd_model_from_profiles, svd_generate
 from .toydata import (
     ToyLoadConfig,
@@ -222,8 +230,18 @@ def _check_output_dir(path) -> None:
         raise RequestError(f"cannot write {path}: directory {parent} does not exist")
 
 
+def _check_output_tree(path) -> None:
+    """Refuse a directory path that a file is in the way of, before any work."""
+    path = Path(path)
+    blocker = next((p for p in (path, *path.parents) if p.exists()), None)
+    if blocker is not None and not blocker.is_dir():
+        raise RequestError(f"cannot write to directory {path}: {blocker} is not a directory")
+
+
 def cmd_train(args) -> int:
     _check_output_dir(args.output)
+    if args.save_data:
+        _check_output_tree(args.save_data)
     if args.data:
         datasets = read_level_datasets(args.data)
     else:
@@ -265,6 +283,14 @@ def cmd_train(args) -> int:
     l4_res = fit_svd_model_from_profiles(datasets.l4, LoadClass.MAINLY_RESIDENTIAL)
     l4_ind = fit_svd_model_from_profiles(datasets.l4, LoadClass.MAINLY_INDUSTRIAL)
     seam = learn_seam_filter(datasets.l3)
+    for level in (Level.L1, Level.L2, Level.L3):  # the trainers' own data rules
+        profiles = datasets.of(level)
+        try:
+            if level is Level.L3:
+                check_label_coverage([(p.load_class, p.season) for p in profiles], args.batch_size)
+            check_batches(len(profiles), args.batch_size)
+        except (DatasetTooSmall, MissingLabelCoverage, ValueError) as exc:
+            raise InsufficientData(f"cannot train level {level.value[-1]}: {exc}") from exc
     print(f"training level 1 ({len(datasets.l1)} profiles, {args.l1_epochs} epochs)", file=sys.stderr)
     l1 = train_gan(datasets.l1, Level.L1, HyperParams(epochs=args.l1_epochs, **hyper), seeds["l1"])
     print(f"training level 2 ({len(datasets.l2)} profiles, {args.l2_epochs} epochs)", file=sys.stderr)
@@ -373,6 +399,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    _check_output_tree(args.output_dir)
     bundle = ModelBundle.load(_bundle_path(args))
     datasets = read_level_datasets(args.data)
     out_dir = Path(args.output_dir)
@@ -473,15 +500,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    path = args.phasors or args.series
+    for flag, cap in (("--max-l1", args.max_l1), ("--max-l2", args.max_l2)):
+        if cap is not None and cap < 0:
+            raise RequestError(f"{flag} {cap} must be zero or more")
+    _check_output_tree(args.output_dir)
     try:
         if args.phasors:
-            series = compute_bus_load(read_phasor_csv(path))
+            series = read_phasor_csv(args.phasors)
         else:
-            _, data = read_series_csv(path)
+            _, data = read_series_csv(args.series)
             series = data[0]
     except OSError as exc:
-        raise InsufficientData(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise InsufficientData(f"cannot read {exc.filename}: {exc.strerror or exc}") from exc
     load_class = LoadClass(args.load_class)
     datasets = extract_level_datasets(
         series,
@@ -563,7 +593,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = subparsers["ingest"] = sub.add_parser("ingest", help="extract level datasets from measurements")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--phasors", help="phasor CSV (timestamp,line_id,v_mag,v_ang,i_mag,i_ang)")
+    src.add_argument(
+        "--phasors", nargs="+",
+        help="phasor CSVs in time order (timestamp,line_id,v_mag,v_ang,i_mag,i_ang)",
+    )
     src.add_argument("--series", help="load series CSV at 30 Hz (timestamp,load_1)")
     p.add_argument("--load-class", required=True, choices=["residential", "industrial"])
     p.add_argument("--start-week", type=int, default=0, help="calendar week of the first sample")

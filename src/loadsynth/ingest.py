@@ -1,7 +1,8 @@
 """From raw phasor streams to the four normalized training datasets.
 
-Pipeline: phasor CSV rows read into (record x line) arrays -> net active power
-at the bus (30 Hz), summed in one vectorised pass -> block means -> profiles:
+Pipeline: phasor CSV rows read in record-aligned chunks of (record x line)
+arrays -> net active power at the bus (30 Hz), one vectorised pass per chunk
+-> block means -> profiles:
 
 * level 1: consecutive 900-sample windows at 30 Hz, mean-one normalized;
 * level 2: 30-second means reshaped into 120-sample hours, divided by the
@@ -20,7 +21,9 @@ only drives the season-of-week tagging.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -294,16 +297,59 @@ _PHASOR_ROW = np.dtype([("t", "f8"), ("line_id", object)] + [(f, "f8") for f in 
 _NOMINAL_STEP = 1.0 / 30.0
 
 
-def read_phasor_csv(path) -> PhasorTable:
-    """Read `timestamp,line_id,v_mag,v_ang,i_mag,i_ang` rows into a table.
+# data rows parsed per np.loadtxt call: bounds the reader's memory whatever
+# the length of its input
+PHASOR_CHUNK_ROWS = 16_384
 
-    Consecutive rows with the same timestamp form one record, and record
-    timestamps must step at nominally 30 Hz (each step within +-10%).  The
-    first record fixes the line set: extra lines in later records are
-    ignored, a record lacking one of its lines raises MissingChannel, and
-    within a record the last row of a line wins.  Blank lines are skipped.
-    Any other defect raises InsufficientData naming the offending row.
-    """
+
+@dataclass
+class _RecordCarry:
+    """What checking a record needs from the records before it."""
+
+    line_ids: Optional[tuple[str, ...]] = None  # the first record's, sorted
+    last_t: Optional[float] = None
+    last_path: object = None
+
+
+def _records_bus_load(rows: np.ndarray, path, carry: _RecordCarry) -> np.ndarray:
+    """Bus power of whole records ``rows``, checked against ``carry``."""
+    t, ids = rows["t"], rows["line_id"]
+    starts = np.ones(t.size, dtype=bool)
+    starts[1:] = t[1:] != t[:-1]
+    first = np.flatnonzero(starts)  # first row of each record
+    record = np.cumsum(starts) - 1  # record index of each row
+    stamps = t[first] if carry.last_t is None else np.concatenate(([carry.last_t], t[first]))
+    step = np.diff(stamps)
+    off_grid = np.flatnonzero(~((step >= 0.9 * _NOMINAL_STEP) & (step <= 1.1 * _NOMINAL_STEP)))
+    if off_grid.size:
+        k = off_grid[0]
+        before = f" in {carry.last_path}" if k == 0 and carry.last_path != path else ""
+        raise InsufficientData(
+            f"{path}: the row at t={stamps[k + 1]} follows t={stamps[k]}{before}, a step of "
+            f"{step[k]:.6f}s that breaks the 30 Hz +-10% spacing"
+        )
+    if carry.line_ids is None:
+        carry.line_ids = tuple(sorted(set(ids[record == 0])))
+    grid = np.full((first.size, len(carry.line_ids)), -1)  # (record, line) -> row
+    for j, lid in enumerate(carry.line_ids):
+        at = np.flatnonzero(ids == lid)
+        rec = record[at]
+        last = np.ones(at.size, dtype=bool)  # of duplicates, the last row wins
+        last[:-1] = rec[1:] != rec[:-1]
+        grid[rec[last], j] = at[last]
+    missing = np.argwhere(grid < 0)
+    if missing.size:
+        k, j = missing[0]
+        raise MissingChannel(
+            f"{path}: record at t={t[first[k]]} lacks phasors for line {carry.line_ids[j]!r}"
+        )
+    carry.last_t, carry.last_path = t[first[-1]], path
+    table = PhasorTable(t[first], carry.line_ids, *(rows[name][grid] for name in _PHASOR_FIELDS))
+    return compute_bus_load(table)
+
+
+def _read_phasor_file(path, carry: _RecordCarry) -> list[np.ndarray]:
+    """Per-chunk bus power of one phasor CSV, continuing the records in ``carry``."""
     line_no, line = 1, ""  # the line loadtxt parses; blank ones, which it rejects, are skipped
 
     def data_lines(fh):
@@ -312,44 +358,64 @@ def read_phasor_csv(path) -> PhasorTable:
             if not line.isspace():
                 yield line
 
+    power = []
     try:
         with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a header-only file is an empty table
+            warnings.simplefilter("ignore", UserWarning)  # an exhausted input is an empty chunk
             if fh.readline().strip() != PHASOR_HEADER:
                 raise InsufficientData(f"{path} line 1: expected the header {PHASOR_HEADER!r}")
-            rows = np.loadtxt(data_lines(fh), dtype=_PHASOR_ROW, delimiter=",", comments=None, ndmin=1)
+            lines = data_lines(fh)
+            rows = np.zeros(0, dtype=_PHASOR_ROW)  # held back: the last, maybe unfinished, record
+            while True:
+                chunk = np.loadtxt(
+                    itertools.islice(lines, PHASOR_CHUNK_ROWS),
+                    dtype=_PHASOR_ROW, delimiter=",", comments=None, ndmin=1,
+                )
+                rows = np.concatenate((rows, chunk)) if rows.size else chunk
+                if chunk.size < PHASOR_CHUNK_ROWS:
+                    break
+                t = rows["t"]
+                ends = np.flatnonzero(t[1:] != t[:-1])  # the last row of each record but the last
+                if ends.size:
+                    power.append(_records_bus_load(rows[: ends[-1] + 1], path, carry))
+                    rows = rows[ends[-1] + 1 :]
     except UnicodeDecodeError as exc:
         raise InsufficientData(f"phasor CSV {path} is not UTF-8 text: {exc}") from exc
     except ValueError as exc:  # a row without 6 fields or with an unparsable number
         raise InsufficientData(
             f"{path} line {line_no}: expected the 6 fields {PHASOR_HEADER}, got {line.strip()!r}"
         ) from exc
+    if rows.size:
+        power.append(_records_bus_load(rows, path, carry))
+    return power
 
-    t, ids = rows["t"], rows["line_id"]
-    starts = np.ones(t.size, dtype=bool)
-    starts[1:] = t[1:] != t[:-1]
-    first = np.flatnonzero(starts)  # first row of each record
-    record = np.cumsum(starts) - 1  # record index of each row
-    step = np.diff(t[first])
-    off_grid = np.flatnonzero(~((step >= 0.9 * _NOMINAL_STEP) & (step <= 1.1 * _NOMINAL_STEP)))
-    if off_grid.size:
-        k = off_grid[0]
-        raise InsufficientData(
-            f"{path}: the row at t={t[first[k + 1]]} follows t={t[first[k]]}, a step of "
-            f"{step[k]:.6f}s that breaks the 30 Hz +-10% spacing"
-        )
-    line_ids = tuple(sorted(set(ids[record == 0])))
-    grid = np.full((first.size, len(line_ids)), -1)  # (record, line) -> row
-    for j, lid in enumerate(line_ids):
-        at = np.flatnonzero(ids == lid)
-        rec = record[at]
-        last = np.append(rec[1:] != rec[:-1], True)  # of duplicates, the last row wins
-        grid[rec[last], j] = at[last]
-    missing = np.argwhere(grid < 0)
-    if missing.size:
-        k, j = missing[0]
-        raise MissingChannel(f"{path}: record at t={t[first[k]]} lacks phasors for line {line_ids[j]!r}")
-    return PhasorTable(t[first], line_ids, *(rows[name][grid] for name in _PHASOR_FIELDS))
+
+def read_phasor_csv(paths) -> np.ndarray:
+    """Bus power per record (``compute_bus_load``) of one or more phasor CSVs.
+
+    Each file holds `timestamp,line_id,v_mag,v_ang,i_mag,i_ang` rows under
+    that header, and several files are read as one input in the order given.
+    Consecutive rows with the same timestamp form one record, and record
+    timestamps must step at nominally 30 Hz (each step within +-10%), also
+    from the last record of one file to the first of the next: a gap or an
+    overlap between files breaks the spacing.  The first record fixes the
+    line set: extra lines in later records are ignored, a record lacking one
+    of its lines raises MissingChannel, and within a record the last row of a
+    line wins.  Blank lines are skipped.  Any other defect raises
+    InsufficientData naming the file and its line or timestamps.
+
+    Rows are parsed PHASOR_CHUNK_ROWS at a time and each chunk is reduced to
+    bus power before the next is read, so memory does not grow with the row
+    count.  The rows of a chunk's last timestamp are held back for the next
+    chunk: every record is checked and summed whole.  Defects are reported in
+    reading order: the first chunk holding one reports it, and within a chunk
+    a parse error comes before a spacing error, which comes before a missing
+    line.
+    """
+    paths = [paths] if isinstance(paths, (str, os.PathLike)) else paths
+    carry = _RecordCarry()
+    power = [p for path in paths for p in _read_phasor_file(path, carry)]
+    return np.concatenate(power) if power else np.zeros(0)
 
 
 def write_phasor_csv(path, table: PhasorTable) -> None:

@@ -229,6 +229,30 @@ def _dataset_matrix(dataset: Sequence[LoadProfile], level: Level) -> np.ndarray:
 _ACTIVATION_FILL = 0.95  # scaled excursions reach 95% of the tanh range
 
 
+def check_batches(n: int, batch: int) -> None:
+    """Raise DatasetTooSmall unless ``n`` profiles fill the two batches of a step."""
+    if n < 2 * batch:
+        raise DatasetTooSmall(f"{n} profiles < 2 batches of {batch}")
+
+
+def check_label_coverage(labels: Sequence[tuple[LoadClass, Season]], batch: int) -> None:
+    """Raise MissingLabelCoverage unless every label combo has a full batch.
+
+    A label lacking its class or season is a ValueError.
+    """
+    for cls, season in labels:
+        if cls is None or season is None:
+            raise ValueError("every profile needs a (load class, season) label")
+    counts = {combo: 0 for combo in LABEL_VOCAB}
+    for lab in labels:
+        counts[lab] += 1
+    missing = [combo for combo, c in counts.items() if c < batch]
+    if missing:
+        raise MissingLabelCoverage(
+            [f"({c.value}, {s.value}): {counts[(c, s)]} examples" for c, s in missing]
+        )
+
+
 def _train_adversarial(
     X_real: np.ndarray,
     onehot: Optional[np.ndarray],
@@ -238,8 +262,7 @@ def _train_adversarial(
 ) -> tuple[Network, Network, TrainingLog, float]:
     n, _ = X_real.shape
     batch = hyper.batch_size
-    if n < 2 * batch:
-        raise DatasetTooSmall(f"{n} profiles < 2 batches of {batch}")
+    check_batches(n, batch)
     label_dim = LABEL_DIM if onehot is not None else 0
     log = TrainingLog()
 
@@ -367,17 +390,7 @@ def train_cgan(
         labels = [(p.load_class, p.season) for p in dataset]
     if len(labels) != len(dataset):
         raise ValueError("labels must parallel the dataset")
-    for cls, season in labels:
-        if cls is None or season is None:
-            raise ValueError("every profile needs a (load class, season) label")
-    counts = {combo: 0 for combo in LABEL_VOCAB}
-    for lab in labels:
-        counts[lab] += 1
-    missing = [combo for combo, c in counts.items() if c < hyper.batch_size]
-    if missing:
-        raise MissingLabelCoverage(
-            [f"({c.value}, {s.value}): {counts[(c, s)]} examples" for c, s in missing]
-        )
+    check_label_coverage(labels, hyper.batch_size)
     X = _dataset_matrix(dataset, level)
     onehot = encode_labels(labels)
     gen, disc, log, scale = _train_adversarial(X, onehot, level, hyper, seed)

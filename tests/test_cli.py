@@ -322,6 +322,46 @@ class TestTrainCli:
         assert "training level" not in err
         assert not bundle.exists()
 
+    @pytest.mark.parametrize(
+        "sizes,words",
+        [
+            # 16 level-1 windows cannot fill two batches of 32
+            (["--l1-windows", "8", "--l2-profiles", "8"], "level 1: 16 profiles < 2 batches of 32"),
+            # two years of two loads give 26 weeks per (class, season) label
+            (["--l1-windows", "27", "--l2-profiles", "27", "--batch-size", "27"],
+             "level 3: label combinations with too few examples: (residential, winter): 26"),
+        ],
+        ids=["batches", "label_coverage"],
+    )
+    def test_too_small_gan_dataset_exits_3_before_training(self, sizes, words, tmp_path, capsys):
+        bundle = tmp_path / "small.lsb"
+        code = main(
+            ["train", "--toy-seed", "5", "--toy-loads", "2", "--toy-years", "2", *sizes,
+             "--output", str(bundle)]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"error: cannot train {words}" in err, err
+        assert "training level" not in err
+        assert not bundle.exists()
+
+    def test_unlabelled_level3_profile_exits_3_before_training(self, tiny_datasets, tmp_path, capsys):
+        write_level_datasets(tiny_datasets, tmp_path / "data")
+        path = tmp_path / "data" / "level3.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[1].split(",")
+        fields[2] = ""  # the first profile's season, which the reader keeps
+        lines[1] = ",".join(fields)
+        path.write_text("".join(lines))
+        code = main(
+            ["train", "--data", str(tmp_path / "data"), "--batch-size", "8",
+             "--output", str(tmp_path / "b.lsb")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error: cannot train level 3: every profile needs a (load class, season) label" in err
+        assert "training level" not in err
+
     def test_missing_data_dir_exits_3(self, tmp_path):
         code = main(
             ["train", "--data", str(tmp_path / "nodata"), "--output", str(tmp_path / "b.lsb")]
@@ -482,6 +522,49 @@ def test_unreadable_ingest_input_exits_3(flag, kind, tmp_path, capsys):
     assert code == 3
     assert f"cannot read {path}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cap", [["--max-l1", "-1"], ["--max-l2", "-3"]], ids=["l1", "l2"])
+def test_negative_ingest_cap_exits_2(cap, tmp_path, capsys):
+    code = main(
+        ["ingest", "--phasors", str(tmp_path / "absent.csv"), "--load-class", "residential",
+         *cap, "--output-dir", str(tmp_path / "out")]
+    )
+    assert code == 2  # before the input is read: the absent file would exit 3
+    assert capsys.readouterr().err == f"error: {cap[0]} {cap[1]} must be zero or more\n"
+
+
+def test_zero_ingest_caps_write_no_profiles(tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    times = np.arange(1800) / 30.0
+    write_series_csv(path, times, np.full((1, times.size), 2.0))
+    code = main(
+        ["ingest", "--series", str(path), "--load-class", "residential", "--max-l1", "0",
+         "--max-l2", "0", "--output-dir", str(tmp_path / "out")]
+    )
+    assert code == 0
+    assert "note: level 1 needs at least 900 samples" in capsys.readouterr().err
+    assert (tmp_path / "out" / "level1.csv").read_text().count("\n") == 1
+
+
+# each case: the output directory a command is given, under tmp_path, with a
+# file named "file" in the way
+OUTPUT_DIR_COMMANDS = {
+    "ingest": ["ingest", "--phasors", "absent.csv", "--load-class", "residential", "--output-dir"],
+    "validate": ["validate", "--bundle", "absent.lsb", "--data", "absent", "--output-dir"],
+    "train": ["train", "--toy-loads", "2", "--output", "b.lsb", "--save-data"],
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_DIR_COMMANDS)
+@pytest.mark.parametrize("target", ["file", "file/sub"], ids=["is_file", "under_file"])
+def test_output_dir_blocked_by_a_file_exits_2(command, target, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    code = main([*OUTPUT_DIR_COMMANDS[command], target])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write to directory {target}: file is not a directory\n"
 
 
 # each case: simulate arguments the simulator cannot honour

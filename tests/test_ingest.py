@@ -205,10 +205,7 @@ class TestFiles:
         written = table(phasors)
         path = tmp_path / "phasors.csv"
         write_phasor_csv(path, written)
-        back = read_phasor_csv(path)
-        assert back.line_ids == written.line_ids
-        for name in ("timestamps_s", "v_mag", "v_ang", "i_mag", "i_ang"):
-            np.testing.assert_array_equal(getattr(back, name), getattr(written, name))
+        np.testing.assert_array_equal(read_phasor_csv(path), compute_bus_load(written))
 
     def test_phasor_rejects_bad_spacing(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -237,10 +234,8 @@ class TestFiles:
             "0.03333333333333333,a,1,0,1,0",
         ]
         path.write_bytes((PHASOR_HEADER + "\r\n" + "\r\n".join(rows) + "\r\n").encode())
-        back = read_phasor_csv(path)
-        assert back.line_ids == ("a", "b#2")
-        np.testing.assert_array_equal(back.i_mag, [[3.0, 2.0], [1.0, 4.0]])
-        np.testing.assert_array_equal(compute_bus_load(back), [5.0, 5.0])
+        # lines a and b#2; i_mag 3 + 2 and 1 + 4, not 5 + 2 nor 9 + 1 + 4
+        np.testing.assert_array_equal(read_phasor_csv(path), [5.0, 5.0])
 
     def test_phasor_not_utf8(self, tmp_path):
         path = tmp_path / "latin1.csv"
@@ -251,9 +246,7 @@ class TestFiles:
     def test_phasor_header_only_is_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(PHASOR_HEADER + "\n\n")
-        back = read_phasor_csv(path)
-        assert back.line_ids == () and back.v_mag.shape == (0, 0)
-        assert compute_bus_load(back).shape == (0,)
+        assert read_phasor_csv(path).shape == (0,)
 
     def test_level_dataset_round_trip(self, tmp_path):
         cfg = ToyLoadConfig.residential(seed=41)

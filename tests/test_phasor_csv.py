@@ -1,23 +1,30 @@
-"""The columnar phasor reader against the original record-based reader.
+"""The chunked phasor reader against the original record-based reader.
 
 ``oracle_read_phasor_csv`` and ``oracle_bus_load`` are the row-by-row reader
-and bus-power loop that the columnar ``read_phasor_csv``/``compute_bus_load``
-replaced, kept here verbatim (apart from names) as the reference: on every
-valid file the two must give bit-identical bus power, and on every defective
-file they must fail in the same family.
+and bus-power loop that the chunked ``read_phasor_csv`` replaced, kept here
+verbatim (apart from names) as the reference: on every valid file the two
+must give bit-identical bus power, whatever the chunk size and however the
+records are split into files, and on every defective file they must fail in
+the same family.
 """
 
+import io
 import math
+import re
+from contextlib import redirect_stderr
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loadsynth import ingest
+from loadsynth.cli import main
 from loadsynth.errors import InsufficientData, MissingChannel
-from loadsynth.ingest import PHASOR_HEADER, compute_bus_load, read_phasor_csv
+from loadsynth.ingest import PHASOR_HEADER, read_phasor_csv
 
 _NOMINAL_STEP = 1.0 / 30.0
 
@@ -102,9 +109,9 @@ def oracle_outcome(path):
         return "malformed"
 
 
-def columnar_outcome(path):
+def chunked_outcome(path):
     try:
-        return compute_bus_load(read_phasor_csv(path))
+        return read_phasor_csv(path)
     except MissingChannel:
         return "missing channel"
     except InsufficientData:
@@ -114,6 +121,10 @@ def columnar_outcome(path):
 # ----------------------------------------------------------------------
 # random phasor files
 # ----------------------------------------------------------------------
+
+# chunks of a few rows put records, duplicates and blank lines across
+# chunk boundaries
+chunk_rows = st.integers(1, 7)
 
 # '#' would start a comment in a default np.loadtxt call; ids longer than 32
 # characters would be cut by a fixed-width string field
@@ -159,6 +170,16 @@ def phasor_files(draw):
 
 
 @st.composite
+def split_phasor_files(draw):
+    """One input as (the whole file, the same records split into 1-3 files)."""
+    records = draw(phasor_records())
+    cuts = draw(st.lists(st.integers(1, max(len(records) - 1, 1)), max_size=2, unique=True))
+    bounds = [0, *sorted(c for c in cuts if c < len(records)), len(records)]
+    parts = [render(records[a:b], draw) for a, b in zip(bounds, bounds[1:])]
+    return render(records, draw), parts
+
+
+@st.composite
 def defective_phasor_files(draw, defect):
     records = draw(phasor_records(min_records=2))
     k = draw(st.integers(1, len(records) - 1))
@@ -181,20 +202,20 @@ def defective_phasor_files(draw, defect):
     return text
 
 
-def _write(tmp_path_factory, text: str):
-    path = tmp_path_factory.getbasetemp() / "phasors.csv"
+def _write(tmp_path_factory, text: str, name: str = "phasors.csv"):
+    path = tmp_path_factory.getbasetemp() / name
     path.write_bytes(text.encode("utf-8"))
     return path
 
 
 @settings(max_examples=200, deadline=None)
-@given(text=phasor_files())
-def test_columnar_reader_matches_record_reader(tmp_path_factory, text):
-    path = _write(tmp_path_factory, text)
-    table, records = read_phasor_csv(path), oracle_read_phasor_csv(path)
-    np.testing.assert_array_equal(compute_bus_load(table), oracle_bus_load(records))
-    np.testing.assert_array_equal(table.timestamps_s, [rec.timestamp_s for rec in records])
-    assert table.line_ids == tuple(sorted(records[0].lines) if records else ())
+@given(files=split_phasor_files(), rows=chunk_rows)
+def test_columnar_reader_matches_record_reader(tmp_path_factory, files, rows):
+    whole, parts = files
+    want = oracle_bus_load(oracle_read_phasor_csv(_write(tmp_path_factory, whole)))
+    paths = [_write(tmp_path_factory, text, f"part{i}.csv") for i, text in enumerate(parts)]
+    with mock.patch.object(ingest, "PHASOR_CHUNK_ROWS", rows):
+        np.testing.assert_array_equal(read_phasor_csv(paths), want)
 
 
 @pytest.mark.parametrize("defect", ["header", "fields", "number", "spacing", "missing channel"])
@@ -202,8 +223,54 @@ def test_columnar_reader_matches_record_reader(tmp_path_factory, text):
 @given(data=st.data())
 def test_defects_fail_in_the_same_family(tmp_path_factory, defect, data):
     path = _write(tmp_path_factory, data.draw(defective_phasor_files(defect)))
-    want, got = oracle_outcome(path), columnar_outcome(path)
+    with mock.patch.object(ingest, "PHASOR_CHUNK_ROWS", data.draw(chunk_rows)):
+        want, got = oracle_outcome(path), chunked_outcome(path)
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
     else:  # a shift can merge two records into one valid record
         np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_gap_or_overlap_between_files_exits_3(tmp_path_factory, data):
+    records = data.draw(phasor_records(min_records=2))
+    k = data.draw(st.integers(1, len(records) - 1))
+    # the second file starts off the 30 Hz grid: a gap, a repeat or a step back
+    shift = data.draw(st.sampled_from([-2.0, -1.0, 0.5, 1.0, 30.0])) * _NOMINAL_STEP
+    later = [(t + shift, rows) for t, rows in records[k:]]
+    paths = [
+        _write(tmp_path_factory, render(part, data.draw), f"part{i}.csv")
+        for i, part in enumerate((records[:k], later))
+    ]
+    out, err = tmp_path_factory.getbasetemp() / "out", io.StringIO()
+    with mock.patch.object(ingest, "PHASOR_CHUNK_ROWS", data.draw(chunk_rows)), redirect_stderr(err):
+        code = main(
+            ["ingest", "--phasors", *map(str, paths), "--load-class", "residential",
+             "--output-dir", str(out)]
+        )
+    assert code == 3
+    # both timestamps and both files are named
+    assert re.match(rf"error: {re.escape(str(paths[1]))}: the row at t=\S+ follows t=\S+ in "
+                    rf"{re.escape(str(paths[0]))}, a step of", err.getvalue()), err.getvalue()
+    assert not out.exists()
+
+
+def test_no_parse_call_exceeds_the_chunk(tmp_path, monkeypatch):
+    """Every np.loadtxt call of the reader is given at most PHASOR_CHUNK_ROWS lines."""
+    lines = [f"{k / 30.0!r},line{j},1,0,{k},0" for k in range(50) for j in range(3)]
+    path = tmp_path / "pmu.csv"
+    path.write_text("\n".join([PHASOR_HEADER, *lines]) + "\n")
+    loadtxt, given_rows = np.loadtxt, []
+
+    def counting_loadtxt(source, *args, **kwargs):
+        rows = list(source)
+        given_rows.append(len(rows))
+        return loadtxt(rows, *args, **kwargs)
+
+    monkeypatch.setattr(ingest, "PHASOR_CHUNK_ROWS", 16)
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    power = read_phasor_csv(path)
+    np.testing.assert_array_equal(power, 3.0 * np.arange(50))
+    assert sum(given_rows) == len(lines)
+    assert max(given_rows) == 16
