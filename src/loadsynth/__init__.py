@@ -11,7 +11,6 @@ from .compose import (
     GenerationRequest,
     ModelSet,
     SeamFilter,
-    SynthesisDebug,
     add_hour_trend,
     apply_seam_filter,
     learn_seam_filter,

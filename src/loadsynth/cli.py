@@ -27,9 +27,9 @@ import numpy as np
 
 from . import __version__
 from .compose import (
+    HALFMIN_PER_HOUR,
     GenerationRequest,
     ModelSet,
-    SynthesisDebug,
     learn_seam_filter,
     synthesize,
 )
@@ -55,6 +55,7 @@ from .errors import (
 )
 from .ingest import (
     extract_level_datasets,
+    off_30hz_grid,
     read_level_datasets,
     read_phasor_csv,
     write_level_datasets,
@@ -206,6 +207,28 @@ def read_series_csv(path) -> tuple[list[str], np.ndarray]:
     except UnicodeDecodeError as exc:
         raise InsufficientData(f"{path} is not UTF-8 text: {exc}") from exc
     return stamps, np.array(rows, dtype=np.float64).reshape(len(rows), len(header) - 1).T
+
+
+def _check_30hz(path, stamps: list[str]) -> None:
+    """Refuse a series whose timestamps do not step at 30 Hz (1/30 s +-10%),
+    naming the line of the first unparsable or off-grid row."""
+    try:
+        us = np.array(stamps, dtype="datetime64[us]").astype(np.int64)
+    except ValueError:
+        for line_no, stamp in enumerate(stamps, start=2):
+            try:
+                np.datetime64(stamp, "us")
+            except ValueError as exc:
+                raise InsufficientData(f"{path} line {line_no}: bad timestamp {stamp!r}") from exc
+        raise
+    step = np.diff(us) / 1e6
+    off_grid = off_30hz_grid(step)
+    if off_grid.size:
+        k = off_grid[0]
+        raise InsufficientData(
+            f"{path} line {k + 3}: the row at {stamps[k + 1]} follows {stamps[k]}, a step "
+            f"of {step[k]:.6f}s that breaks the 30 Hz +-10% spacing"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -452,9 +475,10 @@ def cmd_validate(args) -> int:
         duration_s=6 * 3600.0,
         seed=args.seed,
     )
-    debug = SynthesisDebug()
-    _, series = synthesize(request, models, debug=debug)
-    st = seam_stats(series[0], debug.loads[0].l2_seam_indices)
+    _, series = synthesize(request, models)
+    # driven at level 2 with no offset: generated hours join after every 120th sample
+    junctions = range(HALFMIN_PER_HOUR - 1, series.shape[1] - 1, HALFMIN_PER_HOUR)
+    st = seam_stats(series[0], junctions)
     rows.append(("seam_mean_pct_l2", "generated", st.mean_pct))
     rows.append(("seam_std_pct_l2", "generated", st.std_pct))
     lines.append(
@@ -508,7 +532,8 @@ def cmd_ingest(args) -> int:
         if args.phasors:
             series = read_phasor_csv(args.phasors)
         else:
-            _, data = read_series_csv(args.series)
+            stamps, data = read_series_csv(args.series)
+            _check_30hz(args.series, stamps)
             series = data[0]
     except OSError as exc:
         raise InsufficientData(f"cannot read {exc.filename}: {exc.strerror or exc}") from exc

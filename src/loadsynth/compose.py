@@ -32,7 +32,7 @@ the boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -262,34 +262,6 @@ class ModelSet:
         )
 
 
-@dataclass
-class LoadDebug:
-    """Per-load test hooks: pre-filter series and bookkeeping."""
-
-    driving: Level
-    week_plan: list = field(default_factory=list)  # (year_idx, week_idx, season)
-    l4_values: Optional[np.ndarray] = None
-    hourly_prefilter: Optional[np.ndarray] = None
-    hourly: Optional[np.ndarray] = None
-    l3_seam_indices: list = field(default_factory=list)
-    l2_seam_indices: list = field(default_factory=list)
-    l1_seam_indices: list = field(default_factory=list)
-    offset: int = 0
-
-
-@dataclass
-class SynthesisDebug:
-    """Invocation counters and per-load hooks, for tests and diagnostics."""
-
-    invocations: dict = field(
-        default_factory=lambda: {lvl: 0 for lvl in Level}
-    )
-    seam_filter_applications: dict = field(
-        default_factory=lambda: {Level.L1: 0, Level.L2: 0, Level.L3: 0}
-    )
-    loads: list = field(default_factory=list)
-
-
 def _sub_seed(*entropy) -> int:
     ss = np.random.SeedSequence(entropy=tuple(int(e) for e in entropy))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -335,7 +307,6 @@ def _l4_week_values(
     load_index: int,
     plan: list[tuple[int, int, Season]],
     extend_last: bool,
-    debug: Optional[SynthesisDebug],
 ) -> np.ndarray:
     """One scaling value per planned week, drawn from per-year profiles."""
     n_years = max(year for year, _, _ in plan) + 1
@@ -343,8 +314,6 @@ def _l4_week_values(
         raise DurationExceedsYear("a single synthesis covers at most 53 years")
     model = models.l4_for(load_class)
     years = svd_generate(model, n_years, seed=_sub_seed(request.seed, load_index, 4))
-    if debug is not None:
-        debug.invocations[Level.L4] += n_years
     values = np.array([years[year, week] for year, week, _ in plan])
     if extend_last:
         # the 53rd week (days 365/366) carries the final week's value
@@ -359,10 +328,8 @@ def _driving_series(
     load_index: int,
     needed: int,
     driving: Level,
-    debug: Optional[SynthesisDebug],
-) -> tuple[np.ndarray, LoadDebug]:
+) -> np.ndarray:
     load_class = request.load_class_of(load_index)
-    dbg = LoadDebug(driving=driving)
     plen = _PROFILE_LEN[driving]
     # for sub-profile explicit-season requests, cover one full driving
     # profile so the output can be sliced from a seed-derived offset; at
@@ -376,38 +343,28 @@ def _driving_series(
     if extend_last:
         # the extension week scales like the last real week, season winter
         plan[-1] = (plan[-1][0], plan[-1][1], Season.WINTER)
-    dbg.week_plan = plan
 
-    use_l4 = request.season is None or weeks_total > 1
-    if use_l4:
+    if request.season is None or weeks_total > 1:
         l4_values = _l4_week_values(
-            request, models, load_class, load_index, plan, extend_last, debug
+            request, models, load_class, load_index, plan, extend_last
         )
     else:
         l4_values = np.ones(weeks_total)
-    dbg.l4_values = l4_values
 
     if driving is Level.L4:
-        return l4_values[:weeks_total], dbg
+        return l4_values[:weeks_total]
 
     labels = [(load_class, season) for _, _, season in plan]
     week_profiles = gan_generate(
         models.l3, weeks_total, seed=_sub_seed(request.seed, load_index, 3), labels=labels
     )
-    if debug is not None:
-        debug.invocations[Level.L3] += weeks_total
     hourly = scale_to_parent(week_profiles, l4_values).ravel()
     seams = [HOURS_PER_WEEK * (k + 1) - 1 for k in range(weeks_total - 1)]
-    dbg.hourly_prefilter = hourly.copy()
-    dbg.l3_seam_indices = seams
     if seams:
         hourly = apply_seam_filter(hourly, seams, models.seam)
-        if debug is not None:
-            debug.seam_filter_applications[Level.L3] += len(seams)
-    dbg.hourly = hourly
 
     if driving is Level.L3:
-        return hourly, dbg
+        return hourly
 
     # sub-hour: how many hours of 30-second data the request consumes
     needed_halfmin = span if driving is Level.L2 else int(math.ceil(span / TICKS_PER_HALFMIN))
@@ -415,34 +372,23 @@ def _driving_series(
     hour_profiles = gan_generate(
         models.l2, n_hours, seed=_sub_seed(request.seed, load_index, 2)
     )
-    if debug is not None:
-        debug.invocations[Level.L2] += n_hours
     h = np.arange(n_hours)
     window = np.clip(h - 2, 0, hourly.size - 5)[:, None] + np.arange(5)
     halfmin = add_hour_trend(
         hour_profiles * hourly[:n_hours, None], hourly[window], window - h[:, None]
     ).ravel()
-    dbg.l2_seam_indices = [HALFMIN_PER_HOUR * (k + 1) - 1 for k in range(n_hours - 1)]
 
     if driving is Level.L2:
-        return halfmin, dbg
+        return halfmin
 
     n_ticks = int(math.ceil(span / TICKS_PER_HALFMIN))
     tick_profiles = gan_generate(
         models.l1, n_ticks, seed=_sub_seed(request.seed, load_index, 1)
     )
-    if debug is not None:
-        debug.invocations[Level.L1] += n_ticks
-    fast = (tick_profiles * halfmin[:n_ticks, None]).ravel()
-    dbg.l1_seam_indices = [TICKS_PER_HALFMIN * (k + 1) - 1 for k in range(n_ticks - 1)]
-    return fast, dbg
+    return (tick_profiles * halfmin[:n_ticks, None]).ravel()
 
 
-def synthesize(
-    request: GenerationRequest,
-    models: ModelSet,
-    debug: Optional[SynthesisDebug] = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def synthesize(request: GenerationRequest, models: ModelSet) -> tuple[np.ndarray, np.ndarray]:
     """Generate all requested loads.
 
     Returns (times_s, series) where times_s[i] = i * effective period from
@@ -454,23 +400,18 @@ def synthesize(
     eff = request.resolution.effective_period_s
     rows = int(math.floor(request.duration_s / eff + 1e-9))
     needed = rows * factor
+    plen = _PROFILE_LEN[driving]
 
     out = np.empty((request.n_loads, rows))
     for load_index in range(request.n_loads):
-        series, dbg = _driving_series(request, models, load_index, needed, driving, debug)
-        plen = _PROFILE_LEN[driving]
+        series = _driving_series(request, models, load_index, needed, driving)
         offset = 0
         if request.season is not None and needed < plen and series.size > needed:
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=(request.seed, load_index, 9))
             )
             offset = int(rng.integers(0, min(plen, series.size) - needed + 1))
-        dbg.offset = offset
         sliced = series[offset : offset + needed]
-        dbg.l1_seam_indices = [j - offset for j in dbg.l1_seam_indices if offset <= j < offset + needed - 1]
-        dbg.l2_seam_indices = [j - offset for j in dbg.l2_seam_indices if offset <= j < offset + needed - 1]
-        if debug is not None:
-            debug.loads.append(dbg)
         out[load_index] = downsample(sliced, factor, request.aggregation) * request.base_mw
     times = np.arange(rows) * eff
     return times, out

@@ -141,16 +141,11 @@ class LevelDatasets:
                 self.issues.pop(level, None)
 
 
-def _mean_one(samples, period, load_class, season=None) -> tuple[LoadProfile, float]:
-    prof = LoadProfile(samples=samples, sampling_period_s=period, load_class=load_class)
-    normalized, mean = normalize_mean(prof)
-    out = dataclasses.replace(normalized, season=season, source_mean=mean)
-    return out, mean
-
-
 def mean_one_profile(samples, period, load_class, season=None) -> LoadProfile:
     """Mean-one LoadProfile from a raw window, keeping the removed mean."""
-    return _mean_one(samples, period, load_class, season)[0]
+    prof = LoadProfile(samples=samples, sampling_period_s=period, load_class=load_class)
+    normalized, mean = normalize_mean(prof)
+    return dataclasses.replace(normalized, season=season, source_mean=mean)
 
 
 def _evenly_spaced(indices: np.ndarray, max_count: Optional[int]) -> np.ndarray:
@@ -224,7 +219,7 @@ def extract_levels_from_block_means(
     for w in range(n_weeks):
         week = hourly[w * HOURS_PER_WEEK : (w + 1) * HOURS_PER_WEEK]
         try:
-            prof, _ = _mean_one(week, 3600.0, load_class, season_of_week(start_week + w))
+            prof = mean_one_profile(week, 3600.0, load_class, season_of_week(start_week + w))
         except DegenerateProfile:
             continue
         ds.l3.append(prof)
@@ -239,7 +234,7 @@ def extract_levels_from_block_means(
     for y in range(n_years):
         year = weekly[y * WEEKS_PER_YEAR : (y + 1) * WEEKS_PER_YEAR]
         try:
-            prof, _ = _mean_one(year, LEVEL_SPECS[Level.L4].sampling_period_s, load_class)
+            prof = mean_one_profile(year, LEVEL_SPECS[Level.L4].sampling_period_s, load_class)
         except DegenerateProfile:
             continue
         ds.l4.append(prof)
@@ -274,7 +269,7 @@ def extract_level_datasets(
     for w in picks:
         window = series[w * SAMPLES_PER_30S : (w + 1) * SAMPLES_PER_30S]
         try:
-            prof, _ = _mean_one(window, 1.0 / 30.0, load_class)
+            prof = mean_one_profile(window, 1.0 / 30.0, load_class)
         except DegenerateProfile:
             continue
         out.l1.append(prof)
@@ -295,6 +290,11 @@ _PHASOR_FIELDS = ("v_mag", "v_ang", "i_mag", "i_ang")
 _PHASOR_ROW = np.dtype([("t", "f8"), ("line_id", object)] + [(f, "f8") for f in _PHASOR_FIELDS])
 
 _NOMINAL_STEP = 1.0 / 30.0
+
+
+def off_30hz_grid(step_s: np.ndarray) -> np.ndarray:
+    """Indices of the timestamp steps (s) outside 1/30 s +-10%, the 30 Hz spacing."""
+    return np.flatnonzero(~((step_s >= 0.9 * _NOMINAL_STEP) & (step_s <= 1.1 * _NOMINAL_STEP)))
 
 
 # data rows parsed per np.loadtxt call: bounds the reader's memory whatever
@@ -320,7 +320,7 @@ def _records_bus_load(rows: np.ndarray, path, carry: _RecordCarry) -> np.ndarray
     record = np.cumsum(starts) - 1  # record index of each row
     stamps = t[first] if carry.last_t is None else np.concatenate(([carry.last_t], t[first]))
     step = np.diff(stamps)
-    off_grid = np.flatnonzero(~((step >= 0.9 * _NOMINAL_STEP) & (step <= 1.1 * _NOMINAL_STEP)))
+    off_grid = off_30hz_grid(step)
     if off_grid.size:
         k = off_grid[0]
         before = f" in {carry.last_path}" if k == 0 and carry.last_path != path else ""

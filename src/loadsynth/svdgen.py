@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,14 +47,11 @@ class SvdModel:
         return self.s[:, None] * self.vt
 
 
-def fit_svd_model(
-    L: np.ndarray, load_class: LoadClass, rank: Optional[int] = None
-) -> SvdModel:
+def fit_svd_model(L: np.ndarray, load_class: LoadClass) -> SvdModel:
     """Thin SVD of a (n_profiles x 52) matrix of mean-one year profiles.
 
-    ``rank`` optionally truncates the decomposition; by default the full
-    min(n, 52) rank is kept.  A numerically rank-deficient matrix (for
-    example duplicate profiles) only warns.
+    The full min(n, 52) rank is kept.  A numerically rank-deficient matrix
+    (for example duplicate profiles) only warns.
     """
     L = np.asarray(L, dtype=np.float64)
     if L.ndim != 2 or L.shape[1] != _WEEKS:
@@ -66,8 +63,6 @@ def fit_svd_model(
         raise ValueError("every training profile must be mean-one normalized")
 
     u, s, vt = np.linalg.svd(L, full_matrices=False)
-    if rank is not None:
-        u, s, vt = u[:, :rank], s[:rank], vt[:rank]
     if s.size and s[-1] < 1e-12 * s[0]:
         warnings.warn(
             f"training matrix for {load_class.value} is numerically rank "
@@ -80,33 +75,23 @@ def fit_svd_model(
 
 
 def fit_svd_model_from_profiles(
-    profiles: Sequence[LoadProfile], load_class: LoadClass, rank: Optional[int] = None
+    profiles: Sequence[LoadProfile], load_class: LoadClass
 ) -> SvdModel:
     rows = [p.samples for p in profiles if p.load_class is load_class]
-    return fit_svd_model(np.asarray(rows).reshape(len(rows), _WEEKS), load_class, rank)
+    return fit_svd_model(np.asarray(rows).reshape(len(rows), _WEEKS), load_class)
 
 
-def svd_generate(
-    model: SvdModel,
-    count: int,
-    seed: int,
-    coefficients: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def svd_generate(model: SvdModel, count: int, seed: int) -> np.ndarray:
     """Sample year profiles as one (count, 52) array; each row has mean 1.
 
-    ``coefficients`` (count x r) overrides the Gaussian sampling — the test
-    hook that reproduces training profiles from their own U rows.  Values
-    below 0.01 are floored there before rescaling (Gaussian tails can dip
+    Values below 0.01 are floored before rescaling (Gaussian tails can dip
     negative; loads cannot).
     """
     r = model.rank
-    if coefficients is None:
-        coeffs = np.empty((count, r))
-        for i in range(count):
-            rng = np.random.default_rng((seed, i))
-            coeffs[i] = model.coeff_mu + model.coeff_sigma * rng.standard_normal(r)
-    else:
-        coeffs = np.asarray(coefficients, dtype=np.float64).reshape(count, r)
+    coeffs = np.empty((count, r))
+    for i in range(count):
+        rng = np.random.default_rng((seed, i))
+        coeffs[i] = model.coeff_mu + model.coeff_sigma * rng.standard_normal(r)
 
     raw = coeffs @ model.patterns
     raw = np.maximum(raw, _CLAMP)

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 
@@ -101,6 +102,12 @@ class ToyLoadConfig:
             raise ValueError("ar_coeff must be in [0, 1)")
         if not 0.0 <= self.noise_rel_std <= 0.2:
             raise ValueError("noise_rel_std must be in [0, 0.2]")
+        # the block-noise variance var_eta is sigma_e**2 * (1 - rho**(2m)) /
+        # (1 - rho**2) and 1 - rho**(2m) >= 1 - rho**2, so a normal (not
+        # subnormal) sigma_e**2 * (1 - rho**2) keeps var_eta > 0 for every m
+        sigma_e = self.noise_rel_std * math.sqrt(1.0 - self.ar_coeff**2)
+        if self.noise_rel_std > 0 and sigma_e**2 * (1.0 - self.ar_coeff**2) < sys.float_info.min:
+            raise ValueError(f"noise_rel_std {self.noise_rel_std!r} underflows the noise variance")
 
     @classmethod
     def residential(cls, seed: int, base_mw: float = 50.0) -> "ToyLoadConfig":

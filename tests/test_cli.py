@@ -491,6 +491,8 @@ def test_defective_phasor_csv_exits_3(defect, tmp_path, capsys):
 SERIES_DEFECTS = {
     "value": "2021-01-01T00:00:00.033333,abc\n",
     "ragged": "2021-01-01T00:00:00.033333,1.5,2.5\n",
+    "timestamp": "2021-01-01 half past,1.5\n",
+    "step": "2021-01-01T00:00:30,1.5\n",  # 30 s after line 2: not 30 Hz
 }
 
 
@@ -532,6 +534,21 @@ def test_negative_ingest_cap_exits_2(cap, tmp_path, capsys):
     )
     assert code == 2  # before the input is read: the absent file would exit 3
     assert capsys.readouterr().err == f"error: {cap[0]} {cap[1]} must be zero or more\n"
+
+
+def test_ingest_series_checks_30hz_steps(tmp_path, capsys):
+    blocks, fast = tmp_path / "blocks.csv", tmp_path / "fast.csv"
+    assert main(["simulate", "--duration", "2h", "--block-s", "30", "--output", str(blocks)]) == 0
+    assert main(["simulate", "--duration", "20min", "--output", str(fast)]) == 0
+    capsys.readouterr()
+    ingest = ["ingest", "--load-class", "residential", "--output-dir"]
+    assert main([*ingest, str(tmp_path / "b"), "--series", str(blocks)]) == 3
+    err = capsys.readouterr().err
+    assert f"{blocks} line 3: the row at 2021-01-01T00:00:30 follows 2021-01-01T00:00:00" in err
+    assert "breaks the 30 Hz +-10% spacing" in err
+    assert not (tmp_path / "b").exists()
+    assert main([*ingest, str(tmp_path / "f"), "--series", str(fast)]) == 0
+    assert "'l1': 40" in capsys.readouterr().err  # 20 min of 30 Hz samples
 
 
 def test_zero_ingest_caps_write_no_profiles(tmp_path, capsys):

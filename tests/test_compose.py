@@ -1,6 +1,8 @@
 """Seam filter, cross-level scaling, trend injection, and full assembly."""
 
+import inspect
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from loadsynth import compose
 from loadsynth.compose import (
     GenerationRequest,
     SeamFilter,
-    SynthesisDebug,
+    _extension_weeks,
+    _plan_weeks,
     add_hour_trend,
     apply_seam_filter,
     driving_level,
@@ -27,6 +31,7 @@ from loadsynth.core import (
     Normalization,
     Season,
     parse_resolution,
+    season_of_week,
 )
 from loadsynth.errors import (
     DegenerateProfile,
@@ -349,6 +354,42 @@ class TestRequestValidation:
             self.base(base_mw=0.0).validate()
 
 
+SPIED = ("gan_generate", "svd_generate", "scale_to_parent", "apply_seam_filter")
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Spy on the calls synthesize makes: for each name in SPIED, a list of
+    its calls, each with its arguments by parameter name and its ``result``.
+    The spies forward to the real functions, so the output is unchanged."""
+    log = {name: [] for name in SPIED}
+    for name in SPIED:
+        real = getattr(compose, name)
+
+        def spy(*args, _real=real, _log=log[name], **kwargs):
+            bound = inspect.signature(_real).bind(*args, **kwargs)
+            result = _real(*args, **kwargs)
+            _log.append(SimpleNamespace(**bound.arguments, result=result))
+            return result
+
+        monkeypatch.setattr(compose, name, spy)
+    return log
+
+
+def generated(calls, models):
+    """(level, count) of each generator call, in call order per generator."""
+    level_of = {id(models.l1): Level.L1, id(models.l2): Level.L2, id(models.l3): Level.L3}
+    return [(level_of[id(c.model)], c.count) for c in calls["gan_generate"]] + [
+        (Level.L4, c.count) for c in calls["svd_generate"]
+    ]
+
+
+def window_offsets(series, window):
+    """Every offset at which ``window`` equals a slice of ``series``."""
+    n = len(window)
+    return [k for k in range(len(series) - n + 1) if np.array_equal(series[k : k + n], window)]
+
+
 class TestSynthesize:
     def test_one_hour_at_half_minute(self, tiny_models):
         req = GenerationRequest(1, 0, parse_resolution("1/30s"), 3600.0, seed=1)
@@ -361,30 +402,33 @@ class TestSynthesize:
         _, out = synthesize(req, tiny_models)
         assert out.shape == (1, 52)
 
-    def test_week_mean_equals_yearly_value(self, tiny_models):
+    def test_week_mean_equals_yearly_value(self, tiny_models, calls):
         req = GenerationRequest(0, 1, parse_resolution("1/h"), WEEK_S, seed=3)
-        debug = SynthesisDebug()
-        _, out = synthesize(req, tiny_models, debug=debug)
-        dbg = debug.loads[0]
-        np.testing.assert_allclose(
-            dbg.hourly_prefilter.mean(), dbg.l4_values[0], rtol=1e-9
-        )
-        np.testing.assert_allclose(out[0], dbg.hourly[:168], rtol=1e-12)
+        _, out = synthesize(req, tiny_models)
+        (year,) = calls["svd_generate"]
+        (scaled,) = calls["scale_to_parent"]
+        assert scaled.parent_values[0] == year.result[0, 0]  # week 0 of year 0
+        np.testing.assert_allclose(scaled.result.mean(), scaled.parent_values[0], rtol=1e-9)
+        assert calls["apply_seam_filter"] == []  # one week: no junction
+        np.testing.assert_allclose(out[0], scaled.result[0], rtol=1e-12)
 
-    def test_levels_generated_lazily(self, tiny_models):
+    def test_levels_generated_lazily(self, tiny_models, calls):
         req = GenerationRequest(1, 0, parse_resolution("1/h"), 86400.0, seed=4)
-        debug = SynthesisDebug()
-        synthesize(req, tiny_models, debug=debug)
-        assert debug.invocations[Level.L2] == 0
-        assert debug.invocations[Level.L1] == 0
-        assert debug.invocations[Level.L3] >= 1
+        synthesize(req, tiny_models)
+        assert generated(calls, tiny_models) == [(Level.L3, 1), (Level.L4, 1)]
+        calls["gan_generate"].clear()
+        calls["svd_generate"].clear()
+        req = GenerationRequest(1, 0, parse_resolution("30/s"), 600.0, seed=4)
+        synthesize(req, tiny_models)
+        # 10 min: one week, 1 h of half-minute profiles, 20 of 30 Hz ones
+        assert generated(calls, tiny_models) == [
+            (Level.L3, 1), (Level.L2, 1), (Level.L1, 20), (Level.L4, 1)
+        ]
 
-    def test_weekly_driving_skips_l3(self, tiny_models):
+    def test_weekly_driving_skips_l3(self, tiny_models, calls):
         req = GenerationRequest(1, 0, parse_resolution("1/wk"), 4 * WEEK_S, seed=4)
-        debug = SynthesisDebug()
-        synthesize(req, tiny_models, debug=debug)
-        assert debug.invocations[Level.L3] == 0
-        assert debug.invocations[Level.L4] == 1
+        synthesize(req, tiny_models)
+        assert generated(calls, tiny_models) == [(Level.L4, 1)]
 
     def test_deterministic(self, tiny_models):
         req = GenerationRequest(2, 1, parse_resolution("1/10min"), 7200.0, seed=9)
@@ -420,73 +464,86 @@ class TestSynthesize:
         assert np.all(outs[Metric.MIN] <= outs[Metric.MEAN] + 1e-12)
         assert np.all(outs[Metric.MEAN] <= outs[Metric.MAX] + 1e-12)
 
-    def test_full_year_seam_count_and_no_bottom_filtering(self, tiny_models):
+    def test_full_year_seam_count_and_no_bottom_filtering(self, tiny_models, calls):
         req = GenerationRequest(1, 0, parse_resolution("1/h"), YEAR_S, seed=14)
-        debug = SynthesisDebug()
-        _, out = synthesize(req, tiny_models, debug=debug)
+        _, out = synthesize(req, tiny_models)
         assert out.shape == (1, 52 * 168)
-        assert debug.seam_filter_applications[Level.L3] == 51
-        assert debug.seam_filter_applications[Level.L1] == 0
-        assert debug.seam_filter_applications[Level.L2] == 0
+        (filtered,) = calls["apply_seam_filter"]
+        assert list(filtered.seam_indices) == [168 * (k + 1) - 1 for k in range(51)]
+        assert filtered.series.size == 52 * 168  # the hourly series
+        np.testing.assert_array_equal(out[0], filtered.result)
+        # half-minute and 30 Hz junctions are never filtered
+        calls["apply_seam_filter"].clear()
+        synthesize(GenerationRequest(1, 0, parse_resolution("30/s"), 600.0, seed=14), tiny_models)
+        synthesize(GenerationRequest(1, 0, parse_resolution("1/30s"), 8 * 86400.0, seed=14), tiny_models)
+        (filtered,) = calls["apply_seam_filter"]
+        assert list(filtered.seam_indices) == [167]
+        assert filtered.series.size == 2 * 168
 
-    def test_full_year_weekly_means_match_before_filter(self, tiny_models):
+    def test_full_year_weekly_means_match_before_filter(self, tiny_models, calls):
         req = GenerationRequest(0, 1, parse_resolution("1/h"), YEAR_S, seed=15)
-        debug = SynthesisDebug()
-        synthesize(req, tiny_models, debug=debug)
-        dbg = debug.loads[0]
-        weekly_means = dbg.hourly_prefilter.reshape(52, 168).mean(axis=1)
-        np.testing.assert_allclose(weekly_means, dbg.l4_values, rtol=1e-9)
+        synthesize(req, tiny_models)
+        (year,) = calls["svd_generate"]
+        (scaled,) = calls["scale_to_parent"]
+        (filtered,) = calls["apply_seam_filter"]
+        np.testing.assert_array_equal(scaled.parent_values, year.result[0])
+        weekly_means = scaled.result.mean(axis=1)
+        np.testing.assert_allclose(weekly_means, scaled.parent_values, rtol=1e-9)
+        np.testing.assert_array_equal(filtered.series, scaled.result.ravel())
 
-    def test_year_plus_day_extends_final_week(self, tiny_models):
+    def test_year_plus_day_extends_final_week(self, tiny_models, calls):
         req = GenerationRequest(1, 0, parse_resolution("1/d"), YEAR_S + 86400.0, seed=16)
-        debug = SynthesisDebug()
-        _, out = synthesize(req, tiny_models, debug=debug)
+        _, out = synthesize(req, tiny_models)
         assert out.shape == (1, 365)
-        dbg = debug.loads[0]
-        assert len(dbg.week_plan) == 53
-        assert dbg.l4_values[-1] == dbg.l4_values[-2]
-        assert dbg.week_plan[-1][2] is Season.WINTER
+        (weeks,) = calls["gan_generate"]
+        assert len(weeks.labels) == 53
+        assert weeks.labels[-1][1] is Season.WINTER
+        (scaled,) = calls["scale_to_parent"]
+        assert scaled.parent_values[-1] == scaled.parent_values[-2]
 
-    def test_multi_year_concatenates_independent_years(self, tiny_models):
+    def test_multi_year_concatenates_independent_years(self, tiny_models, calls):
         req = GenerationRequest(1, 0, parse_resolution("1/wk"), 2 * YEAR_S, seed=17)
-        debug = SynthesisDebug()
-        _, out = synthesize(req, tiny_models, debug=debug)
+        _, out = synthesize(req, tiny_models)
         assert out.shape == (1, 104)
-        assert debug.invocations[Level.L4] == 2
+        assert generated(calls, tiny_models) == [(Level.L4, 2)]
+        np.testing.assert_array_equal(out[0], calls["svd_generate"][0].result.ravel())
         assert not np.array_equal(out[0, :52], out[0, 52:])
 
-    def test_explicit_season_labels_and_offset(self, tiny_models):
+    def test_explicit_season_labels_and_offset(self, tiny_models, calls):
         req = GenerationRequest(
             1, 0, parse_resolution("1/h"), 86400.0, seed=18, season=Season.SUMMER
         )
-        debug = SynthesisDebug()
-        _, out = synthesize(req, tiny_models, debug=debug)
+        _, out = synthesize(req, tiny_models)
         assert out.shape == (1, 24)
-        dbg = debug.loads[0]
-        assert all(season is Season.SUMMER for _, _, season in dbg.week_plan)
-        assert debug.invocations[Level.L4] == 0  # single week, explicit season
-        assert 0 <= dbg.offset <= 168 - 24
+        (weeks,) = calls["gan_generate"]
+        assert all(season is Season.SUMMER for _, season in weeks.labels)
+        assert calls["svd_generate"] == []  # single week, explicit season
+        (scaled,) = calls["scale_to_parent"]
+        offsets = window_offsets(scaled.result[0], out[0])
+        assert offsets and all(0 <= k <= 168 - 24 for k in offsets)
 
-    def test_auto_yearly_starts_january(self, tiny_models):
+    def test_auto_yearly_starts_january(self, tiny_models, calls):
         req = GenerationRequest(1, 0, parse_resolution("1/h"), 86400.0, seed=19)
-        debug = SynthesisDebug()
-        synthesize(req, tiny_models, debug=debug)
-        dbg = debug.loads[0]
-        assert dbg.week_plan[0][1] == 0
-        assert dbg.week_plan[0][2] is Season.WINTER
-        assert dbg.offset == 0
+        _, out = synthesize(req, tiny_models)
+        assert _plan_weeks(req, 1, 0) == [(0, 0, Season.WINTER)]
+        (year,) = calls["svd_generate"]
+        (scaled,) = calls["scale_to_parent"]
+        assert scaled.parent_values[0] == year.result[0, 0]
+        np.testing.assert_array_equal(out[0], scaled.result[0, :24])  # offset 0
 
-    def test_seasonal_windows_stay_in_season(self, tiny_models):
+    def test_seasonal_windows_stay_in_season(self, tiny_models, calls):
+        assert _extension_weeks(10 * WEEK_S) == (10, False)
         for seed in range(6):
             req = GenerationRequest(
                 1, 0, parse_resolution("1/d"), 10 * WEEK_S, seed=seed, season=Season.WINTER
             )
-            debug = SynthesisDebug()
-            synthesize(req, tiny_models, debug=debug)
-            from loadsynth.core import season_of_week
-
-            for _, week, season in debug.loads[0].week_plan:
-                assert season_of_week(week) is Season.WINTER
+            synthesize(req, tiny_models)
+            plan = _plan_weeks(req, 10, 0)
+            assert all(season_of_week(week) is Season.WINTER for _, week, _ in plan)
+            weeks, year, scaled = (calls[name].pop() for name in SPIED[:3])
+            assert all(season is Season.WINTER for _, season in weeks.labels)
+            want = [year.result[0, week] for _, week, _ in plan]
+            np.testing.assert_array_equal(scaled.parent_values, want)
 
     def test_residential_loads_first(self, tiny_models):
         req = GenerationRequest(1, 1, parse_resolution("1/h"), WEEK_S, seed=20)

@@ -44,6 +44,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             flat_config(noise=0.25)
 
+    def test_noise_whose_variance_underflows_is_rejected(self):
+        # the subnormal 2.2e-311 once reached a ZeroDivisionError in the block-noise draw
+        with pytest.raises(ValueError, match="underflows"):
+            flat_config(noise=2.2e-311, ar=0.6)
+        for noise in (0.0, 1e-150):  # no noise, and a tiny level whose variance is normal
+            values = simulate_block_means(flat_config(noise=noise, ar=0.6), 30.0, 4)
+            assert np.all(np.isfinite(values))
+
     def test_json_round_trip(self):
         cfg = ToyLoadConfig.industrial(seed=99, base_mw=12.5)
         assert ToyLoadConfig.from_json(cfg.to_json()) == cfg
