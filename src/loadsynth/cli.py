@@ -14,6 +14,7 @@ whose January 1st anchors the winter start of auto-yearly generation).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -247,10 +248,23 @@ def _dataset_fingerprint(datasets) -> str:
 
 
 def _check_output_dir(path) -> None:
-    """Refuse an output path whose directory does not exist, before any work."""
+    """Refuse an output file path that is a directory or whose directory does
+    not exist, before any work."""
+    if Path(path).is_dir():
+        raise RequestError(f"cannot write {path}: it is a directory")
     parent = Path(path).parent
     if not parent.is_dir():
         raise RequestError(f"cannot write {path}: directory {parent} does not exist")
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an OSError from writing output files into a RequestError naming
+    the file, such as a PermissionError from opening it."""
+    try:
+        yield
+    except OSError as exc:
+        raise RequestError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
 
 
 def _check_output_tree(path) -> None:
@@ -331,20 +345,21 @@ def cmd_train(args) -> int:
         "dataset_sizes": {lvl.value: len(datasets.of(lvl)) for lvl in Level},
     }
     bundle = ModelBundle(models=models, provenance=provenance)
-    bundle.save(args.output)
     log_path = str(args.output) + ".train_log.json"
-    with open(log_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "l1": l1.log.to_jsonable(),
-                "l2": l2.log.to_jsonable(),
-                "l3": l3.log.to_jsonable(),
-                "provenance": provenance,
-            },
-            fh,
-            sort_keys=True,
-            indent=1,
-        )
+    with _writing(args.output):
+        bundle.save(args.output)
+        with open(log_path, "w", encoding="utf-8") as fh:
+            json.dump(
+                {
+                    "l1": l1.log.to_jsonable(),
+                    "l2": l2.log.to_jsonable(),
+                    "l3": l3.log.to_jsonable(),
+                    "provenance": provenance,
+                },
+                fh,
+                sort_keys=True,
+                indent=1,
+            )
     print(f"bundle written to {args.output} (log: {log_path})", file=sys.stderr)
     return 0
 
@@ -407,7 +422,8 @@ def cmd_generate(args) -> int:
     except LoadSynthError as exc:
         print(f"error: generation failed in {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    write_series_csv(args.output, times, series)
+    with _writing(args.output):
+        write_series_csv(args.output, times, series)
     print(
         f"wrote {series.shape[1]} rows x {series.shape[0]} loads "
         f"({os.path.getsize(args.output)} bytes) to {args.output}",
@@ -518,7 +534,8 @@ def cmd_simulate(args) -> int:
             times = np.arange(values.size) / 30.0
     except ValueError as exc:
         raise RequestError(f"simulate: {exc}") from exc
-    write_series_csv(args.output, times, values[None, :])
+    with _writing(args.output):
+        write_series_csv(args.output, times, values[None, :])
     print(f"wrote {values.size} samples to {args.output}", file=sys.stderr)
     return 0
 

@@ -47,7 +47,6 @@ from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .core import LoadClass
 
@@ -61,6 +60,11 @@ _RIPPLE_PHASE_2 = 0.9
 _RIPPLE_PHASE_3 = 2.1
 
 _NOISE_CLIP = 0.9
+
+# _ar1_filter runs an input of fewer chunks than this in one loop, which is
+# faster for it, and a longer one this many chunks per lockstep block
+_AR1_MIN_CHUNKS = 64
+_AR1_BLOCK_CHUNKS = 16384
 
 
 def _yearly_cosines(t):
@@ -255,6 +259,97 @@ def _ar1_block_moments(rho: float, sigma_e: float, m: int):
     return A, rho_m, var_eta, var_zeta, cov
 
 
+def _ar1_loop(rho: float, x: np.ndarray, y_prev: float) -> list[float]:
+    """The recursion of :func:`_ar1_filter`, one sample at a time."""
+    out = x.tolist()
+    y = y_prev
+    for i, v in enumerate(out):
+        y = rho * y + v
+        out[i] = y
+    return out
+
+
+def _ar1_warm_up(rho: float) -> int:
+    """Samples over which a start state's weight falls below 2**-64."""
+    if rho == 0.0:
+        return 1
+    return max(1, math.ceil(64 * math.log(2.0) / -math.log(rho)))
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _ar1_filter(rho: float, x: np.ndarray, y_prev: float) -> np.ndarray:
+    """y[i] = rho*y[i-1] + x[i] with y[-1] = y_prev, for 0 <= rho < 1.
+
+    Each product and each sum is rounded on its own, in this order, so the
+    floats are those of ``lfilter([1], [1, -rho], x, zi=[rho*y_prev])`` for
+    every input without -0.0 or infinities (lfilter's direct form adds
+    ``0*x`` to each state, which can flip the sign of a zero state or turn
+    an infinite input into NaN).
+
+    The input is cut into chunks of one warm-up (:func:`_ar1_warm_up`).  With
+    fewer than _AR1_MIN_CHUNKS chunks, as short inputs and those with rho
+    near 1 have, it runs :func:`_ar1_loop`.  Otherwise the chunks run in
+    lockstep, _AR1_BLOCK_CHUNKS at a time: a block's first chunk starts from
+    the exact state before it, every other chunk from a zero state one chunk
+    earlier.  One vectorised pass then checks every sample, bit for bit,
+    against the recursion applied to the sample before it; from each sample
+    that fails, samples are recomputed in order until one agrees.  By
+    induction the result is the sequential one.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n = x.size
+    warm = _ar1_warm_up(rho)
+    if n < _AR1_MIN_CHUNKS * warm:
+        return np.array(_ar1_loop(rho, x, y_prev), dtype=np.float64)
+
+    y = np.empty(n)
+    stop = n // warm * warm
+    y[:warm] = _ar1_loop(rho, x[:warm], y_prev)
+    for start in range(warm, stop, warm * _AR1_BLOCK_CHUNKS):
+        end = min(start + warm * _AR1_BLOCK_CHUNKS, stop)
+        # element c of a step belongs to the chunk at start + c*warm
+        state = x[start - warm : end - warm : warm].copy()
+        for s in range(1 - warm, 0):
+            state *= rho
+            state += x[start + s : end + s : warm]
+        state[0] = y[start - 1]
+        for s in range(warm):
+            step = y[start + s : end : warm]
+            np.multiply(state, rho, out=step)
+            step += x[start + s : end : warm]
+            state = step
+        block = y[start:end]
+        expect = block[:-1] * rho
+        expect += x[start + 1 : end]
+        differs = expect.view(np.int64) != block[1:].view(np.int64)
+        if differs.any():
+            _ar1_repair(rho, x, y, np.flatnonzero(differs) + start + 1, end)
+    y[stop:] = _ar1_loop(rho, x[stop:], y[stop - 1])
+    return y
+
+
+def _ar1_repair(rho: float, x: np.ndarray, y: np.ndarray, bad: np.ndarray, end: int) -> None:
+    """Recompute y in order from each index in `bad` until it agrees again.
+
+    Below `end`, y[i] = rho*y[i-1] + x[i] holds bit for bit at every index
+    not in `bad`, and y[i-1] is right for the smallest index in `bad`.
+    """
+    done = 0
+    for i in bad.tolist():
+        if i < done:
+            continue
+        while i < end:
+            v = rho * y[i - 1] + x[i]
+            if _same_bits(v, y[i]):
+                break
+            y[i] = v
+            i += 1
+        done = i
+
+
 def _ar1_path(rho: float, sigma_e: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """n samples of stationary AR(1) noise, clipped to +-0.9."""
     if sigma_e == 0.0:
@@ -262,8 +357,7 @@ def _ar1_path(rho: float, sigma_e: float, n: int, rng: np.random.Generator) -> n
     sigma = sigma_e / math.sqrt(1.0 - rho**2)
     n0 = sigma * rng.standard_normal()
     innov = sigma_e * rng.standard_normal(n)
-    out, _ = lfilter([1.0], [1.0, -rho], innov, zi=np.array([rho * n0]))
-    return np.clip(out, -_NOISE_CLIP, _NOISE_CLIP)
+    return np.clip(_ar1_filter(rho, innov, n0), -_NOISE_CLIP, _NOISE_CLIP)
 
 
 def simulate_ground_truth(
@@ -337,7 +431,7 @@ def _add_block_noise(
     resid_var = max(var_zeta - cov**2 / var_eta, 0.0)
     zeta = slope * eta + math.sqrt(resid_var) * z_extra
     # end states follow an AR(1) recursion with coefficient rho^m
-    end, _ = lfilter([1.0], [1.0, -rho_m], eta, zi=np.array([rho_m * n_init]))
+    end = _ar1_filter(rho_m, eta, n_init)
     start_states = np.concatenate(([n_init], end[:-1]))
     noise_mean = np.clip((A * start_states + zeta) / m, -_NOISE_CLIP, _NOISE_CLIP)
     return config.base_mw * (det_mean + det_center * noise_mean)

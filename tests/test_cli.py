@@ -1,12 +1,19 @@
 """Command-line contract: row counts, exit codes, estimates, round trips."""
 
+import builtins
 import copy
+import errno
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loadsynth
 from loadsynth.cli import (
     estimate_file_size,
     main,
@@ -279,6 +286,71 @@ def test_output_into_missing_directory_exits_2(command, bundle_path, tmp_path, c
     assert err.strip().splitlines()[-1].startswith("error: ") and str(out) in err
     assert "simulating" not in err and "Traceback" not in err
     assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("command", OUTPUT_COMMANDS)
+def test_output_naming_a_directory_exits_2(command, bundle_path, tmp_path, capsys):
+    argv = [*OUTPUT_COMMANDS[command], "--output", str(tmp_path)]
+    if command == "generate":
+        argv += ["--bundle", str(bundle_path)]
+    code = main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: cannot write {tmp_path}: it is a directory"
+    assert "simulating" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+SMOKE_TRAIN = [
+    "train", "--toy-seed", "5", "--toy-loads", "2", "--toy-years", "2", "--l1-windows", "16",
+    "--l2-profiles", "16", "--l1-epochs", "1", "--l2-epochs", "1", "--l3-epochs", "1",
+    "--batch-size", "8",
+]
+# each case: a command, and the module whose open() writes its --output file
+WRITING_COMMANDS = {
+    "generate": (OUTPUT_COMMANDS["generate"], "loadsynth.cli"),
+    "simulate": (OUTPUT_COMMANDS["simulate"], "loadsynth.cli"),
+    "train": (SMOKE_TRAIN, "loadsynth.modelio"),
+}
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_unwritable_output_exits_2(command, bundle_path, tmp_path, capsys, monkeypatch):
+    argv, module = WRITING_COMMANDS[command]
+    out = tmp_path / "out.file"
+
+    # root ignores mode bits, so open() itself refuses the output file
+    def refuse(path, *args, **kwargs):
+        if str(path) == str(out):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        return builtins.open(path, *args, **kwargs)
+
+    monkeypatch.setattr(f"{module}.open", refuse, raising=False)
+    argv = [*argv, "--output", str(out)]
+    if command == "generate":
+        argv += ["--bundle", str(bundle_path)]
+    code = main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: cannot write {out}: Permission denied"
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # numpy is the only run-time dependency: the CLI and the simulator must
+    # not import scipy, which only the tests use
+    script = f"""
+import sys
+from loadsynth.cli import main
+for extra in ([], ["--block-s", "30"]):
+    assert main(["simulate", "--duration", "1h", *extra, "--output", {str(tmp_path / "sim.csv")!r}]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src = str(Path(loadsynth.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.stdout == "[]\n"
 
 
 class TestTrainCli:

@@ -6,6 +6,10 @@ path replaced, kept here verbatim (apart from its name) with the
 the reference: it rebuilds the deterministic curve for every load.  For
 every fleet, each load's block means from ``_fleet_block_means`` must equal
 the oracle's float for float.
+
+The oracle filters the AR(1) end states with ``scipy.signal.lfilter``, as
+the simulator did before ``_ar1_filter`` replaced it; ``_ar1_filter`` is
+checked against the same ``lfilter`` call byte for byte.
 """
 
 import math
@@ -18,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
+from loadsynth import toydata
 from loadsynth.cli import _dataset_fingerprint
 from loadsynth.toydata import (
     _DAILY_PEAK_S,
@@ -28,6 +33,7 @@ from loadsynth.toydata import (
     YEAR_S,
     ToyLoadConfig,
     _ar1_block_moments,
+    _ar1_filter,
     _cosine_terms,
     _fleet_block_means,
     _rng_for,
@@ -178,3 +184,75 @@ def test_desk_fleet_fingerprint():
     assert _dataset_fingerprint(datasets) == (
         "268b51658727cf5d313abdef26f8f06b23919b49201c33e78310544dd9a34dbf"
     )
+
+
+# ----------------------------------------------------------------------
+# the AR(1) filter against lfilter
+# ----------------------------------------------------------------------
+
+# 0.6**900 is the block-to-block coefficient of 30 s blocks at 30 Hz
+AR1_RHOS = [0.0, 0.6**900, 0.6, 0.95, 0.999]
+
+
+def lfilter_ar1(rho, x, y0):
+    return lfilter([1.0], [1.0, -rho], x, zi=np.array([rho * y0]))[0]
+
+
+@st.composite
+def ar1_inputs(draw):
+    """(rho, x, y0): x with runs of repeated values, exact zeros, and values
+    over up to 600 decades; never -0.0 (see _ar1_filter)."""
+    rho = draw(st.sampled_from(AR1_RHOS) | st.floats(0.0, 0.999))
+    n = draw(st.integers(0, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = draw(st.sampled_from([1e-3, 1.0, 1e3])) * rng.standard_normal(n)
+    if draw(st.booleans()):
+        x *= 10.0 ** rng.integers(-300, 300, n)
+    x[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.9, 1.0]))] = 0.0
+    if draw(st.booleans()):
+        x = x[np.sort(rng.integers(0, n, n))]
+    y0 = draw(st.sampled_from([0.0, 0.05, -1.0, 1e300]) | st.floats(-1e3, 1e3))
+    return rho, x + 0.0, y0
+
+
+def spike(n):
+    """A huge first value the recursion carries far past one warm-up."""
+    x = np.ones(n)
+    x[0] = 1e300
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=ar1_inputs())
+@example(args=(0.6**900, spike(200), 0.0))
+@example(args=(0.6, np.zeros(12_000), -1.0))
+@example(args=(0.0, np.zeros(200), -1.0))
+def test_ar1_filter_equals_lfilter(args):
+    rho, x, y0 = args
+    assert _ar1_filter(rho, x, y0).tobytes() == lfilter_ar1(rho, x, y0).tobytes()
+
+
+@pytest.mark.parametrize("rho", AR1_RHOS)
+def test_ar1_filter_equals_lfilter_on_a_million_samples(rho):
+    rng = np.random.default_rng(9)
+    x = 0.04 * rng.standard_normal(1 << 20)
+    x[rng.random(x.size) < 0.01] = 0.0
+    x[rng.integers(0, x.size, 100)] = 1e300
+    assert _ar1_filter(rho, x, 0.05).tobytes() == lfilter_ar1(rho, x, 0.05).tobytes()
+
+
+def test_ar1_filter_repairs_chunks_that_start_wrong(monkeypatch):
+    # a chunk that starts from 0 one warm-up before it misses the spike
+    repair = toydata._ar1_repair
+    repaired = []
+
+    def spy(rho, x, y, bad, end):
+        repaired.extend(bad.tolist())
+        repair(rho, x, y, bad, end)
+
+    monkeypatch.setattr(toydata, "_ar1_repair", spy)
+    x = spike(12_000)
+    assert _ar1_filter(0.6, x, 0.0).tobytes() == lfilter_ar1(0.6, x, 0.0).tobytes()
+    # 1e300 * 0.6**k falls below half an ulp of 1.0 at k = 1425; chunks
+    # that start later are right as computed
+    assert repaired and max(repaired) < 1425 + toydata._ar1_warm_up(0.6)
