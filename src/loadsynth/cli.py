@@ -275,7 +275,18 @@ def _check_output_tree(path) -> None:
         raise RequestError(f"cannot write to directory {path}: {blocker} is not a directory")
 
 
+def _check_non_negative(args, *flags: str) -> None:
+    """Refuse a negative integer flag, before any work; an unset one passes."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value < 0:
+            raise RequestError(f"{flag} {value} must be zero or more")
+
+
 def cmd_train(args) -> int:
+    _check_non_negative(args, "--seed", "--toy-seed")
+    if args.batch_size < 1:
+        raise RequestError(f"--batch-size {args.batch_size} must be positive")
     _check_output_dir(args.output)
     if args.save_data:
         _check_output_tree(args.save_data)
@@ -438,6 +449,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    _check_non_negative(args, "--seed")
     _check_output_tree(args.output_dir)
     bundle = ModelBundle.load(_bundle_path(args))
     datasets = read_level_datasets(args.data)
@@ -541,9 +553,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    for flag, cap in (("--max-l1", args.max_l1), ("--max-l2", args.max_l2)):
-        if cap is not None and cap < 0:
-            raise RequestError(f"{flag} {cap} must be zero or more")
+    _check_non_negative(args, "--max-l1", "--max-l2")
     _check_output_tree(args.output_dir)
     try:
         if args.phasors:

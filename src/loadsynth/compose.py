@@ -49,6 +49,7 @@ from .core import (
     Season,
     downsample,
     season_of_week,
+    sub_seed,
 )
 from .errors import (
     DegenerateProfile,
@@ -213,8 +214,10 @@ class GenerationRequest:
                 f"duration {self.duration_s}s is shorter than one sample at the "
                 f"requested resolution ({eff}s)"
             )
-        if self.base_mw <= 0:
-            raise RequestError("base_mw must be positive")
+        if not (math.isfinite(self.base_mw) and self.base_mw > 0):
+            raise RequestError(f"base_mw {self.base_mw} must be finite and positive")
+        if self.seed < 0:
+            raise RequestError(f"seed {self.seed} must be zero or more")
         if self.season is not None and self.duration_s > 13 * SECONDS_PER_WEEK:
             raise RequestError(
                 "an explicit season is limited to 13 weeks of output; use the "
@@ -260,11 +263,6 @@ class ModelSet:
             if load_class is LoadClass.MAINLY_RESIDENTIAL
             else self.l4_industrial
         )
-
-
-def _sub_seed(*entropy) -> int:
-    ss = np.random.SeedSequence(entropy=tuple(int(e) for e in entropy))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def _plan_weeks(
@@ -313,7 +311,7 @@ def _l4_week_values(
     if n_years > 53:
         raise DurationExceedsYear("a single synthesis covers at most 53 years")
     model = models.l4_for(load_class)
-    years = svd_generate(model, n_years, seed=_sub_seed(request.seed, load_index, 4))
+    years = svd_generate(model, n_years, seed=sub_seed(request.seed, load_index, 4))
     values = np.array([years[year, week] for year, week, _ in plan])
     if extend_last:
         # the 53rd week (days 365/366) carries the final week's value
@@ -356,7 +354,7 @@ def _driving_series(
 
     labels = [(load_class, season) for _, _, season in plan]
     week_profiles = gan_generate(
-        models.l3, weeks_total, seed=_sub_seed(request.seed, load_index, 3), labels=labels
+        models.l3, weeks_total, seed=sub_seed(request.seed, load_index, 3), labels=labels
     )
     hourly = scale_to_parent(week_profiles, l4_values).ravel()
     seams = [HOURS_PER_WEEK * (k + 1) - 1 for k in range(weeks_total - 1)]
@@ -370,7 +368,7 @@ def _driving_series(
     needed_halfmin = span if driving is Level.L2 else int(math.ceil(span / TICKS_PER_HALFMIN))
     n_hours = int(math.ceil(needed_halfmin / HALFMIN_PER_HOUR))
     hour_profiles = gan_generate(
-        models.l2, n_hours, seed=_sub_seed(request.seed, load_index, 2)
+        models.l2, n_hours, seed=sub_seed(request.seed, load_index, 2)
     )
     h = np.arange(n_hours)
     window = np.clip(h - 2, 0, hourly.size - 5)[:, None] + np.arange(5)
@@ -383,7 +381,7 @@ def _driving_series(
 
     n_ticks = int(math.ceil(span / TICKS_PER_HALFMIN))
     tick_profiles = gan_generate(
-        models.l1, n_ticks, seed=_sub_seed(request.seed, load_index, 1)
+        models.l1, n_ticks, seed=sub_seed(request.seed, load_index, 1)
     )
     return (tick_profiles * halfmin[:n_ticks, None]).ravel()
 

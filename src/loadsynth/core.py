@@ -1,4 +1,4 @@
-"""Domain types, normalization, resampling primitives, and the resolution grammar.
+"""Domain types, normalization, resampling, seed streams, and the resolution grammar.
 
 Conventions used throughout the package:
 
@@ -275,3 +275,18 @@ def season_of_week(week_index: int) -> Season:
     if w <= 35:
         return Season.SUMMER
     return Season.FALL
+
+
+def sub_seed(*entropy: int) -> int:
+    """A 64-bit seed derived from nonnegative integers, e.g. (seed, load index)."""
+    ss = np.random.SeedSequence(entropy=tuple(int(e) for e in entropy))
+    return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def noise_rows(seed: int, count: int, dim: int) -> np.ndarray:
+    """(count, dim) standard normals; row i is drawn from generator (seed, i),
+    so a row does not depend on how many rows are drawn at once."""
+    out = np.empty((count, dim))
+    for i in range(count):
+        out[i] = np.random.default_rng((seed, i)).standard_normal(dim)
+    return out

@@ -38,6 +38,7 @@ from ..core import (
     LoadProfile,
     Normalization,
     Season,
+    noise_rows,
 )
 from ..errors import (
     DatasetTooSmall,
@@ -294,9 +295,10 @@ def _train_adversarial(
                 [_with_channels(real, lab), _with_channels(fake, lab)], axis=0
             )
             targets = np.concatenate([np.ones((idx.size, 1)), np.zeros((idx.size, 1))])
-            p = disc.forward(d_in)
+            tape = []
+            p = disc.forward(d_in, tape)
             loss, grad = _bce_and_grad(p, targets)
-            disc.backward(grad)
+            disc.backward(tape, grad)
             opt_d.step([disc.params], [disc.grads])
             return loss
 
@@ -304,13 +306,14 @@ def _train_adversarial(
             lab = onehot[idx] if onehot is not None else None
             z = rng.standard_normal((idx.size, hyper.noise_dim))
             g_in = np.hstack([z, lab]) if lab is not None else z
-            fake = gen.forward(g_in)
-            p = disc.forward(_with_channels(fake, lab))
+            gen_tape, disc_tape = [], []
+            fake = gen.forward(g_in, gen_tape)
+            p = disc.forward(_with_channels(fake, lab), disc_tape)
             p_c = np.clip(p, _P_CLAMP, 1.0 - _P_CLAMP)
             loss = float(-np.mean(np.log(p_c)))
             grad_p = -1.0 / p_c / p.size
-            g_d_in = disc.backward(grad_p)
-            gen.backward(g_d_in[:, 0, :])
+            g_d_in = disc.backward(disc_tape, grad_p)
+            gen.backward(gen_tape, g_d_in[:, 0, :])
             opt_g.step([gen.params], [gen.grads])
             return loss
 
@@ -404,15 +407,6 @@ def train_cgan(
     )
 
 
-def _noise_rows(seed: int, count: int, dim: int) -> np.ndarray:
-    # counter-based streams: profile i draws from generator (seed, i), so a
-    # batch's noise does not depend on how generation is chunked
-    out = np.empty((count, dim))
-    for i in range(count):
-        out[i] = np.random.default_rng((seed, i)).standard_normal(dim)
-    return out
-
-
 def gan_generate(
     model: GanModel,
     count: int,
@@ -440,7 +434,7 @@ def gan_generate(
     spec = LEVEL_SPECS[model.level]
     zero_mean = LEVEL_NORMALIZATION[model.level] is Normalization.ZERO_MEAN_DETRENDED
 
-    z = _noise_rows(seed, count, model.noise_dim)
+    z = noise_rows(seed, count, model.noise_dim)
     if model.conditional:
         z = np.hstack([z, encode_labels(labels)])
     outputs = np.empty((count, spec.profile_length))

@@ -1,13 +1,13 @@
 """The fixed layer set: dense, 1-D convolution/transpose convolution,
 pointwise nonlinearities, and shape adapters.
 
-Every layer computes float64 forward passes on batched inputs and an exact
-reverse-mode backward pass from cached activations.  Dense layers take
-(batch, features); convolutional layers take (batch, channels, length).
-Convolution uses the cross-correlation convention (no kernel flip) with no
-padding; the transpose convolution is its exact adjoint, with an optional
-crop of the trailing output samples so stride-2 stages can hit an exact
-2x upscale.
+Every layer is a pure function of its batched float64 input; its exact
+reverse-mode ``backward(x, gy)`` takes the input the forward saw and
+recomputes what it needs from it.  Dense layers take (batch, features);
+convolutional layers take (batch, channels, length).  Convolution uses the
+cross-correlation convention (no kernel flip) with no padding; the
+transpose convolution is its exact adjoint, with an optional crop of the
+trailing output samples so stride-2 stages can hit an exact 2x upscale.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from ..errors import ShapeMismatch
 
 
 class Layer:
-    """Base: parameterless identity-ish layer with cached-input backward.
+    """Base: a stateless layer whose backward takes its forward's input.
 
     A parametrised layer lists its (weight, bias) ``shapes``; ``bind`` hands
     it views of the owning network's flat parameter and gradient buffers.
@@ -42,7 +42,7 @@ class Layer:
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
+    def backward(self, x: np.ndarray, gy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def spec(self) -> tuple:
@@ -53,16 +53,14 @@ class Dense(Layer):
     def __init__(self, n_in: int, n_out: int):
         self.n_in, self.n_out = n_in, n_out
         self.shapes = ((n_in, n_out), (n_out,))
-        self._x = None
 
     def forward(self, x):
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ShapeMismatch(f"dense({self.n_in}->{self.n_out}) got input {x.shape}")
-        self._x = x
         return x @ self.w + self.b
 
-    def backward(self, gy):
-        self.gw[...] = self._x.T @ gy
+    def backward(self, x, gy):
+        self.gw[...] = x.T @ gy
         self.gb[...] = gy.sum(axis=0)
         return gy @ self.w.T
 
@@ -80,35 +78,38 @@ def _conv_windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     )
 
 
+def _scatter_taps(g: np.ndarray, w: np.ndarray, stride: int, length: int) -> np.ndarray:
+    # (batch, o, length): tap k maps g (batch, i, t) through w[:, :, k] onto
+    # k + stride * t; a transpose convolution, or a convolution's input gradient
+    n = g.shape[2]
+    out = np.zeros((g.shape[0], w.shape[1], length))
+    for k in range(w.shape[2]):
+        out[:, :, k : k + stride * (n - 1) + 1 : stride] += np.einsum(
+            "bit,io->bot", g, w[:, :, k], optimize=True
+        )
+    return out
+
+
 class Conv1d(Layer):
     """Valid cross-correlation: out length = floor((L - k) / stride) + 1."""
 
     def __init__(self, in_ch, out_ch, k, stride):
         self.in_ch, self.out_ch, self.k, self.stride = in_ch, out_ch, k, stride
         self.shapes = ((out_ch, in_ch, k), (out_ch,))
-        self._x = None
 
     def forward(self, x):
         if x.ndim != 3 or x.shape[1] != self.in_ch or x.shape[2] < self.k:
             raise ShapeMismatch(
                 f"conv1d({self.in_ch}->{self.out_ch}, k={self.k}) got input {x.shape}"
             )
-        self._x = x
         windows = _conv_windows(x, self.k, self.stride)
         return np.einsum("bctk,ock->bot", windows, self.w, optimize=True) + self.b[:, None]
 
-    def backward(self, gy):
-        x = self._x
+    def backward(self, x, gy):
         windows = _conv_windows(x, self.k, self.stride)
         self.gw[...] = np.einsum("bot,bctk->ock", gy, windows, optimize=True)
         self.gb[...] = gy.sum(axis=(0, 2))
-        gx = np.zeros_like(x)
-        n_pos = gy.shape[2]
-        for k in range(self.k):
-            gx[:, :, k : k + self.stride * (n_pos - 1) + 1 : self.stride] += np.einsum(
-                "bot,oc->bct", gy, self.w[:, :, k], optimize=True
-            )
-        return gx
+        return _scatter_taps(gy, self.w, self.stride, x.shape[2])
 
     def spec(self):
         return ("conv1d", self.in_ch, self.out_ch, self.k, self.stride)
@@ -126,32 +127,24 @@ class ConvT1d(Layer):
         self.in_ch, self.out_ch, self.k, self.stride = in_ch, out_ch, k, stride
         self.out_length = out_length
         self.shapes = ((in_ch, out_ch, k), (out_ch,))
-        self._x = None
 
     def forward(self, x):
         if x.ndim != 3 or x.shape[1] != self.in_ch:
             raise ShapeMismatch(
                 f"convt1d({self.in_ch}->{self.out_ch}, k={self.k}) got input {x.shape}"
             )
-        b, _, n_in = x.shape
-        raw_len = (n_in - 1) * self.stride + self.k
+        raw_len = (x.shape[2] - 1) * self.stride + self.k
         if self.out_length is not None and self.out_length > raw_len:
             raise ShapeMismatch(
                 f"convt1d cannot crop raw length {raw_len} up to {self.out_length}"
             )
-        self._x = x
-        y = np.zeros((b, self.out_ch, raw_len))
-        for k in range(self.k):
-            y[:, :, k : k + self.stride * (n_in - 1) + 1 : self.stride] += np.einsum(
-                "bct,co->bot", x, self.w[:, :, k], optimize=True
-            )
+        y = _scatter_taps(x, self.w, self.stride, raw_len)
         y += self.b[:, None]
         if self.out_length is not None:
             y = y[:, :, : self.out_length]
         return y
 
-    def backward(self, gy):
-        x = self._x
+    def backward(self, x, gy):
         n_in = x.shape[2]
         if self.out_length is not None:
             padded = np.zeros((gy.shape[0], self.out_ch, (n_in - 1) * self.stride + self.k))
@@ -171,11 +164,10 @@ class ConvT1d(Layer):
 
 class ReLU(Layer):
     def forward(self, x):
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return np.where(x > 0, x, 0.0)
 
-    def backward(self, gy):
-        return np.where(self._mask, gy, 0.0)
+    def backward(self, x, gy):
+        return np.where(x > 0, gy, 0.0)
 
     def spec(self):
         return ("relu",)
@@ -186,11 +178,10 @@ class LeakyReLU(Layer):
         self.alpha = alpha
 
     def forward(self, x):
-        self._mask = x > 0
-        return np.where(self._mask, x, self.alpha * x)
+        return np.where(x > 0, x, self.alpha * x)
 
-    def backward(self, gy):
-        return np.where(self._mask, gy, self.alpha * gy)
+    def backward(self, x, gy):
+        return np.where(x > 0, gy, self.alpha * gy)
 
     def spec(self):
         return ("leaky_relu", self.alpha)
@@ -198,11 +189,11 @@ class LeakyReLU(Layer):
 
 class Sigmoid(Layer):
     def forward(self, x):
-        self._y = 1.0 / (1.0 + np.exp(-x))
-        return self._y
+        return 1.0 / (1.0 + np.exp(-x))
 
-    def backward(self, gy):
-        return gy * self._y * (1.0 - self._y)
+    def backward(self, x, gy):
+        y = 1.0 / (1.0 + np.exp(-x))
+        return gy * y * (1.0 - y)
 
     def spec(self):
         return ("sigmoid",)
@@ -215,11 +206,10 @@ class ScaledTanh(Layer):
         self.center, self.half_range = center, half_range
 
     def forward(self, x):
-        self._t = np.tanh(x)
-        return self.center + self.half_range * self._t
+        return self.center + self.half_range * np.tanh(x)
 
-    def backward(self, gy):
-        return gy * self.half_range * (1.0 - self._t**2)
+    def backward(self, x, gy):
+        return gy * self.half_range * (1.0 - np.tanh(x) ** 2)
 
     def spec(self):
         return ("scaled_tanh", self.center, self.half_range)
@@ -238,8 +228,8 @@ class Reshape(Layer):
             )
         return x.reshape(x.shape[0], self.channels, self.length)
 
-    def backward(self, gy):
-        return gy.reshape(gy.shape[0], self.channels * self.length)
+    def backward(self, x, gy):
+        return gy.reshape(x.shape)
 
     def spec(self):
         return ("reshape", self.channels, self.length)
@@ -249,11 +239,10 @@ class Flatten(Layer):
     """(batch, channels, length) -> (batch, channels*length)."""
 
     def forward(self, x):
-        self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, gy):
-        return gy.reshape(self._shape)
+    def backward(self, x, gy):
+        return gy.reshape(x.shape)
 
     def spec(self):
         return ("flatten",)

@@ -71,7 +71,7 @@ def init_params(spec: NetworkSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 class Network:
-    """Sequential stack with reverse-mode gradients over cached activations."""
+    """Sequential stack with reverse-mode gradients over a caller-owned tape."""
 
     def __init__(self, spec: NetworkSpec, params: np.ndarray):
         self.spec = spec
@@ -92,13 +92,16 @@ class Network:
         # copies and pickles rebuild the layer views over one buffer
         return Network, (self.spec, self.params)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, tape: list | None = None) -> np.ndarray:
+        """The output; appends each layer's input to ``tape`` when given one."""
         for layer in self.layers:
+            if tape is not None:
+                tape.append(x)
             x = layer.forward(x)
         return x
 
-    def backward(self, gy: np.ndarray) -> np.ndarray:
-        """Backpropagate from the output gradient; fills ``grads``."""
-        for layer in reversed(self.layers):
-            gy = layer.backward(gy)
+    def backward(self, tape: list, gy: np.ndarray) -> np.ndarray:
+        """Backpropagate over the tape of one forward; fills ``grads``."""
+        for layer, x in zip(reversed(self.layers), reversed(tape), strict=True):
+            gy = layer.backward(x, gy)
         return gy

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LoadClass, LoadProfile
+from .core import LoadClass, LoadProfile, noise_rows
 from .errors import InsufficientData, RankDeficientWarning
 
 _WEEKS = 52
@@ -87,12 +87,7 @@ def svd_generate(model: SvdModel, count: int, seed: int) -> np.ndarray:
     Values below 0.01 are floored before rescaling (Gaussian tails can dip
     negative; loads cannot).
     """
-    r = model.rank
-    coeffs = np.empty((count, r))
-    for i in range(count):
-        rng = np.random.default_rng((seed, i))
-        coeffs[i] = model.coeff_mu + model.coeff_sigma * rng.standard_normal(r)
-
+    coeffs = model.coeff_mu + model.coeff_sigma * noise_rows(seed, count, model.rank)
     raw = coeffs @ model.patterns
     raw = np.maximum(raw, _CLAMP)
     return raw / raw.mean(axis=1, keepdims=True)

@@ -48,7 +48,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .core import LoadClass
+from .core import LoadClass, sub_seed
 
 DAY_S = 86_400.0
 YEAR_S = 52 * 604_800.0
@@ -174,12 +174,6 @@ def _rng_for(config: ToyLoadConfig, stream: int, offset_samples: int) -> np.rand
     # Documented seed split: independent streams keyed by (seed, stream tag,
     # start offset in 30 Hz samples).  Stream 0 = full rate, 1 = block means.
     return np.random.default_rng((config.seed, stream, offset_samples))
-
-
-def split_load_seed(seed: int, load_index: int) -> int:
-    """Derive the per-load seed for load ``load_index`` from a master seed."""
-    ss = np.random.SeedSequence(entropy=(seed, load_index))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def _cosine_terms(config: ToyLoadConfig) -> list[tuple[float, float, float]]:
@@ -502,12 +496,12 @@ def default_desk_configs(
     configs = []
     for i in range(n_residential):
         base = float(rng.uniform(20.0, 90.0))
-        configs.append(ToyLoadConfig.residential(seed=split_load_seed(seed, i), base_mw=base))
+        configs.append(ToyLoadConfig.residential(seed=sub_seed(seed, i), base_mw=base))
     for i in range(n_industrial):
         base = float(rng.uniform(40.0, 150.0))
         configs.append(
             ToyLoadConfig.industrial(
-                seed=split_load_seed(seed, n_residential + i), base_mw=base
+                seed=sub_seed(seed, n_residential + i), base_mw=base
             )
         )
     return configs

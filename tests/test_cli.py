@@ -608,6 +608,33 @@ def test_negative_ingest_cap_exits_2(cap, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {cap[0]} {cap[1]} must be zero or more\n"
 
 
+# each case: arguments refused before any work; the absent bundle and data
+# directory would exit 3 if they were read, and training prints progress
+_GENERATE = ["generate", "--bundle", "absent.lsb", "--residential", "1", "--resolution",
+             "1/h", "--length", "1d", "--output", "out.csv"]
+_TRAIN = ["train", "--toy-loads", "2", "--output", "out.lsb"]
+BAD_NUMBERS = {
+    "generate_seed": [*_GENERATE, "--seed", "-1"],
+    "generate_base_nan": [*_GENERATE, "--base-mw", "nan"],
+    "generate_base_inf": [*_GENERATE, "--base-mw", "inf"],
+    "validate_seed": ["validate", "--bundle", "absent.lsb", "--data", "absent",
+                      "--output-dir", "val", "--seed", "-1"],
+    "train_seed": [*_TRAIN, "--seed", "-1"],
+    "train_toy_seed": [*_TRAIN, "--toy-seed", "-1"],
+    "train_batch_zero": [*_TRAIN, "--batch-size", "0"],
+}
+
+
+@pytest.mark.parametrize("case", BAD_NUMBERS)
+def test_bad_number_exits_2_before_any_work(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(BAD_NUMBERS[case])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ingest_series_checks_30hz_steps(tmp_path, capsys):
     blocks, fast = tmp_path / "blocks.csv", tmp_path / "fast.csv"
     assert main(["simulate", "--duration", "2h", "--block-s", "30", "--output", str(blocks)]) == 0

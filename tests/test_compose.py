@@ -1,6 +1,7 @@
 """Seam filter, cross-level scaling, trend injection, and full assembly."""
 
 import inspect
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -352,6 +353,15 @@ class TestRequestValidation:
     def test_bad_base_mw(self):
         with pytest.raises(RequestError):
             self.base(base_mw=0.0).validate()
+
+    @pytest.mark.parametrize("base_mw", [math.nan, math.inf])
+    def test_non_finite_base_mw(self, base_mw):
+        with pytest.raises(RequestError, match="finite and positive"):
+            self.base(base_mw=base_mw).validate()
+
+    def test_negative_seed(self):
+        with pytest.raises(RequestError, match="seed -1"):
+            self.base(seed=-1).validate()
 
 
 SPIED = ("gan_generate", "svd_generate", "scale_to_parent", "apply_seam_filter")

@@ -191,6 +191,24 @@ def generate_model(small_l2_dataset):
     return train_gan(small_l2_dataset, Level.L2, hyper, seed=11)
 
 
+def held_arrays(model):
+    """Names of the ndarray attributes the layers of both networks hold."""
+    return {
+        name
+        for net in (model.generator, model.discriminator)
+        for layer in net.layers
+        for name, value in vars(layer).items()
+        if isinstance(value, np.ndarray)
+    }
+
+
+def test_layers_keep_no_activations(small_l2_dataset):
+    model = train_gan(small_l2_dataset, Level.L2, HyperParams(epochs=1, batch_size=8), seed=12)
+    assert held_arrays(model) == {"w", "b", "gw", "gb"}
+    gan_generate(model, 5, seed=0)
+    assert held_arrays(model) == {"w", "b", "gw", "gb"}
+
+
 class TestGenerate:
     @pytest.fixture()
     def model(self, generate_model):

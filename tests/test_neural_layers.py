@@ -1,21 +1,29 @@
-"""Layer mechanics: forward conventions, exact gradients, adjoint identity."""
+"""Layer mechanics: forward conventions, exact gradients, adjoint identity,
+and stateless layers that match the activation-caching ones bit for bit."""
 
+import ast
 import copy
+import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loadsynth.errors import ShapeMismatch
+from loadsynth.neural import layers as layers_module
 from loadsynth.neural.layers import (
     Conv1d,
     ConvT1d,
     Dense,
     Flatten,
+    Layer,
     LeakyReLU,
     ReLU,
     Reshape,
     ScaledTanh,
     Sigmoid,
+    _conv_windows,
 )
 from loadsynth.neural.network import Network, NetworkSpec, init_params
 from loadsynth.neural.optim import Adam
@@ -162,8 +170,7 @@ def finite_difference_check(layer, x, step=1e-5):
     def loss():
         return float(np.sum(layer.forward(x) * r))
 
-    layer.forward(x)
-    gx = layer.backward(r)
+    gx = layer.backward(x, r)
     checks = []
     pairs = [(layer.w, layer.gw), (layer.b, layer.gb)] if layer.shapes else []
     for p, g in pairs:
@@ -233,7 +240,7 @@ class TestGradients:
         layer = bound(Dense(4, 3), rng)
         x = rng.normal(size=(2, 4))
         layer.forward(x)
-        gx = layer.backward(np.zeros((2, 3)))
+        gx = layer.backward(x, np.zeros((2, 3)))
         assert np.all(gx == 0)
         assert np.all(layer.gw == 0) and np.all(layer.gb == 0)
 
@@ -266,8 +273,9 @@ class TestNetwork:
         net = build(spec, rng)
         x = rng.normal(size=(5, 4))
         gy = rng.normal(size=(5, 2))
-        net.forward(x)
-        gx = net.backward(gy)
+        tape = []
+        net.forward(x, tape)
+        gx = net.backward(tape, gy)
         grads = net.grads.copy()
         assert gx.shape == x.shape
         assert grads.size == (4 * 3 + 3) + (3 * 2 + 2)  # two dense layers, weights + biases
@@ -366,8 +374,9 @@ class TestFlatBuffer:
             assert np.shares_memory(layer.gw, net.grads) and np.shares_memory(layer.gb, net.grads)
             assert layer.gw.shape == layer.w.shape and layer.gb.shape == layer.b.shape
         # backward writes every layer gradient into the one gradient buffer
-        y = net.forward(np.random.default_rng(13).normal(size=(3, *row_shape)))
-        net.backward(np.ones_like(y))
+        tape = []
+        y = net.forward(np.random.default_rng(13).normal(size=(3, *row_shape)), tape)
+        net.backward(tape, np.ones_like(y))
         want = np.concatenate([g.ravel() for layer in layers for g in (layer.gw, layer.gb)])
         np.testing.assert_array_equal(net.grads, want)
         assert np.any(net.grads != 0)
@@ -421,3 +430,208 @@ class TestAdam:
         opt.step([p], [np.array([1.0])])
         # both steps should move p by ~lr when gradients are constant
         assert p[0] == pytest.approx(-2.0, abs=1e-6)
+
+
+# The layers as they were when each kept its last forward's activations on
+# itself (input, mask, output or shape): the oracle for the stateless layers.
+class CachedDense(Dense):
+    def forward(self, x):
+        self._x = x
+        return x @ self.w + self.b
+
+    def backward(self, gy):
+        self.gw[...] = self._x.T @ gy
+        self.gb[...] = gy.sum(axis=0)
+        return gy @ self.w.T
+
+
+class CachedConv1d(Conv1d):
+    def forward(self, x):
+        self._x = x
+        windows = _conv_windows(x, self.k, self.stride)
+        return np.einsum("bctk,ock->bot", windows, self.w, optimize=True) + self.b[:, None]
+
+    def backward(self, gy):
+        x = self._x
+        windows = _conv_windows(x, self.k, self.stride)
+        self.gw[...] = np.einsum("bot,bctk->ock", gy, windows, optimize=True)
+        self.gb[...] = gy.sum(axis=(0, 2))
+        gx = np.zeros_like(x)
+        n_pos = gy.shape[2]
+        for k in range(self.k):
+            gx[:, :, k : k + self.stride * (n_pos - 1) + 1 : self.stride] += np.einsum(
+                "bot,oc->bct", gy, self.w[:, :, k], optimize=True
+            )
+        return gx
+
+
+class CachedConvT1d(ConvT1d):
+    def forward(self, x):
+        b, _, n_in = x.shape
+        raw_len = (n_in - 1) * self.stride + self.k
+        self._x = x
+        y = np.zeros((b, self.out_ch, raw_len))
+        for k in range(self.k):
+            y[:, :, k : k + self.stride * (n_in - 1) + 1 : self.stride] += np.einsum(
+                "bct,co->bot", x, self.w[:, :, k], optimize=True
+            )
+        y += self.b[:, None]
+        if self.out_length is not None:
+            y = y[:, :, : self.out_length]
+        return y
+
+    def backward(self, gy):
+        x = self._x
+        n_in = x.shape[2]
+        if self.out_length is not None:
+            padded = np.zeros((gy.shape[0], self.out_ch, (n_in - 1) * self.stride + self.k))
+            padded[:, :, : self.out_length] = gy
+            gy = padded
+        gx = np.zeros_like(x)
+        for k in range(self.k):
+            gy_k = gy[:, :, k : k + self.stride * (n_in - 1) + 1 : self.stride]
+            self.gw[:, :, k] = np.einsum("bct,bot->co", x, gy_k, optimize=True)
+            gx += np.einsum("bot,co->bct", gy_k, self.w[:, :, k], optimize=True)
+        self.gb[...] = gy.sum(axis=(0, 2))
+        return gx
+
+
+class CachedReLU(ReLU):
+    def forward(self, x):
+        self._mask = x > 0
+        return np.where(self._mask, x, 0.0)
+
+    def backward(self, gy):
+        return np.where(self._mask, gy, 0.0)
+
+
+class CachedLeakyReLU(LeakyReLU):
+    def forward(self, x):
+        self._mask = x > 0
+        return np.where(self._mask, x, self.alpha * x)
+
+    def backward(self, gy):
+        return np.where(self._mask, gy, self.alpha * gy)
+
+
+class CachedSigmoid(Sigmoid):
+    def forward(self, x):
+        self._y = 1.0 / (1.0 + np.exp(-x))
+        return self._y
+
+    def backward(self, gy):
+        return gy * self._y * (1.0 - self._y)
+
+
+class CachedScaledTanh(ScaledTanh):
+    def forward(self, x):
+        self._t = np.tanh(x)
+        return self.center + self.half_range * self._t
+
+    def backward(self, gy):
+        return gy * self.half_range * (1.0 - self._t**2)
+
+
+class CachedReshape(Reshape):
+    def backward(self, gy):
+        return gy.reshape(gy.shape[0], self.channels * self.length)
+
+
+class CachedFlatten(Flatten):
+    def forward(self, x):
+        self._shape = x.shape
+        return x.reshape(x.shape[0], -1)
+
+    def backward(self, gy):
+        return gy.reshape(self._shape)
+
+
+CACHED = {
+    Dense: CachedDense, Conv1d: CachedConv1d, ConvT1d: CachedConvT1d, ReLU: CachedReLU,
+    LeakyReLU: CachedLeakyReLU, Sigmoid: CachedSigmoid, ScaledTanh: CachedScaledTanh,
+    Reshape: CachedReshape, Flatten: CachedFlatten,
+}
+
+
+@st.composite
+def layer_cases(draw):
+    """(layer class, constructor arguments, input shape) of any layer kind."""
+    dim = st.integers(1, 5)
+    cls = draw(st.sampled_from(sorted(CACHED, key=lambda c: c.__name__)))
+    batch, c_in, c_out, k, stride = (draw(dim) for _ in range(5))
+    if cls is Dense:
+        return cls, (c_in, c_out), (batch, c_in)
+    if cls is Conv1d:
+        return cls, (c_in, c_out, k, stride), (batch, c_in, k + draw(st.integers(0, 12)))
+    if cls is ConvT1d:
+        n_in = draw(dim)
+        raw_len = (n_in - 1) * stride + k
+        out_length = draw(st.none() | st.integers(1, raw_len))
+        return cls, (c_in, c_out, k, stride, out_length), (batch, c_in, n_in)
+    if cls is Reshape:
+        return cls, (c_in, k), (batch, c_in * k)
+    args = ()
+    if cls is LeakyReLU:
+        args = (draw(st.floats(0.01, 0.5)),)
+    elif cls is ScaledTanh:
+        args = (draw(st.floats(-2.0, 2.0)), draw(st.floats(0.1, 2.0)))
+    return cls, args, draw(st.sampled_from([(batch, c_in), (batch, c_in, k)]))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=layer_cases(), seed=st.integers(0, 2**32 - 1))
+def test_stateless_layers_match_cached_layers_bit_for_bit(case, seed):
+    cls, args, shape = case
+    rng = np.random.default_rng(seed)
+    layer, oracle = cls(*args), CACHED[cls](*args)
+    if layer.shapes:
+        params = rng.normal(0.0, 0.5, layer.size)
+        layer.bind(params, np.zeros_like(params))
+        oracle.bind(params, np.zeros_like(params))
+    # exact zeros exercise the activations' x > 0 boundary
+    x = rng.normal(size=shape) * (rng.random(shape) < 0.8)
+    y = layer.forward(x)
+    assert same_bits(y, oracle.forward(x))
+    gy = rng.normal(size=y.shape)
+    assert same_bits(layer.backward(x, gy), oracle.backward(gy))
+    if layer.shapes:
+        assert same_bits(layer.gw, oracle.gw) and same_bits(layer.gb, oracle.gb)
+
+
+def test_layers_assign_attributes_only_when_built_or_bound():
+    for name, cls in vars(layers_module).items():
+        if not (isinstance(cls, type) and issubclass(cls, Layer)):
+            continue
+        for fn in ast.walk(ast.parse(inspect.getsource(cls))):
+            if isinstance(fn, ast.FunctionDef) and fn.name not in ("__init__", "bind"):
+                stored = [
+                    node.attr for node in ast.walk(fn)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                ]
+                assert not stored, f"{name}.{fn.name} assigns {stored}"
+
+
+@pytest.mark.parametrize("name", ["gen-l1-0", "disc-l3-6"])
+def test_interleaved_tapes_give_sequential_gradients(name):
+    spec, row_shape = ALL_SPECS[name]
+    net = build(spec, np.random.default_rng(16))
+    rng = np.random.default_rng(17)
+    xs = [rng.normal(size=(3, *row_shape)) for _ in range(2)]
+    gys = [rng.normal(size=net.forward(x).shape) for x in xs]
+
+    sequential = []
+    for x, gy in zip(xs, gys):
+        tape = []
+        net.forward(x, tape)
+        sequential.append((net.backward(tape, gy), net.grads.copy()))
+
+    tapes = [[], []]
+    for x, tape in zip(xs, tapes):
+        net.forward(x, tape)
+    for (gx_want, grads_want), tape, gy in zip(sequential, tapes, gys):
+        assert same_bits(net.backward(tape, gy), gx_want)
+        assert same_bits(net.grads, grads_want)

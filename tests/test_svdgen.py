@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from loadsynth.core import LoadClass, Metric, Season, downsample, season_of_week
+from loadsynth.core import LoadClass, Metric, Season, downsample, season_of_week, sub_seed
 from loadsynth.errors import InsufficientData, RankDeficientWarning
 from loadsynth.svdgen import SvdModel, fit_svd_model, svd_generate
-from loadsynth.toydata import ToyLoadConfig, simulate_block_means, split_load_seed
+from loadsynth.toydata import ToyLoadConfig, simulate_block_means
 
 WEEK_S = 604_800.0
 
@@ -51,7 +51,7 @@ def toy_year_matrix(load_class, n_profiles, seed0=50):
     )
     rows = []
     for i in range(n_profiles):
-        cfg = factory(seed=split_load_seed(seed0, i))
+        cfg = factory(seed=sub_seed(seed0, i))
         weekly = simulate_block_means(cfg, WEEK_S, 52)
         rows.append(weekly / weekly.mean())
     return np.asarray(rows)

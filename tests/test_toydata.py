@@ -5,14 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from loadsynth.core import LoadClass, Metric, downsample, season_of_week, Season
+from loadsynth.core import LoadClass, Metric, downsample, season_of_week, Season, sub_seed
 from loadsynth.toydata import (
     ToyLoadConfig,
     _ar1_block_moments,
     default_desk_configs,
     simulate_block_means,
     simulate_ground_truth,
-    split_load_seed,
 )
 
 YEAR_S = 52 * 604_800.0
@@ -189,10 +188,10 @@ class TestBlockMeans:
 
 class TestSeedSplitting:
     def test_split_is_deterministic(self):
-        assert split_load_seed(55, 3) == split_load_seed(55, 3)
+        assert sub_seed(55, 3) == sub_seed(55, 3)
 
     def test_split_separates_loads(self):
-        assert split_load_seed(55, 0) != split_load_seed(55, 1)
+        assert sub_seed(55, 0) != sub_seed(55, 1)
 
     def test_desk_configs(self):
         configs = default_desk_configs()
