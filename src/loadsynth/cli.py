@@ -283,10 +283,19 @@ def _check_non_negative(args, *flags: str) -> None:
             raise RequestError(f"{flag} {value} must be zero or more")
 
 
+def _check_positive(args, *flags: str) -> None:
+    """Refuse a zero or negative integer flag, before any work."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value < 1:
+            raise RequestError(f"{flag} {value} must be positive")
+
+
 def cmd_train(args) -> int:
     _check_non_negative(args, "--seed", "--toy-seed")
-    if args.batch_size < 1:
-        raise RequestError(f"--batch-size {args.batch_size} must be positive")
+    _check_positive(
+        args, "--batch-size", "--noise-dim", "--l1-epochs", "--l2-epochs", "--l3-epochs"
+    )
     _check_output_dir(args.output)
     if args.save_data:
         _check_output_tree(args.save_data)

@@ -8,6 +8,20 @@ convolutional layers take (batch, channels, length).  Convolution uses the
 cross-correlation convention (no kernel flip) with no padding; the
 transpose convolution is its exact adjoint, with an optional crop of the
 trailing output samples so stride-2 stages can hit an exact 2x upscale.
+
+Each layer's float operations are part of the determinism contract.  The
+forms below give every output element the same operations, in the same
+order, as the plain forms they replace:
+
+* ReLU and LeakyReLU (0 <= alpha <= 1) forward pick max(x, 0) and
+  max(x, alpha*x): for every non-NaN x the value np.where(x > 0, ...) picks,
+  +0.0 included.  A NaN passes on to the callers' finite checks.  The
+  backward passes stay np.where, as gy * mask would give -0.0.
+* The transpose convolution and the convolution's input gradient loop over
+  the kernel taps.  Where numpy's einsum is one matmul (numpy >= 2.4) and no
+  axis of size 1 changes its plan, each tap calls that matmul with the
+  operands einsum would pass it; only the transposed copies of the
+  activations, which einsum makes once per tap, are made once per call.
 """
 
 from __future__ import annotations
@@ -78,15 +92,40 @@ def _conv_windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     )
 
 
+# From numpy 2.4 on, einsum runs a two-operand contraction as one matmul
+# (numpy._core.einsumfunc.bmm_einsum): operands in reverse order, size-1 axes
+# dropped, and a strided operand copied by matmul in its own stride order.
+_EINSUM_IS_MATMUL = hasattr(
+    getattr(getattr(np, "_core", None), "einsumfunc", None), "bmm_einsum"
+)
+
+
+def _einsum_is_this_matmul(*dims: int) -> bool:
+    """Whether a tap loop's einsum is the matmul it spells out: einsum is a
+    matmul and none of the axes whose size changes its plan is 1."""
+    return _EINSUM_IS_MATMUL and min(dims) > 1
+
+
+def _weight_taps(w: np.ndarray) -> np.ndarray:
+    """(k, w.shape[0], w.shape[1]): each w[:, :, k] as the copy matmul makes of it."""
+    return np.ascontiguousarray(w.transpose(2, 0, 1))
+
+
 def _scatter_taps(g: np.ndarray, w: np.ndarray, stride: int, length: int) -> np.ndarray:
     # (batch, o, length): tap k maps g (batch, i, t) through w[:, :, k] onto
     # k + stride * t; a transpose convolution, or a convolution's input gradient
-    n = g.shape[2]
-    out = np.zeros((g.shape[0], w.shape[1], length))
-    for k in range(w.shape[2]):
-        out[:, :, k : k + stride * (n - 1) + 1 : stride] += np.einsum(
-            "bit,io->bot", g, w[:, :, k], optimize=True
-        )
+    b, i, n = g.shape
+    out = np.zeros((b, w.shape[1], length))
+    taps = [out[:, :, k : k + stride * (n - 1) + 1 : stride] for k in range(w.shape[2])]
+    if _einsum_is_this_matmul(b, i, n):
+        # einsum("bit,io->bot") is (o, i) @ (i, b*t), with its transposed
+        # copy of g made once here rather than once per tap
+        g_cols = g.transpose(1, 0, 2).reshape(i, b * n)
+        for tap, w_k in zip(taps, _weight_taps(w)):
+            tap += (w_k.T @ g_cols).reshape(-1, b, n).transpose(1, 0, 2)
+    else:
+        for k, tap in enumerate(taps):
+            tap += np.einsum("bit,io->bot", g, w[:, :, k], optimize=True)
     return out
 
 
@@ -145,16 +184,27 @@ class ConvT1d(Layer):
         return y
 
     def backward(self, x, gy):
-        n_in = x.shape[2]
+        b, c, n_in = x.shape
         if self.out_length is not None:
-            padded = np.zeros((gy.shape[0], self.out_ch, (n_in - 1) * self.stride + self.k))
+            padded = np.zeros((b, self.out_ch, (n_in - 1) * self.stride + self.k))
             padded[:, :, : self.out_length] = gy
             gy = padded
+        taps = [gy[:, :, k : k + self.stride * (n_in - 1) + 1 : self.stride] for k in range(self.k)]
         gx = np.zeros_like(x)
-        for k in range(self.k):
-            gy_k = gy[:, :, k : k + self.stride * (n_in - 1) + 1 : self.stride]
-            self.gw[:, :, k] = np.einsum("bct,bot->co", x, gy_k, optimize=True)
-            gx += np.einsum("bot,co->bct", gy_k, self.w[:, :, k], optimize=True)
+        if _einsum_is_this_matmul(b, c, n_in):
+            # the einsums below are (o, b*t) @ (b*t, c) and (c, o) @ (o, b*t):
+            # x's transposed copy is made once, and one copy of each gy_k
+            # serves both (a copy even where a reshape could give a view, as
+            # einsum's is)
+            x_rows = x.transpose(0, 2, 1).reshape(b * n_in, c)
+            for k, (gy_k, w_k) in enumerate(zip(taps, _weight_taps(self.w))):
+                gy_cols = np.ascontiguousarray(gy_k.transpose(1, 0, 2)).reshape(-1, b * n_in)
+                self.gw[:, :, k] = (gy_cols @ x_rows).T
+                gx += (w_k @ gy_cols).reshape(c, b, n_in).transpose(1, 0, 2)
+        else:
+            for k, gy_k in enumerate(taps):
+                self.gw[:, :, k] = np.einsum("bct,bot->co", x, gy_k, optimize=True)
+                gx += np.einsum("bot,co->bct", gy_k, self.w[:, :, k], optimize=True)
         self.gb[...] = gy.sum(axis=(0, 2))
         return gx
 
@@ -164,7 +214,9 @@ class ConvT1d(Layer):
 
 class ReLU(Layer):
     def forward(self, x):
-        return np.where(x > 0, x, 0.0)
+        y = np.maximum(x, 0.0)
+        y += 0.0  # -0.0 becomes +0.0, whichever zero np.maximum returns
+        return y
 
     def backward(self, x, gy):
         return np.where(x > 0, gy, 0.0)
@@ -175,10 +227,13 @@ class ReLU(Layer):
 
 class LeakyReLU(Layer):
     def __init__(self, alpha: float = 0.2):
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"leaky_relu alpha {alpha!r} is not in [0, 1]")
         self.alpha = alpha
 
     def forward(self, x):
-        return np.where(x > 0, x, self.alpha * x)
+        y = self.alpha * x
+        return np.maximum(x, y, out=y)
 
     def backward(self, x, gy):
         return np.where(x > 0, gy, self.alpha * gy)

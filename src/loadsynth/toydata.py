@@ -35,7 +35,9 @@ therefore computes it once per fleet: each cosine array once for all its
 loads, weighted once per distinct shape (config up to seed and base_mw),
 by the same expressions and in the same order as for a single load, so
 the floats are those of :func:`simulate_block_means` load by load.  Only
-the AR(1) block noise is drawn per load.
+the AR(1) block noise is drawn per load.  Every step after the draws is
+element-wise, so the curve is evaluated in cache-sized ranges of blocks and
+the noise is added in place, with the floats of whole-array expressions.
 """
 
 from __future__ import annotations
@@ -65,6 +67,8 @@ _NOISE_CLIP = 0.9
 # faster for it, and a longer one this many chunks per lockstep block
 _AR1_MIN_CHUNKS = 64
 _AR1_BLOCK_CHUNKS = 16384
+# _shape_block_curves evaluates this many blocks at a time
+_CURVE_BLOCKS = 1 << 15
 
 
 def _yearly_cosines(t):
@@ -387,17 +391,25 @@ def _shape_block_curves(
 
     A shape's seed and base_mw are not used.  Every cosine array is computed
     once for all the shapes; a shape's floats do not depend on which other
-    shapes are in the list.
+    shapes are in the list.  The blocks are evaluated _CURVE_BLOCKS at a time,
+    so the cosine arrays of one range stay in cache while they are weighted;
+    every step is element-wise and ``block_s * np.arange(lo, hi)`` holds the
+    floats of the whole array's slice, so the ranges give the whole array's
+    floats.
     """
     m = _samples_per_block(block_s)
-    starts = start_time_s + block_s * np.arange(n_blocks)
-    means = _block_means_of_terms([_cosine_terms(s) for s in shapes], starts, m, 1.0 / 30.0)
-    centres = starts + 0.5 * block_s
-    yearly, daily = _yearly_cosines(centres), _daily_cosines(centres)
-    return [
-        (mean, shape._yearly_of(*yearly) * shape._daily_of(*daily))
-        for shape, mean in zip(shapes, means)
-    ]
+    term_lists = [_cosine_terms(s) for s in shapes]
+    curves = [(np.empty(n_blocks), np.empty(n_blocks)) for _ in shapes]
+    for lo in range(0, n_blocks, _CURVE_BLOCKS):
+        hi = min(lo + _CURVE_BLOCKS, n_blocks)
+        starts = start_time_s + block_s * np.arange(lo, hi)
+        means = _block_means_of_terms(term_lists, starts, m, 1.0 / 30.0)
+        centres = starts + 0.5 * block_s
+        yearly, daily = _yearly_cosines(centres), _daily_cosines(centres)
+        for shape, mean, (mean_out, centre_out) in zip(shapes, means, curves):
+            mean_out[lo:hi] = mean
+            centre_out[lo:hi] = shape._yearly_of(*yearly) * shape._daily_of(*daily)
+    return curves
 
 
 def _add_block_noise(
@@ -419,16 +431,29 @@ def _add_block_noise(
     n_init = sigma * rng.standard_normal()
     z_eta = rng.standard_normal(n_blocks)
     z_extra = rng.standard_normal(n_blocks)
-    eta = math.sqrt(var_eta) * z_eta
+    # in place over the draws, each element by the same operations in the
+    # same order as the expressions in the comments
+    eta = z_eta
+    eta *= math.sqrt(var_eta)  # eta = sqrt(var_eta) * z_eta
     # zeta | eta: regression on eta plus independent residual
     slope = cov / var_eta
     resid_var = max(var_zeta - cov**2 / var_eta, 0.0)
-    zeta = slope * eta + math.sqrt(resid_var) * z_extra
+    zeta = z_extra
+    zeta *= math.sqrt(resid_var)
+    zeta += slope * eta  # zeta = slope * eta + sqrt(resid_var) * z_extra
     # end states follow an AR(1) recursion with coefficient rho^m
     end = _ar1_filter(rho_m, eta, n_init)
-    start_states = np.concatenate(([n_init], end[:-1]))
-    noise_mean = np.clip((A * start_states + zeta) / m, -_NOISE_CLIP, _NOISE_CLIP)
-    return config.base_mw * (det_mean + det_center * noise_mean)
+    out = np.empty(n_blocks)  # the start states: n_init, then end[:-1]
+    out[:1] = n_init  # no element when n_blocks is 0
+    out[1:] = end[:-1]
+    out *= A
+    out += zeta
+    out /= m
+    np.clip(out, -_NOISE_CLIP, _NOISE_CLIP, out=out)  # the noise mean
+    out *= det_center
+    out += det_mean
+    out *= config.base_mw  # base_mw * (det_mean + det_center * noise_mean)
+    return out
 
 
 def _fleet_block_means(

@@ -635,6 +635,20 @@ def test_bad_number_exits_2_before_any_work(case, tmp_path, capsys, monkeypatch)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", ["--noise-dim", "--l1-epochs", "--l2-epochs", "--l3-epochs"])
+@pytest.mark.parametrize("value", [0, -3])
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+def test_train_non_positive_size_exits_2(flag, value, via_config, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = [*_TRAIN, flag, str(value)]
+    if via_config:
+        (tmp_path / "train.json").write_text(json.dumps({flag[2:]: value}))
+        argv = [*_TRAIN, "--config", "train.json"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {flag} {value} must be positive\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["train.json"] if via_config else [])
+
+
 def test_ingest_series_checks_30hz_steps(tmp_path, capsys):
     blocks, fast = tmp_path / "blocks.csv", tmp_path / "fast.csv"
     assert main(["simulate", "--duration", "2h", "--block-s", "30", "--output", str(blocks)]) == 0

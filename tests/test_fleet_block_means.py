@@ -15,6 +15,7 @@ checked against the same ``lfilter`` call byte for byte.
 import math
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from loadsynth.toydata import (
     _cosine_terms,
     _fleet_block_means,
     _rng_for,
+    _shape_block_curves,
     desk_level_datasets,
 )
 
@@ -168,6 +170,37 @@ def test_fleet_equals_per_load_oracle(fleet, grid):
         want = oracle_simulate_block_means(config, block_s, n_blocks, start_time_s)
         np.testing.assert_array_equal(next(got), want)
     assert next(got, None) is None
+
+
+@st.composite
+def ranged_grids(draw):
+    """(block_s, n_blocks, start_time_s, blocks per range): a non-zero start
+    and a block count that leaves a partial last range."""
+    per_range = draw(st.integers(2, 64))
+    n_blocks = per_range * draw(st.integers(0, 6)) + draw(st.integers(1, per_range - 1))
+    block_s = draw(st.integers(1, 3 * 30 * 3600)) / 30.0
+    start_time_s = draw(
+        st.integers(1, 3 * 1_048_320).map(lambda k: 30.0 * k) | st.floats(1e-3, 3 * YEAR_S)
+    )
+    return block_s, n_blocks, start_time_s, per_range
+
+
+@settings(max_examples=150, deadline=None)
+@given(fleet=st.lists(load_configs(), min_size=1, max_size=4), grid=ranged_grids())
+@example(  # the module's own range, crossed twice
+    fleet=[ToyLoadConfig.residential(seed=1), ToyLoadConfig.industrial(seed=2)],
+    grid=(30.0, 2 * toydata._CURVE_BLOCKS + 7, 1800.0, toydata._CURVE_BLOCKS),
+)
+def test_curves_by_block_range_equal_the_whole_array(fleet, grid):
+    block_s, n_blocks, start_time_s, per_range = grid
+    shapes = list(dict.fromkeys(replace(c, seed=0, base_mw=1.0) for c in fleet))
+    with mock.patch.object(toydata, "_CURVE_BLOCKS", n_blocks):
+        whole = _shape_block_curves(shapes, block_s, n_blocks, start_time_s)
+    with mock.patch.object(toydata, "_CURVE_BLOCKS", per_range):
+        ranged = _shape_block_curves(shapes, block_s, n_blocks, start_time_s)
+    for (mean, centre), (want_mean, want_centre) in zip(ranged, whole, strict=True):
+        assert mean.tobytes() == want_mean.tobytes()
+        assert centre.tobytes() == want_centre.tobytes()
 
 
 def test_desk_fleet_fingerprint():

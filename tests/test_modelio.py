@@ -113,6 +113,18 @@ class TestBundle:
         with pytest.raises(DegenerateProfile):
             gan_generate(l3, 2, seed=1, labels=(LoadClass.MAINLY_RESIDENTIAL, Season.WINTER))
 
+    def test_nan_hidden_bias_is_degenerate(self, tiny_models, tmp_path):
+        # a NaN before a ReLU reaches the output's finite check; it is not
+        # clipped to 0 on the way
+        path = tmp_path / "models.lsb"
+        ModelBundle(models=tiny_models).save(path)
+        l1 = ModelBundle.load(path).models.l1
+        first_dense = l1.generator.layers[0]
+        assert first_dense.spec()[0] == "dense" and l1.generator.layers[1].spec() == ("relu",)
+        first_dense.b[0] = np.nan
+        with pytest.raises(DegenerateProfile):
+            gan_generate(l1, 2, seed=1)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(BundleError, match="no model bundle"):
             ModelBundle.load(tmp_path / "nope.lsb")

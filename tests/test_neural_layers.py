@@ -4,6 +4,7 @@ and stateless layers that match the activation-caching ones bit for bit."""
 import ast
 import copy
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from loadsynth.errors import ShapeMismatch
 from loadsynth.neural import layers as layers_module
+from loadsynth.neural import optim as optim_module
 from loadsynth.neural.layers import (
     Conv1d,
     ConvT1d,
@@ -432,6 +434,57 @@ class TestAdam:
         assert p[0] == pytest.approx(-2.0, abs=1e-6)
 
 
+class WholeArrayAdam(Adam):
+    """The whole-array step: the oracle for the blocked step's bits."""
+
+    def step(self, params, grads):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        correction1 = 1.0 - b1**self.t
+        correction2 = 1.0 - b2**self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
+
+
+# buffer sizes around the block boundaries and the level-1 generator's size,
+# each as an N-d shape
+_B = optim_module._BLOCK
+ADAM_SHAPES = {
+    0: (0, 3), 1: (1, 1, 1), _B - 1: (3, 43, 127), _B: (128, 128), _B + 1: (5, 29, 113),
+    3 * _B + 7: (11, 41, 109), 1_898_481: (3, 13, 48_679),
+}
+
+
+@pytest.mark.parametrize("size", ADAM_SHAPES)
+def test_blocked_adam_matches_whole_array_step_bit_for_bit(size):
+    shape = ADAM_SHAPES[size]
+    assert math.prod(shape) == size
+    rng = np.random.default_rng(size)
+    ours = rng.normal(size=shape)
+    theirs = ours.copy()
+    opt = Adam([ours], lr=1e-3, beta1=0.5, beta2=0.999)
+    oracle = WholeArrayAdam([theirs], lr=1e-3, beta1=0.5, beta2=0.999)
+    special = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300])
+    for _ in range(3):
+        g = rng.normal(size=shape)
+        hit = rng.random(shape) < 0.3
+        g[hit] = rng.choice(special, size=int(hit.sum()))
+        with np.errstate(over="ignore"):  # (1e300)**2 is inf in both
+            opt.step([ours], [g])
+            oracle.step([theirs], [g])
+        assert same_bits(ours, theirs)
+        assert same_bits(opt.m[0], oracle.m[0]) and same_bits(opt.v[0], oracle.v[0])
+
+
+def test_adam_refuses_a_non_contiguous_parameter():
+    with pytest.raises(ValueError, match="C-contiguous"):
+        Adam([np.zeros((4, 4))[:, 1]])
+
+
 # The layers as they were when each kept its last forward's activations on
 # itself (input, mask, output or shape): the oracle for the stateless layers.
 class CachedDense(Dense):
@@ -600,6 +653,13 @@ def test_stateless_layers_match_cached_layers_bit_for_bit(case, seed):
     assert same_bits(layer.backward(x, gy), oracle.backward(gy))
     if layer.shapes:
         assert same_bits(layer.gw, oracle.gw) and same_bits(layer.gb, oracle.gb)
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+def test_leaky_relu_refuses_alpha_outside_the_unit_interval(alpha):
+    # max(x, alpha*x) is the leaky ReLU only for 0 <= alpha <= 1
+    with pytest.raises(ValueError, match="alpha"):
+        LeakyReLU(alpha)
 
 
 def test_layers_assign_attributes_only_when_built_or_bound():
