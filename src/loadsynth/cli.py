@@ -5,6 +5,8 @@ or missing/malformed input data, 4 generation failure, 5 training divergence.
 
 A JSON configuration file (--config) may supply any flag, keyed by the
 flag's long name (dashes or underscores); explicit command-line flags win.
+A value is checked as the flag's text would be (a string as it is, any other
+value as its JSON text), and a switch such as --estimate-only takes a boolean.
 The LOADSYNTH_BUNDLE environment variable supplies the default --bundle.
 
 Timestamps are nominal, starting 2021-01-01T00:00:00 (a non-leap year
@@ -113,6 +115,26 @@ def parse_duration(text: str) -> float:
     if value <= 0:
         raise ParseError(f"duration {text!r} must be positive")
     return value
+
+
+def _domain(parse, low, high, rule: str):
+    """A flag's `type=`: `parse(text)` if in [low, high] (never NaN), else an error."""
+    def check(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            kind = "a whole number" if parse is int else "a number"
+            raise argparse.ArgumentTypeError(f"{text} must be {kind}") from None
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{text} must be {rule}")
+        return value
+    return check
+
+
+non_negative_int = _domain(int, 0, math.inf, "zero or more")
+positive_int = _domain(int, 1, math.inf, "positive")
+week_index = _domain(int, 0, 51, "a week from 0 to 51")  # of the 52-week year
+finite_positive_float = _domain(float, math.ulp(0.0), sys.float_info.max, "finite and above zero")
 
 
 def estimate_file_size(request: GenerationRequest) -> int:
@@ -275,27 +297,7 @@ def _check_output_tree(path) -> None:
         raise RequestError(f"cannot write to directory {path}: {blocker} is not a directory")
 
 
-def _check_non_negative(args, *flags: str) -> None:
-    """Refuse a negative integer flag, before any work; an unset one passes."""
-    for flag in flags:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None and value < 0:
-            raise RequestError(f"{flag} {value} must be zero or more")
-
-
-def _check_positive(args, *flags: str) -> None:
-    """Refuse a zero or negative integer flag, before any work."""
-    for flag in flags:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value < 1:
-            raise RequestError(f"{flag} {value} must be positive")
-
-
 def cmd_train(args) -> int:
-    _check_non_negative(args, "--seed", "--toy-seed")
-    _check_positive(
-        args, "--batch-size", "--noise-dim", "--l1-epochs", "--l2-epochs", "--l3-epochs"
-    )
     _check_output_dir(args.output)
     if args.save_data:
         _check_output_tree(args.save_data)
@@ -388,9 +390,6 @@ def cmd_train(args) -> int:
 # generate
 # ----------------------------------------------------------------------
 
-_SEASONS = {s.value: s for s in Season}
-_METRICS = {m.value: m for m in Metric}
-
 
 def _build_request(args) -> GenerationRequest:
     resolution = parse_resolution(args.resolution)
@@ -398,7 +397,7 @@ def _build_request(args) -> GenerationRequest:
     if args.season == "auto":
         season = None
     else:
-        season = _SEASONS[args.season]
+        season = Season(args.season)
         if duration == SECONDS_PER_YEAR:
             print(
                 "warning: explicit season is overridden for full-year output; "
@@ -412,7 +411,7 @@ def _build_request(args) -> GenerationRequest:
         resolution=resolution,
         duration_s=duration,
         season=season,
-        aggregation=_METRICS[args.aggregation],
+        aggregation=Metric(args.aggregation),
         base_mw=args.base_mw,
         seed=args.seed,
     )
@@ -458,7 +457,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    _check_non_negative(args, "--seed")
     _check_output_tree(args.output_dir)
     bundle = ModelBundle.load(_bundle_path(args))
     datasets = read_level_datasets(args.data)
@@ -542,8 +540,6 @@ def cmd_simulate(args) -> int:
     )
     duration = parse_duration(args.duration)
     _check_output_dir(args.output)
-    if args.block_s is not None and not args.block_s > 0:
-        raise RequestError(f"--block-s {args.block_s} must be a positive multiple of 1/30 s")
     try:  # the simulator validates its arguments with ValueError
         config = factory(seed=args.seed, base_mw=args.base_mw)
         if args.block_s is not None:
@@ -562,7 +558,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    _check_non_negative(args, "--max-l1", "--max-l2")
     _check_output_tree(args.output_dir)
     try:
         if args.phasors:
@@ -598,6 +593,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="loadsynth",
         description="multi-level synthetic bus-load generation",
+        exit_on_error=False,
     )
     parser.add_argument("--version", action="version", version=f"loadsynth {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -605,32 +601,32 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = subparsers["train"] = sub.add_parser("train", help="train all six model artifacts")
     p.add_argument("--data", help="directory of level dataset CSVs (from ingest)")
-    p.add_argument("--toy-seed", type=int, default=2024, help="simulate training data with this master seed")
-    p.add_argument("--toy-loads", type=int, default=12)
-    p.add_argument("--toy-years", type=int, default=2)
-    p.add_argument("--l1-windows", type=int, default=200, help="simulated 30 s windows per load")
-    p.add_argument("--l2-profiles", type=int, default=250, help="detrended hours per load")
+    p.add_argument("--toy-seed", type=non_negative_int, default=2024, help="simulate training data with this master seed")
+    p.add_argument("--toy-loads", type=positive_int, default=12)
+    p.add_argument("--toy-years", type=positive_int, default=2)
+    p.add_argument("--l1-windows", type=positive_int, default=200, help="simulated 30 s windows per load")
+    p.add_argument("--l2-profiles", type=positive_int, default=250, help="detrended hours per load")
     p.add_argument("--save-data", help="also write the simulated datasets to this directory")
-    p.add_argument("--l1-epochs", type=int, default=60)
-    p.add_argument("--l2-epochs", type=int, default=50)
-    p.add_argument("--l3-epochs", type=int, default=150)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--noise-dim", type=int, default=100)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--l1-epochs", type=positive_int, default=60)
+    p.add_argument("--l2-epochs", type=positive_int, default=50)
+    p.add_argument("--l3-epochs", type=positive_int, default=150)
+    p.add_argument("--batch-size", type=positive_int, default=32)
+    p.add_argument("--noise-dim", type=positive_int, default=100)
+    p.add_argument("--seed", type=non_negative_int, default=7)
     p.add_argument("--output", required=True, help="bundle file to write")
     p.add_argument("--config", help="JSON file supplying any of these flags")
     p.set_defaults(func=cmd_train)
 
     p = subparsers["generate"] = sub.add_parser("generate", help="synthesize load series to CSV")
     p.add_argument("--bundle", help="trained bundle (default: $LOADSYNTH_BUNDLE)")
-    p.add_argument("--residential", type=int, default=0)
-    p.add_argument("--industrial", type=int, default=0)
+    p.add_argument("--residential", type=non_negative_int, default=0)
+    p.add_argument("--industrial", type=non_negative_int, default=0)
     p.add_argument("--resolution", required=True, help="e.g. 30/s, 1/10min, 1/h, 1/wk")
     p.add_argument("--length", required=True, help="duration, e.g. 90s, 1d, 13wk, 1yr")
-    p.add_argument("--season", default="auto", choices=["auto", *_SEASONS])
-    p.add_argument("--aggregation", default="mean", choices=sorted(_METRICS))
-    p.add_argument("--base-mw", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--season", default="auto", choices=["auto", *(s.value for s in Season)])
+    p.add_argument("--aggregation", default="mean", choices=sorted(m.value for m in Metric))
+    p.add_argument("--base-mw", type=finite_positive_float, default=1.0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--output", default="loadsynth.csv")
     p.add_argument("--estimate-only", action="store_true", help="print the size estimate and stop")
     p.add_argument("--config", help="JSON file supplying any of these flags")
@@ -640,15 +636,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--bundle", help="trained bundle (default: $LOADSYNTH_BUNDLE)")
     p.add_argument("--data", required=True, help="directory of level dataset CSVs")
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--seed", type=int, default=123)
+    p.add_argument("--seed", type=non_negative_int, default=123)
     p.set_defaults(func=cmd_validate)
 
     p = subparsers["simulate"] = sub.add_parser("simulate", help="emit ground-truth simulator output")
     p.add_argument("--load-class", default="residential", choices=["residential", "industrial"])
     p.add_argument("--duration", required=True, help="e.g. 2h")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--base-mw", type=float, default=50.0)
-    p.add_argument("--block-s", type=float, help="emit block means at this width instead of 30 Hz samples")
+    p.add_argument("--seed", type=non_negative_int, default=0)
+    p.add_argument("--base-mw", type=finite_positive_float, default=50.0)
+    p.add_argument("--block-s", type=finite_positive_float, help="emit block means at this width instead of 30 Hz samples")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -660,48 +656,61 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     src.add_argument("--series", help="load series CSV at 30 Hz (timestamp,load_1)")
     p.add_argument("--load-class", required=True, choices=["residential", "industrial"])
-    p.add_argument("--start-week", type=int, default=0, help="calendar week of the first sample")
-    p.add_argument("--max-l1", type=int, help="cap level-1 windows")
-    p.add_argument("--max-l2", type=int, help="cap level-2 hours")
+    p.add_argument("--start-week", type=week_index, default=0, help="calendar week of the first sample")
+    p.add_argument("--max-l1", type=non_negative_int, help="cap level-1 windows")
+    p.add_argument("--max-l2", type=non_negative_int, help="cap level-2 hours")
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_ingest)
 
+    for p in subparsers.values():  # argument errors reach main, which names the flag
+        p.exit_on_error = False
     return parser, subparsers
 
 
-def _apply_config(argv, parser, subparsers) -> None:
+def _config_value(sp, action, value):
+    """A config value, or its JSON text, through its flag's `type=` and `choices=`."""
+    if action.nargs != 0:
+        return sp._get_values(action, [value if isinstance(value, str) else json.dumps(value)])
+    if not isinstance(value, bool):
+        raise argparse.ArgumentError(action, f"{json.dumps(value)} must be true or false")
+    return value
+
+
+def _apply_config(argv, subparsers) -> None:
     pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
+    flag = pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv)
     if not known.config:
         return
-    with open(known.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+    try:
+        with open(known.config, "r", encoding="utf-8") as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 text, or not JSON
+        raise argparse.ArgumentError(flag, f"{known.config}: {exc}") from exc
     if not isinstance(config, dict):
-        raise ParseError("config file must hold a JSON object of flag values")
+        raise argparse.ArgumentError(flag, f"{known.config} must hold a JSON object of flag values")
     normalized = {key.replace("-", "_"): value for key, value in config.items()}
     all_dests = {
         action.dest for sp in subparsers.values() for action in sp._actions
     }
     unknown = sorted(set(normalized) - all_dests)
     if unknown:
-        raise ParseError(f"unknown config keys: {', '.join(unknown)}")
+        raise argparse.ArgumentError(flag, f"{known.config} has unknown keys: {', '.join(unknown)}")
     for sp in subparsers.values():
-        actions = {action.dest: action for action in sp._actions}
-        provided = {k: v for k, v in normalized.items() if k in actions}
-        sp.set_defaults(**provided)
-        for dest in provided:
-            actions[dest].required = False
+        for action in sp._actions:
+            if action.dest in normalized:
+                action.default = _config_value(sp, action, normalized[action.dest])
+                action.required = False
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, subparsers = build_parser()
     try:
-        _apply_config(argv, parser, subparsers)
+        _apply_config(argv, subparsers)
         args = parser.parse_args(argv)
-    except (ParseError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except argparse.ArgumentError as exc:  # one line naming the flag, before any work
+        print("error:", *filter(None, (exc.argument_name, exc.message)), file=sys.stderr)
         return 2
     try:
         return args.func(args)

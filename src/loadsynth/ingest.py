@@ -418,16 +418,6 @@ def read_phasor_csv(paths) -> np.ndarray:
     return np.concatenate(power) if power else np.zeros(0)
 
 
-def write_phasor_csv(path, table: PhasorTable) -> None:
-    """Write a table as phasor CSV rows, one per (record, line), floats by repr."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(PHASOR_HEADER + "\n")
-        for k, t in enumerate(table.timestamps_s.tolist()):
-            for j, lid in enumerate(table.line_ids):
-                values = (float(getattr(table, name)[k, j]) for name in _PHASOR_FIELDS)
-                fh.write(",".join([repr(t), lid, *map(repr, values)]) + "\n")
-
-
 _LEVEL_FILES = {
     Level.L1: "level1.csv",
     Level.L2: "level2.csv",

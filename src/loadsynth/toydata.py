@@ -42,11 +42,10 @@ the noise is added in place, with the floats of whole-array expressions.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,8 +103,8 @@ class ToyLoadConfig:
     seed: int
 
     def __post_init__(self):
-        if not self.base_mw > 0:
-            raise ValueError("base_mw must be positive")
+        if not (math.isfinite(self.base_mw) and self.base_mw > 0):
+            raise ValueError(f"base_mw {self.base_mw} must be finite and positive")
         if not 0.0 <= self.ar_coeff < 1.0:
             raise ValueError("ar_coeff must be in [0, 1)")
         if not 0.0 <= self.noise_rel_std <= 0.2:
@@ -161,17 +160,6 @@ class ToyLoadConfig:
 
     def _daily_of(self, c1, c2, c3):
         return 1.0 + self.daily_amp * c1 + self.daily_ripple * c2 + self.daily_ripple * c3
-
-    def to_json(self) -> str:
-        d = asdict(self)
-        d["load_class"] = self.load_class.value
-        return json.dumps(d, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ToyLoadConfig":
-        d = json.loads(text)
-        d["load_class"] = LoadClass(d["load_class"])
-        return cls(**d)
 
 
 def _rng_for(config: ToyLoadConfig, stream: int, offset_samples: int) -> np.random.Generator:

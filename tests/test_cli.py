@@ -1,24 +1,34 @@
 """Command-line contract: row counts, exit codes, estimates, round trips."""
 
 import builtins
+import contextlib
 import copy
 import errno
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import loadsynth
 from loadsynth.cli import (
+    build_parser,
     estimate_file_size,
+    finite_positive_float,
     main,
+    non_negative_int,
     parse_duration,
+    positive_int,
     read_series_csv,
+    week_index,
     write_series_csv,
 )
 from loadsynth.compose import GenerationRequest
@@ -647,6 +657,116 @@ def test_train_non_positive_size_exits_2(flag, value, via_config, tmp_path, caps
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {flag} {value} must be positive\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == (["train.json"] if via_config else [])
+
+
+# each numeric flag of each subcommand with its domain, and a command line
+# that would otherwise do work (absent inputs exit 3 once they are read)
+NUMERIC_FLAGS = {
+    "train": (_TRAIN, {
+        "--toy-seed": non_negative_int, "--toy-loads": positive_int, "--toy-years": positive_int,
+        "--l1-windows": positive_int, "--l2-profiles": positive_int, "--l1-epochs": positive_int,
+        "--l2-epochs": positive_int, "--l3-epochs": positive_int, "--batch-size": positive_int,
+        "--noise-dim": positive_int, "--seed": non_negative_int,
+    }),
+    "generate": (_GENERATE, {
+        "--residential": non_negative_int, "--industrial": non_negative_int,
+        "--base-mw": finite_positive_float, "--seed": non_negative_int,
+    }),
+    "validate": (["validate", "--bundle", "absent.lsb", "--data", "absent", "--output-dir", "val"],
+                 {"--seed": non_negative_int}),
+    "simulate": (["simulate", "--duration", "1h", "--output", "sim.csv"], {
+        "--seed": non_negative_int, "--base-mw": finite_positive_float,
+        "--block-s": finite_positive_float,
+    }),
+    "ingest": (["ingest", "--phasors", "absent.csv", "--load-class", "residential",
+                "--output-dir", "out"], {
+        "--start-week": week_index, "--max-l1": non_negative_int, "--max-l2": non_negative_int,
+    }),
+}
+
+
+def _texts(value):
+    """A value as (command-line text, JSON text)."""
+    return str(value), json.dumps(value)
+
+
+# out-of-domain values of each domain, as (command-line text, JSON text)
+_NOT_WHOLE = st.sampled_from(
+    [("1.5", "1.5"), ("nan", "NaN"), ("inf", "Infinity"), ("1e400", "1e400"), ("true", "true")]
+)
+OUT_OF_DOMAIN = {
+    non_negative_int: st.integers(max_value=-1).map(_texts) | _NOT_WHOLE,
+    positive_int: st.integers(max_value=0).map(_texts) | _NOT_WHOLE,
+    week_index: (st.integers(max_value=-1) | st.integers(min_value=52)).map(_texts) | _NOT_WHOLE,
+    finite_positive_float: st.floats(max_value=0.0).map(lambda x: (repr(x), json.dumps(x)))
+    | st.sampled_from([("nan", "NaN"), ("inf", "Infinity"), ("1e400", "1e400"), ("true", "true")]),
+}
+
+
+def test_every_numeric_flag_has_a_declared_domain():
+    _, subparsers = build_parser()
+    for name, sp in subparsers.items():
+        typed = {a.option_strings[0]: a.type for a in sp._actions if a.type is not None}
+        assert typed == NUMERIC_FLAGS[name][1]
+
+
+@contextlib.contextmanager
+def _in_directory(path):
+    cwd = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_out_of_domain_number_exits_2_naming_the_flag(data):
+    """Given on the command line, or (for the commands that take --config) as
+    a JSON value or a JSON string, a value outside its flag's domain exits 2
+    with one line naming the flag, before any work."""
+    command = data.draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    argv, domains = NUMERIC_FLAGS[command]
+    flag = data.draw(st.sampled_from(sorted(domains)))
+    configurable = command in ("train", "generate")
+    via = data.draw(st.sampled_from(["flag", "config", "config_string"] if configurable else ["flag"]))
+    text, json_text = data.draw(OUT_OF_DOMAIN[domains[flag]])
+    with tempfile.TemporaryDirectory() as tmp, _in_directory(tmp):
+        if via == "flag":
+            argv = [*argv, f"{flag}={text}"]
+        else:
+            value = json_text if via == "config" else json.dumps(text)
+            Path("c.json").write_text(f'{{"{flag[2:]}": {value}}}', encoding="utf-8")
+            argv = [*argv, "--config", "c.json"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        left = sorted(os.listdir())
+    assert code == 2
+    assert err.getvalue().startswith(f"error: {flag} ") and err.getvalue().count("\n") == 1
+    assert left == ([] if via == "flag" else ["c.json"])
+
+
+@pytest.mark.parametrize(
+    "content,words",
+    [
+        (b'{"seed": \xff}', "c.json: 'utf-8' codec can't decode"),
+        (b'{"seed": 1', "c.json: Expecting"),
+        (b"[1, 2]", "must hold a JSON object"),
+        (b'{"estimate_only": 1}', "--estimate-only 1 must be true or false"),
+        (None, "c.json: [Errno 2]"),
+    ],
+    ids=["not_utf8", "not_json", "not_object", "switch_not_bool", "absent"],
+)
+def test_bad_config_file_exits_2(content, words, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if content is not None:
+        (tmp_path / "c.json").write_bytes(content)
+    assert main([*_GENERATE, "--config", "c.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and words in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if content is None else ["c.json"])
 
 
 def test_ingest_series_checks_30hz_steps(tmp_path, capsys):

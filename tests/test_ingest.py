@@ -11,6 +11,7 @@ from loadsynth.ingest import (
     DETREND_CENTER,
     DETREND_WINDOW,
     PHASOR_HEADER,
+    _PHASOR_FIELDS,
     PhasorTable,
     compute_bus_load,
     detrend_hour,
@@ -20,7 +21,6 @@ from loadsynth.ingest import (
     read_level_datasets,
     read_phasor_csv,
     write_level_datasets,
-    write_phasor_csv,
 )
 from loadsynth.toydata import ToyLoadConfig, simulate_block_means
 
@@ -30,6 +30,16 @@ def table(phasors):
     ph = np.asarray(phasors, dtype=np.float64)
     line_ids = tuple(f"line{i}" for i in range(ph.shape[1]))
     return PhasorTable(np.arange(ph.shape[0]) / 30.0, line_ids, *(ph[..., f].copy() for f in range(4)))
+
+
+def write_phasor_csv(path, table: PhasorTable) -> None:
+    """Write a table as phasor CSV rows, one per (record, line), floats by repr."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(PHASOR_HEADER + "\n")
+        for k, t in enumerate(table.timestamps_s.tolist()):
+            for j, lid in enumerate(table.line_ids):
+                values = (float(getattr(table, name)[k, j]) for name in _PHASOR_FIELDS)
+                fh.write(",".join([repr(t), lid, *map(repr, values)]) + "\n")
 
 
 def random_phasors(rng, shape, min_mag=0.5):
