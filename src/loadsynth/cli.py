@@ -3,10 +3,11 @@
 Exit codes: 0 success, 2 invalid arguments, 3 missing/incompatible bundle
 or missing/malformed input data, 4 generation failure, 5 training divergence.
 
-A JSON configuration file (--config) may supply any flag, keyed by the
-flag's long name (dashes or underscores); explicit command-line flags win.
-A value is checked as the flag's text would be (a string as it is, any other
-value as its JSON text), and a switch such as --estimate-only takes a boolean.
+Every subcommand takes a JSON configuration file (--config) that may supply
+any of its flags, keyed by the flag's long name (dashes or underscores);
+explicit command-line flags win.  A value is checked as the flag's text would
+be (a string as it is, any other value as its JSON text), a switch such as
+--estimate-only takes a boolean, and --phasors takes a list of paths.
 The LOADSYNTH_BUNDLE environment variable supplies the default --bundle.
 
 Timestamps are nominal, starting 2021-01-01T00:00:00 (a non-leap year
@@ -581,6 +582,12 @@ def cmd_ingest(args) -> int:
     print(f"profiles extracted: {counts}", file=sys.stderr)
     for level, message in sorted(datasets.issues.items(), key=lambda kv: kv[0].value):
         print(f"note: {message}", file=sys.stderr)
+    for level, count in sorted(datasets.skipped.items(), key=lambda kv: kv[0].value):
+        print(
+            f"note: level {level.value[-1]} skipped {count} windows holding negative load "
+            "(net export) or a non-finite value",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -614,7 +621,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--noise-dim", type=positive_int, default=100)
     p.add_argument("--seed", type=non_negative_int, default=7)
     p.add_argument("--output", required=True, help="bundle file to write")
-    p.add_argument("--config", help="JSON file supplying any of these flags")
     p.set_defaults(func=cmd_train)
 
     p = subparsers["generate"] = sub.add_parser("generate", help="synthesize load series to CSV")
@@ -629,7 +635,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--output", default="loadsynth.csv")
     p.add_argument("--estimate-only", action="store_true", help="print the size estimate and stop")
-    p.add_argument("--config", help="JSON file supplying any of these flags")
     p.set_defaults(func=cmd_generate)
 
     p = subparsers["validate"] = sub.add_parser("validate", help="fidelity reports for a trained bundle")
@@ -663,25 +668,40 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.set_defaults(func=cmd_ingest)
 
     for p in subparsers.values():  # argument errors reach main, which names the flag
+        p.add_argument("--config", help="JSON file supplying any of these flags")
         p.exit_on_error = False
     return parser, subparsers
 
 
 def _config_value(sp, action, value):
-    """A config value, or its JSON text, through its flag's `type=` and `choices=`."""
-    if action.nargs != 0:
-        return sp._get_values(action, [value if isinstance(value, str) else json.dumps(value)])
-    if not isinstance(value, bool):
-        raise argparse.ArgumentError(action, f"{json.dumps(value)} must be true or false")
-    return value
+    """A config value, or its JSON text, through its flag's `type=` and `choices=`;
+    a flag that takes several values takes a JSON list of them."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise argparse.ArgumentError(action, f"{json.dumps(value)} must be true or false")
+        return value
+    several = action.nargs == "+" and isinstance(value, list)
+    if several and not value:
+        raise argparse.ArgumentError(action, "[] must name at least one value")
+    texts = [v if isinstance(v, str) else json.dumps(v) for v in (value if several else [value])]
+    return sp._get_values(action, texts)
 
 
-def _apply_config(argv, subparsers) -> None:
+def _apply_config(argv, subparsers) -> list:
+    """Make the flags in the --config file of the chosen subcommand its defaults.
+
+    Returns (config action, the other actions of its mutually exclusive group)
+    pairs: a command-line flag of the group overrides that config value.
+    """
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    if command not in subparsers:
+        return []  # the parser reports it
+    sp = subparsers[command]
     pre = argparse.ArgumentParser(add_help=False)
     flag = pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
+    known, _ = pre.parse_known_args(argv[argv.index(command) + 1 :])
     if not known.config:
-        return
+        return []
     try:
         with open(known.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -689,29 +709,41 @@ def _apply_config(argv, subparsers) -> None:
         raise argparse.ArgumentError(flag, f"{known.config}: {exc}") from exc
     if not isinstance(config, dict):
         raise argparse.ArgumentError(flag, f"{known.config} must hold a JSON object of flag values")
-    normalized = {key.replace("-", "_"): value for key, value in config.items()}
-    all_dests = {
-        action.dest for sp in subparsers.values() for action in sp._actions
-    }
-    unknown = sorted(set(normalized) - all_dests)
+    actions = {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}
+    unknown = [key for key in config if key.replace("-", "_") not in actions]
     if unknown:
-        raise argparse.ArgumentError(flag, f"{known.config} has unknown keys: {', '.join(unknown)}")
-    for sp in subparsers.values():
-        for action in sp._actions:
-            if action.dest in normalized:
-                action.default = _config_value(sp, action, normalized[action.dest])
-                action.required = False
+        raise argparse.ArgumentError(
+            flag, f"{known.config}: {command} takes no flag for {', '.join(map(repr, unknown))}"
+        )
+    normalized = {key.replace("-", "_"): value for key, value in config.items()}
+    for dest, value in normalized.items():
+        actions[dest].default = _config_value(sp, actions[dest], value)
+        actions[dest].required = False
+    overridable = []
+    for group in sp._mutually_exclusive_groups:
+        given = [a for a in group._group_actions if a.dest in normalized]
+        if len(given) > 1:
+            raise argparse.ArgumentError(
+                flag, f"{known.config}: the keys {', '.join(a.dest for a in given)} exclude each other"
+            )
+        if given:
+            group.required = False
+            overridable.append((given[0], [a for a in group._group_actions if a is not given[0]]))
+    return overridable
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, subparsers = build_parser()
     try:
-        _apply_config(argv, subparsers)
+        overridable = _apply_config(argv, subparsers)
         args = parser.parse_args(argv)
     except argparse.ArgumentError as exc:  # one line naming the flag, before any work
         print("error:", *filter(None, (exc.argument_name, exc.message)), file=sys.stderr)
         return 2
+    for action, others in overridable:
+        if any(getattr(args, other.dest) != other.default for other in others):
+            setattr(args, action.dest, None)
     try:
         return args.func(args)
     except (ParseError, ResolutionTooFine, RequestError) as exc:

@@ -15,7 +15,10 @@ arrays -> net active power at the bus (30 Hz), one vectorised pass per chunk
 
 Extraction windows are aligned to the start of the input series;
 ``start_time_s`` says where that start sits relative to January 1st and
-only drives the season-of-week tagging.
+only drives the season-of-week tagging.  A level-1, -3 or -4 window that
+holds a negative value (a bus that exports power) or a non-finite one is
+left out and counted in ``LevelDatasets.skipped``; one whose mean is
+degenerate is left out uncounted.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .core import (
     season_of_week,
     truncate_to_multiple,
 )
-from .errors import DegenerateProfile, InsufficientData, MissingChannel, WindowTooShort
+from .errors import InsufficientData, MissingChannel, WindowTooShort
 
 DETREND_WINDOW = 600  # five hours of 30-second means
 DETREND_CENTER = slice(240, 360)
@@ -120,7 +123,9 @@ class LevelDatasets:
     """The four training datasets extracted from one or more load series.
 
     ``issues`` maps a level to the InsufficientData explanation when the
-    input did not cover a single profile at that level.
+    input did not cover a single profile at that level; ``skipped`` counts
+    the windows of a level left out for a negative or non-finite value (a
+    bus that exports power, or a bad reading).
     """
 
     l1: list[LoadProfile] = dataclasses.field(default_factory=list)
@@ -128,6 +133,7 @@ class LevelDatasets:
     l3: list[LoadProfile] = dataclasses.field(default_factory=list)
     l4: list[LoadProfile] = dataclasses.field(default_factory=list)
     issues: dict[Level, str] = dataclasses.field(default_factory=dict)
+    skipped: dict[Level, int] = dataclasses.field(default_factory=dict)
 
     def of(self, level: Level) -> list[LoadProfile]:
         return {Level.L1: self.l1, Level.L2: self.l2, Level.L3: self.l3, Level.L4: self.l4}[level]
@@ -139,6 +145,8 @@ class LevelDatasets:
                 self.issues[level] = other.issues[level]
             elif self.of(level):
                 self.issues.pop(level, None)
+            if level in other.skipped:
+                self.skipped[level] = self.skipped.get(level, 0) + other.skipped[level]
 
 
 def mean_one_profile(samples, period, load_class, season=None) -> LoadProfile:
@@ -146,6 +154,43 @@ def mean_one_profile(samples, period, load_class, season=None) -> LoadProfile:
     prof = LoadProfile(samples=samples, sampling_period_s=period, load_class=load_class)
     normalized, mean = normalize_mean(prof)
     return dataclasses.replace(normalized, season=season, source_mean=mean)
+
+
+def _add_mean_one_rows(out: LevelDatasets, level: Level, windows, load_class, seasons=None, picks=None):
+    """Add the mean-one profiles of the rows ``picks`` (default: all) of
+    ``windows`` to ``out`` at ``level``.
+
+    Each kept row has the bits ``mean_one_profile`` gives it alone, without
+    its intermediate profiles.  Rows holding a negative or non-finite value
+    are left out and counted in ``out.skipped``; the rows ``normalize_mean``
+    calls degenerate are left out.  ``seasons``, if given, holds the season
+    of each row.
+    """
+    means = windows.mean(axis=1)
+    usable = (windows.min(axis=1) >= 0) & np.isfinite(means)  # a NaN fails both
+    fine = usable & (means > 1e-9 * windows.max(axis=1, initial=0.0))
+    picks = np.arange(len(windows)) if picks is None else picks
+    rows = picks[fine[picks]]
+    if rows.size == len(windows):
+        scaled = windows / means[:, None]
+    else:
+        scaled = windows[rows]
+        scaled /= means[rows, None]
+    scaled /= scaled.mean(axis=1, keepdims=True)  # pin each mean to 1, as normalize_mean does
+    out.of(level).extend(
+        LoadProfile(
+            samples=row,
+            sampling_period_s=LEVEL_SPECS[level].sampling_period_s,
+            load_class=load_class,
+            season=None if seasons is None else seasons[r],
+            normalization=Normalization.MEAN_ONE,
+            source_mean=mean,
+        )
+        for row, r, mean in zip(scaled, rows.tolist(), means[rows].tolist())
+    )
+    skipped = int(np.count_nonzero(~usable[picks]))
+    if skipped:
+        out.skipped[level] = skipped
 
 
 def _evenly_spaced(indices: np.ndarray, max_count: Optional[int]) -> np.ndarray:
@@ -216,28 +261,18 @@ def extract_levels_from_block_means(
         ds.issues[Level.L3] = (
             f"level 3 needs at least one full week; got {hourly.size} hours"
         )
-    for w in range(n_weeks):
-        week = hourly[w * HOURS_PER_WEEK : (w + 1) * HOURS_PER_WEEK]
-        try:
-            prof = mean_one_profile(week, 3600.0, load_class, season_of_week(start_week + w))
-        except DegenerateProfile:
-            continue
-        ds.l3.append(prof)
+    weeks = hourly[: n_weeks * HOURS_PER_WEEK].reshape(n_weeks, HOURS_PER_WEEK)
+    seasons = [season_of_week(start_week + w) for w in range(n_weeks)]
+    _add_mean_one_rows(ds, Level.L3, weeks, load_class, seasons)
 
-    weekly = hourly[: n_weeks * HOURS_PER_WEEK]
-    weekly = downsample(weekly, HOURS_PER_WEEK, Metric.MEAN) if n_weeks else np.zeros(0)
+    weekly = downsample(weeks.ravel(), HOURS_PER_WEEK, Metric.MEAN) if n_weeks else np.zeros(0)
     n_years = weekly.size // WEEKS_PER_YEAR
     if n_years == 0:
         ds.issues[Level.L4] = (
             f"level 4 needs at least one full 52-week year; got {weekly.size} weeks"
         )
-    for y in range(n_years):
-        year = weekly[y * WEEKS_PER_YEAR : (y + 1) * WEEKS_PER_YEAR]
-        try:
-            prof = mean_one_profile(year, LEVEL_SPECS[Level.L4].sampling_period_s, load_class)
-        except DegenerateProfile:
-            continue
-        ds.l4.append(prof)
+    years = weekly[: n_years * WEEKS_PER_YEAR].reshape(n_years, WEEKS_PER_YEAR)
+    _add_mean_one_rows(ds, Level.L4, years, load_class)
     return out
 
 
@@ -265,14 +300,9 @@ def extract_level_datasets(
     )
 
     n_windows = series.size // SAMPLES_PER_30S
+    windows = series[: n_windows * SAMPLES_PER_30S].reshape(n_windows, SAMPLES_PER_30S)
     picks = _evenly_spaced(np.arange(n_windows), max_l1_profiles)
-    for w in picks:
-        window = series[w * SAMPLES_PER_30S : (w + 1) * SAMPLES_PER_30S]
-        try:
-            prof = mean_one_profile(window, 1.0 / 30.0, load_class)
-        except DegenerateProfile:
-            continue
-        out.l1.append(prof)
+    _add_mean_one_rows(out, Level.L1, windows, load_class, picks=picks)
     if not out.l1:
         out.issues[Level.L1] = (
             f"level 1 needs at least 900 samples at 30 Hz; got {series.size}"
@@ -348,32 +378,42 @@ def _records_bus_load(rows: np.ndarray, path, carry: _RecordCarry) -> np.ndarray
     return compute_bus_load(table)
 
 
+def _parse_rows(lines) -> np.ndarray:
+    return np.loadtxt(lines, dtype=_PHASOR_ROW, delimiter=",", comments=None, ndmin=1)
+
+
+def _parse_error(path, skip: int, exc: ValueError) -> InsufficientData:
+    """The error naming the first data line of ``path`` after the first
+    ``skip`` that the parser rejects, read again line by line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()  # the header
+        numbered = ((no, line) for no, line in enumerate(fh, start=2) if not line.isspace())
+        for no, line in itertools.islice(numbered, skip, None):
+            try:
+                _parse_rows([line])
+            except ValueError:
+                return InsufficientData(
+                    f"{path} line {no}: expected the 6 fields {PHASOR_HEADER}, got {line.strip()!r}"
+                )
+    return InsufficientData(f"{path}: {exc}")  # the file changed since it was parsed
+
+
 def _read_phasor_file(path, carry: _RecordCarry) -> list[np.ndarray]:
     """Per-chunk bus power of one phasor CSV, continuing the records in ``carry``."""
-    line_no, line = 1, ""  # the line loadtxt parses; blank ones, which it rejects, are skipped
-
-    def data_lines(fh):
-        nonlocal line_no, line
-        for line_no, line in enumerate(fh, start=2):
-            if not line.isspace():
-                yield line
-
-    power = []
+    power, parsed = [], 0  # data lines parsed in whole chunks
     try:
         with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # an exhausted input is an empty chunk
             if fh.readline().strip() != PHASOR_HEADER:
                 raise InsufficientData(f"{path} line 1: expected the header {PHASOR_HEADER!r}")
-            lines = data_lines(fh)
+            lines = itertools.filterfalse(str.isspace, fh)  # loadtxt rejects blank lines
             rows = np.zeros(0, dtype=_PHASOR_ROW)  # held back: the last, maybe unfinished, record
             while True:
-                chunk = np.loadtxt(
-                    itertools.islice(lines, PHASOR_CHUNK_ROWS),
-                    dtype=_PHASOR_ROW, delimiter=",", comments=None, ndmin=1,
-                )
+                chunk = _parse_rows(itertools.islice(lines, PHASOR_CHUNK_ROWS))
                 rows = np.concatenate((rows, chunk)) if rows.size else chunk
                 if chunk.size < PHASOR_CHUNK_ROWS:
                     break
+                parsed += PHASOR_CHUNK_ROWS
                 t = rows["t"]
                 ends = np.flatnonzero(t[1:] != t[:-1])  # the last row of each record but the last
                 if ends.size:
@@ -382,9 +422,7 @@ def _read_phasor_file(path, carry: _RecordCarry) -> list[np.ndarray]:
     except UnicodeDecodeError as exc:
         raise InsufficientData(f"phasor CSV {path} is not UTF-8 text: {exc}") from exc
     except ValueError as exc:  # a row without 6 fields or with an unparsable number
-        raise InsufficientData(
-            f"{path} line {line_no}: expected the 6 fields {PHASOR_HEADER}, got {line.strip()!r}"
-        ) from exc
+        raise _parse_error(path, parsed, exc) from exc
     if rows.size:
         power.append(_records_bus_load(rows, path, carry))
     return power
@@ -406,7 +444,8 @@ def read_phasor_csv(paths) -> np.ndarray:
 
     Rows are parsed PHASOR_CHUNK_ROWS at a time and each chunk is reduced to
     bus power before the next is read, so memory does not grow with the row
-    count.  The rows of a chunk's last timestamp are held back for the next
+    count.  The parser pulls the lines from the file itself; only a parse
+    error reads the file again, from the failing chunk on, to name its line.  The rows of a chunk's last timestamp are held back for the next
     chunk: every record is checked and summed whole.  Defects are reported in
     reading order: the first chunk holding one reports it, and within a chunk
     a parse error comes before a spacing error, which comes before a missing
@@ -438,15 +477,18 @@ def write_level_datasets(datasets: LevelDatasets, directory) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     meta: dict[str, dict] = {}
     for level in Level:
-        profiles = datasets.of(level)
+        tails: dict[int, list[str]] = {}  # profile length -> ["", "0,%r\n", "1,%r\n", ...]
         with open(directory / _LEVEL_FILES[level], "w", encoding="utf-8") as fh:
             fh.write(DATASET_HEADER + "\n")
-            for i, prof in enumerate(profiles):
+            for i, prof in enumerate(datasets.of(level)):
                 pid = f"{level.value}_{i:06d}"
                 cls = prof.load_class.value if prof.load_class else ""
                 season = prof.season.value if prof.season else ""
-                for j, v in enumerate(prof.samples):
-                    fh.write(f"{pid},{cls},{season},{j},{float(v)!r}\n")
+                n = prof.samples.size
+                if n not in tails:
+                    tails[n] = ["", *(f"{j},%r\n" for j in range(n))]
+                # one `%` per profile: the row `{pid},{cls},{season},{j},{repr(value)}` of each sample
+                fh.write(f"{pid},{cls},{season},".join(tails[n]) % tuple(prof.samples.tolist()))
                 entry: dict = {}
                 if prof.source_mean is not None:
                     entry["source_mean"] = prof.source_mean
@@ -502,8 +544,8 @@ def read_level_datasets(directory) -> LevelDatasets:
                     f"{level.value!r} profiles have {spec.profile_length}"
                 )
             entry = meta.get(pid, {})
-            out.of(level).append(
-                LoadProfile(
+            try:
+                profile = LoadProfile(
                     samples=values,
                     sampling_period_s=spec.sampling_period_s,
                     load_class=cls,
@@ -518,7 +560,9 @@ def read_level_datasets(directory) -> LevelDatasets:
                     ),
                     source_mean=entry.get("source_mean"),
                 )
-            )
+            except (ValueError, TypeError) as exc:  # values off the level's normalization, say
+                raise InsufficientData(f"profile {pid!r} in {path}: {exc}") from exc
+            out.of(level).append(profile)
         if not out.of(level):
             out.issues[level] = f"dataset file {path} holds no profiles"
     return out

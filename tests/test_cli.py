@@ -276,6 +276,15 @@ class TestGenerate:
                      "--length", "1d", "--residential", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["max_l1", "block-s", "start_week", "toy_seed"])
+    def test_config_key_of_another_subcommand_exits_2(self, key, tmp_path, capsys, monkeypatch):
+        """A key that only another subcommand takes is refused, not ignored."""
+        monkeypatch.chdir(tmp_path)
+        Path("c.json").write_text(json.dumps({key: 3}))
+        assert main([*_GENERATE, "--config", "c.json"]) == 2
+        assert capsys.readouterr().err == f"error: --config c.json: generate takes no flag for {key!r}\n"
+        assert os.listdir() == ["c.json"]
+
 
 OUTPUT_COMMANDS = {
     "generate": ["generate", "--residential", "1", "--resolution", "1/h", "--length", "1d"],
@@ -462,11 +471,29 @@ ROW_DEFECTS = {
 }
 
 
+# defects of one value that break its profile's normalization: (file,
+# profile id, value); each file's line 2 is the first value of its profile 0
+PROFILE_DEFECTS = {
+    "l1_off_mean": ("level1.csv", "l1_000000", "5.0"),
+    "l3_negative": ("level3.csv", "l3_000000", "-0.5"),
+    "l2_nan": ("level2.csv", "l2_000000", "nan"),
+    "l2_inf": ("level2.csv", "l2_000000", "inf"),
+}
+
+
+def defective_file(defect) -> str:
+    return PROFILE_DEFECTS[defect][0] if defect in PROFILE_DEFECTS else "level2.csv"
+
+
 def write_defective_datasets(datasets, directory, defect):
     write_level_datasets(datasets, directory)
-    path = directory / "level2.csv"
+    path = directory / defective_file(defect)
     lines = path.read_text().splitlines(keepends=True)
-    if defect == "short_profile":
+    if defect in PROFILE_DEFECTS:
+        fields = lines[1].split(",")
+        fields[4] = PROFILE_DEFECTS[defect][2] + "\n"
+        lines[1] = ",".join(fields)
+    elif defect == "short_profile":
         lines = lines[:-1]  # the last profile loses its last sample
     elif defect == "bad_header":
         lines[0] = "id,class,season,index,value\n"
@@ -481,7 +508,7 @@ def write_defective_datasets(datasets, directory, defect):
     path.write_text("".join(lines))
 
 
-@pytest.mark.parametrize("defect", ["short_profile", "bad_header", *ROW_DEFECTS])
+@pytest.mark.parametrize("defect", ["short_profile", "bad_header", *ROW_DEFECTS, *PROFILE_DEFECTS])
 class TestDefectiveDatasets:
     def test_validate_exits_3(self, defect, bundle_path, tiny_datasets, tmp_path, capsys):
         write_defective_datasets(tiny_datasets, tmp_path / "data", defect)
@@ -493,8 +520,9 @@ class TestDefectiveDatasets:
         )
         assert code == 3
         err = capsys.readouterr().err
-        assert "level2.csv" in err
+        assert defective_file(defect) in err
         assert defect not in ROW_DEFECTS or "line 2:" in err
+        assert defect not in PROFILE_DEFECTS or f"profile '{PROFILE_DEFECTS[defect][1]}' in " in err
 
     def test_train_exits_3(self, defect, tiny_datasets, tmp_path, capsys):
         write_defective_datasets(tiny_datasets, tmp_path / "data", defect)
@@ -503,8 +531,9 @@ class TestDefectiveDatasets:
         )
         assert code == 3
         err = capsys.readouterr().err
-        assert "level2.csv" in err
+        assert defective_file(defect) in err
         assert defect not in ROW_DEFECTS or "line 2:" in err
+        assert defect not in PROFILE_DEFECTS or f"profile '{PROFILE_DEFECTS[defect][1]}' in " in err
         assert not (tmp_path / "b.lsb").exists()
 
 
@@ -723,14 +752,13 @@ def _in_directory(path):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_out_of_domain_number_exits_2_naming_the_flag(data):
-    """Given on the command line, or (for the commands that take --config) as
-    a JSON value or a JSON string, a value outside its flag's domain exits 2
-    with one line naming the flag, before any work."""
+    """Given on the command line, or in a --config file as a JSON value or a
+    JSON string, a value outside its flag's domain exits 2 with one line
+    naming the flag, before any work."""
     command = data.draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
     argv, domains = NUMERIC_FLAGS[command]
     flag = data.draw(st.sampled_from(sorted(domains)))
-    configurable = command in ("train", "generate")
-    via = data.draw(st.sampled_from(["flag", "config", "config_string"] if configurable else ["flag"]))
+    via = data.draw(st.sampled_from(["flag", "config", "config_string"]))
     text, json_text = data.draw(OUT_OF_DOMAIN[domains[flag]])
     with tempfile.TemporaryDirectory() as tmp, _in_directory(tmp):
         if via == "flag":
@@ -782,6 +810,70 @@ def test_ingest_series_checks_30hz_steps(tmp_path, capsys):
     assert not (tmp_path / "b").exists()
     assert main([*ingest, str(tmp_path / "f"), "--series", str(fast)]) == 0
     assert "'l1': 40" in capsys.readouterr().err  # 20 min of 30 Hz samples
+
+
+def _net_export_phasors(path, n_windows, export_window):
+    """One line at unity power factor for n_windows 30 s windows; in one window
+    the current is reversed (i_ang - v_ang = pi), so the bus exports power."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(PHASOR_HEADER + "\n")
+        for k in range(n_windows * 900):
+            i_ang = math.pi if k // 900 == export_window else 0.0
+            fh.write(f"{k / 30.0!r},line0,1.0,0.0,{1.0 + (k % 7) / 10},{i_ang!r}\n")
+
+
+@pytest.mark.parametrize("source", ["--phasors", "--series"])
+def test_net_export_window_is_skipped_with_a_note(source, tmp_path, capsys):
+    """Negative bus power (net export) in one window leaves that window out
+    and says how many were left out, instead of a traceback."""
+    path = tmp_path / "input.csv"
+    if source == "--phasors":
+        _net_export_phasors(path, 4, export_window=2)
+    else:
+        times = np.arange(4 * 900) / 30.0
+        values = 2.0 + np.sin(times)
+        values[2 * 900 + 100] = -0.25
+        write_series_csv(path, times, values[None, :])
+    code = main(
+        ["ingest", source, str(path), "--load-class", "residential", "--output-dir", str(tmp_path / "out")]
+    )
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "profiles extracted: {'l1': 3, 'l2': 0, 'l3': 0, 'l4': 0}\n" in err
+    assert "note: level 1 skipped 1 windows holding negative load (net export) or a non-finite value\n" in err
+    assert (tmp_path / "out" / "level1.csv").read_text().count("\n") == 1 + 3 * 900
+
+
+def test_ingest_takes_its_flags_from_config(tmp_path, capsys, monkeypatch):
+    """--phasors, --load-class and the caps from a config file; an explicit
+    --series on the command line overrides the configured --phasors."""
+    monkeypatch.chdir(tmp_path)
+    _net_export_phasors(tmp_path / "pmu.csv", 6, export_window=-1)
+    config = {"phasors": ["pmu.csv"], "load-class": "industrial", "max_l1": 2, "output_dir": "out"}
+    Path("c.json").write_text(json.dumps(config))
+    assert main(["ingest", "--config", "c.json"]) == 0
+    assert "profiles extracted: {'l1': 2, " in capsys.readouterr().err
+    assert Path("out/level1.csv").read_text().splitlines()[1].startswith("l1_000000,industrial,,0,")
+    write_series_csv(tmp_path / "s.csv", np.arange(900) / 30.0, np.full((1, 900), 2.0))
+    assert main(["ingest", "--config", "c.json", "--series", "s.csv", "--output-dir", "out2"]) == 0
+    assert "profiles extracted: {'l1': 1, " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ({"phasors": []}, "error: --phasors [] must name at least one value\n"),
+        ({"phasors": ["a.csv"], "series": "b.csv"},
+         "error: --config c.json: the keys phasors, series exclude each other\n"),
+    ],
+    ids=["no_phasor_file", "both_sources"],
+)
+def test_bad_ingest_config_exits_2(config, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_text(json.dumps({**config, "load_class": "residential"}))
+    assert main(["ingest", "--config", "c.json", "--output-dir", "out"]) == 2
+    assert capsys.readouterr().err == message
+    assert os.listdir() == ["c.json"]
 
 
 def test_zero_ingest_caps_write_no_profiles(tmp_path, capsys):

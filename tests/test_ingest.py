@@ -1,23 +1,42 @@
 """Phasor conversion, level extraction, detrending, and dataset files."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from loadsynth.core import Level, LoadClass, Metric, Normalization, Season, downsample
-from loadsynth.errors import InsufficientData, MissingChannel, WindowTooShort
+from loadsynth.core import (
+    LoadProfile,
+    Level,
+    LoadClass,
+    Metric,
+    Normalization,
+    Season,
+    downsample,
+    season_of_week,
+)
+from loadsynth.errors import DegenerateProfile, InsufficientData, MissingChannel, WindowTooShort
 from loadsynth.ingest import (
+    DATASET_HEADER,
     DETREND_CENTER,
     DETREND_WINDOW,
     PHASOR_HEADER,
+    _LEVEL_FILES,
+    _META_FILE,
     _PHASOR_FIELDS,
+    LevelDatasets,
     PhasorTable,
+    _evenly_spaced,
     compute_bus_load,
     detrend_hour,
     extract_l2_profiles,
     extract_level_datasets,
     extract_levels_from_block_means,
+    mean_one_profile,
     read_level_datasets,
     read_phasor_csv,
     write_level_datasets,
@@ -296,3 +315,194 @@ def LevelDatasetsFactory():
     rest = extract_levels_from_block_means(m30, LoadClass.MAINLY_RESIDENTIAL, max_l2_profiles=3)
     ds.l3, ds.l4 = rest.l3, rest.l4
     return ds
+
+
+# ----------------------------------------------------------------------
+# level-1, level-3 and level-4 profiles against one window at a time
+# ----------------------------------------------------------------------
+
+
+def oracle_mean_one_profiles(windows, period, load_class, seasons=None, picks=None):
+    """``mean_one_profile`` of each picked window in turn, as extraction built
+    them before it normalized the windows as one array: a degenerate window is
+    left out, and one with a negative or non-finite value is counted."""
+    profiles, skipped = [], 0
+    for w in range(len(windows)) if picks is None else picks:
+        window = windows[w]
+        if not (np.all(np.isfinite(window)) and window.min() >= 0 and np.isfinite(window.mean())):
+            skipped += 1
+            continue
+        try:
+            profiles.append(
+                mean_one_profile(window, period, load_class, None if seasons is None else seasons[w])
+            )
+        except DegenerateProfile:
+            continue
+    return profiles, skipped
+
+
+def assert_same_profiles(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.samples.tobytes() == b.samples.tobytes()  # bit for bit
+        assert (a.sampling_period_s, a.load_class, a.season, a.normalization) == (
+            b.sampling_period_s, b.load_class, b.season, b.normalization
+        )
+        assert a.source_mean == b.source_mean and a.trend_coeffs == b.trend_coeffs
+
+
+class TestWindowsAsOneArray:
+    def windows(self, seed, n_windows):
+        rng = np.random.default_rng(seed)
+        return rng.lognormal(rng.uniform(-5, 5, (n_windows, 1)), 0.3, (n_windows, 900))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_l1_equals_mean_one_profile_of_each_window(self, seed):
+        windows = self.windows(seed, 13)
+        series = np.concatenate([windows.ravel(), np.ones(450)])  # a half window left over
+        got = extract_level_datasets(series, load_class=LoadClass.MAINLY_INDUSTRIAL)
+        want, _ = oracle_mean_one_profiles(windows, 1.0 / 30.0, LoadClass.MAINLY_INDUSTRIAL)
+        assert_same_profiles(got.l1, want)
+        assert not got.skipped
+
+    def test_l1_thinned_by_max_l1(self):
+        windows = self.windows(7, 20)
+        got = extract_level_datasets(windows.ravel(), max_l1_profiles=6)
+        picks = _evenly_spaced(np.arange(20), 6)
+        want, _ = oracle_mean_one_profiles(windows, 1.0 / 30.0, LoadClass.MAINLY_RESIDENTIAL, picks=picks)
+        assert len(want) == 6
+        assert_same_profiles(got.l1, want)
+
+    @pytest.mark.parametrize("max_l1", [None, 5])
+    def test_l1_drops_a_degenerate_window(self, max_l1):
+        windows = self.windows(8, 12)
+        windows[[4, 6]] = 0.0  # mean 0: degenerate; window 6 is also one of the 5 picked
+        got = extract_level_datasets(windows.ravel(), max_l1_profiles=max_l1)
+        picks = None if max_l1 is None else _evenly_spaced(np.arange(12), max_l1)
+        want, _ = oracle_mean_one_profiles(windows, 1.0 / 30.0, LoadClass.MAINLY_RESIDENTIAL, picks=picks)
+        assert len(want) < (12 if picks is None else picks.size)
+        assert_same_profiles(got.l1, want)
+        assert not got.skipped  # degenerate windows are not counted
+
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+    def test_l1_skips_and_counts_a_window_with_a_negative_or_non_finite_value(self, bad):
+        windows = self.windows(9, 8)
+        windows[2, 17] = bad  # net export, or a bad reading
+        windows[6, 0] = bad
+        got = extract_level_datasets(windows.ravel())
+        want, skipped = oracle_mean_one_profiles(windows, 1.0 / 30.0, LoadClass.MAINLY_RESIDENTIAL)
+        assert skipped == 2 and len(want) == 6
+        assert_same_profiles(got.l1, want)
+        assert got.skipped == {Level.L1: 2}
+        # a thinned run counts only the windows it picks
+        assert extract_level_datasets(windows.ravel(), max_l1_profiles=1).skipped == {}
+
+    def test_l3_l4_equal_mean_one_profile_of_each_week_and_year(self):
+        cfg = ToyLoadConfig.residential(seed=34)
+        m30 = simulate_block_means(cfg, 30.0, 2 * 52 * 20_160 + 20_160)
+        m30[3 * 20_160 : 4 * 20_160] = 0.0  # a degenerate week
+        m30[60 * 20_160 : 61 * 20_160] *= -1.0  # a week, and so its year, of net export
+        got = extract_levels_from_block_means(m30, cfg.load_class, 5 * 604_800.0, max_l2_profiles=1)
+        hourly = downsample(m30, 120, Metric.MEAN)
+        weeks = hourly.reshape(-1, 168)
+        seasons = [season_of_week(5 + w) for w in range(len(weeks))]
+        want3, skipped3 = oracle_mean_one_profiles(weeks, 3600.0, cfg.load_class, seasons)
+        years = downsample(hourly, 168, Metric.MEAN)[: 2 * 52].reshape(2, 52)
+        want4, skipped4 = oracle_mean_one_profiles(years, 604_800.0, cfg.load_class)
+        assert (len(want3), skipped3, len(want4), skipped4) == (103, 1, 1, 1)
+        assert_same_profiles(got.l3, want3)
+        assert_same_profiles(got.l4, want4)
+        assert got.skipped == {Level.L3: 1, Level.L4: 1}
+
+
+# ----------------------------------------------------------------------
+# the dataset writer against one row at a time
+# ----------------------------------------------------------------------
+
+
+def oracle_write_level_datasets(datasets: LevelDatasets, directory) -> None:
+    """The writer that formatted and wrote one row per sample, kept as the
+    reference for the bytes of every dataset file."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    meta: dict[str, dict] = {}
+    for level in Level:
+        profiles = datasets.of(level)
+        with open(directory / _LEVEL_FILES[level], "w", encoding="utf-8") as fh:
+            fh.write(DATASET_HEADER + "\n")
+            for i, prof in enumerate(profiles):
+                pid = f"{level.value}_{i:06d}"
+                cls = prof.load_class.value if prof.load_class else ""
+                season = prof.season.value if prof.season else ""
+                for j, v in enumerate(prof.samples):
+                    fh.write(f"{pid},{cls},{season},{j},{float(v)!r}\n")
+                entry: dict = {}
+                if prof.source_mean is not None:
+                    entry["source_mean"] = prof.source_mean
+                if prof.trend_coeffs is not None:
+                    entry["trend_coeffs"] = list(prof.trend_coeffs)
+                if entry:
+                    meta[pid] = entry
+    with open(directory / _META_FILE, "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, sort_keys=True, indent=0)
+
+
+_EDGE_VALUES = [0.0, 5e-324, 1e-300, 2.5e-308, 1e-5, 0.1, 1.0, 123456789.0, 1e16, 1e300]
+_raw_values = st.sampled_from(_EDGE_VALUES) | st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False)
+_optional = dict(
+    load_class=st.none() | st.sampled_from(LoadClass),
+    season=st.none() | st.sampled_from(Season),
+    source_mean=st.none() | st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def raw_profiles(draw, length):
+    return LoadProfile(
+        samples=draw(st.lists(_raw_values, min_size=length, max_size=length)),
+        sampling_period_s=1.0,
+        **{key: draw(value) for key, value in _optional.items()},
+    )
+
+
+@st.composite
+def detrended_profiles(draw, length):
+    values = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=length, max_size=length)))
+    return LoadProfile(
+        samples=values - values.mean(),  # negative values, and a mean within 1e-6 of 0
+        sampling_period_s=30.0,
+        normalization=Normalization.ZERO_MEAN_DETRENDED,
+        trend_coeffs=tuple(draw(st.lists(st.floats(-1e6, 1e6), min_size=5, max_size=5))),
+        **{key: draw(value) for key, value in _optional.items()},
+    )
+
+
+@st.composite
+def level_datasets(draw):
+    """Random datasets: profiles of one or two lengths per level, raw or detrended."""
+    out = LevelDatasets()
+    for level in Level:
+        lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=2))
+        for _ in range(draw(st.integers(0, 5))):
+            kind = draw(st.sampled_from([raw_profiles, detrended_profiles]))
+            out.of(level).append(draw(kind(draw(st.sampled_from(lengths)))))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(datasets=level_datasets())
+def test_dataset_writer_writes_the_bytes_of_one_row_at_a_time(tmp_path_factory, datasets):
+    got, want = tmp_path_factory.mktemp("got"), tmp_path_factory.mktemp("want")
+    write_level_datasets(datasets, got)
+    oracle_write_level_datasets(datasets, want)
+    for name in [*_LEVEL_FILES.values(), _META_FILE]:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def test_dataset_writer_matches_on_extracted_datasets(tmp_path):
+    ds = LevelDatasetsFactory()
+    ds.l1 = extract_level_datasets(np.random.default_rng(3).lognormal(0, 0.5, 3 * 900)).l1
+    write_level_datasets(ds, tmp_path / "got")
+    oracle_write_level_datasets(ds, tmp_path / "want")
+    for name in [*_LEVEL_FILES.values(), _META_FILE]:
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()

@@ -274,3 +274,35 @@ def test_no_parse_call_exceeds_the_chunk(tmp_path, monkeypatch):
     np.testing.assert_array_equal(power, 3.0 * np.arange(50))
     assert sum(given_rows) == len(lines)
     assert max(given_rows) == 16
+
+
+@st.composite
+def misparsed_phasor_files(draw, defect):
+    """(file text, the file line number of its one unparsable row)."""
+    records = draw(phasor_records(min_records=1))
+    k = draw(st.integers(0, len(records) - 1))
+    t, rows = records[k]
+    j = draw(st.integers(0, len(rows) - 1))
+    if defect == "fields":
+        rows[j] = rows[j][:-1] if draw(st.booleans()) else rows[j] + ["1.0"]
+    else:
+        rows[j][draw(st.integers(1, 4))] = draw(st.sampled_from(["abc", "", "1.2.3", "--1", "1_0"]))
+    # every other row is valid: the defective row's text is on one line only
+    text = render(records, draw)
+    newline = "\r\n" if "\r\n" in text else "\n"
+    lines = text.split(newline)
+    return text, lines.index(",".join([repr(t), *rows[j]])) + 1
+
+
+@pytest.mark.parametrize("defect", ["fields", "number"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_parse_error_names_the_file_line(tmp_path_factory, defect, data):
+    """Across chunk boundaries, blank lines and \r\n line ends, a row without
+    6 fields or with an unparsable number is reported with its file line."""
+    text, line_no = data.draw(misparsed_phasor_files(defect))
+    path = _write(tmp_path_factory, text)
+    with mock.patch.object(ingest, "PHASOR_CHUNK_ROWS", data.draw(chunk_rows)):
+        with pytest.raises(InsufficientData) as info:
+            read_phasor_csv(path)
+    assert str(info.value).startswith(f"{path} line {line_no}: expected the 6 fields ")
