@@ -22,13 +22,12 @@ from .core import (
     Level,
     LevelSpec,
     LoadClass,
-    LoadProfile,
     Metric,
     Normalization,
+    ProfileSet,
     Resolution,
     Season,
     downsample,
-    normalize_mean,
     parse_resolution,
     season_of_week,
 )

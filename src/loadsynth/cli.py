@@ -73,7 +73,7 @@ from .neural.gan import (
     train_cgan,
     train_gan,
 )
-from .svdgen import fit_svd_model_from_profiles, svd_generate
+from .svdgen import fit_svd_model, svd_generate
 from .toydata import (
     ToyLoadConfig,
     default_desk_configs,
@@ -263,10 +263,11 @@ def _check_30hz(path, stamps: list[str]) -> None:
 def _dataset_fingerprint(datasets) -> str:
     digest = hashlib.sha256()
     for level in Level:
-        for prof in datasets.of(level):
-            digest.update(prof.samples.tobytes())
-            digest.update(str(prof.load_class).encode())
-            digest.update(str(prof.season).encode())
+        profiles = datasets.of(level)
+        for row, load_class, season in zip(profiles.samples, profiles.load_class, profiles.season):
+            digest.update(row.tobytes())
+            digest.update(str(load_class).encode())
+            digest.update(str(season).encode())
     return digest.hexdigest()
 
 
@@ -340,23 +341,25 @@ def cmd_train(args) -> int:
     }
     # the rng-free fits first, so too little data fails before any GAN trains
     print(f"fitting level 4 pattern models ({len(datasets.l4)} year profiles)", file=sys.stderr)
-    l4_res = fit_svd_model_from_profiles(datasets.l4, LoadClass.MAINLY_RESIDENTIAL)
-    l4_ind = fit_svd_model_from_profiles(datasets.l4, LoadClass.MAINLY_INDUSTRIAL)
-    seam = learn_seam_filter(datasets.l3)
+    l4_res, l4_ind = (
+        fit_svd_model(datasets.l4.samples[[c is cls for c in datasets.l4.load_class]], cls)
+        for cls in (LoadClass.MAINLY_RESIDENTIAL, LoadClass.MAINLY_INDUSTRIAL)
+    )
+    seam = learn_seam_filter(datasets.l3.samples)
     for level in (Level.L1, Level.L2, Level.L3):  # the trainers' own data rules
         profiles = datasets.of(level)
         try:
             if level is Level.L3:
-                check_label_coverage([(p.load_class, p.season) for p in profiles], args.batch_size)
+                check_label_coverage(list(zip(profiles.load_class, profiles.season)), args.batch_size)
             check_batches(len(profiles), args.batch_size)
         except (DatasetTooSmall, MissingLabelCoverage, ValueError) as exc:
             raise InsufficientData(f"cannot train level {level.value[-1]}: {exc}") from exc
     print(f"training level 1 ({len(datasets.l1)} profiles, {args.l1_epochs} epochs)", file=sys.stderr)
-    l1 = train_gan(datasets.l1, Level.L1, HyperParams(epochs=args.l1_epochs, **hyper), seeds["l1"])
+    l1 = train_gan(datasets.l1, HyperParams(epochs=args.l1_epochs, **hyper), seeds["l1"])
     print(f"training level 2 ({len(datasets.l2)} profiles, {args.l2_epochs} epochs)", file=sys.stderr)
-    l2 = train_gan(datasets.l2, Level.L2, HyperParams(epochs=args.l2_epochs, **hyper), seeds["l2"])
+    l2 = train_gan(datasets.l2, HyperParams(epochs=args.l2_epochs, **hyper), seeds["l2"])
     print(f"training level 3 ({len(datasets.l3)} profiles, {args.l3_epochs} epochs)", file=sys.stderr)
-    l3 = train_cgan(datasets.l3, None, HyperParams(epochs=args.l3_epochs, **hyper), seeds["l3"])
+    l3 = train_cgan(datasets.l3, HyperParams(epochs=args.l3_epochs, **hyper), seeds["l3"])
 
     models = ModelSet(
         l1=l1, l2=l2, l3=l3, l4_residential=l4_res, l4_industrial=l4_ind, seam=seam
@@ -470,7 +473,7 @@ def cmd_validate(args) -> int:
     for level, model in ((Level.L1, models.l1), (Level.L2, models.l2)):
         if not datasets.of(level):
             continue
-        real = np.array([p.samples for p in datasets.of(level)[:500]])
+        real = datasets.of(level).samples[:500]
         gen = gan_generate(model, len(real), seed=args.seed)
         w = wasserstein_1d(real, gen)
         rows.append((f"wasserstein_exact_{level.value}", "real_vs_generated", w))
@@ -481,11 +484,11 @@ def cmd_validate(args) -> int:
         psd_to_csv(out_dir / f"psd_{level.value}_real.csv", freqs, real_psd)
         psd_to_csv(out_dir / f"psd_{level.value}_generated.csv", freqs, gen_psd)
 
-    l3_real = datasets.l3[:500]
-    if l3_real:
-        labels = [(p.load_class, p.season) for p in l3_real]
+    l3_real = datasets.l3.samples[:500]
+    if len(l3_real):
+        labels = list(zip(datasets.l3.load_class, datasets.l3.season))[:500]
         gen = gan_generate(models.l3, len(l3_real), seed=args.seed, labels=labels)
-        w = wasserstein_1d([p.samples for p in l3_real], gen)
+        w = wasserstein_1d(l3_real, gen)
         rows.append(("wasserstein_exact_l3", "real_vs_generated", w))
         lines.append(f"level 3 amplitude distance (exact): {w:.6f}")
 
@@ -495,8 +498,8 @@ def cmd_validate(args) -> int:
             (LoadClass.MAINLY_RESIDENTIAL, models.l4_residential),
             (LoadClass.MAINLY_INDUSTRIAL, models.l4_industrial),
         ):
-            real_cls = [p.samples for p in l4_real if p.load_class is cls]
-            if not real_cls:
+            real_cls = l4_real.samples[[c is cls for c in l4_real.load_class]]
+            if not len(real_cls):
                 continue
             gen = svd_generate(model, max(len(real_cls), 50), seed=args.seed)
             w = wasserstein_1d(real_cls, gen)

@@ -10,8 +10,8 @@ The pipeline per load:
 3. scale year -> week -> hour -> 30 s: each child profile is multiplied so
    its mean equals the parent sample it refines.  Every level's profiles
    arrive from its generator as one (count, length) array and are scaled,
-   re-trended and concatenated as whole matrices; no LoadProfile (the
-   dataset/ingest type) is built here;
+   re-trended and concatenated as whole matrices; no ProfileSet (the
+   dataset type) is built here;
 4. smooth only the week-level junctions with the learned 5-tap filter
    (junctions at the two bottom levels are left untouched);
 5. for sub-hour output, add the degree-4 trend interpolated through the
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from .core import (
     SECONDS_PER_YEAR,
     Level,
     LoadClass,
-    LoadProfile,
     Metric,
     Resolution,
     Season,
@@ -93,27 +92,23 @@ class SeamFilter:
             raise ValueError("the centre weight is fixed at 0.5")
 
 
-def learn_seam_filter(l3_dataset: Sequence[LoadProfile]) -> SeamFilter:
+def learn_seam_filter(weeks) -> SeamFilter:
     """Least-squares fit of the four free weights over all interior samples.
 
-    Each interior sample x_k of each week profile contributes the row
-    [x_{k-2}, x_{k-1}, x_{k+1}, x_{k+2}] with target 0.5 * x_k.
+    ``weeks`` is a (count, length) array of week profiles.  Each interior
+    sample x_k of each row contributes the design row
+    [x_{k-2}, x_{k-1}, x_{k+1}, x_{k+2}] with target 0.5 * x_k, in row-major
+    order.
     """
-    rows, targets = [], []
-    for prof in l3_dataset:
-        x = prof.samples
-        if x.size < 5:
-            continue
-        idx = np.arange(2, x.size - 2)
-        rows.append(np.column_stack([x[idx - 2], x[idx - 1], x[idx + 1], x[idx + 2]]))
-        targets.append(0.5 * x[idx])
-    n = sum(r.shape[0] for r in rows) if rows else 0
+    weeks = np.asarray(weeks, dtype=np.float64)
+    inner = max(weeks.shape[1] - 4, 0)  # interior samples per row
+    n = len(weeks) * inner
     if n < 100:
         raise InsufficientData(
             f"seam filter needs >= 100 interior samples with +-2 neighbours, got {n}"
         )
-    X = np.vstack(rows)
-    y = np.concatenate(targets)
+    X = np.stack([weeks[:, s : s + inner] for s in (0, 1, 3, 4)], axis=-1).reshape(n, 4)
+    y = 0.5 * weeks[:, 2 : 2 + inner].ravel()
     b4, *_ = np.linalg.lstsq(X, y, rcond=None)
     return SeamFilter(beta=np.array([b4[0], b4[1], 0.5, b4[2], b4[3]]))
 

@@ -24,7 +24,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateProfile,
     EmptyInput,
     InvalidFactor,
     ParseError,
@@ -51,7 +50,6 @@ class Season(Enum):
 
 
 class Normalization(Enum):
-    RAW = "raw"
     MEAN_ONE = "mean_one"
     ZERO_MEAN_DETRENDED = "zero_mean_detrended"
 
@@ -98,46 +96,99 @@ LEVEL_NORMALIZATION = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class LoadProfile:
-    """A sampled load sequence plus the bookkeeping needed to de-normalize it.
+def _read_only(values, shape) -> np.ndarray:
+    """A read-only float64 view of ``values``; the caller's array stays writable."""
+    view = np.asarray(values, dtype=np.float64).view()
+    if view.shape != shape:
+        raise ValueError(f"expected an array of shape {shape}, got {view.shape}")
+    view.setflags(write=False)
+    return view
 
-    ``trend_coeffs`` is only populated for detrended (L2) profiles: the five
-    polynomial coefficients that were removed, on the window's
-    [-1, 1]-scaled abscissa, lowest order first.  ``source_mean`` records
-    the mean that normalization divided out (for extracted training
-    profiles), so the original magnitude can be reconstructed.
+
+class ProfileRowError(ValueError):
+    """A row of a ProfileSet breaks its level's rules; ``row`` is its index."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"row {row}: {reason}")
+        self.row, self.reason = row, reason
+
+
+@dataclass(frozen=True, eq=False)
+class ProfileSet:
+    """One level's profiles as the rows of one read-only (count, length) array.
+
+    Per row: ``load_class`` and ``season`` (None where unknown), the
+    ``source_mean`` normalization divided out (NaN where unknown) and, at
+    level 2 only, the five ``trend_coeffs`` detrending removed, on the
+    window's [-1, 1]-scaled abscissa, lowest order first (NaN where
+    unknown).  Rows are finite; at the mean-one levels they are nonnegative
+    with mean 1 within 1e-9, at level 2 their mean is 0 within 1e-6.  A row
+    breaking this raises ProfileRowError naming the first such row.
     """
 
+    level: Level
     samples: np.ndarray
-    sampling_period_s: float
-    load_class: Optional[LoadClass] = None
-    season: Optional[Season] = None
-    normalization: Normalization = Normalization.RAW
-    trend_coeffs: Optional[tuple] = None
-    source_mean: Optional[float] = None
+    load_class: Optional[tuple] = None
+    season: Optional[tuple] = None
+    source_mean: Optional[np.ndarray] = None
+    trend_coeffs: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        length = LEVEL_SPECS[self.level].profile_length
         samples = np.asarray(self.samples, dtype=np.float64)
-        samples.setflags(write=False)
-        object.__setattr__(self, "samples", samples)
-        if self.sampling_period_s <= 0:
-            raise ValueError("sampling_period_s must be positive")
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("samples must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("samples must be finite")
-        if self.normalization in (Normalization.RAW, Normalization.MEAN_ONE):
-            if np.any(samples < 0):
-                raise ValueError("raw and mean-one samples must be nonnegative")
-        mean = float(samples.mean())
-        if self.normalization is Normalization.MEAN_ONE and abs(mean - 1.0) > 1e-9:
-            raise ValueError(f"mean-one profile has mean {mean!r}")
-        if self.normalization is Normalization.ZERO_MEAN_DETRENDED and abs(mean) > 1e-6:
-            raise ValueError(f"detrended profile has mean {mean!r}")
+        if samples.size == 0:
+            samples = samples.reshape(0, length)
+        if samples.ndim != 2:
+            raise ValueError(f"profiles must be a (count, length) array, got shape {samples.shape}")
+        if samples.shape[1] != length:
+            raise ProfileRowError(
+                0, f"length {samples.shape[1]} does not fit level {self.level.value} ({length})"
+            )
+        n = len(samples)
+        load_class = (None,) * n if self.load_class is None else tuple(self.load_class)
+        season = (None,) * n if self.season is None else tuple(self.season)
+        if len(load_class) != n or len(season) != n:
+            raise ValueError(f"need one load class and one season per profile ({n})")
+        trend = self.trend_coeffs
+        if self.level is Level.L2 and trend is None:
+            trend = np.full((n, 5), np.nan)
+        elif self.level is not Level.L2 and trend is not None:
+            raise ValueError("only level 2 profiles have trend coefficients")
+        object.__setattr__(self, "samples", _read_only(samples, samples.shape))
+        object.__setattr__(self, "load_class", load_class)
+        object.__setattr__(self, "season", season)
+        source_mean = np.full(n, np.nan) if self.source_mean is None else self.source_mean
+        object.__setattr__(self, "source_mean", _read_only(source_mean, (n,)))
+        if trend is not None:
+            object.__setattr__(self, "trend_coeffs", _read_only(trend, (n, 5)))
+
+        means = samples.mean(axis=1)
+        rules = [(~np.isfinite(samples).all(axis=1), "samples must be finite")]
+        if LEVEL_NORMALIZATION[self.level] is Normalization.MEAN_ONE:
+            rules.append(((samples < 0).any(axis=1), "mean-one samples must be nonnegative"))
+            rules.append((np.abs(means - 1.0) > 1e-9, "mean-one profile has mean {!r}"))
+        else:
+            rules.append((np.abs(means) > 1e-6, "detrended profile has mean {!r}"))
+        broken = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(rules) if bad.any()]
+        if broken:
+            row, k = min(broken)  # the first bad row, and its first broken rule
+            raise ProfileRowError(row, rules[k][1].format(float(means[row])))
 
     def __len__(self):
-        return int(self.samples.size)
+        return len(self.samples)
+
+    @classmethod
+    def concatenate(cls, sets: Sequence["ProfileSet"]) -> "ProfileSet":
+        """The rows of one or more sets of one level, in order, as one set."""
+        level = sets[0].level
+        return cls(
+            level,
+            np.concatenate([s.samples for s in sets]),
+            sum((s.load_class for s in sets), ()),
+            sum((s.season for s in sets), ()),
+            np.concatenate([s.source_mean for s in sets]),
+            None if level is not Level.L2 else np.concatenate([s.trend_coeffs for s in sets]),
+        )
 
 
 @dataclass(frozen=True)
@@ -193,33 +244,6 @@ def parse_resolution(text: str) -> Resolution:
             f"{text!r} asks for a period of {period}/{count} s, finer than 1/30 s"
         )
     return Resolution(samples_per_period=count, period_s=float(period))
-
-
-def normalize_mean(profile: LoadProfile) -> tuple[LoadProfile, float]:
-    """Divide a raw profile by its arithmetic mean.
-
-    Returns the mean-one profile and the removed mean, so that
-    ``samples * mean`` reproduces the input.  Raises DegenerateProfile when
-    the mean is at or below 1e-9 of the series maximum.
-    """
-    if profile.normalization is not Normalization.RAW:
-        raise ValueError("normalize_mean expects a raw profile")
-    samples = profile.samples
-    mean = float(samples.mean())
-    eps = 1e-9 * float(np.max(samples, initial=0.0))
-    if mean <= eps:
-        raise DegenerateProfile(f"profile mean {mean!r} is degenerate (eps={eps!r})")
-    scaled = samples / mean
-    # Guard against accumulated rounding: pin the mean to 1 exactly.
-    scaled = scaled / scaled.mean()
-    out = LoadProfile(
-        samples=scaled,
-        sampling_period_s=profile.sampling_period_s,
-        load_class=profile.load_class,
-        season=profile.season,
-        normalization=Normalization.MEAN_ONE,
-    )
-    return out, mean
 
 
 def truncate_to_multiple(samples: np.ndarray, factor: int) -> tuple[np.ndarray, int]:

@@ -13,12 +13,14 @@ arrays -> net active power at the bus (30 Hz), one vectorised pass per chunk
   season of their calendar week;
 * level 4: weekly means in 52-sample years, mean-one.
 
-Extraction windows are aligned to the start of the input series;
-``start_time_s`` says where that start sits relative to January 1st and
-only drives the season-of-week tagging.  A level-1, -3 or -4 window that
-holds a negative value (a bus that exports power) or a non-finite one is
-left out and counted in ``LevelDatasets.skipped``; one whose mean is
-degenerate is left out uncounted.
+Each level's profiles are one ProfileSet.  Extraction windows are aligned
+to the start of the input series; ``start_time_s`` says where that start
+sits relative to January 1st and only drives the season-of-week tagging.
+A level-1, -3 or -4 window that holds a negative value (a bus that exports
+power) or a non-finite one, and a level-2 hour whose five-hour detrending
+window holds a non-finite value, is left out and counted in
+``LevelDatasets.skipped``; one whose mean is degenerate is left out
+uncounted.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,12 +42,11 @@ from .core import (
     LEVEL_SPECS,
     Level,
     LoadClass,
-    LoadProfile,
     Metric,
-    Normalization,
+    ProfileRowError,
+    ProfileSet,
     Season,
     downsample,
-    normalize_mean,
     season_of_week,
     truncate_to_multiple,
 )
@@ -118,6 +121,10 @@ def detrend_hour(window: Sequence[float]) -> tuple[np.ndarray, tuple[float, ...]
     return resid, tuple(float(c) for c in coeffs)
 
 
+def _no_profiles(level: Level):
+    return dataclasses.field(default_factory=lambda: ProfileSet(level, ()))
+
+
 @dataclass
 class LevelDatasets:
     """The four training datasets extracted from one or more load series.
@@ -128,43 +135,27 @@ class LevelDatasets:
     bus that exports power, or a bad reading).
     """
 
-    l1: list[LoadProfile] = dataclasses.field(default_factory=list)
-    l2: list[LoadProfile] = dataclasses.field(default_factory=list)
-    l3: list[LoadProfile] = dataclasses.field(default_factory=list)
-    l4: list[LoadProfile] = dataclasses.field(default_factory=list)
+    l1: ProfileSet = _no_profiles(Level.L1)
+    l2: ProfileSet = _no_profiles(Level.L2)
+    l3: ProfileSet = _no_profiles(Level.L3)
+    l4: ProfileSet = _no_profiles(Level.L4)
     issues: dict[Level, str] = dataclasses.field(default_factory=dict)
     skipped: dict[Level, int] = dataclasses.field(default_factory=dict)
 
-    def of(self, level: Level) -> list[LoadProfile]:
-        return {Level.L1: self.l1, Level.L2: self.l2, Level.L3: self.l3, Level.L4: self.l4}[level]
-
-    def extend(self, other: "LevelDatasets") -> None:
-        for level in Level:
-            self.of(level).extend(other.of(level))
-            if not self.of(level) and level in other.issues:
-                self.issues[level] = other.issues[level]
-            elif self.of(level):
-                self.issues.pop(level, None)
-            if level in other.skipped:
-                self.skipped[level] = self.skipped.get(level, 0) + other.skipped[level]
-
-
-def mean_one_profile(samples, period, load_class, season=None) -> LoadProfile:
-    """Mean-one LoadProfile from a raw window, keeping the removed mean."""
-    prof = LoadProfile(samples=samples, sampling_period_s=period, load_class=load_class)
-    normalized, mean = normalize_mean(prof)
-    return dataclasses.replace(normalized, season=season, source_mean=mean)
+    def of(self, level: Level) -> ProfileSet:
+        return getattr(self, level.value)
 
 
 def _add_mean_one_rows(out: LevelDatasets, level: Level, windows, load_class, seasons=None, picks=None):
-    """Add the mean-one profiles of the rows ``picks`` (default: all) of
-    ``windows`` to ``out`` at ``level``.
+    """Set ``out``'s profiles at ``level`` to the mean-one profiles of the
+    rows ``picks`` (default: all) of the raw ``windows``.
 
-    Each kept row has the bits ``mean_one_profile`` gives it alone, without
-    its intermediate profiles.  Rows holding a negative or non-finite value
-    are left out and counted in ``out.skipped``; the rows ``normalize_mean``
-    calls degenerate are left out.  ``seasons``, if given, holds the season
-    of each row.
+    Each kept row is divided by its mean, then by the mean of the result,
+    which pins it to 1; the first mean is its ``source_mean``.  Rows holding
+    a negative or non-finite value are left out and counted in
+    ``out.skipped``; a row whose mean is at or below 1e-9 of its maximum is
+    degenerate and left out.  ``seasons``, if given, holds the season of
+    each row.
     """
     means = windows.mean(axis=1)
     usable = (windows.min(axis=1) >= 0) & np.isfinite(means)  # a NaN fails both
@@ -176,18 +167,9 @@ def _add_mean_one_rows(out: LevelDatasets, level: Level, windows, load_class, se
     else:
         scaled = windows[rows]
         scaled /= means[rows, None]
-    scaled /= scaled.mean(axis=1, keepdims=True)  # pin each mean to 1, as normalize_mean does
-    out.of(level).extend(
-        LoadProfile(
-            samples=row,
-            sampling_period_s=LEVEL_SPECS[level].sampling_period_s,
-            load_class=load_class,
-            season=None if seasons is None else seasons[r],
-            normalization=Normalization.MEAN_ONE,
-            source_mean=mean,
-        )
-        for row, r, mean in zip(scaled, rows.tolist(), means[rows].tolist())
-    )
+    scaled /= scaled.mean(axis=1, keepdims=True)
+    labels = None if seasons is None else [seasons[r] for r in rows.tolist()]
+    setattr(out, level.value, ProfileSet(level, scaled, (load_class,) * rows.size, labels, means[rows]))
     skipped = int(np.count_nonzero(~usable[picks]))
     if skipped:
         out.skipped[level] = skipped
@@ -204,8 +186,9 @@ def extract_l2_profiles(
     halfmin_means: np.ndarray,
     load_class: LoadClass,
     max_profiles: Optional[int] = None,
-) -> list[LoadProfile]:
-    """Detrended hour-long profiles from a series of 30-second means.
+) -> tuple[ProfileSet, int]:
+    """Detrended hour-long profiles from a series of 30-second means, and the
+    number of hours left out for a non-finite value in their detrending window.
 
     Only hours with a full +-2 h context are used; when ``max_profiles``
     is given the eligible hours are thinned evenly across the span.
@@ -213,25 +196,22 @@ def extract_l2_profiles(
     n_hours = halfmin_means.size // HALFMIN_PER_HOUR
     eligible = np.arange(2, n_hours - 2) if n_hours >= 5 else np.arange(0)
     eligible = _evenly_spaced(eligible, max_profiles)
-    profiles: list[LoadProfile] = []
+    rows, coeffs, means, skipped = [], [], [], 0
     for k in eligible:
         start = k * HALFMIN_PER_HOUR - 240
         window = halfmin_means[start : start + DETREND_WINDOW]
+        if not np.isfinite(window).all():
+            skipped += 1
+            continue
         hour_mean = float(window[DETREND_CENTER].mean())
         if hour_mean <= 1e-9 * float(np.max(window, initial=0.0)):
             continue
-        detrended, coeffs = detrend_hour(window / hour_mean)
-        profiles.append(
-            LoadProfile(
-                samples=detrended,
-                sampling_period_s=30.0,
-                load_class=load_class,
-                normalization=Normalization.ZERO_MEAN_DETRENDED,
-                trend_coeffs=coeffs,
-                source_mean=hour_mean,
-            )
-        )
-    return profiles
+        detrended, trend = detrend_hour(window / hour_mean)
+        rows.append(detrended)
+        coeffs.append(trend)
+        means.append(hour_mean)
+    trend = np.array(coeffs).reshape(-1, 5)
+    return ProfileSet(Level.L2, np.array(rows), (load_class,) * len(rows), None, means, trend), skipped
 
 
 def extract_levels_from_block_means(
@@ -241,15 +221,22 @@ def extract_levels_from_block_means(
     max_l2_profiles: Optional[int] = None,
 ) -> LevelDatasets:
     """Levels 2-4 from 30-second means (level 1 needs the full 30 Hz data)."""
-    out = LevelDatasets()
-    ds = out  # alias for brevity
+    ds = LevelDatasets()
     m30 = np.asarray(halfmin_means, dtype=np.float64)
 
-    ds.l2 = extract_l2_profiles(m30, load_class, max_l2_profiles)
-    if not ds.l2:
+    ds.l2, skipped = extract_l2_profiles(m30, load_class, max_l2_profiles)
+    if skipped:
+        ds.skipped[Level.L2] = skipped
+    n_hours = m30.size // HALFMIN_PER_HOUR
+    if n_hours < 5:
         ds.issues[Level.L2] = (
             "level 2 needs at least 5 full hours of data for the +-2 h "
             f"detrending context; got {m30.size} half-minute samples"
+        )
+    elif max_l2_profiles == 0:
+        ds.issues[Level.L2] = (
+            "level 2 needs at least 5 full hours of data and a cap above 0; the cap "
+            f"of 0 kept none of the {n_hours - 4} hours with the +-2 h context"
         )
 
     hourly, _ = truncate_to_multiple(m30, HALFMIN_PER_HOUR)
@@ -273,7 +260,7 @@ def extract_levels_from_block_means(
         )
     years = weekly[: n_years * WEEKS_PER_YEAR].reshape(n_years, WEEKS_PER_YEAR)
     _add_mean_one_rows(ds, Level.L4, years, load_class)
-    return out
+    return ds
 
 
 def extract_level_datasets(
@@ -303,7 +290,12 @@ def extract_level_datasets(
     windows = series[: n_windows * SAMPLES_PER_30S].reshape(n_windows, SAMPLES_PER_30S)
     picks = _evenly_spaced(np.arange(n_windows), max_l1_profiles)
     _add_mean_one_rows(out, Level.L1, windows, load_class, picks=picks)
-    if not out.l1:
+    if max_l1_profiles == 0 and n_windows:
+        out.issues[Level.L1] = (
+            "level 1 needs at least 900 samples at 30 Hz and a cap above 0; the cap "
+            f"of 0 kept none of the {n_windows} windows"
+        )
+    elif n_windows == 0:
         out.issues[Level.L1] = (
             f"level 1 needs at least 900 samples at 30 Hz; got {series.size}"
         )
@@ -468,7 +460,8 @@ DATASET_HEADER = "profile_id,load_class,season,sample_index,value"
 
 
 def write_level_datasets(datasets: LevelDatasets, directory) -> None:
-    """One CSV per level plus a JSON sidecar with trend coefficients.
+    """One CSV per level plus a JSON sidecar with the source means and the
+    trend coefficients that are known.
 
     Values are written with full float precision so a reread dataset
     trains bit-identical models.
@@ -477,27 +470,46 @@ def write_level_datasets(datasets: LevelDatasets, directory) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     meta: dict[str, dict] = {}
     for level in Level:
-        tails: dict[int, list[str]] = {}  # profile length -> ["", "0,%r\n", "1,%r\n", ...]
+        profiles = datasets.of(level)
+        tails = ["", *(f"{j},%r\n" for j in range(LEVEL_SPECS[level].profile_length))]
         with open(directory / _LEVEL_FILES[level], "w", encoding="utf-8") as fh:
             fh.write(DATASET_HEADER + "\n")
-            for i, prof in enumerate(datasets.of(level)):
+            labels = zip(profiles.samples, profiles.load_class, profiles.season, profiles.source_mean.tolist())
+            for i, (row, cls, season, mean) in enumerate(labels):
                 pid = f"{level.value}_{i:06d}"
-                cls = prof.load_class.value if prof.load_class else ""
-                season = prof.season.value if prof.season else ""
-                n = prof.samples.size
-                if n not in tails:
-                    tails[n] = ["", *(f"{j},%r\n" for j in range(n))]
+                head = f"{pid},{cls.value if cls else ''},{season.value if season else ''},"
                 # one `%` per profile: the row `{pid},{cls},{season},{j},{repr(value)}` of each sample
-                fh.write(f"{pid},{cls},{season},".join(tails[n]) % tuple(prof.samples.tolist()))
+                fh.write(head.join(tails) % tuple(row.tolist()))
                 entry: dict = {}
-                if prof.source_mean is not None:
-                    entry["source_mean"] = prof.source_mean
-                if prof.trend_coeffs is not None:
-                    entry["trend_coeffs"] = list(prof.trend_coeffs)
+                if not math.isnan(mean):
+                    entry["source_mean"] = mean
+                if profiles.trend_coeffs is not None and not np.isnan(profiles.trend_coeffs[i]).any():
+                    entry["trend_coeffs"] = profiles.trend_coeffs[i].tolist()
                 if entry:
                     meta[pid] = entry
     with open(directory / _META_FILE, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, sort_keys=True, indent=0)
+
+
+def _finite_number(value) -> bool:
+    """A JSON number that converts to a finite float."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _meta_entry(entry, level: Level) -> tuple[float, list]:
+    """(source mean, trend coefficients) of one level_meta.json entry, NaN
+    where it has none; a ValueError says what is wrong with it."""
+    if not isinstance(entry, dict) or not set(entry) <= {"source_mean", "trend_coeffs"}:
+        raise ValueError(f"expected an object of source_mean and trend_coeffs, got {json.dumps(entry)}")
+    mean, coeffs = entry.get("source_mean", math.nan), entry.get("trend_coeffs", [math.nan] * 5)
+    if "source_mean" in entry and not _finite_number(mean):
+        raise ValueError(f"source_mean must be a finite number, got {json.dumps(mean)}")
+    if "trend_coeffs" in entry:
+        if level is not Level.L2:
+            raise ValueError("only level 2 profiles have trend_coeffs")
+        if not (isinstance(coeffs, list) and len(coeffs) == 5 and all(map(_finite_number, coeffs))):
+            raise ValueError(f"trend_coeffs must be a list of 5 finite numbers, got {json.dumps(coeffs)}")
+    return float(mean), coeffs
 
 
 def read_level_datasets(directory) -> LevelDatasets:
@@ -535,34 +547,27 @@ def read_level_datasets(directory) -> LevelDatasets:
                 except ValueError as exc:
                     raise InsufficientData(f"{path} line {line_no}: bad row {line!r}: {exc}") from exc
                 rows[pid][2].append(sample)
-        for pid, (cls, season, samples) in rows.items():
+        pids = list(rows)
+        values = np.empty((len(pids), spec.profile_length))
+        means, coeffs = np.full(len(pids), np.nan), np.full((len(pids), 5), np.nan)
+        for i, (pid, (_, _, samples)) in enumerate(rows.items()):
             samples.sort()
-            values = np.array([v for _, v in samples])
-            if values.size != spec.profile_length:
+            if len(samples) != spec.profile_length:
                 raise InsufficientData(
-                    f"profile {pid!r} in {path} has {values.size} samples; level "
+                    f"profile {pid!r} in {path} has {len(samples)} samples; level "
                     f"{level.value!r} profiles have {spec.profile_length}"
                 )
-            entry = meta.get(pid, {})
+            values[i] = [v for _, v in samples]
             try:
-                profile = LoadProfile(
-                    samples=values,
-                    sampling_period_s=spec.sampling_period_s,
-                    load_class=cls,
-                    season=season,
-                    normalization=(
-                        Normalization.ZERO_MEAN_DETRENDED
-                        if level is Level.L2
-                        else Normalization.MEAN_ONE
-                    ),
-                    trend_coeffs=(
-                        tuple(entry["trend_coeffs"]) if "trend_coeffs" in entry else None
-                    ),
-                    source_mean=entry.get("source_mean"),
-                )
-            except (ValueError, TypeError) as exc:  # values off the level's normalization, say
-                raise InsufficientData(f"profile {pid!r} in {path}: {exc}") from exc
-            out.of(level).append(profile)
-        if not out.of(level):
+                means[i], coeffs[i] = _meta_entry(meta.get(pid, {}), level)
+            except ValueError as exc:
+                raise InsufficientData(f"{meta_path}: profile {pid!r}: {exc}") from exc
+        classes, seasons, _ = zip(*rows.values()) if rows else ((), (), ())
+        try:
+            profiles = ProfileSet(level, values, classes, seasons, means, coeffs if level is Level.L2 else None)
+        except ProfileRowError as exc:  # values off the level's normalization, say
+            raise InsufficientData(f"profile {pids[exc.row]!r} in {path}: {exc.reason}") from exc
+        setattr(out, level.value, profiles)
+        if not profiles:
             out.issues[level] = f"dataset file {path} holds no profiles"
     return out

@@ -13,9 +13,9 @@ non-saturating loss.  Everything is a pure function of (dataset order,
 hyperparameters, seed); if losses go non-finite the run restarts once with
 the step halved on an explicitly different seed path, then gives up.
 
-Generation returns one float64 (count, profile length) array of samples;
-LoadProfile, with its labels and normalization, is the type of the
-training datasets only.
+Training takes one level's ProfileSet, whose rows are the profiles and
+whose labels condition level 3; generation returns one float64 (count,
+profile length) array of samples.
 
 Per epoch the log records mean losses plus the distribution distance
 between pooled real and generated amplitudes over 500-sample subsets,
@@ -35,8 +35,8 @@ from ..core import (
     LEVEL_SPECS,
     Level,
     LoadClass,
-    LoadProfile,
     Normalization,
+    ProfileSet,
     Season,
     noise_rows,
 )
@@ -208,25 +208,6 @@ def _bce_and_grad(p: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray
     return float(loss), grad
 
 
-def _dataset_matrix(dataset: Sequence[LoadProfile], level: Level) -> np.ndarray:
-    spec = LEVEL_SPECS[level]
-    want_norm = LEVEL_NORMALIZATION[level]
-    rows = []
-    for prof in dataset:
-        if len(prof) != spec.profile_length:
-            raise ValueError(
-                f"profile of length {len(prof)} does not fit level {level.value} "
-                f"({spec.profile_length})"
-            )
-        if prof.normalization is not want_norm:
-            raise ValueError(
-                f"level {level.value} training data must be {want_norm.value}, "
-                f"got {prof.normalization.value}"
-            )
-        rows.append(prof.samples)
-    return np.asarray(rows)
-
-
 _ACTIVATION_FILL = 0.95  # scaled excursions reach 95% of the tanh range
 
 
@@ -365,14 +346,11 @@ def _train_adversarial(
     )
 
 
-def train_gan(
-    dataset: Sequence[LoadProfile], level: Level, hyper: HyperParams, seed: int
-) -> GanModel:
-    """Train the unconditional model for level 1 or 2."""
-    X = _dataset_matrix(dataset, level)
-    gen, disc, log, scale = _train_adversarial(X, None, level, hyper, seed)
+def train_gan(profiles: ProfileSet, hyper: HyperParams, seed: int) -> GanModel:
+    """Train the unconditional model for the level of ``profiles`` (1 or 2)."""
+    gen, disc, log, scale = _train_adversarial(profiles.samples, None, profiles.level, hyper, seed)
     return GanModel(
-        level=level,
+        level=profiles.level,
         noise_dim=hyper.noise_dim,
         generator=gen,
         discriminator=disc,
@@ -381,24 +359,15 @@ def train_gan(
     )
 
 
-def train_cgan(
-    dataset: Sequence[LoadProfile],
-    labels: Optional[Sequence[tuple[LoadClass, Season]]] = None,
-    hyper: HyperParams = HyperParams(),
-    seed: int = 0,
-    level: Level = Level.L3,
-) -> CGanModel:
-    """Train the conditional model; every label combo needs a full batch."""
-    if labels is None:
-        labels = [(p.load_class, p.season) for p in dataset]
-    if len(labels) != len(dataset):
-        raise ValueError("labels must parallel the dataset")
+def train_cgan(profiles: ProfileSet, hyper: HyperParams = HyperParams(), seed: int = 0) -> CGanModel:
+    """Train the conditional model on the (load class, season) labels of
+    ``profiles``; every label combo needs a full batch."""
+    labels = list(zip(profiles.load_class, profiles.season))
     check_label_coverage(labels, hyper.batch_size)
-    X = _dataset_matrix(dataset, level)
     onehot = encode_labels(labels)
-    gen, disc, log, scale = _train_adversarial(X, onehot, level, hyper, seed)
+    gen, disc, log, scale = _train_adversarial(profiles.samples, onehot, profiles.level, hyper, seed)
     return CGanModel(
-        level=level,
+        level=profiles.level,
         noise_dim=hyper.noise_dim,
         generator=gen,
         discriminator=disc,
@@ -416,8 +385,8 @@ def gan_generate(
     """Sample ``count`` profiles as one float64 (count, profile length) array.
 
     Mean-one levels are rescaled to mean exactly 1, the detrended level to
-    mean exactly 0.  Rows are plain samples; wrap them in a LoadProfile
-    only where a dataset is built.  Raises DegenerateProfile when any
+    mean exactly 0.  Rows are plain samples; a ProfileSet is built only
+    where a dataset is.  Raises DegenerateProfile when any
     sample is non-finite (for example from a non-finite weight).
     """
     if model.conditional:

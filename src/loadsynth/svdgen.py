@@ -6,8 +6,9 @@ rows of Vt are prototypical yearly patterns weighted by the singular
 values; each training profile is a linear combination with coefficients
 from the matching row of U.  Generation samples a fresh coefficient vector
 from per-column Gaussians fitted to U and multiplies by S Vt, returning a
-(count, 52) array; LoadProfile is only the training-input type.  One
-model per load class; they share nothing.
+(count, 52) array.  Fitting takes the (count, 52) year rows of one load
+class, as ``ProfileSet.samples`` holds them.  One model per load class;
+they share nothing.
 
 With a dozen profiles per class nothing richer than independent per-column
 Gaussians is statistically justified; the independence is a simplification.
@@ -17,11 +18,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .core import LoadClass, LoadProfile, noise_rows
+from .core import LoadClass, noise_rows
 from .errors import InsufficientData, RankDeficientWarning
 
 _WEEKS = 52
@@ -72,13 +71,6 @@ def fit_svd_model(L: np.ndarray, load_class: LoadClass) -> SvdModel:
     mu = u.mean(axis=0)
     sigma = u.std(axis=0, ddof=1)
     return SvdModel(load_class=load_class, u=u, s=s, vt=vt, coeff_mu=mu, coeff_sigma=sigma)
-
-
-def fit_svd_model_from_profiles(
-    profiles: Sequence[LoadProfile], load_class: LoadClass
-) -> SvdModel:
-    rows = [p.samples for p in profiles if p.load_class is load_class]
-    return fit_svd_model(np.asarray(rows).reshape(len(rows), _WEEKS), load_class)
 
 
 def svd_generate(model: SvdModel, count: int, seed: int) -> np.ndarray:

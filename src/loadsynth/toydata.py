@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LoadClass, sub_seed
+from .core import Level, LoadClass, ProfileSet, sub_seed
 
 DAY_S = 86_400.0
 YEAR_S = 52 * 604_800.0
@@ -486,18 +486,24 @@ def desk_level_datasets(
     """
     from . import ingest  # local import: ingest never imports toydata
 
-    merged = ingest.LevelDatasets()
+    parts = []
     span_s = n_years * YEAR_S
     fleet_m30 = _fleet_block_means(configs, 30.0, int(round(span_s / 30.0)))
     for cfg, m30 in zip(configs, fleet_m30):
         part = ingest.extract_levels_from_block_means(
             m30, cfg.load_class, 0.0, max_l2_profiles=l2_profiles_per_load
         )
+        windows = []
         for j in range(l1_windows_per_load):
             t0 = 30.0 * math.floor(j * span_s / l1_windows_per_load / 30.0)
-            window = simulate_ground_truth(cfg, 30.0, start_time_s=t0)
-            part.l1.append(ingest.mean_one_profile(window, 1.0 / 30.0, cfg.load_class))
-        merged.extend(part)
+            windows.append(simulate_ground_truth(cfg, 30.0, start_time_s=t0))
+        ingest._add_mean_one_rows(part, Level.L1, np.array(windows), cfg.load_class)
+        parts.append(part)
+    merged = ingest.LevelDatasets(*(ProfileSet.concatenate([p.of(level) for p in parts]) for level in Level))
+    for part in parts:
+        merged.issues.update((level, text) for level, text in part.issues.items() if not merged.of(level))
+        for level, count in part.skipped.items():
+            merged.skipped[level] = merged.skipped.get(level, 0) + count
     return merged
 
 

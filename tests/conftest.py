@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from loadsynth.compose import ModelSet, learn_seam_filter
-from loadsynth.core import Level, LoadClass
+from loadsynth.core import LoadClass
 from loadsynth.neural.gan import HyperParams, train_cgan, train_gan
-from loadsynth.svdgen import fit_svd_model_from_profiles
+from loadsynth.svdgen import fit_svd_model
 from loadsynth.toydata import ToyLoadConfig, desk_level_datasets
 
 
@@ -26,15 +26,20 @@ def tiny_datasets():
     )
 
 
+def year_rows(datasets, load_class):
+    """The level-4 rows of one load class."""
+    return datasets.l4.samples[[c is load_class for c in datasets.l4.load_class]]
+
+
 @pytest.fixture(scope="session")
 def tiny_models(tiny_datasets):
     ds = tiny_datasets
     hyper = HyperParams(epochs=2, batch_size=8, trace_samples=100)
     return ModelSet(
-        l1=train_gan(ds.l1, Level.L1, hyper, seed=1),
-        l2=train_gan(ds.l2, Level.L2, hyper, seed=2),
+        l1=train_gan(ds.l1, hyper, seed=1),
+        l2=train_gan(ds.l2, hyper, seed=2),
         l3=train_cgan(ds.l3, hyper=hyper, seed=3),
-        l4_residential=fit_svd_model_from_profiles(ds.l4, LoadClass.MAINLY_RESIDENTIAL),
-        l4_industrial=fit_svd_model_from_profiles(ds.l4, LoadClass.MAINLY_INDUSTRIAL),
-        seam=learn_seam_filter(ds.l3),
+        l4_residential=fit_svd_model(year_rows(ds, LoadClass.MAINLY_RESIDENTIAL), LoadClass.MAINLY_RESIDENTIAL),
+        l4_industrial=fit_svd_model(year_rows(ds, LoadClass.MAINLY_INDUSTRIAL), LoadClass.MAINLY_INDUSTRIAL),
+        seam=learn_seam_filter(ds.l3.samples),
     )

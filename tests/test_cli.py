@@ -4,6 +4,7 @@ import builtins
 import contextlib
 import copy
 import errno
+import hashlib
 import io
 import json
 import math
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import loadsynth
 from loadsynth.cli import (
+    _dataset_fingerprint,
     build_parser,
     estimate_file_size,
     finite_positive_float,
@@ -32,9 +34,9 @@ from loadsynth.cli import (
     write_series_csv,
 )
 from loadsynth.compose import GenerationRequest
-from loadsynth.core import parse_resolution
-from loadsynth.errors import ParseError
-from loadsynth.ingest import PHASOR_HEADER, write_level_datasets
+from loadsynth.core import Level, parse_resolution
+from loadsynth.errors import InsufficientData, ParseError
+from loadsynth.ingest import PHASOR_HEADER, read_level_datasets, write_level_datasets
 from loadsynth.modelio import ModelBundle
 
 WEEK_S = 604_800.0
@@ -537,8 +539,28 @@ class TestDefectiveDatasets:
         assert not (tmp_path / "b.lsb").exists()
 
 
+# defective level_meta.json entries: (profile id of the tiny datasets, entry)
+META_ENTRY_DEFECTS = {
+    "entry_not_object": ("l1_000000", b"[1, 2]"),
+    "source_mean_string": ("l1_000000", b'{"source_mean": "x"}'),
+    "source_mean_bool": ("l3_000000", b'{"source_mean": true}'),
+    "source_mean_nan": ("l3_000000", b'{"source_mean": NaN}'),
+    "source_mean_too_big": ("l4_000000", b'{"source_mean": 1' + b"0" * 400 + b"}"),
+    "short_trend": ("l2_000000", b'{"trend_coeffs": [1.0, 2.0]}'),
+    "infinite_trend": ("l2_000000", b'{"trend_coeffs": [0, 0, 0, 0, Infinity]}'),
+    "trend_off_level_2": ("l4_000000", b'{"trend_coeffs": [0, 0, 0, 0, 0]}'),
+    "unknown_key": ("l1_000000", b'{"mean": 1.0}'),
+}
+
+
+def meta_text(pid, entry) -> bytes:
+    return b'{"%s": %s}' % (pid.encode(), entry)
+
+
 @pytest.mark.parametrize(
-    "text", [b"{not json", b"[1, 2]", b"\xff{}"], ids=["syntax", "not_object", "not_utf8"]
+    "text",
+    [b"{not json", b"[1, 2]", b"\xff{}", *(meta_text(*d) for d in META_ENTRY_DEFECTS.values())],
+    ids=["syntax", "not_object", "not_utf8", *META_ENTRY_DEFECTS],
 )
 class TestDefectiveLevelMeta:
     def write(self, datasets, directory, text):
@@ -564,6 +586,72 @@ class TestDefectiveLevelMeta:
         assert code == 3
         assert "level_meta.json" in capsys.readouterr().err
         assert not (tmp_path / "b.lsb").exists()
+
+
+@pytest.mark.parametrize("defect", META_ENTRY_DEFECTS)
+def test_defective_meta_entry_names_the_profile(defect, tiny_datasets, tmp_path):
+    pid, entry = META_ENTRY_DEFECTS[defect]
+    write_level_datasets(tiny_datasets, tmp_path)
+    (tmp_path / "level_meta.json").write_bytes(meta_text(pid, entry))
+    with pytest.raises(InsufficientData, match=f"level_meta.json: profile '{pid}': "):
+        read_level_datasets(tmp_path)
+
+
+def oracle_dataset_fingerprint(datasets) -> str:
+    """The fingerprint loop over one standalone profile at a time, as bundle
+    provenance recorded it before datasets were arrays."""
+    digest = hashlib.sha256()
+    for level in Level:
+        profiles = datasets.of(level)
+        for i in range(len(profiles)):
+            digest.update(np.array(profiles.samples[i]).tobytes())
+            digest.update(str(profiles.load_class[i]).encode())
+            digest.update(str(profiles.season[i]).encode())
+    return digest.hexdigest()
+
+
+def test_dataset_fingerprint_equals_the_per_profile_loop(tiny_datasets, tmp_path):
+    write_level_datasets(tiny_datasets, tmp_path)
+    for datasets in (tiny_datasets, read_level_datasets(tmp_path)):
+        assert _dataset_fingerprint(datasets) == oracle_dataset_fingerprint(datasets)
+
+
+@pytest.fixture(scope="module")
+def five_hours_with_a_nan(tmp_path_factory):
+    """A 5 h series CSV at 30 Hz holding one NaN reading at 2.5 h."""
+    times = np.arange(5 * 3600 * 30) / 30.0
+    values = np.full(times.size, 2.0)
+    values[times.size // 2] = np.nan
+    path = tmp_path_factory.mktemp("series") / "nan.csv"
+    write_series_csv(path, times, values[None, :])
+    return path
+
+
+def test_non_finite_reading_is_skipped_with_one_note_per_level(five_hours_with_a_nan, tmp_path, capsys):
+    code = main(
+        ["ingest", "--series", str(five_hours_with_a_nan), "--load-class", "residential",
+         "--output-dir", str(tmp_path / "out")]
+    )
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "profiles extracted: {'l1': 599, 'l2': 0, 'l3': 0, 'l4': 0}\n" in err
+    notes = [line for line in err.splitlines() if line.startswith("note: level 2")]
+    assert notes == ["note: level 2 skipped 1 windows holding negative load (net export) or a non-finite value"]
+    assert "note: level 1 skipped 1 windows" in err
+
+
+def test_zero_cap_says_the_cap_kept_no_profiles(five_hours_with_a_nan, tmp_path, capsys):
+    code = main(
+        ["ingest", "--series", str(five_hours_with_a_nan), "--load-class", "residential",
+         "--max-l1", "0", "--max-l2", "0", "--output-dir", str(tmp_path / "out")]
+    )
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "profiles extracted: {'l1': 0, 'l2': 0, 'l3': 0, 'l4': 0}\n" in err
+    assert "the cap of 0 kept none of the 600 windows\n" in err
+    assert "the cap of 0 kept none of the 1 hours with the +-2 h context\n" in err
+    assert "got 540000" not in err and "half-minute samples" not in err
+    assert "skipped" not in err  # a cap of 0 picks no window to skip
 
 
 # two records of lines line0 and line1 with a blank line between, so a

@@ -27,9 +27,7 @@ from loadsynth.compose import (
 from loadsynth.core import (
     Level,
     LoadClass,
-    LoadProfile,
     Metric,
-    Normalization,
     Season,
     parse_resolution,
     season_of_week,
@@ -49,14 +47,9 @@ YEAR_S = 52 * WEEK_S
 UNIFORM_BETA = np.array([0.125, 0.125, 0.5, 0.125, 0.125])
 
 
-def mean_one(samples, period=3600.0, **kw):
+def mean_one(samples):
     samples = np.asarray(samples, float)
-    return LoadProfile(
-        samples=samples / samples.mean(),
-        sampling_period_s=period,
-        normalization=Normalization.MEAN_ONE,
-        **kw,
-    )
+    return samples / samples.mean()
 
 
 def load_fixture_profiles():
@@ -66,11 +59,7 @@ def load_fixture_profiles():
         for line in fh:
             p, i, v = line.split(",")
             rows.setdefault(int(p), []).append((int(i), float(v)))
-    profiles = []
-    for p in sorted(rows):
-        values = np.array([v for _, v in sorted(rows[p])])
-        profiles.append(mean_one(values))
-    return profiles
+    return np.array([mean_one([v for _, v in sorted(rows[p])]) for p in sorted(rows)])
 
 
 class TestSeamFilterType:
@@ -89,15 +78,13 @@ class TestSeamFilterType:
 
 class TestLearnSeamFilter:
     def test_linear_ramps_zero_residual_and_oracle_match(self):
-        profiles = []
-        for a, b in [(1.0, 0.001), (0.8, 0.002), (1.2, -0.001)]:
-            ramp = a + b * np.arange(168)
-            profiles.append(mean_one(ramp))
+        profiles = np.array(
+            [mean_one(a + b * np.arange(168)) for a, b in [(1.0, 0.001), (0.8, 0.002), (1.2, -0.001)]]
+        )
         filt = learn_seam_filter(profiles)
         # oracle: minimum-norm solution via explicit pseudoinverse
         rows, targets = [], []
-        for prof in profiles:
-            x = prof.samples
+        for x in profiles:
             idx = np.arange(2, 166)
             rows.append(np.column_stack([x[idx - 2], x[idx - 1], x[idx + 1], x[idx + 2]]))
             targets.append(0.5 * x[idx])
@@ -111,8 +98,7 @@ class TestLearnSeamFilter:
         profiles = load_fixture_profiles()
         filt = learn_seam_filter(profiles)
         rows, targets = [], []
-        for prof in profiles:
-            x = prof.samples
+        for x in profiles:
             idx = np.arange(2, 166)
             rows.append(np.column_stack([x[idx - 2], x[idx - 1], x[idx + 1], x[idx + 2]]))
             targets.append(0.5 * x[idx])
@@ -125,9 +111,20 @@ class TestLearnSeamFilter:
         resid = X.T @ (X @ free) - X.T @ y
         assert np.linalg.norm(resid) < 1e-8 * np.linalg.norm(X.T @ y)
 
+    def test_equals_the_per_profile_design_matrix_bit_for_bit(self):
+        profiles = load_fixture_profiles()
+        rows, targets = [], []
+        for x in profiles:  # the design matrix built one profile at a time
+            idx = np.arange(2, x.size - 2)
+            rows.append(np.column_stack([x[idx - 2], x[idx - 1], x[idx + 1], x[idx + 2]]))
+            targets.append(0.5 * x[idx])
+        b4, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(targets), rcond=None)
+        want = np.array([b4[0], b4[1], 0.5, b4[2], b4[3]])
+        assert learn_seam_filter(profiles).beta.tobytes() == want.tobytes()
+
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
-            learn_seam_filter([mean_one(np.ones(50) + 0.01 * np.arange(50))])
+            learn_seam_filter([mean_one(np.ones(50) + 0.01 * np.arange(50))])  # 46 interior samples
 
 
 class TestApplySeamFilter:
@@ -182,7 +179,7 @@ class TestScaleToParent:
     @pytest.mark.parametrize("seed", range(4))
     def test_output_mean_is_parent(self, seed):
         rng = np.random.default_rng(seed)
-        child = mean_one(rng.uniform(0.5, 1.5, 168)).samples
+        child = mean_one(rng.uniform(0.5, 1.5, 168))
         parent = float(rng.uniform(1.0, 200.0))
         out = scale_to_parent(child[None, :], [parent])
         assert out.shape == (1, 168)

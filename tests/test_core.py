@@ -4,66 +4,72 @@ import numpy as np
 import pytest
 
 from loadsynth.core import (
-    LoadProfile,
+    LEVEL_SPECS,
+    Level,
+    LoadClass,
     Metric,
-    Normalization,
+    ProfileRowError,
+    ProfileSet,
     Season,
     downsample,
-    normalize_mean,
     parse_resolution,
     season_of_week,
     truncate_to_multiple,
 )
 from loadsynth.errors import (
-    DegenerateProfile,
     EmptyInput,
     InvalidFactor,
     ParseError,
     ResolutionTooFine,
 )
+from loadsynth.ingest import LevelDatasets, _add_mean_one_rows
 
 
-def raw(values, period=1.0):
-    return LoadProfile(samples=np.asarray(values, float), sampling_period_s=period)
+def normalize(window, level=Level.L4):
+    """The mean-one profile that dataset extraction makes of one raw
+    ``window`` at ``level``, as (samples, source mean); None when the window
+    is left out."""
+    out = LevelDatasets()
+    _add_mean_one_rows(out, level, np.asarray(window, float)[None, :], LoadClass.MAINLY_RESIDENTIAL)
+    profiles = out.of(level)
+    return (profiles.samples[0], profiles.source_mean[0]) if len(profiles) else None
 
 
 class TestNormalizeMean:
+    """Mean-one normalization of raw windows, where extraction builds each
+    level's ProfileSet."""
+
     def test_constant_profile(self):
-        out, mean = normalize_mean(raw([5, 5, 5, 5]))
+        samples, mean = normalize(np.full(52, 5.0))
         assert mean == 5.0
-        np.testing.assert_allclose(out.samples, [1, 1, 1, 1], rtol=1e-12)
-        assert out.normalization is Normalization.MEAN_ONE
+        np.testing.assert_allclose(samples, np.ones(52), rtol=1e-12)
 
     def test_two_point(self):
-        out, mean = normalize_mean(raw([2, 4]))
+        samples, mean = normalize(np.tile([2.0, 4.0], 26))
         assert mean == 3.0
-        np.testing.assert_allclose(out.samples, [2 / 3, 4 / 3], rtol=1e-12)
+        np.testing.assert_allclose(samples, np.tile([2 / 3, 4 / 3], 26), rtol=1e-12)
 
     def test_zero_profile_degenerate(self):
-        with pytest.raises(DegenerateProfile):
-            normalize_mean(raw([0, 0, 0]))
+        out = LevelDatasets()
+        _add_mean_one_rows(out, Level.L4, np.zeros((1, 52)), LoadClass.MAINLY_RESIDENTIAL)
+        assert len(out.l4) == 0
+        assert not out.skipped  # left out, but not counted as a bad reading
 
     def test_threshold_is_relative_to_maximum(self):
         # small absolute values are fine as long as the mean is a healthy
         # fraction of the peak; the threshold scales with magnitude
-        out, mean = normalize_mean(raw([1e-7, 3e-7]))
-        assert abs(out.samples.mean() - 1.0) < 1e-9
+        samples, mean = normalize(np.tile([1e-7, 3e-7], 26))
+        assert abs(samples.mean() - 1.0) < 1e-9
         assert mean == pytest.approx(2e-7)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_round_trip_identity(self, seed):
         rng = np.random.default_rng(seed)
-        values = rng.uniform(0.5, 200.0, size=rng.integers(2, 400))
-        out, mean = normalize_mean(raw(values))
-        assert abs(out.samples.mean() - 1.0) < 1e-9
-        np.testing.assert_allclose(out.samples * mean, values, rtol=1e-12)
-
-    def test_requires_raw(self):
-        prof = LoadProfile(
-            samples=np.ones(4), sampling_period_s=1.0, normalization=Normalization.MEAN_ONE
-        )
-        with pytest.raises(ValueError):
-            normalize_mean(prof)
+        level = [Level.L1, Level.L3, Level.L4][seed % 3]
+        values = rng.uniform(0.5, 200.0, size=LEVEL_SPECS[level].profile_length)
+        samples, mean = normalize(values, level)
+        assert abs(samples.mean() - 1.0) < 1e-9
+        np.testing.assert_allclose(samples * mean, values, rtol=1e-12)
 
 
 class TestDownsample:
@@ -210,28 +216,82 @@ class TestSeasonOfWeek:
         assert season_of_week(52) is season_of_week(0)
 
 
-class TestLoadProfileInvariants:
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            LoadProfile(samples=np.array([1.0, np.nan]), sampling_period_s=1.0)
+def year_rows(n=4):
+    return np.random.default_rng(0).uniform(0.5, 1.5, (n, 52))
 
-    def test_rejects_negative_raw(self):
-        with pytest.raises(ValueError):
-            LoadProfile(samples=np.array([1.0, -2.0]), sampling_period_s=1.0)
+
+def mean_one_rows(n=4):
+    rows = year_rows(n)
+    return rows / rows.mean(axis=1, keepdims=True)
+
+
+class TestProfileSetInvariants:
+    def test_rejects_nan(self):
+        rows = mean_one_rows()
+        rows[1, 5] = np.nan
+        with pytest.raises(ProfileRowError, match="^row 1: samples must be finite$") as info:
+            ProfileSet(Level.L4, rows)
+        assert info.value.row == 1
+
+    def test_rejects_negative_mean_one(self):
+        rows = mean_one_rows()
+        rows[2, :2] = [-0.5, rows[2, 0] + rows[2, 1] + 0.5]  # the mean stays 1
+        with pytest.raises(ProfileRowError, match="^row 2: mean-one samples must be nonnegative$"):
+            ProfileSet(Level.L4, rows)
 
     def test_rejects_bad_mean_one(self):
-        with pytest.raises(ValueError):
-            LoadProfile(
-                samples=np.array([1.0, 2.0]),
-                sampling_period_s=1.0,
-                normalization=Normalization.MEAN_ONE,
-            )
+        rows = mean_one_rows()
+        rows[3] = 1.5
+        with pytest.raises(ProfileRowError, match=r"^row 3: mean-one profile has mean 1\.5$"):
+            ProfileSet(Level.L4, rows)
 
-    def test_rejects_nonpositive_period(self):
-        with pytest.raises(ValueError):
-            LoadProfile(samples=np.ones(3), sampling_period_s=0.0)
+    def test_rejects_off_zero_level2(self):
+        rows = np.zeros((3, 120))
+        rows[1, 0] = 1.2e-4  # mean 1e-6 passes
+        rows[2, 0] = 1.3e-4
+        with pytest.raises(ProfileRowError, match=r"^row 2: detrended profile has mean 1\.08"):
+            ProfileSet(Level.L2, rows)
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ProfileRowError, match=r"^row 0: length 51 does not fit level l4 \(52\)$"):
+            ProfileSet(Level.L4, mean_one_rows()[:, :51])
+
+    def test_names_the_first_bad_row(self):
+        rows = mean_one_rows()
+        rows[3, 0] = np.inf
+        rows[1] *= 2.0
+        with pytest.raises(ProfileRowError, match="^row 1: mean-one profile has mean 2"):
+            ProfileSet(Level.L4, rows)
 
     def test_samples_are_read_only(self):
-        prof = LoadProfile(samples=np.ones(3), sampling_period_s=1.0)
+        rows = mean_one_rows()
+        profiles = ProfileSet(Level.L4, rows)
         with pytest.raises(ValueError):
-            prof.samples[0] = 2.0
+            profiles.samples[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            profiles.source_mean[0] = 2.0
+        rows[0, 0] = 2.0  # the caller's array stays its own
+        assert rows.flags.writeable
+
+    def test_labels_and_means_default_to_unknown(self):
+        profiles = ProfileSet(Level.L2, np.zeros((3, 120)))
+        assert len(profiles) == 3
+        assert profiles.load_class == profiles.season == (None, None, None)
+        assert np.isnan(profiles.source_mean).all() and profiles.source_mean.shape == (3,)
+        assert np.isnan(profiles.trend_coeffs).all() and profiles.trend_coeffs.shape == (3, 5)
+        assert ProfileSet(Level.L4, mean_one_rows()).trend_coeffs is None
+        with pytest.raises(ValueError, match="only level 2"):
+            ProfileSet(Level.L4, mean_one_rows(), trend_coeffs=np.zeros((4, 5)))
+        with pytest.raises(ValueError, match="one load class"):
+            ProfileSet(Level.L4, mean_one_rows(), load_class=[LoadClass.MAINLY_INDUSTRIAL])
+        assert ProfileSet(Level.L1, ()).samples.shape == (0, 900)
+
+    def test_concatenate_keeps_row_order(self):
+        rows = mean_one_rows(5)
+        a = ProfileSet(Level.L4, rows[:2], [LoadClass.MAINLY_RESIDENTIAL] * 2, None, [1.0, 2.0])
+        b = ProfileSet(Level.L4, rows[2:], [LoadClass.MAINLY_INDUSTRIAL] * 3, [Season.FALL] * 3)
+        both = ProfileSet.concatenate([a, b])
+        assert both.samples.tobytes() == rows.tobytes()
+        assert both.load_class == (LoadClass.MAINLY_RESIDENTIAL,) * 2 + (LoadClass.MAINLY_INDUSTRIAL,) * 3
+        assert both.season == (None, None, Season.FALL, Season.FALL, Season.FALL)
+        np.testing.assert_array_equal(both.source_mean, [1.0, 2.0, np.nan, np.nan, np.nan])

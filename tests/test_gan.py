@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from loadsynth.core import Level, LoadClass, LoadProfile, Normalization, Season
+from loadsynth.core import Level, LoadClass, ProfileRowError, ProfileSet, Season
 from loadsynth.errors import (
     DatasetTooSmall,
     LabelRequired,
@@ -21,46 +21,27 @@ from loadsynth.neural.gan import (
 )
 
 
-def l2_profile(samples):
-    samples = np.asarray(samples, float)
-    return LoadProfile(
-        samples=samples - samples.mean(),
-        sampling_period_s=30.0,
-        normalization=Normalization.ZERO_MEAN_DETRENDED,
-    )
+def l2_set(rows):
+    rows = np.asarray(rows, float)
+    return ProfileSet(Level.L2, rows - rows.mean(axis=1, keepdims=True))
 
 
-def l1_profile(samples):
-    samples = np.asarray(samples, float)
-    return LoadProfile(
-        samples=samples / samples.mean(),
-        sampling_period_s=1 / 30,
-        normalization=Normalization.MEAN_ONE,
-    )
-
-
-def l3_profile(samples, load_class, season):
-    samples = np.asarray(samples, float)
-    return LoadProfile(
-        samples=samples / samples.mean(),
-        sampling_period_s=3600.0,
-        load_class=load_class,
-        season=season,
-        normalization=Normalization.MEAN_ONE,
-    )
+def l1_set(rows):
+    rows = np.asarray(rows, float)
+    return ProfileSet(Level.L1, rows / rows.mean(axis=1, keepdims=True))
 
 
 @pytest.fixture(scope="module")
 def small_l2_dataset():
     rng = np.random.default_rng(5)
-    return [l2_profile(0.01 * rng.standard_normal(120)) for _ in range(64)]
+    return l2_set([0.01 * rng.standard_normal(120) for _ in range(64)])
 
 
 class TestTrainGan:
     def test_deterministic_weights(self, small_l2_dataset):
         hyper = HyperParams(epochs=2, batch_size=8, trace_samples=50)
-        a = train_gan(small_l2_dataset, Level.L2, hyper, seed=42)
-        b = train_gan(small_l2_dataset, Level.L2, hyper, seed=42)
+        a = train_gan(small_l2_dataset, hyper, seed=42)
+        b = train_gan(small_l2_dataset, hyper, seed=42)
         np.testing.assert_array_equal(a.generator.params, b.generator.params)
         np.testing.assert_array_equal(
             a.discriminator.params, b.discriminator.params
@@ -69,43 +50,42 @@ class TestTrainGan:
 
     def test_different_seed_differs(self, small_l2_dataset):
         hyper = HyperParams(epochs=1, batch_size=8, trace_samples=50)
-        a = train_gan(small_l2_dataset, Level.L2, hyper, seed=1)
-        b = train_gan(small_l2_dataset, Level.L2, hyper, seed=2)
+        a = train_gan(small_l2_dataset, hyper, seed=1)
+        b = train_gan(small_l2_dataset, hyper, seed=2)
         assert not np.array_equal(a.generator.params, b.generator.params)
 
     def test_two_disc_updates_per_gen_update(self, small_l2_dataset):
         hyper = HyperParams(epochs=3, batch_size=8, trace_samples=50)
-        model = train_gan(small_l2_dataset, Level.L2, hyper, seed=3)
+        model = train_gan(small_l2_dataset, hyper, seed=3)
         assert model.log.disc_updates == 2 * model.log.gen_updates
         assert model.log.gen_updates == 3 * (64 // 8 // 2)
 
     def test_dataset_too_small(self):
-        dataset = [l2_profile(np.random.default_rng(0).standard_normal(120))] * 10
+        dataset = l2_set([np.random.default_rng(0).standard_normal(120)] * 10)
         with pytest.raises(DatasetTooSmall):
-            train_gan(dataset, Level.L2, HyperParams(epochs=1, batch_size=8), seed=0)
+            train_gan(dataset, HyperParams(epochs=1, batch_size=8), seed=0)
 
     def test_wrong_normalization_rejected(self):
-        prof = l1_profile(np.ones(120))
-        with pytest.raises(ValueError, match="zero_mean"):
-            train_gan([prof] * 64, Level.L2, HyperParams(epochs=1, batch_size=8), seed=0)
+        # mean-one rows cannot form the level-2 set that train_gan takes
+        with pytest.raises(ProfileRowError, match="^row 0: detrended profile has mean 1.0$"):
+            ProfileSet(Level.L2, np.ones((64, 120)))
 
     def test_wrong_length_rejected(self):
-        prof = l2_profile(np.random.default_rng(0).standard_normal(100))
-        with pytest.raises(ValueError, match="length"):
-            train_gan([prof] * 64, Level.L2, HyperParams(epochs=1, batch_size=8), seed=0)
+        with pytest.raises(ProfileRowError, match="length 100 does not fit level l2"):
+            l2_set(np.random.default_rng(0).standard_normal((64, 100)))
 
     def test_constant_dataset_stays_near_target(self):
         # identical mean-one profiles: generated output should hug 1.0
-        dataset = [l1_profile(np.ones(900)) for _ in range(32)]
+        dataset = l1_set(np.ones((32, 900)))
         hyper = HyperParams(epochs=4, batch_size=8, trace_samples=32)
-        model = train_gan(dataset, Level.L1, hyper, seed=7)
+        model = train_gan(dataset, hyper, seed=7)
         out = gan_generate(model, 500, seed=1)
         deviation = np.abs(out - 1.0).mean()
         assert deviation < 0.05
 
     def test_training_log_has_both_trace_estimates(self, small_l2_dataset):
         hyper = HyperParams(epochs=2, batch_size=8, trace_samples=50)
-        model = train_gan(small_l2_dataset, Level.L2, hyper, seed=4)
+        model = train_gan(small_l2_dataset, hyper, seed=4)
         assert len(model.log.epochs) == 2
         for entry in model.log.epochs:
             assert set(entry) == {"disc_loss", "gen_loss", "w_hist", "w_exact"}
@@ -125,47 +105,36 @@ class TestLabels:
         assert len(set(LABEL_VOCAB)) == 8
 
 
-def two_cluster_dataset(per_combo=8):
-    """Class-dependent shapes: residential rises, industrial falls."""
+def two_cluster_dataset(per_combo=8, leave_out=None):
+    """Class-dependent shapes: residential rises, industrial falls; the
+    label ``leave_out`` has no examples."""
     up = np.concatenate([np.full(84, 0.5), np.full(84, 1.5)])
     down = up[::-1].copy()
-    dataset, labels = [], []
-    for cls, season in itertools.product(LoadClass, Season):
-        shape = down if cls is LoadClass.MAINLY_RESIDENTIAL else up
-        for k in range(per_combo):
-            dataset.append(l3_profile(shape, cls, season))
-            labels.append((cls, season))
-    return dataset, labels
+    labels = [
+        (cls, season)
+        for cls, season in itertools.product(LoadClass, Season)
+        for _ in range(per_combo)
+        if (cls, season) != leave_out
+    ]
+    rows = [down if cls is LoadClass.MAINLY_RESIDENTIAL else up for cls, _ in labels]
+    return ProfileSet(Level.L3, rows, *zip(*labels))
 
 
 class TestTrainCGan:
     def test_missing_label_coverage(self):
-        dataset, labels = two_cluster_dataset(per_combo=8)
-        # drop every (industrial, fall) example
-        keep = [
-            i
-            for i, lab in enumerate(labels)
-            if lab != (LoadClass.MAINLY_INDUSTRIAL, Season.FALL)
-        ]
+        dataset = two_cluster_dataset(per_combo=8, leave_out=(LoadClass.MAINLY_INDUSTRIAL, Season.FALL))
         with pytest.raises(MissingLabelCoverage, match="industrial"):
-            train_cgan(
-                [dataset[i] for i in keep],
-                [labels[i] for i in keep],
-                HyperParams(epochs=1, batch_size=8),
-                seed=0,
-            )
+            train_cgan(dataset, HyperParams(epochs=1, batch_size=8), seed=0)
 
     def test_labels_from_profiles_when_omitted(self):
-        dataset, _ = two_cluster_dataset(per_combo=8)
-        model = train_cgan(
-            dataset, None, HyperParams(epochs=1, batch_size=8, trace_samples=16), seed=0
-        )
+        dataset = two_cluster_dataset(per_combo=8)
+        model = train_cgan(dataset, HyperParams(epochs=1, batch_size=8, trace_samples=16), seed=0)
         assert model.conditional
 
     def test_conditioning_separates_classes(self):
-        dataset, labels = two_cluster_dataset(per_combo=8)
+        dataset = two_cluster_dataset(per_combo=8)
         hyper = HyperParams(epochs=150, batch_size=8, trace_samples=32)
-        model = train_cgan(dataset, labels, hyper, seed=5)
+        model = train_cgan(dataset, hyper, seed=5)
         res = gan_generate(
             model, 64, seed=1, labels=(LoadClass.MAINLY_RESIDENTIAL, Season.WINTER)
         )
@@ -178,17 +147,17 @@ class TestTrainCGan:
         assert res_first_half - ind_first_half > 0.5
 
     def test_seed_reproducibility(self):
-        dataset, labels = two_cluster_dataset(per_combo=8)
+        dataset = two_cluster_dataset(per_combo=8)
         hyper = HyperParams(epochs=1, batch_size=8, trace_samples=16)
-        a = train_cgan(dataset, labels, hyper, seed=9)
-        b = train_cgan(dataset, labels, hyper, seed=9)
+        a = train_cgan(dataset, hyper, seed=9)
+        b = train_cgan(dataset, hyper, seed=9)
         np.testing.assert_array_equal(a.generator.params, b.generator.params)
 
 
 @pytest.fixture(scope="module")
 def generate_model(small_l2_dataset):
     hyper = HyperParams(epochs=1, batch_size=8, trace_samples=50)
-    return train_gan(small_l2_dataset, Level.L2, hyper, seed=11)
+    return train_gan(small_l2_dataset, hyper, seed=11)
 
 
 def held_arrays(model):
@@ -203,7 +172,7 @@ def held_arrays(model):
 
 
 def test_layers_keep_no_activations(small_l2_dataset):
-    model = train_gan(small_l2_dataset, Level.L2, HyperParams(epochs=1, batch_size=8), seed=12)
+    model = train_gan(small_l2_dataset, HyperParams(epochs=1, batch_size=8), seed=12)
     assert held_arrays(model) == {"w", "b", "gw", "gb"}
     gan_generate(model, 5, seed=0)
     assert held_arrays(model) == {"w", "b", "gw", "gb"}
@@ -240,10 +209,8 @@ class TestGenerate:
             gan_generate(model, 1, seed=0, labels=(LoadClass.MAINLY_RESIDENTIAL, Season.WINTER))
 
     def test_conditional_requires_labels(self):
-        dataset, labels = two_cluster_dataset(per_combo=8)
-        model = train_cgan(
-            dataset, labels, HyperParams(epochs=1, batch_size=8, trace_samples=16), seed=0
-        )
+        dataset = two_cluster_dataset(per_combo=8)
+        model = train_cgan(dataset, HyperParams(epochs=1, batch_size=8, trace_samples=16), seed=0)
         with pytest.raises(LabelRequired):
             gan_generate(model, 2, seed=0)
         out = gan_generate(model, 3, seed=0, labels=(LoadClass.MAINLY_INDUSTRIAL, Season.SUMMER))

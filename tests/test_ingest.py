@@ -10,16 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loadsynth.core import (
-    LoadProfile,
+    LEVEL_SPECS,
     Level,
     LoadClass,
     Metric,
-    Normalization,
+    ProfileSet,
     Season,
     downsample,
     season_of_week,
 )
-from loadsynth.errors import DegenerateProfile, InsufficientData, MissingChannel, WindowTooShort
+from loadsynth.errors import InsufficientData, MissingChannel, WindowTooShort
 from loadsynth.ingest import (
     DATASET_HEADER,
     DETREND_CENTER,
@@ -36,12 +36,11 @@ from loadsynth.ingest import (
     extract_l2_profiles,
     extract_level_datasets,
     extract_levels_from_block_means,
-    mean_one_profile,
     read_level_datasets,
     read_phasor_csv,
     write_level_datasets,
 )
-from loadsynth.toydata import ToyLoadConfig, simulate_block_means
+from loadsynth.toydata import ToyLoadConfig, desk_level_datasets, simulate_block_means, simulate_ground_truth
 
 
 def table(phasors):
@@ -164,16 +163,16 @@ class TestExtraction:
         m30 = np.full(20_160, 3.0)  # one week of 30-second means
         ds = extract_levels_from_block_means(m30, LoadClass.MAINLY_RESIDENTIAL)
         assert len(ds.l3) == 1
-        np.testing.assert_allclose(ds.l3[0].samples, 1.0, atol=1e-12)
-        assert ds.l3[0].season is Season.WINTER
-        assert all(np.allclose(p.samples, 0.0, atol=1e-10) for p in ds.l2)
+        np.testing.assert_allclose(ds.l3.samples[0], 1.0, atol=1e-12)
+        assert ds.l3.season[0] is Season.WINTER
+        np.testing.assert_allclose(ds.l2.samples, 0.0, atol=1e-10)
         assert Level.L4 in ds.issues  # one week is less than a year
 
     def test_constant_30hz_five_hours(self):
         series = np.full(5 * 3600 * 30, 2.0)
         ds = extract_level_datasets(series, load_class=LoadClass.MAINLY_INDUSTRIAL)
         assert len(ds.l1) == 600
-        np.testing.assert_allclose(ds.l1[0].samples, 1.0, atol=1e-12)
+        np.testing.assert_allclose(ds.l1.samples[0], 1.0, atol=1e-12)
         assert len(ds.l2) == 1  # only hour 2 has the full context
         assert Level.L3 in ds.issues and Level.L4 in ds.issues
 
@@ -188,10 +187,9 @@ class TestExtraction:
         cfg = ToyLoadConfig.residential(seed=31)
         m30 = simulate_block_means(cfg, 30.0, 2 * 52 * 20_160)
         ds = extract_levels_from_block_means(m30, cfg.load_class, max_l2_profiles=20)
-        assert len(ds.l4) == 2
-        assert all(len(p) == 52 for p in ds.l4)
+        assert ds.l4.samples.shape == (2, 52)
         assert len(ds.l3) == 104
-        assert abs(ds.l4[0].samples.mean() - 1.0) < 1e-9
+        assert abs(ds.l4.samples[0].mean() - 1.0) < 1e-9
 
     def test_l3_l4_bookkeeping_consistency(self):
         cfg = ToyLoadConfig.industrial(seed=32)
@@ -199,20 +197,16 @@ class TestExtraction:
         ds = extract_levels_from_block_means(m30, cfg.load_class, max_l2_profiles=5)
         hourly = downsample(m30[: 52 * 20_160], 120, Metric.MEAN)
         weekly = downsample(hourly, 168, Metric.MEAN)
-        for w, prof in enumerate(ds.l3):
-            # the mean divided out of week w equals the raw weekly mean
-            assert prof.source_mean == pytest.approx(weekly[w], abs=1e-9)
-            # and the year profile was normalized against those same values
-        year = ds.l4[0]
-        np.testing.assert_allclose(
-            year.samples * year.source_mean, weekly, rtol=1e-12
-        )
+        # the mean divided out of week w equals the raw weekly mean
+        np.testing.assert_allclose(ds.l3.source_mean, weekly, rtol=0, atol=1e-9)
+        # and the year profile was normalized against those same values
+        np.testing.assert_allclose(ds.l4.samples[0] * ds.l4.source_mean[0], weekly, rtol=1e-12)
 
     def test_season_tags_follow_week_map(self):
         cfg = ToyLoadConfig.residential(seed=33)
         m30 = simulate_block_means(cfg, 30.0, 52 * 20_160)
         ds = extract_levels_from_block_means(m30, cfg.load_class, max_l2_profiles=1)
-        seasons = [p.season for p in ds.l3]
+        seasons = ds.l3.season
         assert seasons[0] is Season.WINTER
         assert seasons[15] is Season.SPRING
         assert seasons[30] is Season.SUMMER
@@ -221,10 +215,35 @@ class TestExtraction:
 
     def test_l2_subsampling_cap(self):
         m30 = np.full(20_160, 1.0) + 0.01 * np.sin(np.arange(20_160))
-        profiles = extract_l2_profiles(m30, LoadClass.MAINLY_RESIDENTIAL, max_profiles=7)
-        assert len(profiles) == 7
-        assert all(p.normalization is Normalization.ZERO_MEAN_DETRENDED for p in profiles)
-        assert all(len(p.trend_coeffs) == 5 for p in profiles)
+        profiles, skipped = extract_l2_profiles(m30, LoadClass.MAINLY_RESIDENTIAL, max_profiles=7)
+        assert (len(profiles), skipped, profiles.level) == (7, 0, Level.L2)
+        assert profiles.trend_coeffs.shape == (7, 5) and np.isfinite(profiles.trend_coeffs).all()
+
+    def test_l2_skips_an_hour_whose_window_holds_a_non_finite_value(self):
+        series = np.full(6 * 3600 * 30, 2.0)
+        series[3 * 3600 * 30] = np.nan  # inside the windows of hours 2 and 3, the eligible ones
+        ds = extract_level_datasets(series)
+        assert (len(ds.l1), len(ds.l2)) == (719, 0)
+        assert ds.skipped == {Level.L1: 1, Level.L2: 2}
+        assert Level.L2 not in ds.issues  # the hours were there: not a shortage
+        series[3 * 3600 * 30] = np.inf
+        series[-1] = np.nan  # hour 5: no hour's window reaches it
+        assert extract_level_datasets(series).skipped == {Level.L1: 2, Level.L2: 2}
+
+    def test_windows_left_out_are_no_shortage(self):
+        ds = extract_level_datasets(np.full(6 * 3600 * 30, -2.0))  # net export throughout
+        assert (len(ds.l1), len(ds.l2)) == (0, 0)
+        assert ds.skipped == {Level.L1: 720}  # level-2 hours of negative mean are degenerate
+        assert Level.L1 not in ds.issues and Level.L2 not in ds.issues
+
+    def test_zero_caps_keep_no_profiles_and_say_so(self):
+        ds = extract_level_datasets(np.full(6 * 3600 * 30, 2.0), max_l1_profiles=0, max_l2_profiles=0)
+        assert (len(ds.l1), len(ds.l2)) == (0, 0)
+        assert ds.issues[Level.L1].endswith("the cap of 0 kept none of the 720 windows")
+        assert ds.issues[Level.L2].endswith("the cap of 0 kept none of the 2 hours with the +-2 h context")
+        short = extract_level_datasets(np.full(899, 2.0), max_l1_profiles=0, max_l2_profiles=0)
+        assert short.issues[Level.L1] == "level 1 needs at least 900 samples at 30 Hz; got 899"
+        assert short.issues[Level.L2].startswith("level 2 needs at least 5 full hours of data for")
 
 
 class TestFiles:
@@ -287,18 +306,21 @@ class TestFiles:
         )
         ds.l1 = full.l1
         ds.issues.pop(Level.L1, None)
+        means = ds.l3.source_mean.copy()
+        means[::2] = np.nan  # unknown means are left out of the sidecar
+        ds.l3 = ProfileSet(Level.L3, ds.l3.samples, ds.l3.load_class, ds.l3.season, means)
         write_level_datasets(ds, tmp_path)
         back = read_level_datasets(tmp_path)
+        assert np.isnan(back.l3.source_mean).sum() == 26
         for level in Level:
             a, b = ds.of(level), back.of(level)
-            assert len(a) == len(b)
-            for pa, pb in zip(a, b):
-                np.testing.assert_array_equal(pa.samples, pb.samples)
-                assert pa.load_class == pb.load_class
-                assert pa.season == pb.season
-                assert pa.normalization == pb.normalization
-                assert pa.trend_coeffs == pb.trend_coeffs
-                assert pa.source_mean == pb.source_mean
+            assert a.samples.tobytes() == b.samples.tobytes() and len(a) > 0
+            assert (a.load_class, a.season) == (b.load_class, b.season)
+            np.testing.assert_array_equal(a.source_mean, b.source_mean)  # NaN equals NaN
+            if level is Level.L2:
+                assert a.trend_coeffs.tobytes() == b.trend_coeffs.tobytes()
+            else:
+                assert a.trend_coeffs is b.trend_coeffs is None
 
     def test_read_missing_level_file_raises(self, tmp_path):
         ds = LevelDatasetsFactory()
@@ -322,33 +344,39 @@ def LevelDatasetsFactory():
 # ----------------------------------------------------------------------
 
 
-def oracle_mean_one_profiles(windows, period, load_class, seasons=None, picks=None):
-    """``mean_one_profile`` of each picked window in turn, as extraction built
-    them before it normalized the windows as one array: a degenerate window is
-    left out, and one with a negative or non-finite value is counted."""
+def oracle_normalize_mean(window):
+    """The arithmetic of the per-window ``normalize_mean`` that extraction
+    used before it normalized windows as one array: (mean-one samples, the
+    removed mean), or None for a degenerate window."""
+    mean = float(window.mean())
+    if mean <= 1e-9 * float(np.max(window, initial=0.0)):
+        return None
+    scaled = window / mean
+    return scaled / scaled.mean(), mean  # pin the mean to 1
+
+
+def oracle_mean_one_profiles(windows, load_class, seasons=None, picks=None):
+    """``oracle_normalize_mean`` of each picked window in turn, as
+    (samples, load class, season, mean) rows: a degenerate window is left
+    out, and one with a negative or non-finite value is counted."""
     profiles, skipped = [], 0
     for w in range(len(windows)) if picks is None else picks:
         window = windows[w]
         if not (np.all(np.isfinite(window)) and window.min() >= 0 and np.isfinite(window.mean())):
             skipped += 1
             continue
-        try:
-            profiles.append(
-                mean_one_profile(window, period, load_class, None if seasons is None else seasons[w])
-            )
-        except DegenerateProfile:
-            continue
+        normalized = oracle_normalize_mean(window)
+        if normalized is not None:
+            season = None if seasons is None else seasons[w]
+            profiles.append((normalized[0], load_class, season, normalized[1]))
     return profiles, skipped
 
 
 def assert_same_profiles(got, want):
     assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.samples.tobytes() == b.samples.tobytes()  # bit for bit
-        assert (a.sampling_period_s, a.load_class, a.season, a.normalization) == (
-            b.sampling_period_s, b.load_class, b.season, b.normalization
-        )
-        assert a.source_mean == b.source_mean and a.trend_coeffs == b.trend_coeffs
+    for i, (samples, load_class, season, mean) in enumerate(want):
+        assert got.samples[i].tobytes() == samples.tobytes()  # bit for bit
+        assert (got.load_class[i], got.season[i], got.source_mean[i]) == (load_class, season, mean)
 
 
 class TestWindowsAsOneArray:
@@ -361,7 +389,7 @@ class TestWindowsAsOneArray:
         windows = self.windows(seed, 13)
         series = np.concatenate([windows.ravel(), np.ones(450)])  # a half window left over
         got = extract_level_datasets(series, load_class=LoadClass.MAINLY_INDUSTRIAL)
-        want, _ = oracle_mean_one_profiles(windows, 1.0 / 30.0, LoadClass.MAINLY_INDUSTRIAL)
+        want, _ = oracle_mean_one_profiles(windows, LoadClass.MAINLY_INDUSTRIAL)
         assert_same_profiles(got.l1, want)
         assert not got.skipped
 
@@ -369,7 +397,7 @@ class TestWindowsAsOneArray:
         windows = self.windows(7, 20)
         got = extract_level_datasets(windows.ravel(), max_l1_profiles=6)
         picks = _evenly_spaced(np.arange(20), 6)
-        want, _ = oracle_mean_one_profiles(windows, 1.0 / 30.0, LoadClass.MAINLY_RESIDENTIAL, picks=picks)
+        want, _ = oracle_mean_one_profiles(windows, LoadClass.MAINLY_RESIDENTIAL, picks=picks)
         assert len(want) == 6
         assert_same_profiles(got.l1, want)
 
@@ -379,7 +407,7 @@ class TestWindowsAsOneArray:
         windows[[4, 6]] = 0.0  # mean 0: degenerate; window 6 is also one of the 5 picked
         got = extract_level_datasets(windows.ravel(), max_l1_profiles=max_l1)
         picks = None if max_l1 is None else _evenly_spaced(np.arange(12), max_l1)
-        want, _ = oracle_mean_one_profiles(windows, 1.0 / 30.0, LoadClass.MAINLY_RESIDENTIAL, picks=picks)
+        want, _ = oracle_mean_one_profiles(windows, LoadClass.MAINLY_RESIDENTIAL, picks=picks)
         assert len(want) < (12 if picks is None else picks.size)
         assert_same_profiles(got.l1, want)
         assert not got.skipped  # degenerate windows are not counted
@@ -390,7 +418,7 @@ class TestWindowsAsOneArray:
         windows[2, 17] = bad  # net export, or a bad reading
         windows[6, 0] = bad
         got = extract_level_datasets(windows.ravel())
-        want, skipped = oracle_mean_one_profiles(windows, 1.0 / 30.0, LoadClass.MAINLY_RESIDENTIAL)
+        want, skipped = oracle_mean_one_profiles(windows, LoadClass.MAINLY_RESIDENTIAL)
         assert skipped == 2 and len(want) == 6
         assert_same_profiles(got.l1, want)
         assert got.skipped == {Level.L1: 2}
@@ -406,13 +434,24 @@ class TestWindowsAsOneArray:
         hourly = downsample(m30, 120, Metric.MEAN)
         weeks = hourly.reshape(-1, 168)
         seasons = [season_of_week(5 + w) for w in range(len(weeks))]
-        want3, skipped3 = oracle_mean_one_profiles(weeks, 3600.0, cfg.load_class, seasons)
+        want3, skipped3 = oracle_mean_one_profiles(weeks, cfg.load_class, seasons)
         years = downsample(hourly, 168, Metric.MEAN)[: 2 * 52].reshape(2, 52)
-        want4, skipped4 = oracle_mean_one_profiles(years, 604_800.0, cfg.load_class)
+        want4, skipped4 = oracle_mean_one_profiles(years, cfg.load_class)
         assert (len(want3), skipped3, len(want4), skipped4) == (103, 1, 1, 1)
         assert_same_profiles(got.l3, want3)
         assert_same_profiles(got.l4, want4)
         assert got.skipped == {Level.L3: 1, Level.L4: 1}
+
+    def test_simulator_l1_equals_normalize_mean_of_each_window(self):
+        fleet = [ToyLoadConfig.residential(seed=51, base_mw=30.0), ToyLoadConfig.industrial(seed=52)]
+        got = desk_level_datasets(fleet, n_years=1, l1_windows_per_load=3, l2_profiles_per_load=1)
+        starts = [30.0 * math.floor(j * 52 * 604_800.0 / 3 / 30.0) for j in range(3)]  # as the simulator spreads them
+        want = []
+        for cfg in fleet:
+            windows = np.array([simulate_ground_truth(cfg, 30.0, start_time_s=t0) for t0 in starts])
+            want += oracle_mean_one_profiles(windows, cfg.load_class)[0]
+        assert len(want) == 6
+        assert_same_profiles(got.l1, want)
 
 
 # ----------------------------------------------------------------------
@@ -430,17 +469,17 @@ def oracle_write_level_datasets(datasets: LevelDatasets, directory) -> None:
         profiles = datasets.of(level)
         with open(directory / _LEVEL_FILES[level], "w", encoding="utf-8") as fh:
             fh.write(DATASET_HEADER + "\n")
-            for i, prof in enumerate(profiles):
+            for i in range(len(profiles)):
                 pid = f"{level.value}_{i:06d}"
-                cls = prof.load_class.value if prof.load_class else ""
-                season = prof.season.value if prof.season else ""
-                for j, v in enumerate(prof.samples):
+                cls = profiles.load_class[i].value if profiles.load_class[i] else ""
+                season = profiles.season[i].value if profiles.season[i] else ""
+                for j, v in enumerate(profiles.samples[i]):
                     fh.write(f"{pid},{cls},{season},{j},{float(v)!r}\n")
                 entry: dict = {}
-                if prof.source_mean is not None:
-                    entry["source_mean"] = prof.source_mean
-                if prof.trend_coeffs is not None:
-                    entry["trend_coeffs"] = list(prof.trend_coeffs)
+                if not np.isnan(profiles.source_mean[i]):
+                    entry["source_mean"] = float(profiles.source_mean[i])
+                if level is Level.L2 and not np.isnan(profiles.trend_coeffs[i]).any():
+                    entry["trend_coeffs"] = [float(c) for c in profiles.trend_coeffs[i]]
                 if entry:
                     meta[pid] = entry
     with open(directory / _META_FILE, "w", encoding="utf-8") as fh:
@@ -449,44 +488,46 @@ def oracle_write_level_datasets(datasets: LevelDatasets, directory) -> None:
 
 _EDGE_VALUES = [0.0, 5e-324, 1e-300, 2.5e-308, 1e-5, 0.1, 1.0, 123456789.0, 1e16, 1e300]
 _raw_values = st.sampled_from(_EDGE_VALUES) | st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False)
-_optional = dict(
-    load_class=st.none() | st.sampled_from(LoadClass),
-    season=st.none() | st.sampled_from(Season),
-    source_mean=st.none() | st.floats(allow_nan=False, allow_infinity=False),
-)
+_labels = dict(load_class=st.none() | st.sampled_from(LoadClass), season=st.none() | st.sampled_from(Season))
+_source_means = st.just(math.nan) | st.floats(allow_nan=False, allow_infinity=False)
+_trend_coeffs = st.just([math.nan] * 5) | st.lists(st.floats(-1e6, 1e6), min_size=5, max_size=5)
 
 
 @st.composite
-def raw_profiles(draw, length):
-    return LoadProfile(
-        samples=draw(st.lists(_raw_values, min_size=length, max_size=length)),
-        sampling_period_s=1.0,
-        **{key: draw(value) for key, value in _optional.items()},
-    )
-
-
-@st.composite
-def detrended_profiles(draw, length):
-    values = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=length, max_size=length)))
-    return LoadProfile(
-        samples=values - values.mean(),  # negative values, and a mean within 1e-6 of 0
-        sampling_period_s=30.0,
-        normalization=Normalization.ZERO_MEAN_DETRENDED,
-        trend_coeffs=tuple(draw(st.lists(st.floats(-1e6, 1e6), min_size=5, max_size=5))),
-        **{key: draw(value) for key, value in _optional.items()},
+def profile_sets(draw, level):
+    """Up to four valid rows at ``level``, each the repeat of a few drawn
+    values: raw values made mean-one, or values in [-10, 10] made zero-mean
+    at level 2."""
+    length = LEVEL_SPECS[level].profile_length
+    rows, labels = [], {key: [] for key in _labels}
+    for _ in range(draw(st.integers(0, 4))):
+        if level is Level.L2:
+            values = np.resize(draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=12)), length)
+            row = values - values.mean()  # negative values, and a mean within 1e-6 of 0
+        else:
+            values = np.resize(draw(st.lists(_raw_values, min_size=1, max_size=12)), length)
+            with np.errstate(all="ignore"):
+                row = values / values.mean()
+                row /= row.mean()
+            if not (np.isfinite(row).all() and abs(row.mean() - 1.0) <= 1e-9):
+                row = np.ones(length)  # a degenerate draw
+        rows.append(row)
+        for key, strategy in _labels.items():
+            labels[key].append(draw(strategy))
+    n = len(rows)
+    return ProfileSet(
+        level,
+        np.array(rows),
+        labels["load_class"],
+        labels["season"],
+        draw(st.lists(_source_means, min_size=n, max_size=n)),
+        np.array(draw(st.lists(_trend_coeffs, min_size=n, max_size=n))).reshape(n, 5) if level is Level.L2 else None,
     )
 
 
 @st.composite
 def level_datasets(draw):
-    """Random datasets: profiles of one or two lengths per level, raw or detrended."""
-    out = LevelDatasets()
-    for level in Level:
-        lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=2))
-        for _ in range(draw(st.integers(0, 5))):
-            kind = draw(st.sampled_from([raw_profiles, detrended_profiles]))
-            out.of(level).append(draw(kind(draw(st.sampled_from(lengths)))))
-    return out
+    return LevelDatasets(*(draw(profile_sets(level)) for level in Level))
 
 
 @settings(max_examples=150, deadline=None)
