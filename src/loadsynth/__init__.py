@@ -45,7 +45,6 @@ from .neural import (
     GanModel,
     HyperParams,
     gan_generate,
-    train_cgan,
     train_gan,
 )
 from .svdgen import SvdModel, fit_svd_model, svd_generate

@@ -67,10 +67,8 @@ from .ingest import (
 from .modelio import ModelBundle
 from .neural.gan import (
     HyperParams,
-    check_batches,
-    check_label_coverage,
+    check_trainable,
     gan_generate,
-    train_cgan,
     train_gan,
 )
 from .svdgen import fit_svd_model, svd_generate
@@ -108,13 +106,17 @@ _DURATION_UNITS = {
 
 
 def parse_duration(text: str) -> float:
-    """`<count><unit>` with unit in {s, min, h, d, wk, yr}; 1 yr = 52 wk."""
+    """`<count><unit>` with unit in {s, min, h, d, wk, yr}; 1 yr = 52 wk.
+
+    The value must be positive and finite in seconds."""
     m = _DURATION_RE.match(text)
     if m is None:
         raise ParseError(f"malformed duration {text!r}; expected e.g. '1d' or '2.5h'")
     value = float(m.group(1)) * _DURATION_UNITS[m.group(2)]
     if value <= 0:
         raise ParseError(f"duration {text!r} must be positive")
+    if not math.isfinite(value):
+        raise ParseError(f"duration {text!r} is too large (not a finite number of seconds)")
     return value
 
 
@@ -346,24 +348,22 @@ def cmd_train(args) -> int:
         for cls in (LoadClass.MAINLY_RESIDENTIAL, LoadClass.MAINLY_INDUSTRIAL)
     )
     seam = learn_seam_filter(datasets.l3.samples)
-    for level in (Level.L1, Level.L2, Level.L3):  # the trainers' own data rules
-        profiles = datasets.of(level)
+    epochs = {Level.L1: args.l1_epochs, Level.L2: args.l2_epochs, Level.L3: args.l3_epochs}
+    for level in epochs:  # the trainer's own data rules, before any training
         try:
-            if level is Level.L3:
-                check_label_coverage(list(zip(profiles.load_class, profiles.season)), args.batch_size)
-            check_batches(len(profiles), args.batch_size)
+            check_trainable(datasets.of(level), args.batch_size)
         except (DatasetTooSmall, MissingLabelCoverage, ValueError) as exc:
             raise InsufficientData(f"cannot train level {level.value[-1]}: {exc}") from exc
-    print(f"training level 1 ({len(datasets.l1)} profiles, {args.l1_epochs} epochs)", file=sys.stderr)
-    l1 = train_gan(datasets.l1, HyperParams(epochs=args.l1_epochs, **hyper), seeds["l1"])
-    print(f"training level 2 ({len(datasets.l2)} profiles, {args.l2_epochs} epochs)", file=sys.stderr)
-    l2 = train_gan(datasets.l2, HyperParams(epochs=args.l2_epochs, **hyper), seeds["l2"])
-    print(f"training level 3 ({len(datasets.l3)} profiles, {args.l3_epochs} epochs)", file=sys.stderr)
-    l3 = train_cgan(datasets.l3, HyperParams(epochs=args.l3_epochs, **hyper), seeds["l3"])
+    gans = {}
+    for level, n_epochs in epochs.items():
+        profiles = datasets.of(level)
+        print(
+            f"training level {level.value[-1]} ({len(profiles)} profiles, {n_epochs} epochs)",
+            file=sys.stderr,
+        )
+        gans[level.value] = train_gan(profiles, HyperParams(epochs=n_epochs, **hyper), seeds[level.value])
 
-    models = ModelSet(
-        l1=l1, l2=l2, l3=l3, l4_residential=l4_res, l4_industrial=l4_ind, seam=seam
-    )
+    models = ModelSet(**gans, l4_residential=l4_res, l4_industrial=l4_ind, seam=seam)
     provenance = {
         "package_version": __version__,
         "seeds": seeds,
@@ -375,17 +375,8 @@ def cmd_train(args) -> int:
     with _writing(args.output):
         bundle.save(args.output)
         with open(log_path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "l1": l1.log.to_jsonable(),
-                    "l2": l2.log.to_jsonable(),
-                    "l3": l3.log.to_jsonable(),
-                    "provenance": provenance,
-                },
-                fh,
-                sort_keys=True,
-                indent=1,
-            )
+            logs = {name: gan.log.to_jsonable() for name, gan in gans.items()}
+            json.dump({**logs, "provenance": provenance}, fh, sort_keys=True, indent=1)
     print(f"bundle written to {args.output} (log: {log_path})", file=sys.stderr)
     return 0
 

@@ -57,7 +57,7 @@ from .errors import (
     RequestError,
     SeamTooCloseToEdge,
 )
-from .neural.gan import CGanModel, GanModel, gan_generate
+from .neural.gan import GanModel, gan_generate
 from .svdgen import SvdModel, svd_generate
 
 HOURS_PER_WEEK = 168
@@ -242,12 +242,12 @@ def driving_level(resolution: Resolution) -> tuple[Level, int]:
 
 @dataclass
 class ModelSet:
-    """Everything synthesize needs: three adversarial models, two pattern
-    models, and the junction filter."""
+    """Everything synthesize needs: the adversarial models of levels 1-3,
+    two pattern models, and the junction filter."""
 
     l1: GanModel
     l2: GanModel
-    l3: CGanModel
+    l3: GanModel
     l4_residential: SvdModel
     l4_industrial: SvdModel
     seam: SeamFilter

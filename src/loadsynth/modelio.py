@@ -23,14 +23,20 @@ Bundle file:
 
 A bundle loads only if the magic and version match, all six artifacts
 (l1, l2, l3, l4_residential, l4_industrial, seam) are present, every field
-decodes, the weights fit the stored specs and every weight is finite;
-otherwise it raises BundleError naming the manifest or the artifact.  Nothing time- or path-dependent is written, so identical
-training runs produce byte-identical bundles.
+decodes, the weights fit the stored specs, every weight is finite and each
+artifact fits its slot (l1-l3 an adversarial model of that level, "cgan" at
+CONDITIONED_LEVEL and "gan" elsewhere, whose noise_dim plus label inputs is
+the generator's input width and whose amplitude scale is finite and above 0;
+l4_<class> an "svd" model of that class; seam a seam filter); otherwise it
+raises BundleError naming the manifest or the artifact.  Nothing time- or
+path-dependent is written, so identical training runs produce byte-identical
+bundles.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,9 +44,9 @@ from pathlib import Path
 import numpy as np
 
 from .compose import ModelSet, SeamFilter
-from .core import Level, LoadClass, Season
+from .core import Level, LoadClass
 from .errors import BundleError
-from .neural.gan import LABEL_VOCAB, CGanModel, GanModel, TrainingLog
+from .neural.gan import CONDITIONED_LEVEL, LABEL_DIM, LABEL_VOCAB, CGanModel, GanModel, TrainingLog
 from .neural.network import Network, NetworkSpec
 from .svdgen import SvdModel
 
@@ -49,6 +55,7 @@ ARTIFACT_MAGIC = b"LSM1"
 FORMAT_VERSION = 1
 
 ARTIFACT_NAMES = ("l1", "l2", "l3", "l4_residential", "l4_industrial", "seam")
+_VOCAB_JSON = [[c.value, s.value] for c, s in LABEL_VOCAB]
 
 
 def _pack_artifact(type_tag: str, meta: dict, blob: np.ndarray) -> bytes:
@@ -94,9 +101,9 @@ def dump_gan(model: GanModel) -> bytes:
         "weights": {"generator": gen.size, "discriminator": disc.size},
     }
     tag = "gan"
-    if isinstance(model, CGanModel):
+    if model.conditional:
         tag = "cgan"
-        meta["label_vocab"] = [[c.value, s.value] for c, s in model.label_vocab]
+        meta["label_vocab"] = _VOCAB_JSON
     return _pack_artifact(tag, meta, np.concatenate([gen, disc]))
 
 
@@ -124,20 +131,29 @@ def load_artifact(data: bytes):
             raise BundleError("weight blob size mismatch")
         gen = Network(NetworkSpec.from_jsonable(meta["generator_spec"]), blob[:n_gen])
         disc = Network(NetworkSpec.from_jsonable(meta["discriminator_spec"]), blob[n_gen:])
-        common = dict(
-            level=Level(meta["level"]),
-            noise_dim=meta["noise_dim"],
+        level, noise_dim, scale = Level(meta["level"]), meta["noise_dim"], meta["amplitude_scale"]
+        label_dim = LABEL_DIM if tag == "cgan" else 0
+        if (tag == "cgan") != (level is CONDITIONED_LEVEL):
+            raise BundleError(f"a level {level.value} model is tagged {tag!r}")
+        if type(scale) not in (int, float) or not (math.isfinite(scale) and scale > 0):
+            raise BundleError(f"amplitude_scale {scale!r} is not a finite number above 0")
+        first = gen.spec.layers[0]
+        width = first[1] if first[0] == "dense" else None
+        if type(noise_dim) is not int or noise_dim + label_dim != width:
+            raise BundleError(
+                f"noise_dim {noise_dim!r} plus {label_dim} label inputs does not fit "
+                f"the generator's input width {width}"
+            )
+        if label_dim and meta["label_vocab"] != _VOCAB_JSON:
+            raise BundleError("unexpected label vocabulary")
+        return (CGanModel if label_dim else GanModel)(
+            level=level,
+            noise_dim=noise_dim,
             generator=gen,
             discriminator=disc,
             log=TrainingLog.from_jsonable(meta["log"]),
-            amplitude_scale=meta["amplitude_scale"],
+            amplitude_scale=scale,
         )
-        if tag == "cgan":
-            vocab = tuple((LoadClass(c), Season(s)) for c, s in meta["label_vocab"])
-            if vocab != LABEL_VOCAB:
-                raise BundleError("unexpected label vocabulary")
-            return CGanModel(**common, label_vocab=vocab)
-        return GanModel(**common)
     if tag == "svd":
         n, r = meta["n_profiles"], meta["rank"]
         sizes = [n * r, r, r * 52, r, r]
@@ -155,6 +171,15 @@ def load_artifact(data: bytes):
     if tag == "seam":
         return SeamFilter(beta=blob)
     raise BundleError(f"unknown artifact type {tag!r}")
+
+
+def _slot(model) -> str:
+    """The name of the bundle slot a loaded artifact fits."""
+    if isinstance(model, GanModel):
+        return model.level.value
+    if isinstance(model, SvdModel):
+        return f"l4_{model.load_class.value}"
+    return "seam"
 
 
 def dump_models(models: ModelSet) -> dict[str, bytes]:
@@ -234,6 +259,8 @@ class ModelBundle:
         for name in ARTIFACT_NAMES:  # the ModelSet field names
             try:
                 loaded[name] = load_artifact(artifacts[name])
+                if _slot(loaded[name]) != name:
+                    raise BundleError(f"holds the model of slot {_slot(loaded[name])!r}")
             except BundleError as exc:
                 raise BundleError(f"artifact {name!r} in {path}: {exc}") from exc
             except (struct.error, KeyError, IndexError, TypeError, ValueError) as exc:

@@ -8,7 +8,6 @@ from .gan import (
     encode_labels,
     gan_generate,
     generator_spec,
-    train_cgan,
     train_gan,
 )
 from .network import Network, NetworkSpec
@@ -27,6 +26,5 @@ __all__ = [
     "encode_labels",
     "gan_generate",
     "generator_spec",
-    "train_cgan",
     "train_gan",
 ]

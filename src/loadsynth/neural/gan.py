@@ -1,10 +1,12 @@
 """Adversarial training for the three fast/daily aggregation levels.
 
-Levels 1 and 2 use unconditional generator/discriminator pairs; level 3 is
-conditioned on (load class, season) encoded as a 6-bit one-hot pair (2
-class bits + 4 season bits).  The conditioning vector is concatenated to
-the generator's noise input and appended to the discriminator input as
-constant-valued extra channels.
+One trainer, ``train_gan``, trains level 1, 2 or 3 from that level's
+ProfileSet.  CONDITIONED_LEVEL (level 3) alone is conditioned, on (load
+class, season) as a 6-bit one-hot pair (2 class bits + 4 season bits), and
+yields a CGanModel; the others yield a GanModel.  The labels are
+concatenated to the generator's noise input and appended to the
+discriminator input as constant-valued extra channels.  One table row per
+level holds what its networks do not share (kernels and stride).
 
 Training schedule: for every generator update the discriminator is updated
 twice, each time on a fresh real batch against a fresh generated batch
@@ -12,10 +14,7 @@ twice, each time on a fresh real batch against a fresh generated batch
 non-saturating loss.  Everything is a pure function of (dataset order,
 hyperparameters, seed); if losses go non-finite the run restarts once with
 the step halved on an explicitly different seed path, then gives up.
-
-Training takes one level's ProfileSet, whose rows are the profiles and
-whose labels condition level 3; generation returns one float64 (count,
-profile length) array of samples.
+Generation returns one float64 (count, profile length) array of samples.
 
 Per epoch the log records mean losses plus the distribution distance
 between pooled real and generated amplitudes over 500-sample subsets,
@@ -25,6 +24,7 @@ estimated both with the 100-bin histogram recipe and exactly.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
@@ -82,22 +82,27 @@ class HyperParams:
     trace_samples: int = 500
 
 
+# the level whose networks take (load class, season) labels
+CONDITIONED_LEVEL = Level.L3
+
+# per adversarial level: generator transposed-conv kernel, discriminator conv
+# kernel and stride; lengths come from LEVEL_SPECS, output centres from _centre
+_NETWORKS = {Level.L1: (4, 25, 5), Level.L2: (9, 9, 2), Level.L3: (4, 25, 5)}
+
+
+def _network_row(level: Level) -> tuple[int, int, int]:
+    if level not in _NETWORKS:
+        raise ValueError(f"no adversarial network for level {level}")
+    return _NETWORKS[level]
+
+
 def generator_spec(level: Level, noise_dim: int, label_dim: int = 0) -> NetworkSpec:
-    n_in = noise_dim + label_dim
-    if level is Level.L1:
-        feat, out_len, k = 225, 900, 4
-        final = ("scaled_tanh", 1.0, 0.5)
-    elif level is Level.L2:
-        feat, out_len, k = 30, 120, 9
-        final = ("scaled_tanh", 0.0, 0.5)
-    elif level is Level.L3:
-        feat, out_len, k = 42, 168, 4
-        final = ("scaled_tanh", 1.0, 0.5)
-    else:
-        raise ValueError(f"no adversarial generator for level {level}")
+    k = _network_row(level)[0]
+    out_len = LEVEL_SPECS[level].profile_length
+    feat = out_len // 4  # two stride-2 transposed convolutions
     return NetworkSpec(
         layers=(
-            ("dense", n_in, 128),
+            ("dense", noise_dim + label_dim, 128),
             ("relu",),
             ("dense", 128, 256),
             ("relu",),
@@ -107,26 +112,18 @@ def generator_spec(level: Level, noise_dim: int, label_dim: int = 0) -> NetworkS
             ("convt1d", 32, 16, k, 2, 2 * feat),
             ("relu",),
             ("convt1d", 16, 1, k, 2, out_len),
-            final,
+            ("scaled_tanh", _centre(level), 0.5),
             ("flatten",),
         )
     )
 
 
 def discriminator_spec(level: Level, label_dim: int = 0) -> NetworkSpec:
-    in_ch = 1 + label_dim
-    if level is Level.L1:
-        length, k, stride = 900, 25, 5
-    elif level is Level.L2:
-        length, k, stride = 120, 9, 2
-    elif level is Level.L3:
-        length, k, stride = 168, 25, 5
-    else:
-        raise ValueError(f"no discriminator for level {level}")
-    conv_out = (length - k) // stride + 1
+    _, k, stride = _network_row(level)
+    conv_out = (LEVEL_SPECS[level].profile_length - k) // stride + 1
     return NetworkSpec(
         layers=(
-            ("conv1d", in_ch, 16, k, stride),
+            ("conv1d", 1 + label_dim, 16, k, stride),
             ("leaky_relu", 0.2),
             ("flatten",),
             ("dense", 16 * conv_out, 128),
@@ -179,9 +176,8 @@ class GanModel:
         return _centre(self.level)
 
 
-@dataclass
 class CGanModel(GanModel):
-    label_vocab: tuple = LABEL_VOCAB
+    """A GanModel whose networks also take LABEL_VOCAB's one-hot labels."""
 
     @property
     def conditional(self) -> bool:
@@ -211,41 +207,41 @@ def _bce_and_grad(p: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray
 _ACTIVATION_FILL = 0.95  # scaled excursions reach 95% of the tanh range
 
 
-def check_batches(n: int, batch: int) -> None:
-    """Raise DatasetTooSmall unless ``n`` profiles fill the two batches of a step."""
-    if n < 2 * batch:
-        raise DatasetTooSmall(f"{n} profiles < 2 batches of {batch}")
+def check_trainable(profiles: ProfileSet, batch: int) -> None:
+    """Raise unless ``train_gan`` can train on ``profiles`` in batches of ``batch``.
 
-
-def check_label_coverage(labels: Sequence[tuple[LoadClass, Season]], batch: int) -> None:
-    """Raise MissingLabelCoverage unless every label combo has a full batch.
-
-    A label lacking its class or season is a ValueError.
+    At CONDITIONED_LEVEL a row lacking its class or season is a ValueError
+    and a label combo without a full batch is MissingLabelCoverage; then,
+    at every level, too few rows to fill the two batches of a step is
+    DatasetTooSmall.
     """
-    for cls, season in labels:
-        if cls is None or season is None:
+    if profiles.level is CONDITIONED_LEVEL:
+        labels = list(zip(profiles.load_class, profiles.season))
+        if any(cls is None or season is None for cls, season in labels):
             raise ValueError("every profile needs a (load class, season) label")
-    counts = {combo: 0 for combo in LABEL_VOCAB}
-    for lab in labels:
-        counts[lab] += 1
-    missing = [combo for combo, c in counts.items() if c < batch]
-    if missing:
-        raise MissingLabelCoverage(
-            [f"({c.value}, {s.value}): {counts[(c, s)]} examples" for c, s in missing]
-        )
+        counts = Counter(labels)
+        missing = [combo for combo in LABEL_VOCAB if counts[combo] < batch]
+        if missing:
+            raise MissingLabelCoverage(
+                [f"({c.value}, {s.value}): {counts[(c, s)]} examples" for c, s in missing]
+            )
+    if len(profiles) < 2 * batch:
+        raise DatasetTooSmall(f"{len(profiles)} profiles < 2 batches of {batch}")
 
 
-def _train_adversarial(
-    X_real: np.ndarray,
-    onehot: Optional[np.ndarray],
-    level: Level,
-    hyper: HyperParams,
-    seed: int,
-) -> tuple[Network, Network, TrainingLog, float]:
-    n, _ = X_real.shape
+def train_gan(profiles: ProfileSet, hyper: HyperParams, seed: int) -> GanModel:
+    """Train the model for the level of ``profiles`` (1, 2 or 3).
+
+    At CONDITIONED_LEVEL the networks take the set's (load class, season)
+    labels and the result is a CGanModel; elsewhere it is a GanModel.
+    """
     batch = hyper.batch_size
-    check_batches(n, batch)
-    label_dim = LABEL_DIM if onehot is not None else 0
+    check_trainable(profiles, batch)
+    level, X_real, n = profiles.level, profiles.samples, len(profiles)
+    onehot, label_dim = None, 0
+    if level is CONDITIONED_LEVEL:
+        onehot = encode_labels(list(zip(profiles.load_class, profiles.season)))
+        label_dim = LABEL_DIM
     log = TrainingLog()
 
     centre = _centre(level)
@@ -339,40 +335,18 @@ def _train_adversarial(
                 break
 
         if not diverged:
-            return gen, disc, log, scale
+            model_type = GanModel if onehot is None else CGanModel
+            return model_type(
+                level=level,
+                noise_dim=hyper.noise_dim,
+                generator=gen,
+                discriminator=disc,
+                log=log,
+                amplitude_scale=scale,
+            )
 
     raise DivergenceDetected(
         f"level {level.value} training went non-finite twice (last lr {lr})"
-    )
-
-
-def train_gan(profiles: ProfileSet, hyper: HyperParams, seed: int) -> GanModel:
-    """Train the unconditional model for the level of ``profiles`` (1 or 2)."""
-    gen, disc, log, scale = _train_adversarial(profiles.samples, None, profiles.level, hyper, seed)
-    return GanModel(
-        level=profiles.level,
-        noise_dim=hyper.noise_dim,
-        generator=gen,
-        discriminator=disc,
-        log=log,
-        amplitude_scale=scale,
-    )
-
-
-def train_cgan(profiles: ProfileSet, hyper: HyperParams = HyperParams(), seed: int = 0) -> CGanModel:
-    """Train the conditional model on the (load class, season) labels of
-    ``profiles``; every label combo needs a full batch."""
-    labels = list(zip(profiles.load_class, profiles.season))
-    check_label_coverage(labels, hyper.batch_size)
-    onehot = encode_labels(labels)
-    gen, disc, log, scale = _train_adversarial(profiles.samples, onehot, profiles.level, hyper, seed)
-    return CGanModel(
-        level=profiles.level,
-        noise_dim=hyper.noise_dim,
-        generator=gen,
-        discriminator=disc,
-        log=log,
-        amplitude_scale=scale,
     )
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from loadsynth.compose import ModelSet, learn_seam_filter
 from loadsynth.core import LoadClass
-from loadsynth.neural.gan import HyperParams, train_cgan, train_gan
+from loadsynth.neural.gan import HyperParams, train_gan
 from loadsynth.svdgen import fit_svd_model
 from loadsynth.toydata import ToyLoadConfig, desk_level_datasets
 
@@ -38,7 +38,7 @@ def tiny_models(tiny_datasets):
     return ModelSet(
         l1=train_gan(ds.l1, hyper, seed=1),
         l2=train_gan(ds.l2, hyper, seed=2),
-        l3=train_cgan(ds.l3, hyper=hyper, seed=3),
+        l3=train_gan(ds.l3, hyper=hyper, seed=3),
         l4_residential=fit_svd_model(year_rows(ds, LoadClass.MAINLY_RESIDENTIAL), LoadClass.MAINLY_RESIDENTIAL),
         l4_industrial=fit_svd_model(year_rows(ds, LoadClass.MAINLY_INDUSTRIAL), LoadClass.MAINLY_INDUSTRIAL),
         seam=learn_seam_filter(ds.l3.samples),

@@ -70,6 +70,27 @@ class TestParseDuration:
         with pytest.raises(ParseError):
             parse_duration(text)
 
+    @pytest.mark.parametrize("unit", ["s", "yr"])
+    def test_rejects_a_count_too_large_for_a_float(self, unit):
+        with pytest.raises(ParseError, match="too large"):
+            parse_duration("9" * 400 + unit)
+        # 300 digits are still a finite number of seconds
+        assert parse_duration("9" * 300 + "s") == float("9" * 300)
+
+    @pytest.mark.parametrize("command", ["generate", "simulate"])
+    def test_overflowing_duration_exits_2(self, command, bundle_path, tmp_path, capsys):
+        huge, out = "9" * 400 + "s", tmp_path / "out.csv"
+        if command == "generate":
+            argv = ["generate", "--bundle", str(bundle_path), "--residential", "1",
+                    "--resolution", "1/h", "--length", huge, "--estimate-only"]
+        else:
+            argv = ["simulate", "--duration", huge]
+        code = main([*argv, "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: duration '999") and "too large" in err
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_documented_formula(self):

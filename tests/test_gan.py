@@ -5,18 +5,21 @@ import itertools
 import numpy as np
 import pytest
 
-from loadsynth.core import Level, LoadClass, ProfileRowError, ProfileSet, Season
+from loadsynth.core import LEVEL_SPECS, Level, LoadClass, ProfileRowError, ProfileSet, Season
 from loadsynth.errors import (
     DatasetTooSmall,
     LabelRequired,
     MissingLabelCoverage,
 )
 from loadsynth.neural.gan import (
+    CONDITIONED_LEVEL,
     LABEL_VOCAB,
+    CGanModel,
+    GanModel,
     HyperParams,
+    check_trainable,
     encode_labels,
     gan_generate,
-    train_cgan,
     train_gan,
 )
 
@@ -124,17 +127,17 @@ class TestTrainCGan:
     def test_missing_label_coverage(self):
         dataset = two_cluster_dataset(per_combo=8, leave_out=(LoadClass.MAINLY_INDUSTRIAL, Season.FALL))
         with pytest.raises(MissingLabelCoverage, match="industrial"):
-            train_cgan(dataset, HyperParams(epochs=1, batch_size=8), seed=0)
+            train_gan(dataset, HyperParams(epochs=1, batch_size=8), seed=0)
 
     def test_labels_from_profiles_when_omitted(self):
         dataset = two_cluster_dataset(per_combo=8)
-        model = train_cgan(dataset, HyperParams(epochs=1, batch_size=8, trace_samples=16), seed=0)
+        model = train_gan(dataset, HyperParams(epochs=1, batch_size=8, trace_samples=16), seed=0)
         assert model.conditional
 
     def test_conditioning_separates_classes(self):
         dataset = two_cluster_dataset(per_combo=8)
         hyper = HyperParams(epochs=150, batch_size=8, trace_samples=32)
-        model = train_cgan(dataset, hyper, seed=5)
+        model = train_gan(dataset, hyper, seed=5)
         res = gan_generate(
             model, 64, seed=1, labels=(LoadClass.MAINLY_RESIDENTIAL, Season.WINTER)
         )
@@ -149,9 +152,44 @@ class TestTrainCGan:
     def test_seed_reproducibility(self):
         dataset = two_cluster_dataset(per_combo=8)
         hyper = HyperParams(epochs=1, batch_size=8, trace_samples=16)
-        a = train_cgan(dataset, hyper, seed=9)
-        b = train_cgan(dataset, hyper, seed=9)
+        a = train_gan(dataset, hyper, seed=9)
+        b = train_gan(dataset, hyper, seed=9)
         np.testing.assert_array_equal(a.generator.params, b.generator.params)
+
+
+class TestOneTrainer:
+    @pytest.mark.parametrize("level", [Level.L1, Level.L2, Level.L3])
+    def test_conditions_at_level_3_only(self, level):
+        if level is Level.L3:
+            dataset = two_cluster_dataset(per_combo=8)
+        else:
+            rng = np.random.default_rng(8)
+            rows = 1.0 + 0.01 * rng.standard_normal((16, LEVEL_SPECS[level].profile_length))
+            dataset = l1_set(rows) if level is Level.L1 else l2_set(rows)
+        hyper = HyperParams(epochs=1, batch_size=8, noise_dim=5, trace_samples=16)
+        model = train_gan(dataset, hyper, seed=0)
+        conditioned = level is Level.L3
+        assert CONDITIONED_LEVEL is Level.L3
+        assert type(model) is (CGanModel if conditioned else GanModel)
+        assert model.conditional is conditioned and model.level is level
+        # the labels widen the generator's input and the discriminator's channels
+        assert model.generator.spec.layers[0][:2] == ("dense", 5 + 6 * conditioned)
+        assert model.discriminator.spec.layers[0][:2] == ("conv1d", 1 + 6 * conditioned)
+
+    def test_label_rules_come_before_the_batch_count(self):
+        # 8 profiles fill no two batches of 8, but the missing combos are named first
+        dataset = two_cluster_dataset(per_combo=1)
+        with pytest.raises(MissingLabelCoverage, match="1 examples"):
+            check_trainable(dataset, 8)
+        with pytest.raises(DatasetTooSmall, match="8 profiles < 2 batches of 8"):
+            check_trainable(l2_set(np.random.default_rng(0).standard_normal((8, 120))), 8)
+
+    def test_unlabelled_level_3_row_is_refused(self):
+        dataset = two_cluster_dataset(per_combo=8)
+        seasons = (None,) + dataset.season[1:]
+        unlabelled = ProfileSet(Level.L3, dataset.samples, dataset.load_class, seasons)
+        with pytest.raises(ValueError, match="every profile needs a"):
+            train_gan(unlabelled, HyperParams(epochs=1, batch_size=8), seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +248,7 @@ class TestGenerate:
 
     def test_conditional_requires_labels(self):
         dataset = two_cluster_dataset(per_combo=8)
-        model = train_cgan(dataset, HyperParams(epochs=1, batch_size=8, trace_samples=16), seed=0)
+        model = train_gan(dataset, HyperParams(epochs=1, batch_size=8, trace_samples=16), seed=0)
         with pytest.raises(LabelRequired):
             gan_generate(model, 2, seed=0)
         out = gan_generate(model, 3, seed=0, labels=(LoadClass.MAINLY_INDUSTRIAL, Season.SUMMER))

@@ -1,6 +1,7 @@
 """Binary container and bundle round trips."""
 
 import copy
+import dataclasses
 import re
 import struct
 from types import SimpleNamespace
@@ -8,17 +9,20 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from loadsynth import modelio
 from loadsynth.cli import main
 from loadsynth.compose import ModelSet, SeamFilter
 from loadsynth.errors import BundleError, DegenerateProfile
+from loadsynth.ingest import write_level_datasets
 from loadsynth.modelio import (
     ModelBundle,
     dump_gan,
+    dump_models,
     dump_seam,
     dump_svd,
     load_artifact,
 )
-from loadsynth.neural.gan import CGanModel, gan_generate
+from loadsynth.neural.gan import CGanModel, GanModel, gan_generate
 from loadsynth.core import LoadClass, Season
 
 
@@ -224,4 +228,83 @@ def test_undecodable_bundle_exits_3(case, tiny_models, tmp_path, capsys):
     assert code == 3
     last = capsys.readouterr().err.strip().splitlines()[-1]
     assert last.startswith("error: ") and where in last and str(path) in last
+    assert not out.exists()
+
+
+def _swap(a, b):
+    """Artifacts ``a`` and ``b`` of a model set, each in the other's slot."""
+    return lambda m: {a: dump_models(m)[b], b: dump_models(m)[a]}
+
+
+def _edited(name, **changes):
+    """Artifact ``name`` with some fields changed."""
+    return lambda m: {name: dump_gan(dataclasses.replace(getattr(m, name), **changes))}
+
+
+def _retyped(name, model_type):
+    """Artifact ``name`` as a ``model_type``: a level-3 'gan', a level-1 'cgan'."""
+    fields = [f.name for f in dataclasses.fields(GanModel)]
+    return lambda m: {name: dump_gan(model_type(**{f: getattr(getattr(m, name), f) for f in fields}))}
+
+
+# each case: the artifacts that replace those of the tiny model set, and
+# what the error names; every bundle decodes
+SLOT_DEFECTS = {
+    "l1_l2_swapped": (_swap("l1", "l2"), "'l1'.*slot 'l2'"),
+    "l4_swapped": (_swap("l4_residential", "l4_industrial"), "'l4_residential'.*slot 'l4_industrial'"),
+    "l1_holds_seam": (lambda m: {"l1": dump_seam(m.seam)}, "'l1'.*slot 'seam'"),
+    "seam_holds_svd": (lambda m: {"seam": dump_svd(m.l4_residential)}, "'seam'.*slot 'l4_residential'"),
+    "l3_tagged_gan": (_retyped("l3", GanModel), "'l3'.*level l3 model is tagged 'gan'"),
+    "l1_tagged_cgan": (_retyped("l1", CGanModel), "'l1'.*level l1 model is tagged 'cgan'"),
+    "noise_dim_50": (
+        _edited("l1", noise_dim=50),
+        "'l1'.*noise_dim 50 plus 0 label inputs does not fit the generator's input width 100",
+    ),
+    "l3_noise_dim_106": (
+        _edited("l3", noise_dim=106),
+        "'l3'.*noise_dim 106 plus 6 label inputs does not fit the generator's input width 106",
+    ),
+    "noise_dim_text": (_edited("l2", noise_dim="100"), "'l2'.*noise_dim '100'"),
+    "amplitude_scale_text": (
+        _edited("l2", amplitude_scale="x"), "'l2'.*amplitude_scale 'x' is not a finite number above 0"
+    ),
+    "amplitude_scale_zero": (_edited("l1", amplitude_scale=0.0), "'l1'.*amplitude_scale 0.0"),
+    "amplitude_scale_nan": (_edited("l3", amplitude_scale=float("nan")), "'l3'.*amplitude_scale nan"),
+    "amplitude_scale_true": (_edited("l1", amplitude_scale=True), "'l1'.*amplitude_scale True"),
+}
+
+
+def _save_with(path, models, replacements, monkeypatch):
+    """Save ``models`` with some artifacts replaced by ``replacements``."""
+    artifacts = {**dump_models(models), **replacements}
+    with monkeypatch.context() as patch:
+        patch.setattr(modelio, "dump_models", lambda _: artifacts)
+        ModelBundle(models=models, provenance={"source": "tiny"}).save(path)
+
+
+@pytest.mark.parametrize("case", SLOT_DEFECTS)
+def test_artifact_must_fit_its_slot(case, tiny_models, tmp_path, monkeypatch):
+    replace, where = SLOT_DEFECTS[case]
+    path = tmp_path / "models.lsb"
+    _save_with(path, tiny_models, replace(tiny_models), monkeypatch)
+    with pytest.raises(BundleError, match=f"^artifact {where}"):
+        ModelBundle.load(path)
+
+
+@pytest.mark.parametrize("command", ["generate", "validate"])
+def test_swapped_fast_levels_exit_3(command, tiny_models, tiny_datasets, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "models.lsb"
+    _save_with(path, tiny_models, _swap("l1", "l2")(tiny_models), monkeypatch)
+    out = tmp_path / "out"
+    if command == "generate":
+        argv = ["generate", "--residential", "1", "--resolution", "30/s", "--length", "1min",
+                "--output", str(out)]
+    else:
+        write_level_datasets(tiny_datasets, tmp_path / "data")
+        argv = ["validate", "--data", str(tmp_path / "data"), "--output-dir", str(out)]
+    code = main([*argv, "--bundle", str(path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: artifact 'l1' in {path}: holds the model of slot 'l2'"
+    assert "Traceback" not in err
     assert not out.exists()

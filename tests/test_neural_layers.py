@@ -4,6 +4,7 @@ and stateless layers that match the activation-caching ones bit for bit."""
 import ast
 import copy
 import inspect
+import json
 import math
 
 import numpy as np
@@ -327,6 +328,85 @@ ALL_SPECS = {
         ("disc", discriminator_spec(level, label), (1 + label, LEVEL_SPECS[level].profile_length)),
     )
 }
+
+
+def oracle_generator_spec(level, noise_dim, label_dim=0):
+    """The per-level ladder the one-row-per-level table replaced."""
+    n_in = noise_dim + label_dim
+    if level is Level.L1:
+        feat, out_len, k = 225, 900, 4
+        final = ("scaled_tanh", 1.0, 0.5)
+    elif level is Level.L2:
+        feat, out_len, k = 30, 120, 9
+        final = ("scaled_tanh", 0.0, 0.5)
+    elif level is Level.L3:
+        feat, out_len, k = 42, 168, 4
+        final = ("scaled_tanh", 1.0, 0.5)
+    else:
+        raise ValueError(f"no adversarial generator for level {level}")
+    return NetworkSpec(
+        layers=(
+            ("dense", n_in, 128),
+            ("relu",),
+            ("dense", 128, 256),
+            ("relu",),
+            ("dense", 256, 32 * feat),
+            ("relu",),
+            ("reshape", 32, feat),
+            ("convt1d", 32, 16, k, 2, 2 * feat),
+            ("relu",),
+            ("convt1d", 16, 1, k, 2, out_len),
+            final,
+            ("flatten",),
+        )
+    )
+
+
+def oracle_discriminator_spec(level, label_dim=0):
+    """The per-level ladder the one-row-per-level table replaced."""
+    in_ch = 1 + label_dim
+    if level is Level.L1:
+        length, k, stride = 900, 25, 5
+    elif level is Level.L2:
+        length, k, stride = 120, 9, 2
+    elif level is Level.L3:
+        length, k, stride = 168, 25, 5
+    else:
+        raise ValueError(f"no discriminator for level {level}")
+    conv_out = (length - k) // stride + 1
+    return NetworkSpec(
+        layers=(
+            ("conv1d", in_ch, 16, k, stride),
+            ("leaky_relu", 0.2),
+            ("flatten",),
+            ("dense", 16 * conv_out, 128),
+            ("leaky_relu", 0.2),
+            ("dense", 128, 1),
+            ("sigmoid",),
+        )
+    )
+
+
+class TestSpecTable:
+    @pytest.mark.parametrize("level", [Level.L1, Level.L2, Level.L3])
+    @pytest.mark.parametrize("label_dim", [0, 6])
+    @pytest.mark.parametrize("noise_dim", [1, 100])
+    def test_equals_the_ladders(self, level, label_dim, noise_dim):
+        pairs = (
+            (generator_spec(level, noise_dim, label_dim),
+             oracle_generator_spec(level, noise_dim, label_dim)),
+            (discriminator_spec(level, label_dim), oracle_discriminator_spec(level, label_dim)),
+        )
+        for got, want in pairs:
+            assert got == want
+            # the same JSON, so the same bundle bytes: a centre of 1.0 is not written as 1
+            assert json.dumps(got.to_jsonable()) == json.dumps(want.to_jsonable())
+
+    def test_no_networks_at_level_4(self):
+        with pytest.raises(ValueError, match="no adversarial network for level"):
+            generator_spec(Level.L4, 100)
+        with pytest.raises(ValueError, match="no adversarial network for level"):
+            discriminator_spec(Level.L4)
 
 
 def per_tensor_init(spec, rng):
