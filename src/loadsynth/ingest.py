@@ -552,10 +552,10 @@ def read_level_datasets(directory) -> LevelDatasets:
         means, coeffs = np.full(len(pids), np.nan), np.full((len(pids), 5), np.nan)
         for i, (pid, (_, _, samples)) in enumerate(rows.items()):
             samples.sort()
-            if len(samples) != spec.profile_length:
+            if [idx for idx, _ in samples] != list(range(spec.profile_length)):
                 raise InsufficientData(
                     f"profile {pid!r} in {path} has {len(samples)} samples; level "
-                    f"{level.value!r} profiles have {spec.profile_length}"
+                    f"{level.value!r} profiles have one at each index 0..{spec.profile_length - 1}"
                 )
             values[i] = [v for _, v in samples]
             try:

@@ -7,34 +7,37 @@ Single-artifact container (all integers little-endian):
     u32 n, n bytes UTF-8 metadata JSON (sorted keys, compact separators)
     u64 n, n * 8 bytes of little-endian float64: the weight blob
 
-The metadata JSON carries the network specs, level, noise dimension,
+The metadata JSON carries the generator spec, level, noise dimension,
 amplitude scale, label vocabulary, and training log for adversarial
 models; array shapes for pattern models.  The weight blob concatenates the
-flattened arrays in the documented order (generator then discriminator;
+flattened arrays in the documented order (the generator's parameters;
 U, S, Vt, coefficient means, coefficient stds for pattern models; the five
 filter weights for the seam filter).
 
 Bundle file:
 
     bytes 0..3   magic  b"LSB1"
-    u32          format version (currently 1)
+    u32          format version (currently 2)
+    32 bytes     SHA-256 digest of every byte after it
     u32 n, n bytes UTF-8 manifest JSON: artifact names in order + provenance
     per artifact: u16 n, n bytes name; u64 n, n bytes container
 
-A bundle loads only if the magic and version match, all six artifacts
-(l1, l2, l3, l4_residential, l4_industrial, seam) are present, every field
-decodes, the weights fit the stored specs, every weight is finite and each
-artifact fits its slot (l1-l3 an adversarial model of that level, "cgan" at
+A bundle loads only if the magic and version match (a format-1 bundle must
+be retrained), the digest matches, all six artifacts (l1, l2, l3,
+l4_residential, l4_industrial, seam) are present, every field decodes, the
+weights fit the stored specs, every weight is finite and each artifact fits
+its slot (l1-l3 an adversarial model of that level, "cgan" at
 CONDITIONED_LEVEL and "gan" elsewhere, whose noise_dim plus label inputs is
 the generator's input width and whose amplitude scale is finite and above 0;
 l4_<class> an "svd" model of that class; seam a seam filter); otherwise it
-raises BundleError naming the manifest or the artifact.  Nothing time- or
-path-dependent is written, so identical training runs produce byte-identical
-bundles.
+raises BundleError naming the path (and the artifact at fault, if one is).
+Nothing time- or path-dependent is written, so identical training runs
+produce byte-identical bundles.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
@@ -44,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .compose import ModelSet, SeamFilter
-from .core import Level, LoadClass
+from .core import LEVEL_SPECS, Level, LoadClass
 from .errors import BundleError
 from .neural.gan import CONDITIONED_LEVEL, LABEL_DIM, LABEL_VOCAB, CGanModel, GanModel, TrainingLog
 from .neural.network import Network, NetworkSpec
@@ -52,7 +55,8 @@ from .svdgen import SvdModel
 
 BUNDLE_MAGIC = b"LSB1"
 ARTIFACT_MAGIC = b"LSM1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_BODY_AT = 40  # magic, version and digest precede the digested body
 
 ARTIFACT_NAMES = ("l1", "l2", "l3", "l4_residential", "l4_industrial", "seam")
 _VOCAB_JSON = [[c.value, s.value] for c, s in LABEL_VOCAB]
@@ -75,36 +79,34 @@ def _pack_artifact(type_tag: str, meta: dict, blob: np.ndarray) -> bytes:
     )
 
 
-def _unpack_artifact(data: bytes) -> tuple[str, dict, np.ndarray]:
+def _unpack_artifact(data) -> tuple[str, dict, np.ndarray]:
+    """Decode a container held in ``bytes`` or a ``memoryview`` of them."""
     if data[:4] != ARTIFACT_MAGIC:
         raise BundleError("bad artifact magic")
     (tag_len,) = struct.unpack_from("<H", data, 4)
     off = 6 + tag_len
-    tag = data[6:off].decode("ascii")
+    tag = str(data[6:off], "ascii")
     (meta_len,) = struct.unpack_from("<I", data, off)
     off += 4 + meta_len
-    meta = json.loads(data[off - meta_len : off].decode("utf-8"))
+    meta = json.loads(str(data[off - meta_len : off], "utf-8"))
     (count,) = struct.unpack_from("<Q", data, off)
     blob = np.frombuffer(data, dtype="<f8", count=count, offset=off + 8).astype(np.float64)
     return tag, meta, blob
 
 
 def dump_gan(model: GanModel) -> bytes:
-    gen, disc = model.generator.params, model.discriminator.params
     meta = {
         "level": model.level.value,
         "noise_dim": model.noise_dim,
         "amplitude_scale": model.amplitude_scale,
         "generator_spec": model.generator.spec.to_jsonable(),
-        "discriminator_spec": model.discriminator.spec.to_jsonable(),
         "log": model.log.to_jsonable(),
-        "weights": {"generator": gen.size, "discriminator": disc.size},
     }
     tag = "gan"
     if model.conditional:
         tag = "cgan"
         meta["label_vocab"] = _VOCAB_JSON
-    return _pack_artifact(tag, meta, np.concatenate([gen, disc]))
+    return _pack_artifact(tag, meta, model.generator.params)
 
 
 def dump_svd(model: SvdModel) -> bytes:
@@ -120,17 +122,12 @@ def dump_seam(filt: SeamFilter) -> bytes:
     return _pack_artifact("seam", {}, filt.beta)
 
 
-def load_artifact(data: bytes):
+def load_artifact(data):
     tag, meta, blob = _unpack_artifact(data)
     if not np.isfinite(blob).all():
         raise BundleError(f"{tag} weight blob holds non-finite values")
     if tag in ("gan", "cgan"):
-        n_gen = meta["weights"]["generator"]
-        n_disc = meta["weights"]["discriminator"]
-        if n_gen + n_disc != blob.size:
-            raise BundleError("weight blob size mismatch")
-        gen = Network(NetworkSpec.from_jsonable(meta["generator_spec"]), blob[:n_gen])
-        disc = Network(NetworkSpec.from_jsonable(meta["discriminator_spec"]), blob[n_gen:])
+        gen = Network(NetworkSpec.from_jsonable(meta["generator_spec"]), blob)
         level, noise_dim, scale = Level(meta["level"]), meta["noise_dim"], meta["amplitude_scale"]
         label_dim = LABEL_DIM if tag == "cgan" else 0
         if (tag == "cgan") != (level is CONDITIONED_LEVEL):
@@ -150,13 +147,12 @@ def load_artifact(data: bytes):
             level=level,
             noise_dim=noise_dim,
             generator=gen,
-            discriminator=disc,
             log=TrainingLog.from_jsonable(meta["log"]),
             amplitude_scale=scale,
         )
     if tag == "svd":
-        n, r = meta["n_profiles"], meta["rank"]
-        sizes = [n * r, r, r * 52, r, r]
+        n, r, weeks = meta["n_profiles"], meta["rank"], LEVEL_SPECS[Level.L4].profile_length
+        sizes = [n * r, r, r * weeks, r, r]
         if sum(sizes) != blob.size:
             raise BundleError("pattern model blob size mismatch")
         parts = np.split(blob, np.cumsum(sizes)[:-1])
@@ -164,7 +160,7 @@ def load_artifact(data: bytes):
             load_class=LoadClass(meta["load_class"]),
             u=parts[0].reshape(n, r),
             s=parts[1],
-            vt=parts[2].reshape(r, 52),
+            vt=parts[2].reshape(r, weeks),
             coeff_mu=parts[3],
             coeff_sigma=parts[4],
         )
@@ -202,59 +198,59 @@ class ModelBundle:
 
     def save(self, path) -> None:
         artifacts = dump_models(self.models)
-        manifest = {
-            "artifacts": list(ARTIFACT_NAMES),
-            "provenance": self.provenance,
-        }
-        manifest_bytes = json.dumps(
-            manifest, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        manifest = {"artifacts": list(ARTIFACT_NAMES), "provenance": self.provenance}
+        manifest_bytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        body = [struct.pack("<I", len(manifest_bytes)), manifest_bytes]
+        for name in ARTIFACT_NAMES:
+            encoded, blob = name.encode("ascii"), artifacts[name]
+            body += [struct.pack("<H", len(encoded)), encoded, struct.pack("<Q", len(blob)), blob]
+        digest = hashlib.sha256()  # over the pieces, not one joined copy of them
+        for piece in body:
+            digest.update(piece)
         with open(path, "wb") as fh:
-            fh.write(BUNDLE_MAGIC)
-            fh.write(struct.pack("<I", FORMAT_VERSION))
-            fh.write(struct.pack("<I", len(manifest_bytes)))
-            fh.write(manifest_bytes)
-            for name in ARTIFACT_NAMES:
-                blob = artifacts[name]
-                encoded = name.encode("ascii")
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<Q", len(blob)))
-                fh.write(blob)
+            fh.write(BUNDLE_MAGIC + struct.pack("<I", FORMAT_VERSION) + digest.digest())
+            fh.writelines(body)
 
     @classmethod
     def load(cls, path) -> "ModelBundle":
         path = Path(path)
         if not path.exists():
             raise BundleError(f"no model bundle at {path}")
-        data = path.read_bytes()
+        data = memoryview(path.read_bytes())  # artifacts are slices of this one buffer
         if data[:4] != BUNDLE_MAGIC:
             raise BundleError(f"{path} is not a model bundle (bad magic)")
         try:
-            version, manifest_len = struct.unpack_from("<II", data, 4)
-            if version != FORMAT_VERSION:
-                raise BundleError(
-                    f"bundle format version {version} unsupported (expected {FORMAT_VERSION})"
-                )
-            off = 12 + manifest_len
-            provenance = json.loads(data[12:off].decode("utf-8")).get("provenance", {})
+            (version,) = struct.unpack_from("<I", data, 4)
+        except struct.error as exc:
+            raise BundleError(f"{path}: header does not decode: {exc}") from exc
+        if version != FORMAT_VERSION:
+            raise BundleError(
+                f"{path}: bundle format version {version} is unsupported "
+                f"(expected {FORMAT_VERSION}); retrain the models with this version"
+            )
+        if hashlib.sha256(data[_BODY_AT:]).digest() != data[8:_BODY_AT]:
+            raise BundleError(f"{path} is corrupt or truncated: its SHA-256 digest does not match")
+        try:
+            (manifest_len,) = struct.unpack_from("<I", data, _BODY_AT)
+            off = _BODY_AT + 4 + manifest_len
+            provenance = json.loads(str(data[_BODY_AT + 4 : off], "utf-8")).get("provenance", {})
         except (struct.error, ValueError, AttributeError) as exc:
-            raise BundleError(f"{path}: header or manifest does not decode: {exc}") from exc
-        artifacts: dict[str, bytes] = {}
+            raise BundleError(f"{path}: manifest does not decode: {exc}") from exc
+        artifacts: dict[str, memoryview] = {}
         try:
             while off < len(data):
                 (name_len,) = struct.unpack_from("<H", data, off)
-                name = data[off + 2 : off + 2 + name_len].decode("ascii")
+                name = str(data[off + 2 : off + 2 + name_len], "ascii")
                 (blob_len,) = struct.unpack_from("<Q", data, off + 2 + name_len)
                 off += 10 + name_len + blob_len
                 if off > len(data):
-                    raise BundleError(f"bundle truncated inside artifact {name!r}")
+                    raise BundleError(f"{path}: bundle truncated inside artifact {name!r}")
                 artifacts[name] = data[off - blob_len : off]
         except (struct.error, UnicodeDecodeError) as exc:
-            raise BundleError(f"bundle truncated or corrupt: {exc}") from exc
+            raise BundleError(f"{path}: bundle truncated or corrupt: {exc}") from exc
         missing = [n for n in ARTIFACT_NAMES if n not in artifacts]
         if missing:
-            raise BundleError(f"bundle is missing artifacts: {', '.join(missing)}")
+            raise BundleError(f"{path}: bundle is missing artifacts: {', '.join(missing)}")
         loaded = {}
         for name in ARTIFACT_NAMES:  # the ModelSet field names
             try:

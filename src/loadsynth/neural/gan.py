@@ -14,7 +14,9 @@ twice, each time on a fresh real batch against a fresh generated batch
 non-saturating loss.  Everything is a pure function of (dataset order,
 hyperparameters, seed); if losses go non-finite the run restarts once with
 the step halved on an explicitly different seed path, then gives up.
-Generation returns one float64 (count, profile length) array of samples.
+The discriminator lives only while training: a trained model is its
+generator, amplitude scale and log.  Generation returns one float64
+(count, profile length) array of samples.
 
 Per epoch the log records mean losses plus the distribution distance
 between pooled real and generated amplitudes over 500-sample subsets,
@@ -151,7 +153,7 @@ class TrainingLog:
 
 @dataclass
 class GanModel:
-    """Trained weights plus the amplitude scale that standardized the data.
+    """A trained generator plus the amplitude scale that standardized the data.
 
     Training maps real excursions around the level's centre (1 for
     mean-one levels, 0 for the detrended level) onto the output
@@ -163,7 +165,6 @@ class GanModel:
     level: Level
     noise_dim: int
     generator: Network
-    discriminator: Network
     log: TrainingLog
     amplitude_scale: float = 1.0
 
@@ -177,7 +178,7 @@ class GanModel:
 
 
 class CGanModel(GanModel):
-    """A GanModel whose networks also take LABEL_VOCAB's one-hot labels."""
+    """A GanModel whose generator also takes LABEL_VOCAB's one-hot labels."""
 
     @property
     def conditional(self) -> bool:
@@ -340,7 +341,6 @@ def train_gan(profiles: ProfileSet, hyper: HyperParams, seed: int) -> GanModel:
                 level=level,
                 noise_dim=hyper.noise_dim,
                 generator=gen,
-                discriminator=disc,
                 log=log,
                 amplitude_scale=scale,
             )

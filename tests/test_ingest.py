@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -327,6 +328,18 @@ class TestFiles:
         write_level_datasets(ds, tmp_path)
         (tmp_path / "level3.csv").unlink()
         with pytest.raises(InsufficientData, match="level 'l3'|l3"):
+            read_level_datasets(tmp_path)
+
+    @pytest.mark.parametrize("index", ["0", "5000"])  # a duplicate, one out of range
+    def test_read_rejects_sample_indices_off_the_profile(self, tmp_path, index):
+        write_level_datasets(LevelDatasetsFactory(), tmp_path)
+        path = tmp_path / "level1.csv"
+        text = path.read_text()
+        row = "l1_000000,residential,,1,"
+        assert row in text
+        path.write_text(text.replace(row, f"l1_000000,residential,,{index},", 1))
+        want = f"profile 'l1_000000' in {path} has 900 samples; level 'l1' profiles have one at each index 0..899"
+        with pytest.raises(InsufficientData, match=re.escape(want)):
             read_level_datasets(tmp_path)
 
 

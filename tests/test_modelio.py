@@ -2,12 +2,15 @@
 
 import copy
 import dataclasses
+import hashlib
 import re
 import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loadsynth import modelio
 from loadsynth.cli import main
@@ -34,9 +37,6 @@ class TestArtifactRoundTrips:
         assert back.noise_dim == model.noise_dim
         assert back.amplitude_scale == model.amplitude_scale
         np.testing.assert_array_equal(back.generator.params, model.generator.params)
-        np.testing.assert_array_equal(
-            back.discriminator.params, model.discriminator.params
-        )
         assert back.log.to_jsonable() == model.log.to_jsonable()
         a = gan_generate(model, 3, seed=5)
         b = gan_generate(back, 3, seed=5)
@@ -72,7 +72,7 @@ class TestArtifactRoundTrips:
     def test_non_finite_weight_rejected(self, tiny_models, kind, bad):
         if kind == "gan":
             model = copy.deepcopy(tiny_models.l2)
-            model.discriminator.params[3] = bad  # first weight tensor
+            model.generator.params[3] = bad  # first weight tensor
             data = dump_gan(model)
         elif kind == "svd":
             model = copy.deepcopy(tiny_models.l4_industrial)
@@ -152,10 +152,10 @@ class TestBundle:
         path = tmp_path / "models.lsb"
         ModelBundle(models=tiny_models).save(path)
         data = path.read_bytes()
-        # truncate the final artifact (the seam filter) off the file
-        idx = data.rfind(b"seam")
-        path.write_bytes(data[: idx - 2])
-        with pytest.raises(BundleError, match="missing|truncated"):
+        # cut the final artifact (the seam filter) off at its name entry
+        idx = data.index(b"\x04\x00seam")
+        path.write_bytes(_reseal(data[:idx]))
+        with pytest.raises(BundleError, match="missing artifacts: seam$"):
             ModelBundle.load(path)
 
 
@@ -170,15 +170,19 @@ def _replace_once(old: bytes, new: bytes):
     return edit
 
 
-def _shift_weight_split(data: bytes) -> bytes:
-    # move one count from the l1 generator to its discriminator: the sum
-    # still matches the blob, the split fits neither spec
-    pattern = rb'"weights":\{"discriminator":(\d+),"generator":(\d+)\}'
-    match = re.search(pattern, data)
-    disc, gen = int(match.group(1)), int(match.group(2))
-    edited = b'"weights":{"discriminator":%d,"generator":%d}' % (disc + 1, gen - 1)
-    assert len(edited) == len(match.group(0))
-    return data[: match.start()] + edited + data[match.end() :]
+def _drop_l1_weight(data: bytes) -> bytes:
+    # the first artifact (l1) one weight short: its count and its container
+    # length both shrink, so it decodes but fits no generator
+    start = data.index(b"LSM1")
+    (length,) = struct.unpack_from("<Q", data, start - 8)
+    (tag_len,) = struct.unpack_from("<H", data, start + 4)
+    (meta_len,) = struct.unpack_from("<I", data, start + 6 + tag_len)
+    count_at = start + 10 + tag_len + meta_len
+    (count,) = struct.unpack_from("<Q", data, count_at)
+    return b"".join([
+        data[: start - 8], struct.pack("<Q", length - 8), data[start:count_at],
+        struct.pack("<Q", count - 1), data[count_at + 8 : start + length - 8], data[start + length :],
+    ])
 
 
 def _cut_seam_counts(data: bytes) -> bytes:
@@ -189,7 +193,12 @@ def _cut_seam_counts(data: bytes) -> bytes:
     return data[: start - 8] + struct.pack("<Q", len(head)) + head
 
 
-MANIFEST_AT = 12
+def _reseal(data: bytes) -> bytes:
+    """``data`` with its digest recomputed, so a load reaches the decode checks."""
+    return data[:8] + hashlib.sha256(data[40:]).digest() + data[40:]
+
+
+MANIFEST_AT = 44  # after the magic, version, digest and manifest length
 BYTE_EDITS = {
     "manifest_not_utf8": (lambda d: d[:MANIFEST_AT] + b"\xff" + d[MANIFEST_AT + 1 :], "manifest"),
     "manifest_not_json": (lambda d: d[:MANIFEST_AT] + b"x" + d[MANIFEST_AT + 1 :], "manifest"),
@@ -198,15 +207,12 @@ BYTE_EDITS = {
     "no_amplitude_scale": (
         _replace_once(b'"amplitude_scale"', b'"amplitude_scalX"'), "artifact 'l1'"
     ),
-    "no_discriminator_count": (
-        _replace_once(b'"discriminator":', b'"discriminatoX":'), "artifact 'l1'"
-    ),
     "struct_error": (_cut_seam_counts, "artifact 'seam'"),
     "unknown_layer_kind": (_replace_once(b'["dense",', b'["dunse",'), "artifact 'l1'"),
     "unknown_init_scheme": (
         _replace_once(b'"normal(0,0.02)"', b'"normal(0,0.03)"'), "artifact 'l1'"
     ),
-    "weight_split": (_shift_weight_split, "artifact 'l1'"),
+    "l1_blob_one_short": (_drop_l1_weight, "artifact 'l1'"),
 }
 
 
@@ -215,9 +221,14 @@ def test_undecodable_bundle_exits_3(case, tiny_models, tmp_path, capsys):
     edit, where = BYTE_EDITS[case]
     path = tmp_path / "models.lsb"
     ModelBundle(models=tiny_models, provenance={"source": "tiny"}).save(path)
-    path.write_bytes(edit(path.read_bytes()))
+    path.write_bytes(_reseal(edit(path.read_bytes())))
     with pytest.raises(BundleError, match=where):
         ModelBundle.load(path)
+    assert_generate_exits_3(path, where, tmp_path, capsys)
+
+
+def assert_generate_exits_3(path, where, tmp_path, capsys):
+    """``generate`` from ``path`` exits 3 naming ``where`` and the path, writing nothing."""
     out = tmp_path / "x.csv"
     code = main(
         [
@@ -229,6 +240,58 @@ def test_undecodable_bundle_exits_3(case, tiny_models, tmp_path, capsys):
     last = capsys.readouterr().err.strip().splitlines()[-1]
     assert last.startswith("error: ") and where in last and str(path) in last
     assert not out.exists()
+
+
+def _flip_bit(at):
+    """Flip the low bit of the byte at offset ``at(data)``."""
+    def edit(data: bytes) -> bytes:
+        i = at(data)
+        return data[:i] + bytes([data[i] ^ 1]) + data[i + 1 :]
+
+    return edit
+
+
+# each case: an edit of a saved bundle that the digest, or the version
+# before it, refuses
+CORRUPTIONS = {
+    "manifest_bit": (_flip_bit(lambda d: MANIFEST_AT + 2), "corrupt or truncated"),
+    # a byte of the l1 generator's weights, just before the l2 artifact
+    "weight_bit": (_flip_bit(lambda d: d.index(b"LSM1", d.index(b"LSM1") + 1) - 20), "corrupt or truncated"),
+    "last_byte_bit": (_flip_bit(lambda d: len(d) - 1), "corrupt or truncated"),
+    "truncated": (lambda d: d[: len(d) // 2], "corrupt or truncated"),
+    "header_only": (lambda d: d[:6], "header does not decode"),
+    # format 1 had no digest; it is refused by its version
+    "format_1": (lambda d: d[:4] + struct.pack("<I", 1) + d[40:], "version 1 is unsupported"),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_corrupt_bundle_exits_3(case, tiny_models, tmp_path, capsys):
+    edit, where = CORRUPTIONS[case]
+    path = tmp_path / "models.lsb"
+    ModelBundle(models=tiny_models, provenance={"source": "tiny"}).save(path)
+    path.write_bytes(edit(path.read_bytes()))
+    assert_generate_exits_3(path, where, tmp_path, capsys)
+
+
+@pytest.fixture(scope="module")
+def saved_bundle(tiny_models, tmp_path_factory):
+    path = tmp_path_factory.mktemp("bundle") / "models.lsb"
+    ModelBundle(models=tiny_models, provenance={"source": "tiny"}).save(path)
+    return path
+
+
+@settings(max_examples=40, deadline=None)
+@given(at=st.floats(0.0, 1.0, exclude_max=True), truncate=st.booleans())
+def test_any_flipped_bit_or_cut_is_refused(saved_bundle, at, truncate):
+    # the low bit of any byte flipped, header included, or the file cut at any length
+    data = saved_bundle.read_bytes()
+    i = int(at * len(data))
+    edited = data[:i] if truncate else _flip_bit(lambda d: i)(data)
+    path = saved_bundle.with_name("edited.lsb")
+    path.write_bytes(edited)
+    with pytest.raises(BundleError, match=re.escape(str(path))):
+        ModelBundle.load(path)
 
 
 def _swap(a, b):
