@@ -218,7 +218,7 @@ class Resolution:
 
 _UNIT_SECONDS = {"s": 1, "min": 60, "h": 3600, "d": 86_400, "wk": 604_800}
 
-_RESOLUTION_RE = re.compile(r"^(\d+)/(\d*)(s|min|h|d|wk)$")
+_RESOLUTION_RE = re.compile(r"([0-9]+)/([0-9]*)(s|min|h|d|wk)")
 
 
 def parse_resolution(text: str) -> Resolution:
@@ -230,7 +230,7 @@ def parse_resolution(text: str) -> Resolution:
     """
     if not isinstance(text, str):
         raise ParseError(f"resolution must be a string, got {type(text).__name__}")
-    m = _RESOLUTION_RE.match(text)
+    m = _RESOLUTION_RE.fullmatch(text)
     if m is None:
         raise ParseError(f"malformed resolution {text!r}; expected e.g. '1/10min'")
     count = int(m.group(1))

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from loadsynth.cli import (
 )
 from loadsynth.compose import GenerationRequest
 from loadsynth.core import Level, parse_resolution
-from loadsynth.errors import InsufficientData, ParseError
+from loadsynth.errors import InsufficientData, ParseError, ResolutionTooFine
 from loadsynth.ingest import PHASOR_HEADER, read_level_datasets, write_level_datasets
 from loadsynth.modelio import ModelBundle
 
@@ -92,6 +93,99 @@ class TestParseDuration:
         assert not out.exists()
 
 
+# the grammars of --resolution and --length, their units in seconds
+RESOLUTION_UNITS = {"s": 1, "min": 60, "h": 3600, "d": 86_400, "wk": 604_800}
+DURATION_UNITS = {**RESOLUTION_UNITS, "yr": 52 * 604_800}
+
+_whole = st.builds(lambda zeros, n: "0" * zeros + str(n), st.integers(0, 2), st.integers(0, 10**6))
+
+
+@st.composite
+def resolution_texts(draw):
+    """`<count>/[<n>]<unit>` and its (count, n, unit seconds)."""
+    count, n = draw(_whole), draw(st.none() | _whole)
+    unit = draw(st.sampled_from(sorted(RESOLUTION_UNITS)))
+    return f"{count}/{n or ''}{unit}", int(count), 1 if n is None else int(n), RESOLUTION_UNITS[unit]
+
+
+@st.composite
+def duration_texts(draw):
+    """`<count><unit>`, count maybe decimal, and its (count, unit seconds)."""
+    count, fraction = draw(_whole), draw(st.none() | st.text("0123456789", min_size=1, max_size=6))
+    if fraction is not None:
+        count += "." + fraction
+    unit = draw(st.sampled_from(sorted(DURATION_UNITS)))
+    return count + unit, count, DURATION_UNITS[unit]
+
+
+# characters that make a valid string invalid: non-ASCII digits (Arabic-Indic,
+# Devanagari, fullwidth, Bengali; `int` and `float` read them all), and
+# whitespace, including a trailing newline
+UNICODE_DIGITS = "٣३３৩"
+WHITESPACE = [" ", "\t", "\n", "\u00a0"]
+
+
+@st.composite
+def mutated(draw, texts):
+    text = draw(texts)[0]
+    kind = draw(st.sampled_from(["digit", "space", "sign", "upper"]))
+    if kind == "digit":
+        at = draw(st.sampled_from([i for i, c in enumerate(text) if c.isdigit()]))
+        return text[:at] + draw(st.sampled_from(UNICODE_DIGITS)) + text[at + 1 :]
+    if kind == "space":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + draw(st.sampled_from(WHITESPACE)) + text[at:]
+    if kind == "sign":
+        at = draw(st.sampled_from([0] + [i + 1 for i, c in enumerate(text) if c == "/"]))
+        return text[:at] + draw(st.sampled_from("+-")) + text[at:]
+    return text.upper()
+
+
+class TestGrammars:
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=resolution_texts())
+    def test_resolution_is_the_exact_period(self, drawn):
+        text, count, n, unit_s = drawn
+        if count == 0 or n == 0:
+            with pytest.raises(ParseError, match="must be positive"):
+                parse_resolution(text)
+        elif n * unit_s * 30 < count:
+            with pytest.raises(ResolutionTooFine):
+                parse_resolution(text)
+        else:
+            r = parse_resolution(text)
+            assert Fraction(r.period_s) / r.samples_per_period == Fraction(n * unit_s, count)
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=duration_texts())
+    def test_duration_is_count_times_unit(self, drawn):
+        text, count, unit_s = drawn
+        if float(count) == 0:
+            with pytest.raises(ParseError, match="must be positive"):
+                parse_duration(text)
+        else:
+            assert parse_duration(text) == float(count) * unit_s
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_text_exits_2_with_one_line(self, data):
+        flag, parse, texts = data.draw(st.sampled_from([
+            ("--resolution", parse_resolution, resolution_texts()),
+            ("--length", parse_duration, duration_texts()),
+        ]))
+        text = data.draw(mutated(texts))
+        with pytest.raises(ParseError):
+            parse(text)
+        argv = {"--resolution": "1/h", "--length": "1d", flag: text}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["generate", "--bundle", "absent.lsb", "--residential", "1",
+                         "--resolution", argv["--resolution"], "--length", argv["--length"],
+                         "--estimate-only", "--output", "absent.csv"])
+        assert code == 2
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
 class TestEstimate:
     def test_documented_formula(self):
         req = GenerationRequest(1, 0, parse_resolution("1/10min"), 86_400.0)
@@ -132,22 +226,27 @@ class TestGenerate:
         assert np.all(series > 0)
 
     def test_estimate_accuracy_three_resolutions(self, bundle_path, tmp_path):
-        for res, length in (("1/wk", "13wk"), ("1/h", "3d"), ("1/10min", "1d")):
+        # sub-second periods print `.ffffff` on all but one timestamp in b
+        # (30 for 30/s, 2 for 2/s); small loads print shorter values
+        for res, length, base_mw, industrial in (
+            ("1/wk", "13wk", 60.0, 1), ("1/h", "3d", 60.0, 1), ("1/10min", "1d", 60.0, 1),
+            ("30/s", "10min", 0.05, 0), ("30/s", "10min", 50.0, 0), ("2/s", "1h", 60.0, 1),
+        ):
             out = tmp_path / "est.csv"
             code = main(
                 [
                     "generate", "--bundle", str(bundle_path), "--residential", "1",
-                    "--industrial", "1", "--resolution", res, "--length", length,
-                    "--seed", "4", "--output", str(out), "--base-mw", "60",
+                    "--industrial", str(industrial), "--resolution", res, "--length", length,
+                    "--seed", "4", "--output", str(out), "--base-mw", str(base_mw),
                 ]
             )
             assert code == 0
             req = GenerationRequest(
-                1, 1, parse_resolution(res), parse_duration(length), base_mw=60.0
+                1, industrial, parse_resolution(res), parse_duration(length), base_mw=base_mw
             )
             est = estimate_file_size(req)
             actual = out.stat().st_size
-            assert abs(est - actual) / actual < 0.15, (res, est, actual)
+            assert abs(est - actual) / actual < 0.15, (res, base_mw, est, actual)
 
     def test_estimate_only_prints_bytes(self, bundle_path, capsys):
         code = main(

@@ -87,7 +87,38 @@ def scattered_times(draw, n_rows):
     return np.array(out, dtype=np.float64)
 
 
-values = st.floats() | st.sampled_from([1e-300, 5e-324, -2.5e-7, 1e300, -1e300, 0.0, -0.0])
+def _either_side(edge):
+    return [np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf)]
+
+
+# the edges of the writer's fixed-notation path: each 10**k, and
+# 9.999995 * 10**k, whose sixth digit rounds up into the next decade
+DECADE_EDGES = [
+    float(v)
+    for k in range(-5, 7)
+    for edge in (float(f"1e{k}"), float(f"9.999995e{k}"))
+    for v in _either_side(edge)
+]
+
+# a sixth significant digit followed by an exact half (123456.5) or a half
+# scaled to another decade (inexact in binary: a near tie)
+sixth_digit_ties = st.builds(
+    lambda digits, k: (digits + 0.5) * 10.0**k,
+    st.integers(100_000, 999_999),
+    st.integers(-10, 2),
+) | st.sampled_from([10.0**k + 0.5 for k in range(7)])
+
+magnitudes = (
+    st.floats(-4, 6, exclude_max=True).map(lambda p: 10.0**p)  # log-uniform, fixed notation
+    | sixth_digit_ties
+    | st.sampled_from(DECADE_EDGES)
+)
+values = (
+    st.floats()
+    | st.sampled_from([1e-300, 5e-324, -2.5e-7, 1e300, -1e300, 0.0, -0.0])
+    | magnitudes
+    | magnitudes.map(lambda v: -v)
+)
 
 
 @st.composite
@@ -110,6 +141,16 @@ def test_rows_across_a_block_boundary(tmp_path_factory):
     n_rows = cli.CSV_BLOCK_ROWS + 3
     rng = np.random.default_rng(5)
     series = rng.gamma(2.0, 20.0, size=(2, n_rows))
+    assert_same_bytes(tmp_path_factory, np.arange(n_rows) * (1.0 / 30.0), series)
+
+
+def test_a_column_of_fallback_values_beside_fixed_ones(tmp_path_factory):
+    # one load's every value is printed by `%` (NaN, an exponent, a subnormal),
+    # the other two take the fixed-notation path, across a block boundary
+    n_rows = cli.CSV_BLOCK_ROWS + 3
+    rng = np.random.default_rng(8)
+    series = rng.uniform(0.5, 900.0, size=(3, n_rows))
+    series[1] = np.resize([np.nan, 1e300, 5e-324], n_rows)
     assert_same_bytes(tmp_path_factory, np.arange(n_rows) * (1.0 / 30.0), series)
 
 
