@@ -3,8 +3,12 @@
 import copy
 import dataclasses
 import hashlib
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,7 +36,7 @@ from loadsynth.core import LoadClass, Season
 class TestArtifactRoundTrips:
     def test_gan(self, tiny_models):
         model = tiny_models.l2
-        back = load_artifact(dump_gan(model))
+        back = load_artifact(b"".join(dump_gan(model)))
         assert back.level == model.level
         assert back.noise_dim == model.noise_dim
         assert back.amplitude_scale == model.amplitude_scale
@@ -43,7 +47,7 @@ class TestArtifactRoundTrips:
         np.testing.assert_array_equal(a, b)
 
     def test_cgan_keeps_vocabulary(self, tiny_models):
-        back = load_artifact(dump_gan(tiny_models.l3))
+        back = load_artifact(b"".join(dump_gan(tiny_models.l3)))
         assert isinstance(back, CGanModel)
         assert back.conditional
         a = gan_generate(
@@ -54,13 +58,13 @@ class TestArtifactRoundTrips:
 
     def test_svd(self, tiny_models):
         model = tiny_models.l4_residential
-        back = load_artifact(dump_svd(model))
+        back = load_artifact(b"".join(dump_svd(model)))
         assert back.load_class is model.load_class
         for name in ("u", "s", "vt", "coeff_mu", "coeff_sigma"):
             np.testing.assert_array_equal(getattr(back, name), getattr(model, name))
 
     def test_seam(self, tiny_models):
-        back = load_artifact(dump_seam(tiny_models.seam))
+        back = load_artifact(b"".join(dump_seam(tiny_models.seam)))
         np.testing.assert_array_equal(back.beta, tiny_models.seam.beta)
 
     def test_bad_magic(self):
@@ -82,7 +86,7 @@ class TestArtifactRoundTrips:
             # a SeamFilter refuses non-finite weights, so pass a stand-in
             data = dump_seam(SimpleNamespace(beta=np.array([0.1, bad, 0.5, 0.3, 0.4])))
         with pytest.raises(BundleError, match=f"{kind} weight blob holds non-finite"):
-            load_artifact(data)
+            load_artifact(b"".join(data))
 
 
 class TestBundle:
@@ -255,13 +259,18 @@ def _flip_bit(at):
 # before it, refuses
 CORRUPTIONS = {
     "manifest_bit": (_flip_bit(lambda d: MANIFEST_AT + 2), "corrupt or truncated"),
-    # a byte of the l1 generator's weights, just before the l2 artifact
-    "weight_bit": (_flip_bit(lambda d: d.index(b"LSM1", d.index(b"LSM1") + 1) - 20), "corrupt or truncated"),
+    # a byte of the l1 generator's weights, just before the l2 artifact's entry
+    "weight_bit": (_flip_bit(lambda d: d.index(b"\x02\x00l2") - 20), "corrupt or truncated"),
     "last_byte_bit": (_flip_bit(lambda d: len(d) - 1), "corrupt or truncated"),
     "truncated": (lambda d: d[: len(d) // 2], "corrupt or truncated"),
     "header_only": (lambda d: d[:6], "header does not decode"),
     # format 1 had no digest; it is refused by its version
     "format_1": (lambda d: d[:4] + struct.pack("<I", 1) + d[40:], "version 1 is unsupported"),
+    # format 2 had the same header and digest, and unpadded blobs
+    "format_2": (
+        lambda d: d[:4] + struct.pack("<I", 2) + hashlib.sha256(d[40:]).digest() + d[40:],
+        "version 2 is unsupported (expected 3); retrain the models",
+    ),
 }
 
 
@@ -371,3 +380,151 @@ def test_swapped_fast_levels_exit_3(command, tiny_models, tiny_datasets, tmp_pat
     assert err.splitlines()[-1] == f"error: artifact 'l1' in {path}: holds the model of slot 'l2'"
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "validate"])
+def test_directory_as_bundle_exits_3(command, tiny_datasets, tmp_path, capsys):
+    out = tmp_path / "out"
+    if command == "generate":
+        argv = ["generate", "--residential", "1", "--resolution", "1/h", "--length", "1d",
+                "--output", str(out)]
+    else:
+        write_level_datasets(tiny_datasets, tmp_path / "data")
+        argv = ["validate", "--data", str(tmp_path / "data"), "--output-dir", str(out)]
+    code = main([*argv, "--bundle", str(tmp_path)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = [l for l in err.splitlines() if l.startswith("error: ")]
+    assert line == f"error: {tmp_path} cannot be read as a model bundle: Is a directory"
+    assert not out.exists()
+
+
+def test_short_read_is_a_truncation(saved_bundle, monkeypatch):
+    # the file holds fewer bytes than its size said when it was opened
+    real = saved_bundle.stat().st_size
+    with monkeypatch.context() as patch:
+        patch.setattr(modelio.os, "fstat", lambda fd: SimpleNamespace(st_size=real + 64))
+        with pytest.raises(BundleError, match=re.escape(
+            f"{saved_bundle} is corrupt or truncated: {real} of its {real + 64} bytes could be read"
+        )):
+            ModelBundle.load(saved_bundle)
+
+
+def test_weights_are_aligned_views_of_one_buffer(saved_bundle):
+    models = ModelBundle.load(saved_bundle).models
+    l1, l2 = models.l1.generator.params, models.l2.generator.params
+    owner = l1.base.obj  # the buffer the file was read into
+    assert isinstance(owner, np.ndarray) and owner.nbytes == saved_bundle.stat().st_size
+    assert l2.base.obj is owner
+    for weights in (l1, l2, models.l4_industrial.vt, models.seam.beta):
+        assert np.shares_memory(weights, owner)
+    for params in (l1, l2):
+        assert params.__array_interface__["data"][0] % 64 == 0
+        assert params.flags.writeable
+
+
+# builds L1-L3 generators at their real shapes from init_params, untrained
+_REAL_SHAPE_BUNDLE = """
+import sys
+import numpy as np
+from loadsynth.compose import ModelSet, SeamFilter
+from loadsynth.core import Level, LoadClass
+from loadsynth.modelio import ModelBundle
+from loadsynth.neural.gan import (
+    CONDITIONED_LEVEL, LABEL_DIM, CGanModel, GanModel, HyperParams, TrainingLog, generator_spec,
+)
+from loadsynth.neural.network import Network, init_params
+from loadsynth.svdgen import SvdModel
+
+rng = np.random.default_rng(7)
+noise_dim = HyperParams().noise_dim
+
+def gan(level):
+    conditioned = level is CONDITIONED_LEVEL
+    spec = generator_spec(level, noise_dim, LABEL_DIM if conditioned else 0)
+    return (CGanModel if conditioned else GanModel)(
+        level=level, noise_dim=noise_dim, generator=Network(spec, init_params(spec, rng)),
+        log=TrainingLog(),
+    )
+
+def svd(load_class):
+    return SvdModel(load_class=load_class, u=rng.normal(size=(6, 3)), s=np.ones(3),
+                    vt=rng.normal(size=(3, 52)), coeff_mu=np.zeros(3), coeff_sigma=np.ones(3))
+
+ModelBundle(models=ModelSet(
+    l1=gan(Level.L1), l2=gan(Level.L2), l3=gan(Level.L3),
+    l4_residential=svd(LoadClass.MAINLY_RESIDENTIAL), l4_industrial=svd(LoadClass.MAINLY_INDUSTRIAL),
+    seam=SeamFilter(np.array([0.1, 0.2, 0.5, 0.2, 0.1])),
+)).save(sys.argv[1])
+"""
+
+# peak RSS (KiB) after importing the CLI, then after loading the bundle
+_LOAD_RSS = """
+import resource, sys
+import loadsynth.cli
+from loadsynth.modelio import ModelBundle
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+ModelBundle.load(sys.argv[1])
+print(before, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_load_raises_peak_rss_by_about_the_file_size(tmp_path):
+    path = tmp_path / "real.lsb"
+    src = Path(modelio.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    subprocess.run([sys.executable, "-c", _REAL_SHAPE_BUNDLE, str(path)], env=env, check=True)
+    size = path.stat().st_size
+    assert size > 20e6  # every generator at its real shape
+    # exec keeps the peak RSS of the memory it replaces, so a process started
+    # straight from this one would start at this one's peak: a small
+    # launcher starts the measured process
+    launch = "import subprocess, sys; subprocess.run(sys.argv[1:], check=True)"
+    out = subprocess.run([sys.executable, "-c", launch, sys.executable, "-c", _LOAD_RSS, str(path)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    before, after = map(int, out.split())
+    print(f"peak RSS {before} -> {after} KiB for a {size} byte bundle")
+    assert (after - before) * 1024 <= 1.2 * size
+
+
+@pytest.fixture(scope="module")
+def other_bundle(tiny_models, tmp_path_factory):
+    """A bundle like ``saved_bundle`` whose l2 generator has other weights."""
+    l2 = tiny_models.l2
+    generator = type(l2.generator)(l2.generator.spec, l2.generator.params * 1.5)
+    models = dataclasses.replace(tiny_models, l2=dataclasses.replace(l2, generator=generator))
+    path = tmp_path_factory.mktemp("other") / "models.lsb"
+    ModelBundle(models=models, provenance={"source": "tiny"}).save(path)
+    return path
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cut_a=st.floats(0.0, 1.0), cut_b=st.floats(0.0, 1.0), same_cut=st.booleans(),
+    other_first=st.booleans(),
+)
+def test_any_splice_is_refused(saved_bundle, other_bundle, cut_a, cut_b, same_cut, other_first):
+    # a prefix of one bundle joined to a suffix of the other loads only if
+    # it is one of the two, byte for byte
+    bundles = (saved_bundle.read_bytes(), other_bundle.read_bytes())
+    first, second = bundles[::-1] if other_first else bundles
+    i = int(cut_a * len(first))
+    j = i if same_cut else int(cut_b * len(second))
+    spliced = first[:i] + second[j:]
+    path = saved_bundle.with_name("spliced.lsb")
+    path.write_bytes(spliced)
+    if spliced in bundles:
+        ModelBundle.load(path)
+    else:
+        with pytest.raises(BundleError, match=re.escape(str(path))):
+            ModelBundle.load(path)
+
+
+def test_spliced_bundle_exits_3(saved_bundle, other_bundle, tmp_path, capsys):
+    a, b = saved_bundle.read_bytes(), other_bundle.read_bytes()
+    assert len(a) == len(b) and a != b
+    path = tmp_path / "spliced.lsb"
+    path.write_bytes(a[: len(a) // 2] + b[len(a) // 2 :])
+    assert_generate_exits_3(path, "corrupt or truncated", tmp_path, capsys)
