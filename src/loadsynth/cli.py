@@ -31,7 +31,6 @@ import numpy as np
 
 from . import __version__
 from .compose import (
-    HALFMIN_PER_HOUR,
     GenerationRequest,
     ModelSet,
     learn_seam_filter,
@@ -39,7 +38,10 @@ from .compose import (
 )
 from .core import (
     LEVEL_SPECS,
+    PMU_RATE_HZ,
+    SECONDS_PER_WEEK,
     SECONDS_PER_YEAR,
+    _UNIT_SECONDS,
     Level,
     LoadClass,
     Metric,
@@ -97,14 +99,7 @@ FRACTION_BYTES = 7
 NUMERIC_BYTES = 10
 
 _DURATION_RE = re.compile(r"([0-9]+(?:\.[0-9]+)?)(s|min|h|d|wk|yr)")
-_DURATION_UNITS = {
-    "s": 1.0,
-    "min": 60.0,
-    "h": 3600.0,
-    "d": 86_400.0,
-    "wk": 604_800.0,
-    "yr": SECONDS_PER_YEAR,
-}
+_DURATION_UNITS = {**_UNIT_SECONDS, "yr": SECONDS_PER_YEAR}
 
 
 def parse_duration(text: str) -> float:
@@ -139,7 +134,7 @@ def _domain(parse, low, high, rule: str):
 
 non_negative_int = _domain(int, 0, math.inf, "zero or more")
 positive_int = _domain(int, 1, math.inf, "positive")
-week_index = _domain(int, 0, 51, "a week from 0 to 51")  # of the 52-week year
+week_index = _domain(int, 0, LEVEL_SPECS[Level.L4].profile_length - 1, "a week from 0 to 51")
 finite_positive_float = _domain(float, math.ulp(0.0), sys.float_info.max, "finite and above zero")
 
 
@@ -148,8 +143,7 @@ def estimate_file_size(request: GenerationRequest) -> int:
 
     With the effective period a/b s in lowest terms, all but one timestamp
     in b has a fraction of a second."""
-    resolution = request.resolution
-    rows = int(math.floor(request.duration_s / resolution.effective_period_s + 1e-9))
+    resolution, rows = request.resolution, request.rows
     b = resolution.samples_per_period // math.gcd(
         resolution.samples_per_period, int(resolution.period_s)
     )
@@ -631,12 +625,13 @@ def cmd_validate(args) -> int:
         n_residential=1,
         n_industrial=0,
         resolution=parse_resolution("1/30s"),
-        duration_s=6 * 3600.0,
+        duration_s=6 * LEVEL_SPECS[Level.L2].span_s,
         seed=args.seed,
     )
     _, series = synthesize(request, models)
     # driven at level 2 with no offset: generated hours join after every 120th sample
-    junctions = range(HALFMIN_PER_HOUR - 1, series.shape[1] - 1, HALFMIN_PER_HOUR)
+    hour = LEVEL_SPECS[Level.L2].profile_length
+    junctions = range(hour - 1, series.shape[1] - 1, hour)
     st = seam_stats(series[0], junctions)
     rows.append(("seam_mean_pct_l2", "generated", st.mean_pct))
     rows.append(("seam_std_pct_l2", "generated", st.std_pct))
@@ -668,11 +663,13 @@ def cmd_simulate(args) -> int:
         config = factory(seed=args.seed, base_mw=args.base_mw)
         if args.block_s is not None:
             n_blocks = int(duration // args.block_s)
+            if n_blocks == 0:
+                raise ValueError(f"--block-s {args.block_s:g} is longer than --duration {args.duration}")
             values = simulate_block_means(config, args.block_s, n_blocks)
             times = args.block_s * np.arange(n_blocks)
         else:
             values = simulate_ground_truth(config, duration)
-            times = np.arange(values.size) / 30.0
+            times = np.arange(values.size) / PMU_RATE_HZ
     except ValueError as exc:
         raise RequestError(f"simulate: {exc}") from exc
     with _writing(args.output):
@@ -695,7 +692,7 @@ def cmd_ingest(args) -> int:
     load_class = LoadClass(args.load_class)
     datasets = extract_level_datasets(
         series,
-        start_time_s=args.start_week * 604_800.0,
+        start_time_s=args.start_week * SECONDS_PER_WEEK,
         load_class=load_class,
         max_l1_profiles=args.max_l1,
         max_l2_profiles=args.max_l2,

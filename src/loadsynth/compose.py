@@ -39,6 +39,9 @@ import numpy as np
 
 from .core import (
     LEVEL_SPECS,
+    PMU_RATE_HZ,
+    SEASON_RUN_START,
+    SEASON_RUN_WEEKS,
     SECONDS_PER_WEEK,
     SECONDS_PER_YEAR,
     Level,
@@ -52,7 +55,6 @@ from .core import (
 )
 from .errors import (
     DegenerateProfile,
-    DurationExceedsYear,
     InsufficientData,
     RequestError,
     SeamTooCloseToEdge,
@@ -60,18 +62,8 @@ from .errors import (
 from .neural.gan import GanModel, gan_generate
 from .svdgen import SvdModel, svd_generate
 
-HOURS_PER_WEEK = 168
-HALFMIN_PER_HOUR = 120
-TICKS_PER_HALFMIN = 900  # 30 Hz samples per 30 s
-
-# 30x the sampling period of each level, all integers
-_PERIOD_X30 = {Level.L1: 1, Level.L2: 900, Level.L3: 108_000, Level.L4: 18_144_000}
-_PROFILE_LEN = {lvl: LEVEL_SPECS[lvl].profile_length for lvl in Level}
-
-# contiguous 13-week run of each season (winter wraps the year boundary)
-_SEASON_RUN_START = {Season.WINTER: 48, Season.SPRING: 9, Season.SUMMER: 22, Season.FALL: 35}
-
 _EXTENSION_LIMIT_S = 2 * 86_400.0  # days 365/366 extend the final week
+_MAX_YEARS = 53  # of one request
 
 
 @dataclass(frozen=True)
@@ -164,15 +156,15 @@ def add_hour_trend(
     """
     hours = np.asarray(hour_samples, dtype=np.float64)
     context = np.asarray(hourly_context, dtype=np.float64)
-    n = hours.shape[0]
-    if hours.shape != (n, HALFMIN_PER_HOUR) or context.shape != (n, 5):
+    n, length = hours.shape[0], LEVEL_SPECS[Level.L2].profile_length
+    if hours.shape != (n, length) or context.shape != (n, 5):
         raise ValueError("expected (n, 120) sub-samples and (n, 5) context values")
     pos = np.broadcast_to(np.asarray(positions, dtype=np.float64), (n, 5))
     vander = pos[:, :, None] ** np.arange(5)
     coeffs = np.linalg.solve(vander, context[:, :, None])[:, :, 0]
     # sub-sample abscissae: centres of the 120 half-minute cells, in hours
     # relative to the centre of the hour of interest
-    x = (np.arange(HALFMIN_PER_HOUR) - 59.5) / HALFMIN_PER_HOUR
+    x = (np.arange(length) - (length - 1) / 2) / length
     trend = np.polynomial.polynomial.polyval(x, coeffs.T)
     return hours + trend
 
@@ -191,6 +183,11 @@ class GenerationRequest:
     @property
     def n_loads(self) -> int:
         return self.n_residential + self.n_industrial
+
+    @property
+    def rows(self) -> int:
+        """Samples per load: the whole effective periods in the duration."""
+        return int(math.floor(self.duration_s / self.resolution.effective_period_s + 1e-9))
 
     def load_class_of(self, index: int) -> LoadClass:
         # residential loads come first in the output ordering
@@ -213,26 +210,35 @@ class GenerationRequest:
             raise RequestError(f"base_mw {self.base_mw} must be finite and positive")
         if self.seed < 0:
             raise RequestError(f"seed {self.seed} must be zero or more")
-        if self.season is not None and self.duration_s > 13 * SECONDS_PER_WEEK:
+        if self.season is not None and self.duration_s > SEASON_RUN_WEEKS * SECONDS_PER_WEEK:
             raise RequestError(
                 "an explicit season is limited to 13 weeks of output; use the "
                 "auto-yearly season for longer spans"
             )
-        driving_level(self.resolution)  # raises RequestError on bad divisibility
+        driving, factor = driving_level(self.resolution)  # RequestError on bad divisibility
+        try:
+            weeks, _ = _extension_weeks(self.rows * factor * LEVEL_SPECS[driving].sampling_period_s)
+        except OverflowError:  # more rows than a float holds
+            weeks = math.inf
+        cap = _MAX_YEARS * LEVEL_SPECS[Level.L4].profile_length
+        if weeks > cap:
+            raise RequestError(
+                f"duration {self.duration_s}s needs more than the {cap} weeks ({_MAX_YEARS} years) of one request"
+            )
 
 
 def driving_level(resolution: Resolution) -> tuple[Level, int]:
     """Deepest level whose period fits the resolution, plus the aggregation
     factor from that level to the requested effective period."""
-    eff_x30 = 30.0 * resolution.period_s / resolution.samples_per_period
+    eff_ticks = PMU_RATE_HZ * resolution.period_s / resolution.samples_per_period
     for level in (Level.L4, Level.L3, Level.L2, Level.L1):
-        px30 = _PERIOD_X30[level]
-        if eff_x30 >= px30 * (1 - 1e-12):
-            ratio = eff_x30 / px30
+        ticks = LEVEL_SPECS[level].ticks_per_sample
+        if eff_ticks >= ticks * (1 - 1e-12):
+            ratio = eff_ticks / ticks
             factor = int(round(ratio))
             if abs(ratio - factor) > 1e-9:
                 raise RequestError(
-                    f"effective period {eff_x30 / 30.0}s is not an integer multiple "
+                    f"effective period {eff_ticks / PMU_RATE_HZ}s is not an integer multiple "
                     f"of the {LEVEL_SPECS[level].sampling_period_s}s driving period; "
                     "pick a resolution whose period divides evenly"
                 )
@@ -264,28 +270,25 @@ def _plan_weeks(
     request: GenerationRequest, weeks_total: int, load_index: int
 ) -> list[tuple[int, int, Season]]:
     """(year index, week-of-year, season) for each week to generate."""
+    weeks = LEVEL_SPECS[Level.L4].profile_length
     if request.season is None:
-        plan = []
-        for w in range(weeks_total):
-            week = w % 52
-            plan.append((w // 52, week, season_of_week(week)))
-        return plan
-    run_start = _SEASON_RUN_START[request.season]
-    slack = 13 - weeks_total
+        return [(w // weeks, w % weeks, season_of_week(w)) for w in range(weeks_total)]
+    run_start = SEASON_RUN_START[request.season]
+    slack = SEASON_RUN_WEEKS - weeks_total
     if slack < 0:
         raise RequestError("an explicit season covers at most 13 weeks")
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(request.seed, load_index, 7))
     )
     start = run_start + int(rng.integers(0, slack + 1))
-    return [(0, (start + w) % 52, request.season) for w in range(weeks_total)]
+    return [(0, (start + w) % weeks, request.season) for w in range(weeks_total)]
 
 
 def _extension_weeks(needed_time_s: float) -> tuple[int, bool]:
     """Weeks to generate, and whether the last one reuses the final week's
     scaling value (the 365/366-day extension)."""
     weeks_total = int(math.ceil(needed_time_s / SECONDS_PER_WEEK - 1e-9))
-    n_full_years, rem_weeks = divmod(weeks_total, 52)
+    n_full_years, rem_weeks = divmod(weeks_total, LEVEL_SPECS[Level.L4].profile_length)
     if n_full_years >= 1 and rem_weeks >= 1:
         rem_time = needed_time_s - n_full_years * SECONDS_PER_YEAR
         if 0 < rem_time <= _EXTENSION_LIMIT_S:
@@ -303,8 +306,6 @@ def _l4_week_values(
 ) -> np.ndarray:
     """One scaling value per planned week, drawn from per-year profiles."""
     n_years = max(year for year, _, _ in plan) + 1
-    if n_years > 53:
-        raise DurationExceedsYear("a single synthesis covers at most 53 years")
     model = models.l4_for(load_class)
     years = svd_generate(model, n_years, seed=sub_seed(request.seed, load_index, 4))
     values = np.array([years[year, week] for year, week, _ in plan])
@@ -323,7 +324,7 @@ def _driving_series(
     driving: Level,
 ) -> np.ndarray:
     load_class = request.load_class_of(load_index)
-    plen = _PROFILE_LEN[driving]
+    plen = LEVEL_SPECS[driving].profile_length
     # for sub-profile explicit-season requests, cover one full driving
     # profile so the output can be sliced from a seed-derived offset; at
     # the year level the seeded in-season week window already does this
@@ -352,7 +353,8 @@ def _driving_series(
         models.l3, weeks_total, seed=sub_seed(request.seed, load_index, 3), labels=labels
     )
     hourly = scale_to_parent(week_profiles, l4_values).ravel()
-    seams = [HOURS_PER_WEEK * (k + 1) - 1 for k in range(weeks_total - 1)]
+    week_len = LEVEL_SPECS[Level.L3].profile_length
+    seams = [week_len * (k + 1) - 1 for k in range(weeks_total - 1)]
     if seams:
         hourly = apply_seam_filter(hourly, seams, models.seam)
 
@@ -360,8 +362,10 @@ def _driving_series(
         return hourly
 
     # sub-hour: how many hours of 30-second data the request consumes
-    needed_halfmin = span if driving is Level.L2 else int(math.ceil(span / TICKS_PER_HALFMIN))
-    n_hours = int(math.ceil(needed_halfmin / HALFMIN_PER_HOUR))
+    needed_halfmin = span
+    if driving is Level.L1:
+        needed_halfmin = int(math.ceil(span / LEVEL_SPECS[Level.L1].profile_length))
+    n_hours = int(math.ceil(needed_halfmin / LEVEL_SPECS[Level.L2].profile_length))
     hour_profiles = gan_generate(
         models.l2, n_hours, seed=sub_seed(request.seed, load_index, 2)
     )
@@ -374,11 +378,11 @@ def _driving_series(
     if driving is Level.L2:
         return halfmin
 
-    n_ticks = int(math.ceil(span / TICKS_PER_HALFMIN))
+    # one 30 s profile of 30 Hz ticks per half-minute
     tick_profiles = gan_generate(
-        models.l1, n_ticks, seed=sub_seed(request.seed, load_index, 1)
+        models.l1, needed_halfmin, seed=sub_seed(request.seed, load_index, 1)
     )
-    return (tick_profiles * halfmin[:n_ticks, None]).ravel()
+    return (tick_profiles * halfmin[:needed_halfmin, None]).ravel()
 
 
 def synthesize(request: GenerationRequest, models: ModelSet) -> tuple[np.ndarray, np.ndarray]:
@@ -390,10 +394,9 @@ def synthesize(request: GenerationRequest, models: ModelSet) -> tuple[np.ndarray
     """
     request.validate()
     driving, factor = driving_level(request.resolution)
-    eff = request.resolution.effective_period_s
-    rows = int(math.floor(request.duration_s / eff + 1e-9))
+    rows = request.rows
     needed = rows * factor
-    plen = _PROFILE_LEN[driving]
+    plen = LEVEL_SPECS[driving].profile_length
 
     out = np.empty((request.n_loads, rows))
     for load_index in range(request.n_loads):
@@ -406,5 +409,5 @@ def synthesize(request: GenerationRequest, models: ModelSet) -> tuple[np.ndarray
             offset = int(rng.integers(0, min(plen, series.size) - needed + 1))
         sliced = series[offset : offset + needed]
         out[load_index] = downsample(sliced, factor, request.aggregation) * request.base_mw
-    times = np.arange(rows) * eff
+    times = np.arange(rows) * request.resolution.effective_period_s
     return times, out

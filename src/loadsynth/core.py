@@ -10,12 +10,15 @@ Conventions used throughout the package:
   are produced by extending the final week's scaling value, never by a
   53rd independent week.
 
-The L1 profile length of 900 is forced arithmetic (30 s at 30 samples/s);
-it is fixed here as the single source of truth.
+``LEVEL_SPECS`` is the one table of level geometry, built from the 30 Hz
+rate and the four profile lengths: a level's sample is one profile of the
+level below, a whole number of 30 Hz ticks.  ``SEASON_RUN_START`` is the one
+table of the seasons' 13-week runs.  Other modules read both.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -31,10 +34,6 @@ from .errors import (
 )
 
 PMU_RATE_HZ = 30.0
-PMU_PERIOD_S = 1.0 / 30.0
-
-SECONDS_PER_WEEK = 604_800.0
-SECONDS_PER_YEAR = 52 * 604_800.0  # 364-day year
 
 
 class LoadClass(Enum):
@@ -69,23 +68,30 @@ class Level(Enum):
 
 @dataclass(frozen=True)
 class LevelSpec:
-    """Fixed (length, sampling period) pair of one aggregation level."""
+    """One aggregation level: its profile length and 30 Hz ticks per sample."""
 
     level: Level
     profile_length: int
-    sampling_period_s: float
-    span_s: float
+    ticks_per_sample: int
 
-    def __post_init__(self):
-        assert abs(self.profile_length * self.sampling_period_s - self.span_s) < 1e-6
+    @property
+    def sampling_period_s(self) -> float:
+        return self.ticks_per_sample / PMU_RATE_HZ  # exact: 1/30 s, 30, 3600, 604800
+
+    @property
+    def span_s(self) -> float:
+        return self.profile_length * self.ticks_per_sample / PMU_RATE_HZ
 
 
+# profile lengths of L1..L4; each level's sample is one profile of the level below
+_PROFILE_LENGTHS = (900, 120, 168, 52)
 LEVEL_SPECS = {
-    Level.L1: LevelSpec(Level.L1, 900, PMU_PERIOD_S, 30.0),
-    Level.L2: LevelSpec(Level.L2, 120, 30.0, 3600.0),
-    Level.L3: LevelSpec(Level.L3, 168, 3600.0, SECONDS_PER_WEEK),
-    Level.L4: LevelSpec(Level.L4, 52, SECONDS_PER_WEEK, SECONDS_PER_YEAR),
+    level: LevelSpec(level, _PROFILE_LENGTHS[i], math.prod(_PROFILE_LENGTHS[:i]))
+    for i, level in enumerate(Level)
 }
+
+SECONDS_PER_WEEK = LEVEL_SPECS[Level.L3].span_s
+SECONDS_PER_YEAR = LEVEL_SPECS[Level.L4].span_s  # 364-day year
 
 # Expected normalization of training profiles per level.
 LEVEL_NORMALIZATION = {
@@ -205,7 +211,7 @@ class Resolution:
             raise ParseError("period_s must be positive")
         # PMU ceiling: compare via integers where the grammar produced them,
         # with a small relative slack for float periods.
-        if self.effective_period_s < PMU_PERIOD_S * (1.0 - 1e-9):
+        if self.effective_period_s < LEVEL_SPECS[Level.L1].sampling_period_s * (1.0 - 1e-9):
             raise ResolutionTooFine(
                 f"{self.samples_per_period} samples per {self.period_s} s is finer "
                 "than the 30 samples/s measurement ceiling"
@@ -287,18 +293,16 @@ def downsample(samples: Sequence[float], factor: int, metric: Metric) -> np.ndar
     raise ValueError(f"unknown metric {metric!r}")
 
 
-# Season of each week of the 52-week year, 0-based week index, year starting
-# January 1st: weeks 1-9 and 49-52 winter, 10-22 spring, 23-35 summer,
-# 36-48 fall (1-based numbering).
+# First week (0-based, the year starting January 1st) of each season's run
+# of 13 consecutive weeks; winter wraps the year boundary.
+SEASON_RUN_START = {Season.WINTER: 48, Season.SPRING: 9, Season.SUMMER: 22, Season.FALL: 35}
+SEASON_RUN_WEEKS = LEVEL_SPECS[Level.L4].profile_length // len(Season)
+
+
 def season_of_week(week_index: int) -> Season:
-    w = week_index % 52 + 1
-    if w <= 9 or w >= 49:
-        return Season.WINTER
-    if w <= 22:
-        return Season.SPRING
-    if w <= 35:
-        return Season.SUMMER
-    return Season.FALL
+    weeks = LEVEL_SPECS[Level.L4].profile_length
+    runs = SEASON_RUN_START.items()
+    return next(season for season, start in runs if (week_index - start) % weeks < SEASON_RUN_WEEKS)
 
 
 def sub_seed(*entropy: int) -> int:

@@ -80,10 +80,6 @@ class SeriesTooShort(LoadSynthError):
     """Forecast series shorter than the autoregression needs."""
 
 
-class DurationExceedsYear(LoadSynthError):
-    """Single-year pipeline asked for more than one year of output."""
-
-
 class RequestError(LoadSynthError):
     """GenerationRequest violates one of its invariants."""
 

@@ -52,14 +52,9 @@ from .core import (
 )
 from .errors import InsufficientData, MissingChannel, WindowTooShort
 
-DETREND_WINDOW = 600  # five hours of 30-second means
-DETREND_CENTER = slice(240, 360)
+DETREND_WINDOW = 5 * LEVEL_SPECS[Level.L2].profile_length  # five hours of 30-second means
+DETREND_CENTER = slice(2 * DETREND_WINDOW // 5, 3 * DETREND_WINDOW // 5)  # the middle hour
 DETREND_DEGREE = 4
-
-SAMPLES_PER_30S = 900
-HOURS_PER_WEEK = 168
-WEEKS_PER_YEAR = 52
-HALFMIN_PER_HOUR = 120
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,12 +188,13 @@ def extract_l2_profiles(
     Only hours with a full +-2 h context are used; when ``max_profiles``
     is given the eligible hours are thinned evenly across the span.
     """
-    n_hours = halfmin_means.size // HALFMIN_PER_HOUR
+    hour = LEVEL_SPECS[Level.L2].profile_length
+    n_hours = halfmin_means.size // hour
     eligible = np.arange(2, n_hours - 2) if n_hours >= 5 else np.arange(0)
     eligible = _evenly_spaced(eligible, max_profiles)
     rows, coeffs, means, skipped = [], [], [], 0
     for k in eligible:
-        start = k * HALFMIN_PER_HOUR - 240
+        start = k * hour - DETREND_CENTER.start
         window = halfmin_means[start : start + DETREND_WINDOW]
         if not np.isfinite(window).all():
             skipped += 1
@@ -223,11 +219,12 @@ def extract_levels_from_block_means(
     """Levels 2-4 from 30-second means (level 1 needs the full 30 Hz data)."""
     ds = LevelDatasets()
     m30 = np.asarray(halfmin_means, dtype=np.float64)
+    hour, week, year = (LEVEL_SPECS[lvl].profile_length for lvl in (Level.L2, Level.L3, Level.L4))
 
     ds.l2, skipped = extract_l2_profiles(m30, load_class, max_l2_profiles)
     if skipped:
         ds.skipped[Level.L2] = skipped
-    n_hours = m30.size // HALFMIN_PER_HOUR
+    n_hours = m30.size // hour
     if n_hours < 5:
         ds.issues[Level.L2] = (
             "level 2 needs at least 5 full hours of data for the +-2 h "
@@ -239,26 +236,26 @@ def extract_levels_from_block_means(
             f"of 0 kept none of the {n_hours - 4} hours with the +-2 h context"
         )
 
-    hourly, _ = truncate_to_multiple(m30, HALFMIN_PER_HOUR)
-    hourly = downsample(hourly, HALFMIN_PER_HOUR, Metric.MEAN) if hourly.size else np.zeros(0)
+    hourly, _ = truncate_to_multiple(m30, hour)
+    hourly = downsample(hourly, hour, Metric.MEAN) if hourly.size else np.zeros(0)
     start_week = int(start_time_s // LEVEL_SPECS[Level.L4].sampling_period_s)
 
-    n_weeks = hourly.size // HOURS_PER_WEEK
+    n_weeks = hourly.size // week
     if n_weeks == 0:
         ds.issues[Level.L3] = (
             f"level 3 needs at least one full week; got {hourly.size} hours"
         )
-    weeks = hourly[: n_weeks * HOURS_PER_WEEK].reshape(n_weeks, HOURS_PER_WEEK)
+    weeks = hourly[: n_weeks * week].reshape(n_weeks, week)
     seasons = [season_of_week(start_week + w) for w in range(n_weeks)]
     _add_mean_one_rows(ds, Level.L3, weeks, load_class, seasons)
 
-    weekly = downsample(weeks.ravel(), HOURS_PER_WEEK, Metric.MEAN) if n_weeks else np.zeros(0)
-    n_years = weekly.size // WEEKS_PER_YEAR
+    weekly = downsample(weeks.ravel(), week, Metric.MEAN) if n_weeks else np.zeros(0)
+    n_years = weekly.size // year
     if n_years == 0:
         ds.issues[Level.L4] = (
             f"level 4 needs at least one full 52-week year; got {weekly.size} weeks"
         )
-    years = weekly[: n_years * WEEKS_PER_YEAR].reshape(n_years, WEEKS_PER_YEAR)
+    years = weekly[: n_years * year].reshape(n_years, year)
     _add_mean_one_rows(ds, Level.L4, years, load_class)
     return ds
 
@@ -276,18 +273,15 @@ def extract_level_datasets(
     failing the call.
     """
     series = np.asarray(load_series, dtype=np.float64)
-    trimmed, _ = truncate_to_multiple(series, SAMPLES_PER_30S)
-    m30 = (
-        downsample(trimmed, SAMPLES_PER_30S, Metric.MEAN)
-        if trimmed.size
-        else np.zeros(0)
-    )
+    length = LEVEL_SPECS[Level.L1].profile_length  # 30 Hz ticks per 30 s
+    trimmed, _ = truncate_to_multiple(series, length)
+    m30 = downsample(trimmed, length, Metric.MEAN) if trimmed.size else np.zeros(0)
     out = extract_levels_from_block_means(
         m30, load_class, start_time_s, max_l2_profiles
     )
 
-    n_windows = series.size // SAMPLES_PER_30S
-    windows = series[: n_windows * SAMPLES_PER_30S].reshape(n_windows, SAMPLES_PER_30S)
+    n_windows = series.size // length
+    windows = series[: n_windows * length].reshape(n_windows, length)
     picks = _evenly_spaced(np.arange(n_windows), max_l1_profiles)
     _add_mean_one_rows(out, Level.L1, windows, load_class, picks=picks)
     if max_l1_profiles == 0 and n_windows:
@@ -311,12 +305,11 @@ _PHASOR_FIELDS = ("v_mag", "v_ang", "i_mag", "i_ang")
 # line_id is an object field: a fixed-width string would truncate long ids
 _PHASOR_ROW = np.dtype([("t", "f8"), ("line_id", object)] + [(f, "f8") for f in _PHASOR_FIELDS])
 
-_NOMINAL_STEP = 1.0 / 30.0
-
 
 def off_30hz_grid(step_s: np.ndarray) -> np.ndarray:
     """Indices of the timestamp steps (s) outside 1/30 s +-10%, the 30 Hz spacing."""
-    return np.flatnonzero(~((step_s >= 0.9 * _NOMINAL_STEP) & (step_s <= 1.1 * _NOMINAL_STEP)))
+    step = LEVEL_SPECS[Level.L1].sampling_period_s
+    return np.flatnonzero(~((step_s >= 0.9 * step) & (step_s <= 1.1 * step)))
 
 
 # data rows parsed per np.loadtxt call: bounds the reader's memory whatever

@@ -20,10 +20,9 @@ import warnings
 from dataclasses import dataclass
 import numpy as np
 
-from .core import LoadClass, noise_rows
+from .core import LEVEL_SPECS, Level, LoadClass, noise_rows
 from .errors import InsufficientData, RankDeficientWarning
 
-_WEEKS = 52
 _CLAMP = 0.01
 
 
@@ -53,8 +52,9 @@ def fit_svd_model(L: np.ndarray, load_class: LoadClass) -> SvdModel:
     (for example duplicate profiles) only warns.
     """
     L = np.asarray(L, dtype=np.float64)
-    if L.ndim != 2 or L.shape[1] != _WEEKS:
-        raise ValueError(f"training matrix must be (n, {_WEEKS}), got {L.shape}")
+    weeks = LEVEL_SPECS[Level.L4].profile_length
+    if L.ndim != 2 or L.shape[1] != weeks:
+        raise ValueError(f"training matrix must be (n, {weeks}), got {L.shape}")
     if L.shape[0] < 2:
         raise InsufficientData(f"need at least two {load_class.value} year profiles, got {len(L)}")
     row_means = L.mean(axis=1)

@@ -49,10 +49,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Level, LoadClass, ProfileSet, sub_seed
+from .core import LEVEL_SPECS, PMU_RATE_HZ, SECONDS_PER_YEAR, Level, LoadClass, ProfileSet, sub_seed
 
 DAY_S = 86_400.0
-YEAR_S = 52 * 604_800.0
 
 # Fixed shape constants: evening peak at 18:00, arbitrary but frozen phases
 # for the higher daily harmonics (they shape the industrial multi-peak day).
@@ -73,7 +72,7 @@ _CURVE_BLOCKS = 1 << 15
 def _yearly_cosines(t):
     """The cosines that yearly(t) weights; they depend on t alone."""
     t = np.asarray(t, dtype=np.float64)
-    w = 2.0 * np.pi / YEAR_S
+    w = 2.0 * np.pi / SECONDS_PER_YEAR
     return np.cos(w * t), np.cos(2 * w * t)
 
 
@@ -170,7 +169,7 @@ def _rng_for(config: ToyLoadConfig, stream: int, offset_samples: int) -> np.rand
 
 def _cosine_terms(config: ToyLoadConfig) -> list[tuple[float, float, float]]:
     """yearly(t)*daily(t) expanded as a finite list of (amp, omega, phase)."""
-    wy = 2.0 * np.pi / YEAR_S
+    wy = 2.0 * np.pi / SECONDS_PER_YEAR
     wd = 2.0 * np.pi / DAY_S
     yearly = [
         (config.seasonal_tilt, wy, 0.0),
@@ -354,19 +353,19 @@ def simulate_ground_truth(
     Deterministic in (config, start_time_s).  The start time selects an
     independent noise stream, so disjoint windows are independent draws.
     """
-    if duration_s < 30.0:
+    if duration_s < LEVEL_SPECS[Level.L1].span_s:
         raise ValueError("duration_s must be at least 30 s")
-    n = int(round(duration_s * 30.0))
-    t = start_time_s + np.arange(n) / 30.0
+    n = int(round(duration_s * PMU_RATE_HZ))
+    t = start_time_s + np.arange(n) / PMU_RATE_HZ
     det = config.base_mw * config.deterministic(t)
     sigma_e = config.noise_rel_std * math.sqrt(1.0 - config.ar_coeff**2)
-    rng = _rng_for(config, 0, int(round(start_time_s * 30.0)))
+    rng = _rng_for(config, 0, int(round(start_time_s * PMU_RATE_HZ)))
     noise = _ar1_path(config.ar_coeff, sigma_e, n, rng)
     return det * (1.0 + noise)
 
 
 def _samples_per_block(block_s: float) -> int:
-    m = block_s * 30.0
+    m = block_s * PMU_RATE_HZ
     if not 1 <= m < math.inf or abs(m - round(m)) > 1e-9:
         raise ValueError("block_s must be a positive multiple of 1/30 s")
     return int(round(m))
@@ -391,7 +390,7 @@ def _shape_block_curves(
     for lo in range(0, n_blocks, _CURVE_BLOCKS):
         hi = min(lo + _CURVE_BLOCKS, n_blocks)
         starts = start_time_s + block_s * np.arange(lo, hi)
-        means = _block_means_of_terms(term_lists, starts, m, 1.0 / 30.0)
+        means = _block_means_of_terms(term_lists, starts, m, LEVEL_SPECS[Level.L1].sampling_period_s)
         centres = starts + 0.5 * block_s
         yearly, daily = _yearly_cosines(centres), _daily_cosines(centres)
         for shape, mean, (mean_out, centre_out) in zip(shapes, means, curves):
@@ -414,7 +413,7 @@ def _add_block_noise(
     n_blocks = det_mean.size
     rho = config.ar_coeff
     A, rho_m, var_eta, var_zeta, cov = _ar1_block_moments(rho, sigma_e, m)
-    rng = _rng_for(config, 1, int(round(start_time_s * 30.0)))
+    rng = _rng_for(config, 1, int(round(start_time_s * PMU_RATE_HZ)))
     sigma = config.noise_rel_std
     n_init = sigma * rng.standard_normal()
     z_eta = rng.standard_normal(n_blocks)
@@ -487,16 +486,17 @@ def desk_level_datasets(
     from . import ingest  # local import: ingest never imports toydata
 
     parts = []
-    span_s = n_years * YEAR_S
-    fleet_m30 = _fleet_block_means(configs, 30.0, int(round(span_s / 30.0)))
+    span_s = n_years * SECONDS_PER_YEAR
+    halfmin = LEVEL_SPECS[Level.L2].sampling_period_s  # 30 s, also the level-1 span
+    fleet_m30 = _fleet_block_means(configs, halfmin, int(round(span_s / halfmin)))
     for cfg, m30 in zip(configs, fleet_m30):
         part = ingest.extract_levels_from_block_means(
             m30, cfg.load_class, 0.0, max_l2_profiles=l2_profiles_per_load
         )
         windows = []
         for j in range(l1_windows_per_load):
-            t0 = 30.0 * math.floor(j * span_s / l1_windows_per_load / 30.0)
-            windows.append(simulate_ground_truth(cfg, 30.0, start_time_s=t0))
+            t0 = halfmin * math.floor(j * span_s / l1_windows_per_load / halfmin)
+            windows.append(simulate_ground_truth(cfg, halfmin, start_time_s=t0))
         ingest._add_mean_one_rows(part, Level.L1, np.array(windows), cfg.load_class)
         parts.append(part)
     merged = ingest.LevelDatasets(*(ProfileSet.concatenate([p.of(level) for p in parts]) for level in Level))

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import SECONDS_PER_WEEK
 from .errors import (
     EmptyInput,
     InsufficientData,
@@ -203,7 +204,7 @@ def hold_weekly_series(
     resolutions: each week's value is held constant across the week.
     Kept as ROADMAP item 3's planned level-4 baseline.
     """
-    per_week = 604_800.0 / effective_period_s
+    per_week = SECONDS_PER_WEEK / effective_period_s
     if abs(per_week - round(per_week)) > 1e-9:
         raise ValueError("effective period must divide one week")
     out = np.repeat(np.asarray(weekly_values, dtype=np.float64), int(round(per_week)))

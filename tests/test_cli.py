@@ -93,6 +93,28 @@ class TestParseDuration:
         assert not out.exists()
 
 
+# --resolution, --length and the exit code: one request covers at most 53
+# years of 52 weeks, counted in the weeks its driving level needs
+YEAR_CAP_CASES = [
+    ("1/wk", "53yr", 0),
+    ("1/d", "53yr", 0),
+    ("1/d", "19293d", 2),  # 53 years and a day: a 2757th week
+    ("1/d", "53.005yr", 2),
+    ("1/wk", "54yr", 2),
+    pytest.param("30/s", "9" * 308 + "s", 2, id="30/s-1e308s"),  # more rows than a float holds
+]
+
+
+@pytest.mark.parametrize("resolution,length,code", YEAR_CAP_CASES)
+def test_year_cap_is_checked_before_any_work(resolution, length, code, capsys):
+    argv = ["generate", "--bundle", "absent.lsb", "--residential", "1", "--resolution", resolution,
+            "--length", length, "--estimate-only", "--output", "absent.csv"]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith("error: duration ") and "2756 weeks" in err
+
+
 # the grammars of --resolution and --length, their units in seconds
 RESOLUTION_UNITS = {"s": 1, "min": 60, "h": 3600, "d": 86_400, "wk": 604_800}
 DURATION_UNITS = {**RESOLUTION_UNITS, "yr": 52 * 604_800}
@@ -1127,6 +1149,8 @@ SIMULATE_BAD_ARGS = {
     "full_rate_short": ["--duration", "10s"],
     "base_negative": ["--duration", "1h", "--base-mw", "-5"],
     "base_nan": ["--duration", "1h", "--block-s", "30", "--base-mw", "nan"],
+    "block_longer_than_duration": ["--duration", "10s", "--block-s", "30"],
+    "block_longer_than_minute": ["--duration", "1min", "--block-s", "90"],
 }
 
 

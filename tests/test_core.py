@@ -5,6 +5,7 @@ import pytest
 
 from loadsynth.core import (
     LEVEL_SPECS,
+    SEASON_RUN_START,
     Level,
     LoadClass,
     Metric,
@@ -214,6 +215,26 @@ class TestSeasonOfWeek:
 
     def test_wraps_for_multi_year(self):
         assert season_of_week(52) is season_of_week(0)
+
+
+@pytest.mark.parametrize(
+    "level,length,period_s,span_s",
+    [
+        (Level.L1, 900, 1 / 30, 30.0),
+        (Level.L2, 120, 30.0, 3600.0),
+        (Level.L3, 168, 3600.0, 604800.0),
+        (Level.L4, 52, 604800.0, 31449600.0),
+    ],
+)
+def test_level_geometry(level, length, period_s, span_s):
+    spec = LEVEL_SPECS[level]
+    assert (spec.profile_length, spec.sampling_period_s, spec.span_s) == (length, period_s, span_s)
+    levels = list(Level)
+    if level is not Level.L4:  # a level's sample is one profile of the level below
+        assert spec.span_s == LEVEL_SPECS[levels[levels.index(level) + 1]].sampling_period_s
+    # the season-run table and the season of every week of the year agree
+    runs = {(start + k) % 52: season for season, start in SEASON_RUN_START.items() for k in range(13)}
+    assert {w: season_of_week(w) for w in range(52)} == runs
 
 
 def year_rows(n=4):

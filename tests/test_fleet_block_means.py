@@ -25,13 +25,13 @@ from scipy.signal import lfilter
 
 from loadsynth import toydata
 from loadsynth.cli import _dataset_fingerprint
+from loadsynth.core import SECONDS_PER_YEAR as YEAR_S
 from loadsynth.toydata import (
     _DAILY_PEAK_S,
     _NOISE_CLIP,
     _RIPPLE_PHASE_2,
     _RIPPLE_PHASE_3,
     DAY_S,
-    YEAR_S,
     ToyLoadConfig,
     _ar1_block_moments,
     _ar1_filter,
