@@ -76,6 +76,7 @@ from .neural.gan import (
 from .svdgen import fit_svd_model, svd_generate
 from .toydata import (
     ToyLoadConfig,
+    _samples_per_block,
     default_desk_configs,
     desk_level_datasets,
     simulate_block_means,
@@ -661,8 +662,17 @@ def cmd_simulate(args) -> int:
     _check_output_dir(args.output)
     try:  # the simulator validates its arguments with ValueError
         config = factory(seed=args.seed, base_mw=args.base_mw)
+        ticks = duration * PMU_RATE_HZ
+        if ticks == math.inf:
+            raise ValueError(f"--duration {args.duration} has more 30 Hz samples than a float holds")
         if args.block_s is not None:
-            n_blocks = int(duration // args.block_s)
+            # whole blocks in whole ticks (3600 // 0.1 is 35999.0 in floats);
+            # a tick missed only by the float's rounding counts (8.2d is
+            # 21254399.999999996 ticks), a part of one does not (29.99s)
+            n_ticks = math.floor(ticks)
+            if math.isclose(ticks, n_ticks + 1, rel_tol=1e-12):
+                n_ticks += 1
+            n_blocks = n_ticks // _samples_per_block(args.block_s)
             if n_blocks == 0:
                 raise ValueError(f"--block-s {args.block_s:g} is longer than --duration {args.duration}")
             values = simulate_block_means(config, args.block_s, n_blocks)

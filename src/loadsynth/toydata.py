@@ -36,16 +36,32 @@ loads, weighted once per distinct shape (config up to seed and base_mw),
 by the same expressions and in the same order as for a single load, so
 the floats are those of :func:`simulate_block_means` load by load.  Only
 the AR(1) block noise is drawn per load.  Every step after the draws is
-element-wise, so the curve is evaluated in cache-sized ranges of blocks and
-the noise is added in place, with the floats of whole-array expressions.
+element-wise but for the AR(1) recursion, which carries its state from one
+range of blocks to the next, so the curve and the noise are evaluated in
+cache-sized ranges of blocks, with the floats of whole-array expressions;
+a load's noise needs no array of its size but its output.
+
+That work runs on a thread pool with one worker per CPU the process may run
+on (:func:`_worker_count`), made per fleet and shut down before the fleet's
+generator ends: the curve ranges run on it in any order, each writing its
+own slice, and the loads run on it at most _LOADS_IN_FLIGHT (and at most
+the worker count) ahead of the load the caller holds, since each holds a
+load-sized array.  The numpy steps release the GIL; none calls BLAS, each
+range or load is computed by the same expressions whichever thread runs
+it, and each load draws from its own generator, so the floats do not
+depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
+from collections import deque
 from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -65,8 +81,21 @@ _NOISE_CLIP = 0.9
 # faster for it, and a longer one this many chunks per lockstep block
 _AR1_MIN_CHUNKS = 64
 _AR1_BLOCK_CHUNKS = 16384
-# _shape_block_curves evaluates this many blocks at a time
-_CURVE_BLOCKS = 1 << 15
+# _shape_block_curves and _add_block_noise evaluate this many blocks at a time
+_RANGE_BLOCKS = 1 << 15
+# _fleet_block_means starts at most this many loads ahead of the one its
+# caller holds, each with its own load-sized output array; the one-thread
+# simulator had five such arrays alive at once.  At the default 12-load x
+# 2-year fleet, train's peak RSS was 260 MB with one thread, 267 MB with 4
+# workers, and 312 MB with 12 workers and all 12 loads in flight
+_LOADS_IN_FLIGHT = 4
+
+
+def _worker_count() -> int:
+    """Threads of the simulator's pool: one per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _yearly_cosines(t):
@@ -372,23 +401,25 @@ def _samples_per_block(block_s: float) -> int:
 
 
 def _shape_block_curves(
-    shapes: list[ToyLoadConfig], block_s: float, n_blocks: int, start_time_s: float = 0.0
+    shapes: list[ToyLoadConfig], block_s: float, n_blocks: int, start_time_s: float, pool
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each shape's deterministic block means and its value at the block centres.
 
     A shape's seed and base_mw are not used.  Every cosine array is computed
     once for all the shapes; a shape's floats do not depend on which other
-    shapes are in the list.  The blocks are evaluated _CURVE_BLOCKS at a time,
+    shapes are in the list.  The blocks are evaluated _RANGE_BLOCKS at a time,
     so the cosine arrays of one range stay in cache while they are weighted;
     every step is element-wise and ``block_s * np.arange(lo, hi)`` holds the
     floats of the whole array's slice, so the ranges give the whole array's
-    floats.
+    floats.  The ranges run on `pool` (an executor), each writing its own
+    slice of the output arrays, so the order they run in does not matter.
     """
     m = _samples_per_block(block_s)
     term_lists = [_cosine_terms(s) for s in shapes]
     curves = [(np.empty(n_blocks), np.empty(n_blocks)) for _ in shapes]
-    for lo in range(0, n_blocks, _CURVE_BLOCKS):
-        hi = min(lo + _CURVE_BLOCKS, n_blocks)
+
+    def fill(lo: int) -> None:
+        hi = min(lo + _RANGE_BLOCKS, n_blocks)
         starts = start_time_s + block_s * np.arange(lo, hi)
         means = _block_means_of_terms(term_lists, starts, m, LEVEL_SPECS[Level.L1].sampling_period_s)
         centres = starts + 0.5 * block_s
@@ -396,50 +427,68 @@ def _shape_block_curves(
         for shape, mean, (mean_out, centre_out) in zip(shapes, means, curves):
             mean_out[lo:hi] = mean
             centre_out[lo:hi] = shape._yearly_of(*yearly) * shape._daily_of(*daily)
+
+    for _ in pool.map(fill, range(0, n_blocks, _RANGE_BLOCKS)):
+        pass  # re-raises a range's exception here
     return curves
 
 
 def _add_block_noise(
     config: ToyLoadConfig, curve: tuple[np.ndarray, np.ndarray], block_s: float,
-    start_time_s: float = 0.0,
+    start_time_s: float, out: np.ndarray,
 ) -> np.ndarray:
-    """One load's block means: its shape's curve with its own AR(1) block noise."""
+    """One load's block means: its shape's curve with its own AR(1) block noise.
+
+    Written to `out`, an array of the curve's size, and returned.  The
+    caller allocates it, so a pool thread allocates no array of a load's
+    size (glibc gives each thread its own heap, and a load-sized array freed
+    in a pool thread's heap stays resident, unused by the caller's later
+    steps).  The draws of eta go to `out` first; every later step is
+    element-wise but for the AR(1) recursion of the end states, which is
+    carried from range to range by its last state, so the blocks are
+    computed _RANGE_BLOCKS at a time with the floats of whole-array
+    expressions.  z_extra is drawn range by range, in order, which gives
+    the floats of one call's draws.
+    """
     det_mean, det_center = curve
     m = _samples_per_block(block_s)
     sigma_e = config.noise_rel_std * math.sqrt(1.0 - config.ar_coeff**2)
     if sigma_e == 0.0:
-        return config.base_mw * det_mean
+        return np.multiply(config.base_mw, det_mean, out=out)
 
-    n_blocks = det_mean.size
     rho = config.ar_coeff
     A, rho_m, var_eta, var_zeta, cov = _ar1_block_moments(rho, sigma_e, m)
     rng = _rng_for(config, 1, int(round(start_time_s * PMU_RATE_HZ)))
     sigma = config.noise_rel_std
     n_init = sigma * rng.standard_normal()
-    z_eta = rng.standard_normal(n_blocks)
-    z_extra = rng.standard_normal(n_blocks)
-    # in place over the draws, each element by the same operations in the
-    # same order as the expressions in the comments
-    eta = z_eta
-    eta *= math.sqrt(var_eta)  # eta = sqrt(var_eta) * z_eta
+    rng.standard_normal(out=out)  # z_eta
     # zeta | eta: regression on eta plus independent residual
     slope = cov / var_eta
     resid_var = max(var_zeta - cov**2 / var_eta, 0.0)
-    zeta = z_extra
-    zeta *= math.sqrt(resid_var)
-    zeta += slope * eta  # zeta = slope * eta + sqrt(resid_var) * z_extra
-    # end states follow an AR(1) recursion with coefficient rho^m
-    end = _ar1_filter(rho_m, eta, n_init)
-    out = np.empty(n_blocks)  # the start states: n_init, then end[:-1]
-    out[:1] = n_init  # no element when n_blocks is 0
-    out[1:] = end[:-1]
-    out *= A
-    out += zeta
-    out /= m
-    np.clip(out, -_NOISE_CLIP, _NOISE_CLIP, out=out)  # the noise mean
-    out *= det_center
-    out += det_mean
-    out *= config.base_mw  # base_mw * (det_mean + det_center * noise_mean)
+    state = n_init  # the start state of the range's first block
+    for lo in range(0, out.size, _RANGE_BLOCKS):
+        hi = min(lo + _RANGE_BLOCKS, out.size)
+        # each element by the same operations in the same order as the
+        # whole-array expressions in the comments
+        eta = out[lo:hi]
+        eta *= math.sqrt(var_eta)  # eta = sqrt(var_eta) * z_eta
+        zeta = rng.standard_normal(hi - lo)
+        zeta *= math.sqrt(resid_var)
+        zeta += slope * eta  # zeta = slope * eta + sqrt(resid_var) * z_extra
+        # end states follow an AR(1) recursion with coefficient rho^m; each
+        # block starts from the end state of the block before it
+        end = _ar1_filter(rho_m, eta, state)
+        noise = np.empty(hi - lo)
+        noise[0] = state
+        noise[1:] = end[:-1]
+        state = end[-1]
+        noise *= A
+        noise += zeta
+        noise /= m
+        np.clip(noise, -_NOISE_CLIP, _NOISE_CLIP, out=noise)  # the noise mean
+        noise *= det_center[lo:hi]
+        noise += det_mean[lo:hi]
+        np.multiply(noise, config.base_mw, out=eta)  # base_mw * (det_mean + det_center * noise_mean)
     return out
 
 
@@ -449,13 +498,32 @@ def _fleet_block_means(
     """Yield simulate_block_means(config, ...) for each config in turn.
 
     The deterministic curves are computed once, one per distinct shape
-    (config up to seed and base_mw); only the noise is drawn per load.
+    (config up to seed and base_mw); only the noise is drawn per load.  The
+    curve ranges and the loads' noise run on one pool of :func:`_worker_count`
+    threads.  While the caller holds load i, loads up to i + ahead have
+    started and none past it, with ahead the smaller of the worker count and
+    _LOADS_IN_FLIGHT, so at most that many loads' arrays are alive besides
+    the one held.  A load's exception is raised here, in load order.  Close
+    the generator (or exhaust it) to shut the pool down.
     """
+    # imported here: concurrent.futures (with logging and queue) adds about
+    # 0.8 MB to every command's import, and only the simulator uses it
+    from concurrent.futures import ThreadPoolExecutor
+
     shape_of = [replace(cfg, seed=0, base_mw=1.0) for cfg in configs]
     shapes = list(dict.fromkeys(shape_of))
-    curves = dict(zip(shapes, _shape_block_curves(shapes, block_s, n_blocks, start_time_s)))
-    for cfg, shape in zip(configs, shape_of):
-        yield _add_block_noise(cfg, curves[shape], block_s, start_time_s)
+    workers = _worker_count()
+    with ThreadPoolExecutor(workers) as pool:
+        curves = dict(zip(shapes, _shape_block_curves(shapes, block_s, n_blocks, start_time_s, pool)))
+        jobs = (  # each load's array is allocated here, in the caller's thread
+            pool.submit(_add_block_noise, cfg, curves[shape], block_s, start_time_s, np.empty(n_blocks))
+            for cfg, shape in zip(configs, shape_of)
+        )
+        pending = deque(islice(jobs, min(workers, _LOADS_IN_FLIGHT)))
+        while pending:
+            job = pending.popleft()
+            pending.extend(islice(jobs, 1))
+            yield job.result()
 
 
 def simulate_block_means(
@@ -488,17 +556,18 @@ def desk_level_datasets(
     parts = []
     span_s = n_years * SECONDS_PER_YEAR
     halfmin = LEVEL_SPECS[Level.L2].sampling_period_s  # 30 s, also the level-1 span
-    fleet_m30 = _fleet_block_means(configs, halfmin, int(round(span_s / halfmin)))
-    for cfg, m30 in zip(configs, fleet_m30):
-        part = ingest.extract_levels_from_block_means(
-            m30, cfg.load_class, 0.0, max_l2_profiles=l2_profiles_per_load
-        )
-        windows = []
-        for j in range(l1_windows_per_load):
-            t0 = halfmin * math.floor(j * span_s / l1_windows_per_load / halfmin)
-            windows.append(simulate_ground_truth(cfg, halfmin, start_time_s=t0))
-        ingest._add_mean_one_rows(part, Level.L1, np.array(windows), cfg.load_class)
-        parts.append(part)
+    fleet = _fleet_block_means(configs, halfmin, int(round(span_s / halfmin)))
+    with closing(fleet):  # an exception here shuts the pool down
+        for cfg, m30 in zip(configs, fleet):
+            part = ingest.extract_levels_from_block_means(
+                m30, cfg.load_class, 0.0, max_l2_profiles=l2_profiles_per_load
+            )
+            windows = []
+            for j in range(l1_windows_per_load):
+                t0 = halfmin * math.floor(j * span_s / l1_windows_per_load / halfmin)
+                windows.append(simulate_ground_truth(cfg, halfmin, start_time_s=t0))
+            ingest._add_mean_one_rows(part, Level.L1, np.array(windows), cfg.load_class)
+            parts.append(part)
     merged = ingest.LevelDatasets(*(ProfileSet.concatenate([p.of(level) for p in parts]) for level in Level))
     for part in parts:
         merged.issues.update((level, text) for level, text in part.issues.items() if not merged.of(level))

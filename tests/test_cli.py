@@ -1151,6 +1151,11 @@ SIMULATE_BAD_ARGS = {
     "base_nan": ["--duration", "1h", "--block-s", "30", "--base-mw", "nan"],
     "block_longer_than_duration": ["--duration", "10s", "--block-s", "30"],
     "block_longer_than_minute": ["--duration", "1min", "--block-s", "90"],
+    # 899.7 ticks hold no whole 900-tick block
+    "block_longer_than_fractional_duration": ["--duration", "29.99s", "--block-s", "30"],
+    # 308 nines of seconds is a finite float, but not 30 times it
+    "full_rate_ticks_overflow": ["--duration", "9" * 308 + "s"],
+    "block_ticks_overflow": ["--duration", "9" * 308 + "s", "--block-s", "30"],
 }
 
 
@@ -1182,6 +1187,28 @@ class TestOtherSubcommands:
         assert code == 0
         _, series = read_series_csv(out)
         assert series.shape == (1, 240)
+
+    @pytest.mark.parametrize(
+        "duration, block_s, rows, last",
+        # 3600 // 0.1 is 35999.0 in floats
+        [
+            ("1h", "0.1", 36_000, "2021-01-01T00:59:59.900000"),
+            ("1min", "0.3", 200, "2021-01-01T00:00:59.700000"),
+            ("2wk", "30", 40_320, "2021-01-14T23:59:30"),
+            ("1min", "60", 1, "2021-01-01T00:00:00"),
+            # 1799.7 ticks: the part of a tick does not make a second block
+            ("59.99s", "30", 1, "2021-01-01T00:00:00"),
+            # 21254399.999999996 ticks in floats, 21254400 in decimals
+            ("8.2d", "30", 23_616, "2021-01-09T04:47:30"),
+        ],
+    )
+    def test_simulate_counts_blocks_in_whole_ticks(self, tmp_path, duration, block_s, rows, last):
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", "--duration", duration, "--block-s", block_s, "--output", str(out)])
+        assert code == 0
+        stamps, series = read_series_csv(out)
+        assert series.shape == (1, rows)
+        assert stamps[-1] == last
 
     def test_simulate_full_rate(self, tmp_path):
         out = tmp_path / "sim30.csv"

@@ -13,7 +13,11 @@ checked against the same ``lfilter`` call byte for byte.
 """
 
 import math
+import os
 import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
 
@@ -23,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
-from loadsynth import toydata
+from loadsynth import ingest, toydata
 from loadsynth.cli import _dataset_fingerprint
 from loadsynth.core import SECONDS_PER_YEAR as YEAR_S
 from loadsynth.toydata import (
@@ -185,22 +189,144 @@ def ranged_grids(draw):
     return block_s, n_blocks, start_time_s, per_range
 
 
+def _curves(workers, shapes, block_s, n_blocks, start_time_s):
+    """_shape_block_curves on a pool of `workers` threads."""
+    with ThreadPoolExecutor(workers) as pool:
+        return _shape_block_curves(shapes, block_s, n_blocks, start_time_s, pool)
+
+
 @settings(max_examples=150, deadline=None)
 @given(fleet=st.lists(load_configs(), min_size=1, max_size=4), grid=ranged_grids())
 @example(  # the module's own range, crossed twice
     fleet=[ToyLoadConfig.residential(seed=1), ToyLoadConfig.industrial(seed=2)],
-    grid=(30.0, 2 * toydata._CURVE_BLOCKS + 7, 1800.0, toydata._CURVE_BLOCKS),
+    grid=(30.0, 2 * toydata._RANGE_BLOCKS + 7, 1800.0, toydata._RANGE_BLOCKS),
 )
 def test_curves_by_block_range_equal_the_whole_array(fleet, grid):
     block_s, n_blocks, start_time_s, per_range = grid
     shapes = list(dict.fromkeys(replace(c, seed=0, base_mw=1.0) for c in fleet))
-    with mock.patch.object(toydata, "_CURVE_BLOCKS", n_blocks):
-        whole = _shape_block_curves(shapes, block_s, n_blocks, start_time_s)
-    with mock.patch.object(toydata, "_CURVE_BLOCKS", per_range):
-        ranged = _shape_block_curves(shapes, block_s, n_blocks, start_time_s)
+    with mock.patch.object(toydata, "_RANGE_BLOCKS", n_blocks):
+        whole = _curves(toydata._worker_count(), shapes, block_s, n_blocks, start_time_s)
+    with mock.patch.object(toydata, "_RANGE_BLOCKS", per_range):
+        ranged = _curves(toydata._worker_count(), shapes, block_s, n_blocks, start_time_s)
     for (mean, centre), (want_mean, want_centre) in zip(ranged, whole, strict=True):
         assert mean.tobytes() == want_mean.tobytes()
         assert centre.tobytes() == want_centre.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(fleet=st.lists(load_configs(), min_size=1, max_size=4), grid=ranged_grids())
+@example(  # the module's own range, crossed twice
+    fleet=[ToyLoadConfig.residential(seed=1), ToyLoadConfig.industrial(seed=2)],
+    grid=(30.0, 2 * toydata._RANGE_BLOCKS + 7, 1800.0, toydata._RANGE_BLOCKS),
+)
+def test_noise_by_block_range_equals_the_oracle(fleet, grid):
+    # the AR(1) state crosses each range boundary, and the second stream's
+    # draws come in pieces
+    block_s, n_blocks, start_time_s, per_range = grid
+    with mock.patch.object(toydata, "_RANGE_BLOCKS", per_range):
+        got = list(_fleet_block_means(fleet, block_s, n_blocks, start_time_s))
+    for values, config in zip(got, fleet, strict=True):
+        want = oracle_simulate_block_means(config, block_s, n_blocks, start_time_s)
+        assert values.tobytes() == want.tobytes()
+
+
+def _bytes_at(workers, fleet, grid):
+    """Curve and load bytes with `workers` pool threads and many small ranges."""
+    block_s, n_blocks, start_time_s, per_range = grid
+    shapes = list(dict.fromkeys(replace(c, seed=0, base_mw=1.0) for c in fleet))
+    with (
+        mock.patch.object(toydata, "_RANGE_BLOCKS", per_range),
+        mock.patch.object(toydata, "_worker_count", lambda: workers),
+    ):
+        curves = _curves(workers, shapes, block_s, n_blocks, start_time_s)
+        loads = list(_fleet_block_means(fleet, block_s, n_blocks, start_time_s))
+    return [a.tobytes() for pair in curves for a in pair], [v.tobytes() for v in loads]
+
+
+@settings(max_examples=100, deadline=None)
+@given(fleet=st.lists(load_configs(), min_size=1, max_size=6), grid=ranged_grids())
+def test_bytes_do_not_depend_on_the_worker_count(fleet, grid):
+    assert _bytes_at(3, fleet, grid) == _bytes_at(1, fleet, grid)
+
+
+def test_bytes_do_not_depend_on_the_worker_count_under_stress():
+    # more workers than CPUs, switching threads as often as the interpreter allows
+    fleet = [ToyLoadConfig.residential(seed=1), ToyLoadConfig.industrial(seed=2),
+             replace(ToyLoadConfig.industrial(seed=3), daily_ripple=0.2)] * 3
+    grid = (30.0, 5000, 1800.0, 7)
+    want = _bytes_at(1, fleet, grid)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _bytes_at((os.cpu_count() or 1) + 1, fleet, grid)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def _spy_on_block_noise(monkeypatch, fleet, fail_at=None):
+    """Patch _add_block_noise to log each load's index as it starts."""
+    started = []
+    add = toydata._add_block_noise
+
+    def spy(config, *args):
+        index = fleet.index(config)
+        started.append(index)
+        if index == fail_at:
+            raise ValueError(f"load {index} failed")
+        return add(config, *args)
+
+    monkeypatch.setattr(toydata, "_add_block_noise", spy)
+    return started
+
+
+SEEDED_FLEET = [ToyLoadConfig.residential(seed=s) for s in range(4)] + [
+    ToyLoadConfig.industrial(seed=s) for s in range(4, 9)
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, toydata._LOADS_IN_FLIGHT + 2])
+def test_loads_in_flight_are_bounded(monkeypatch, workers):
+    monkeypatch.setattr(toydata, "_worker_count", lambda: workers)
+    started = _spy_on_block_noise(monkeypatch, SEEDED_FLEET)
+    before = threading.active_count()
+    ahead = min(workers, toydata._LOADS_IN_FLIGHT)
+    held = 0
+    for i, values in enumerate(_fleet_block_means(SEEDED_FLEET, 30.0, 2000)):
+        time.sleep(0.01)  # a slow consumer, so that unbounded work would run ahead
+        assert max(started) <= i + ahead
+        held += values.size
+    assert held == 2000 * len(SEEDED_FLEET)
+    assert sorted(started) == list(range(len(SEEDED_FLEET)))
+    assert threading.active_count() == before
+
+
+def test_a_load_error_reaches_the_consumer_in_load_order(monkeypatch):
+    monkeypatch.setattr(toydata, "_worker_count", lambda: 3)
+    _spy_on_block_noise(monkeypatch, SEEDED_FLEET, fail_at=2)
+    before = threading.active_count()
+    got = []
+    with pytest.raises(ValueError, match="^load 2 failed$"):
+        for values in _fleet_block_means(SEEDED_FLEET, 30.0, 100):
+            got.append(values)
+    assert len(got) == 2
+    assert threading.active_count() == before
+
+
+def test_pool_threads_end_when_the_consumer_fails(monkeypatch):
+    monkeypatch.setattr(toydata, "_worker_count", lambda: 3)
+    started = _spy_on_block_noise(monkeypatch, SEEDED_FLEET)
+    before = threading.active_count()
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("consumer failed")
+
+    monkeypatch.setattr(ingest, "extract_levels_from_block_means", fail)
+    with pytest.raises(RuntimeError, match="consumer failed") as failure:
+        desk_level_datasets(SEEDED_FLEET, n_years=1, l1_windows_per_load=1, l2_profiles_per_load=1)
+    # the traceback still holds the generator; the pool is shut down anyway
+    assert failure.traceback and threading.active_count() == before
+    assert max(started) <= 3  # the consumer failed holding load 0
 
 
 def test_desk_fleet_fingerprint():
