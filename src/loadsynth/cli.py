@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .compose import (
+    _MAX_YEARS,
     GenerationRequest,
     ModelSet,
     learn_seam_filter,
@@ -61,7 +62,10 @@ from .errors import (
 )
 from .ingest import (
     extract_level_datasets,
+    line_error,
     off_30hz_grid,
+    off_grid_error,
+    read_csv_chunks,
     read_level_datasets,
     read_phasor_csv,
     write_level_datasets,
@@ -330,55 +334,29 @@ def write_series_csv(path, times_s: np.ndarray, series: np.ndarray) -> None:
             fh.write(block[block_keep])
 
 
+def _series_row(header: str, stamp=object) -> np.dtype:
+    """A series CSV row under ``header``: a timestamp, then a float per load."""
+    return np.dtype([("t", stamp)] + [(f"load_{i + 1}", "f8") for i in range(header.count(","))])
+
+
 def read_series_csv(path) -> tuple[list[str], np.ndarray]:
-    """Timestamps and the (n_loads, n_rows) values of a series CSV.
-
-    A ragged row or a value that is not a number raises InsufficientData
-    naming the file and line; a header-only file has no rows.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            stamps, rows = [], []
-            for line_no, line in enumerate(fh, start=2):
-                parts = line.strip().split(",")
-                if len(parts) != len(header):
-                    raise InsufficientData(
-                        f"{path} line {line_no}: ragged row {line.strip()!r}: "
-                        f"{len(parts)} fields, the header has {len(header)}"
-                    )
-                try:
-                    rows.append([float(v) for v in parts[1:]])
-                except ValueError as exc:
-                    raise InsufficientData(
-                        f"{path} line {line_no}: bad row {line.strip()!r}: {exc}"
-                    ) from exc
-                stamps.append(parts[0])
-    except UnicodeDecodeError as exc:
-        raise InsufficientData(f"{path} is not UTF-8 text: {exc}") from exc
-    return stamps, np.array(rows, dtype=np.float64).reshape(len(rows), len(header) - 1).T
+    """Timestamps and (n_loads, n_rows) values of a series CSV, by ``ingest.read_csv_chunks``."""
+    rows = np.concatenate(list(read_csv_chunks(path, _series_row)))
+    loads = rows.dtype.names[1:]
+    return rows["t"].tolist(), np.array([rows[name] for name in loads]).reshape(len(loads), rows.size)
 
 
-def _check_30hz(path, stamps: list[str]) -> None:
-    """Refuse a series whose timestamps do not step at 30 Hz (1/30 s +-10%),
-    naming the line of the first unparsable or off-grid row."""
+def _check_30hz(path, stamps: list[str], n_loads: int) -> None:
+    """Refuse timestamps that do not step at 30 Hz, naming the first bad or off-grid row's line."""
     try:
         us = np.array(stamps, dtype="datetime64[us]").astype(np.int64)
     except ValueError:
-        for line_no, stamp in enumerate(stamps, start=2):
-            try:
-                np.datetime64(stamp, "us")
-            except ValueError as exc:
-                raise InsufficientData(f"{path} line {line_no}: bad timestamp {stamp!r}") from exc
-        raise
+        raise line_error(path, 0, "expected an ISO 8601 timestamp first", _series_row("," * n_loads, "M8[us]")) from None
     step = np.diff(us) / 1e6
     off_grid = off_30hz_grid(step)
     if off_grid.size:
         k = off_grid[0]
-        raise InsufficientData(
-            f"{path} line {k + 3}: the row at {stamps[k + 1]} follows {stamps[k]}, a step "
-            f"of {step[k]:.6f}s that breaks the 30 Hz +-10% spacing"
-        )
+        raise off_grid_error(path, k + 1, stamps[k + 1], stamps[k], step[k])
 
 
 # ----------------------------------------------------------------------
@@ -659,12 +637,12 @@ def cmd_simulate(args) -> int:
         else ToyLoadConfig.industrial
     )
     duration = parse_duration(args.duration)
+    if duration > _MAX_YEARS * SECONDS_PER_YEAR:
+        raise RequestError(f"--duration {args.duration} is longer than the {_MAX_YEARS} years of one series")
     _check_output_dir(args.output)
     try:  # the simulator validates its arguments with ValueError
         config = factory(seed=args.seed, base_mw=args.base_mw)
         ticks = duration * PMU_RATE_HZ
-        if ticks == math.inf:
-            raise ValueError(f"--duration {args.duration} has more 30 Hz samples than a float holds")
         if args.block_s is not None:
             # whole blocks in whole ticks (3600 // 0.1 is 35999.0 in floats);
             # a tick missed only by the float's rounding counts (8.2d is
@@ -682,6 +660,8 @@ def cmd_simulate(args) -> int:
             times = np.arange(values.size) / PMU_RATE_HZ
     except ValueError as exc:
         raise RequestError(f"simulate: {exc}") from exc
+    except MemoryError:
+        raise RequestError(f"simulate: --duration {args.duration} does not fit in memory") from None
     with _writing(args.output):
         write_series_csv(args.output, times, values[None, :])
     print(f"wrote {values.size} samples to {args.output}", file=sys.stderr)
@@ -690,20 +670,16 @@ def cmd_simulate(args) -> int:
 
 def cmd_ingest(args) -> int:
     _check_output_tree(args.output_dir)
-    try:
-        if args.phasors:
-            series = read_phasor_csv(args.phasors)
-        else:
-            stamps, data = read_series_csv(args.series)
-            _check_30hz(args.series, stamps)
-            series = data[0]
-    except OSError as exc:
-        raise InsufficientData(f"cannot read {exc.filename}: {exc.strerror or exc}") from exc
-    load_class = LoadClass(args.load_class)
+    if args.phasors:
+        series = read_phasor_csv(args.phasors)
+    else:
+        stamps, data = read_series_csv(args.series)
+        _check_30hz(args.series, stamps, len(data))
+        series = data[0]
     datasets = extract_level_datasets(
         series,
         start_time_s=args.start_week * SECONDS_PER_WEEK,
-        load_class=load_class,
+        load_class=LoadClass(args.load_class),
         max_l1_profiles=args.max_l1,
         max_l2_profiles=args.max_l2,
     )

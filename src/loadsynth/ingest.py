@@ -300,10 +300,67 @@ def extract_level_datasets(
 # File formats
 # ----------------------------------------------------------------------
 
-PHASOR_HEADER = "timestamp,line_id,v_mag,v_ang,i_mag,i_ang"
-_PHASOR_FIELDS = ("v_mag", "v_ang", "i_mag", "i_ang")
-# line_id is an object field: a fixed-width string would truncate long ids
-_PHASOR_ROW = np.dtype([("t", "f8"), ("line_id", object)] + [(f, "f8") for f in _PHASOR_FIELDS])
+# data rows parsed per np.loadtxt call, in every input CSV: bounds a
+# reader's memory whatever the length of its input
+PHASOR_CHUNK_ROWS = 16_384
+
+
+def _parse_rows(lines, dtype) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an exhausted input is an empty chunk
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def line_error(path, k: int, reason: str, dtype=None) -> InsufficientData:
+    """The error naming data line ``k`` of ``path`` (0 is the first under the
+    header; blank lines do not count), found by reading the file again; given
+    ``dtype``, the first from the k-th on that does not parse as a row of it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        fh.readline()  # the header
+        numbered = ((no, line) for no, line in enumerate(fh, start=2) if not line.isspace())
+        for no, line in itertools.islice(numbered, k, None):
+            if dtype is None:
+                return InsufficientData(f"{path} line {no}: {reason}")
+            try:
+                _parse_rows([line], dtype)
+            except ValueError:
+                return InsufficientData(f"{path} line {no}: {reason}, got {line.strip()!r}")
+    return InsufficientData(f"{path}: {reason}")  # the file changed since it was parsed
+
+
+def read_csv_chunks(path, row_dtype):
+    """The data rows of a CSV file in arrays of PHASOR_CHUNK_ROWS rows, the
+    last one shorter, maybe empty; each is parsed in C by np.loadtxt, which
+    pulls the lines from the file, once the one before it is consumed.
+
+    ``row_dtype(header)`` is the dtype of the rows under the stripped header
+    line, or None for a wrong header.  Blank lines are skipped.  An unreadable
+    or non-UTF-8 file, a wrong header and a line that does not parse raise
+    InsufficientData naming the file and line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            dtype = row_dtype(header)
+            if dtype is None:
+                raise InsufficientData(f"{path} line 1: unexpected header {header!r}")
+            lines = itertools.filterfalse(str.isspace, fh)  # loadtxt rejects blank lines
+            parsed = 0  # data lines in the chunks before
+            while True:
+                try:
+                    rows = _parse_rows(itertools.islice(lines, PHASOR_CHUNK_ROWS), dtype)
+                except UnicodeDecodeError:
+                    raise
+                except ValueError as exc:  # a wrong field count or an unparsable field
+                    raise line_error(path, parsed, f"expected the {len(dtype)} fields {header}", dtype) from exc
+                yield rows
+                if rows.size < PHASOR_CHUNK_ROWS:
+                    return
+                parsed += rows.size
+    except UnicodeDecodeError as exc:
+        raise InsufficientData(f"{path} is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise InsufficientData(f"cannot read {exc.filename or path}: {exc.strerror or exc}") from exc
 
 
 def off_30hz_grid(step_s: np.ndarray) -> np.ndarray:
@@ -312,9 +369,15 @@ def off_30hz_grid(step_s: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~((step_s >= 0.9 * step) & (step_s <= 1.1 * step)))
 
 
-# data rows parsed per np.loadtxt call: bounds the reader's memory whatever
-# the length of its input
-PHASOR_CHUNK_ROWS = 16_384
+def off_grid_error(path, k: int, now: str, before: str, step_s: float) -> InsufficientData:
+    """The error naming data line ``k``, whose row at ``now`` is ``step_s`` after ``before``."""
+    return line_error(path, k, f"the row at {now} follows {before}, a step of {step_s:.6f}s that breaks the 30 Hz +-10% spacing")
+
+
+PHASOR_HEADER = "timestamp,line_id,v_mag,v_ang,i_mag,i_ang"
+_PHASOR_FIELDS = ("v_mag", "v_ang", "i_mag", "i_ang")
+# line_id is an object field: a fixed-width string would truncate long ids
+_PHASOR_ROW = np.dtype([("t", "f8"), ("line_id", object)] + [(f, "f8") for f in _PHASOR_FIELDS])
 
 
 @dataclass
@@ -326,23 +389,21 @@ class _RecordCarry:
     last_path: object = None
 
 
-def _records_bus_load(rows: np.ndarray, path, carry: _RecordCarry) -> np.ndarray:
-    """Bus power of whole records ``rows``, checked against ``carry``."""
+def _records_bus_load(rows: np.ndarray, path, start: int, carry: _RecordCarry) -> np.ndarray:
+    """Bus power of the whole records ``rows``, from data line ``start`` of ``path`` on, checked against ``carry``."""
     t, ids = rows["t"], rows["line_id"]
     starts = np.ones(t.size, dtype=bool)
     starts[1:] = t[1:] != t[:-1]
     first = np.flatnonzero(starts)  # first row of each record
     record = np.cumsum(starts) - 1  # record index of each row
-    stamps = t[first] if carry.last_t is None else np.concatenate(([carry.last_t], t[first]))
+    lead = carry.last_t is not None  # step 0 comes from the record before
+    stamps = np.concatenate(([carry.last_t], t[first])) if lead else t[first]
     step = np.diff(stamps)
     off_grid = off_30hz_grid(step)
     if off_grid.size:
         k = off_grid[0]
-        before = f" in {carry.last_path}" if k == 0 and carry.last_path != path else ""
-        raise InsufficientData(
-            f"{path}: the row at t={stamps[k + 1]} follows t={stamps[k]}{before}, a step of "
-            f"{step[k]:.6f}s that breaks the 30 Hz +-10% spacing"
-        )
+        before = f"t={stamps[k]}" + (f" in {carry.last_path}" if k == 0 and lead and carry.last_path != path else "")
+        raise off_grid_error(path, start + first[k + 1 - lead], f"t={stamps[k + 1]}", before, step[k])
     if carry.line_ids is None:
         carry.line_ids = tuple(sorted(set(ids[record == 0])))
     grid = np.full((first.size, len(carry.line_ids)), -1)  # (record, line) -> row
@@ -355,62 +416,10 @@ def _records_bus_load(rows: np.ndarray, path, carry: _RecordCarry) -> np.ndarray
     missing = np.argwhere(grid < 0)
     if missing.size:
         k, j = missing[0]
-        raise MissingChannel(
-            f"{path}: record at t={t[first[k]]} lacks phasors for line {carry.line_ids[j]!r}"
-        )
+        raise MissingChannel(f"{path}: record at t={t[first[k]]} lacks phasors for line {carry.line_ids[j]!r}")
     carry.last_t, carry.last_path = t[first[-1]], path
     table = PhasorTable(t[first], carry.line_ids, *(rows[name][grid] for name in _PHASOR_FIELDS))
     return compute_bus_load(table)
-
-
-def _parse_rows(lines) -> np.ndarray:
-    return np.loadtxt(lines, dtype=_PHASOR_ROW, delimiter=",", comments=None, ndmin=1)
-
-
-def _parse_error(path, skip: int, exc: ValueError) -> InsufficientData:
-    """The error naming the first data line of ``path`` after the first
-    ``skip`` that the parser rejects, read again line by line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        fh.readline()  # the header
-        numbered = ((no, line) for no, line in enumerate(fh, start=2) if not line.isspace())
-        for no, line in itertools.islice(numbered, skip, None):
-            try:
-                _parse_rows([line])
-            except ValueError:
-                return InsufficientData(
-                    f"{path} line {no}: expected the 6 fields {PHASOR_HEADER}, got {line.strip()!r}"
-                )
-    return InsufficientData(f"{path}: {exc}")  # the file changed since it was parsed
-
-
-def _read_phasor_file(path, carry: _RecordCarry) -> list[np.ndarray]:
-    """Per-chunk bus power of one phasor CSV, continuing the records in ``carry``."""
-    power, parsed = [], 0  # data lines parsed in whole chunks
-    try:
-        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an exhausted input is an empty chunk
-            if fh.readline().strip() != PHASOR_HEADER:
-                raise InsufficientData(f"{path} line 1: expected the header {PHASOR_HEADER!r}")
-            lines = itertools.filterfalse(str.isspace, fh)  # loadtxt rejects blank lines
-            rows = np.zeros(0, dtype=_PHASOR_ROW)  # held back: the last, maybe unfinished, record
-            while True:
-                chunk = _parse_rows(itertools.islice(lines, PHASOR_CHUNK_ROWS))
-                rows = np.concatenate((rows, chunk)) if rows.size else chunk
-                if chunk.size < PHASOR_CHUNK_ROWS:
-                    break
-                parsed += PHASOR_CHUNK_ROWS
-                t = rows["t"]
-                ends = np.flatnonzero(t[1:] != t[:-1])  # the last row of each record but the last
-                if ends.size:
-                    power.append(_records_bus_load(rows[: ends[-1] + 1], path, carry))
-                    rows = rows[ends[-1] + 1 :]
-    except UnicodeDecodeError as exc:
-        raise InsufficientData(f"phasor CSV {path} is not UTF-8 text: {exc}") from exc
-    except ValueError as exc:  # a row without 6 fields or with an unparsable number
-        raise _parse_error(path, parsed, exc) from exc
-    if rows.size:
-        power.append(_records_bus_load(rows, path, carry))
-    return power
 
 
 def read_phasor_csv(paths) -> np.ndarray:
@@ -420,36 +429,38 @@ def read_phasor_csv(paths) -> np.ndarray:
     that header, and several files are read as one input in the order given.
     Consecutive rows with the same timestamp form one record, and record
     timestamps must step at nominally 30 Hz (each step within +-10%), also
-    from the last record of one file to the first of the next: a gap or an
-    overlap between files breaks the spacing.  The first record fixes the
-    line set: extra lines in later records are ignored, a record lacking one
-    of its lines raises MissingChannel, and within a record the last row of a
-    line wins.  Blank lines are skipped.  Any other defect raises
-    InsufficientData naming the file and its line or timestamps.
+    from the last record of one file to the first of the next.  The first
+    record fixes the line set: extra lines in later records are ignored, a
+    record lacking one of its lines raises MissingChannel, and within a
+    record the last row of a line wins.  Any other defect raises
+    InsufficientData naming the file and line.
 
-    Rows are parsed PHASOR_CHUNK_ROWS at a time and each chunk is reduced to
-    bus power before the next is read, so memory does not grow with the row
-    count.  The parser pulls the lines from the file itself; only a parse
-    error reads the file again, from the failing chunk on, to name its line.  The rows of a chunk's last timestamp are held back for the next
-    chunk: every record is checked and summed whole.  Defects are reported in
-    reading order: the first chunk holding one reports it, and within a chunk
-    a parse error comes before a spacing error, which comes before a missing
-    line.
+    The whole records of each chunk of read_csv_chunks are reduced to bus
+    power before the next is parsed, the rows of its last timestamp held back.
+    The first chunk holding a defect reports it: a parse error, then a spacing
+    error, then a missing line.
     """
     paths = [paths] if isinstance(paths, (str, os.PathLike)) else paths
-    carry = _RecordCarry()
-    power = [p for path in paths for p in _read_phasor_file(path, carry)]
+    carry, power = _RecordCarry(), []
+    for path in paths:
+        start, rows = 0, np.zeros(0, dtype=_PHASOR_ROW)  # held back: the last record, from data line start
+        for chunk in read_csv_chunks(path, {PHASOR_HEADER: _PHASOR_ROW}.get):
+            rows = np.concatenate((rows, chunk)) if rows.size else chunk
+            ends = np.flatnonzero(rows["t"][1:] != rows["t"][:-1])  # the last row of each record but the last
+            if ends.size and chunk.size == PHASOR_CHUNK_ROWS:  # the last chunk is summed whole below
+                power.append(_records_bus_load(rows[: ends[-1] + 1], path, start, carry))
+                start += ends[-1] + 1
+                rows = rows[ends[-1] + 1 :]
+        if rows.size:
+            power.append(_records_bus_load(rows, path, start, carry))
+        rows = chunk = None  # not held while the next file is read or the power is joined
     return np.concatenate(power) if power else np.zeros(0)
 
 
-_LEVEL_FILES = {
-    Level.L1: "level1.csv",
-    Level.L2: "level2.csv",
-    Level.L3: "level3.csv",
-    Level.L4: "level4.csv",
-}
+_LEVEL_FILES = {level: f"level{level.value[-1]}.csv" for level in Level}
 _META_FILE = "level_meta.json"
 DATASET_HEADER = "profile_id,load_class,season,sample_index,value"
+_DATASET_ROW = np.dtype([(f, object) for f in ("profile_id", "load_class", "season")] + [("sample_index", "i8"), ("value", "f8")])
 
 
 def write_level_datasets(datasets: LevelDatasets, directory) -> None:
@@ -506,60 +517,72 @@ def _meta_entry(entry, level: Level) -> tuple[float, list]:
 
 
 def read_level_datasets(directory) -> LevelDatasets:
-    directory = Path(directory)
-    meta_path = directory / _META_FILE
-    meta = {}
-    if meta_path.exists():
-        try:
-            with open(meta_path, "r", encoding="utf-8") as fh:
-                meta = json.load(fh)
-        except ValueError as exc:  # JSON syntax or UTF-8
-            raise InsufficientData(f"{meta_path} is not valid JSON: {exc}") from exc
-        if not isinstance(meta, dict):
-            raise InsufficientData(f"{meta_path} must hold a JSON object")
+    """The datasets that write_level_datasets wrote to ``directory``, each
+    level CSV read by read_csv_chunks, profiles in first-appearance order.
+    A defect raises InsufficientData naming the file and line or profile."""
+    meta_path = Path(directory) / _META_FILE
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
+    except OSError as exc:
+        raise InsufficientData(f"cannot read {meta_path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # JSON syntax or UTF-8
+        raise InsufficientData(f"{meta_path} is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise InsufficientData(f"{meta_path} must hold a JSON object")
     out = LevelDatasets()
     for level in Level:
-        path = directory / _LEVEL_FILES[level]
-        if not path.exists():
-            raise InsufficientData(f"missing dataset file for level {level.value!r}: {path}")
-        spec = LEVEL_SPECS[level]
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != DATASET_HEADER:
-                raise InsufficientData(f"unexpected dataset header in {path}: {header!r}")
-            rows: dict[str, tuple] = {}  # profile id -> (load class, season, samples)
-            for line_no, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    pid, cls, season, idx, value = line.split(",")
-                    sample = (int(idx), float(value))
-                    if pid not in rows:
-                        rows[pid] = (LoadClass(cls) if cls else None, Season(season) if season else None, [])
-                except ValueError as exc:
-                    raise InsufficientData(f"{path} line {line_no}: bad row {line!r}: {exc}") from exc
-                rows[pid][2].append(sample)
-        pids = list(rows)
-        values = np.empty((len(pids), spec.profile_length))
-        means, coeffs = np.full(len(pids), np.nan), np.full((len(pids), 5), np.nan)
-        for i, (pid, (_, _, samples)) in enumerate(rows.items()):
-            samples.sort()
-            if [idx for idx, _ in samples] != list(range(spec.profile_length)):
+        path, length = Path(directory) / _LEVEL_FILES[level], LEVEL_SPECS[level].profile_length
+        ids: dict[str, int] = {}  # profile id -> row
+        texts, labels = [], []  # per row: the label texts of its first line, and their enums
+        values, filled, counts = np.zeros((0, length)), np.zeros((0, length), dtype=bool), np.zeros(0, dtype=int)
+        parsed = 0  # data lines in the chunks before
+        for rows in read_csv_chunks(path, {DATASET_HEADER: _DATASET_ROW}.get):
+            pid, cls, season = rows["profile_id"], rows["load_class"], rows["season"]
+            starts = np.append(0, np.flatnonzero(pid[1:] != pid[:-1]) + 1)[: pid.size]  # of runs of one profile
+            names, first, of_run = np.unique(pid[starts], return_index=True, return_inverse=True)
+            for j in np.argsort(first):  # profiles new to the file, in line order
+                if names[j] not in ids:
+                    at = starts[first[j]]
+                    try:
+                        labels.append((LoadClass(cls[at]) if cls[at] else None, Season(season[at]) if season[at] else None))
+                    except ValueError as exc:
+                        raise line_error(path, parsed + at, f"profile {names[j]!r}: {exc}") from None
+                    ids[names[j]] = len(texts)
+                    texts.append((cls[at], season[at]))
+            row = np.array([ids[name] for name in names.tolist()], dtype=int)[of_run]
+            row = np.repeat(row, np.diff(np.append(starts, pid.size)))
+            want = np.array(texts, dtype=object).reshape(-1, 2)[row]
+            differs = (cls != want[:, 0]) | (season != want[:, 1])
+            if differs.any():
+                at = int(np.argmax(differs))
+                labelled = f"labelled {cls[at]!r}, {season[at]!r} here and {want[at, 0]!r}, {want[at, 1]!r}"
+                raise line_error(path, parsed + at, f"profile {pid[at]!r} is {labelled} on its first line")
+            if len(texts) > len(counts):  # room for the new profiles, doubling in place (no view of them is held)
+                for a in (values, filled, counts):
+                    a.resize((max(len(texts), 2 * len(a)), *a.shape[1:]), refcheck=False)
+            counts += np.bincount(row, minlength=counts.size)
+            index = rows["sample_index"]
+            fits = (index >= 0) & (index < length)
+            values[row[fits], index[fits]] = rows["value"][fits]
+            filled[row[fits], index[fits]] = True
+            parsed += rows.size
+        n = len(texts)
+        means, coeffs = np.full(n, np.nan), np.full((n, 5), np.nan)
+        for i, pid in enumerate(ids):
+            if counts[i] != length or not filled[i].all():
                 raise InsufficientData(
-                    f"profile {pid!r} in {path} has {len(samples)} samples; level "
-                    f"{level.value!r} profiles have one at each index 0..{spec.profile_length - 1}"
+                    f"profile {pid!r} in {path} has {counts[i]} samples; level "
+                    f"{level.value!r} profiles have one at each index 0..{length - 1}"
                 )
-            values[i] = [v for _, v in samples]
             try:
                 means[i], coeffs[i] = _meta_entry(meta.get(pid, {}), level)
             except ValueError as exc:
                 raise InsufficientData(f"{meta_path}: profile {pid!r}: {exc}") from exc
-        classes, seasons, _ = zip(*rows.values()) if rows else ((), (), ())
+        classes, seasons = zip(*labels) if labels else ((), ())
         try:
-            profiles = ProfileSet(level, values, classes, seasons, means, coeffs if level is Level.L2 else None)
+            profiles = ProfileSet(level, values[:n], classes, seasons, means, coeffs if level is Level.L2 else None)
         except ProfileRowError as exc:  # values off the level's normalization, say
-            raise InsufficientData(f"profile {pids[exc.row]!r} in {path}: {exc.reason}") from exc
+            raise InsufficientData(f"profile {list(ids)[exc.row]!r} in {path}: {exc.reason}") from exc
         setattr(out, level.value, profiles)
         if not profiles:
             out.issues[level] = f"dataset file {path} holds no profiles"

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loadsynth
+from loadsynth import cli, ingest
 from loadsynth.cli import (
     _dataset_fingerprint,
     build_parser,
@@ -37,7 +39,7 @@ from loadsynth.cli import (
 from loadsynth.compose import GenerationRequest
 from loadsynth.core import Level, parse_resolution
 from loadsynth.errors import InsufficientData, ParseError, ResolutionTooFine
-from loadsynth.ingest import PHASOR_HEADER, read_level_datasets, write_level_datasets
+from loadsynth.ingest import DATASET_HEADER, PHASOR_HEADER, read_level_datasets, read_phasor_csv, write_level_datasets
 from loadsynth.modelio import ModelBundle
 
 WEEK_S = 604_800.0
@@ -583,11 +585,9 @@ class TestTrainCli:
     def test_unlabelled_level3_profile_exits_3_before_training(self, tiny_datasets, tmp_path, capsys):
         write_level_datasets(tiny_datasets, tmp_path / "data")
         path = tmp_path / "data" / "level3.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        fields = lines[1].split(",")
-        fields[2] = ""  # the first profile's season, which the reader keeps
-        lines[1] = ",".join(fields)
-        path.write_text("".join(lines))
+        # the first profile's season, blanked on each of its lines
+        text = re.sub(r"^(l3_000000,\w*),\w*,", r"\1,,", path.read_text(), flags=re.M)
+        path.write_text(text)
         code = main(
             ["train", "--data", str(tmp_path / "data"), "--batch-size", "8",
              "--output", str(tmp_path / "b.lsb")]
@@ -739,6 +739,56 @@ def test_defective_meta_entry_names_the_profile(defect, tiny_datasets, tmp_path)
         read_level_datasets(tmp_path)
 
 
+def _directory_in_place_of(name):
+    def spoil(data):
+        (data / name).unlink()
+        (data / name).mkdir()
+    return spoil
+
+
+def _prepend_ff(data):
+    path = data / "level2.csv"
+    path.write_bytes(b"\xff" + path.read_bytes())
+
+
+def _relabel(line_no, old, new):
+    """Replace ``old`` by ``new`` on file line ``line_no`` of level4.csv, a line of l4_000000."""
+    def spoil(data):
+        lines = (data / "level4.csv").read_text().splitlines(keepends=True)
+        assert lines[line_no - 1].startswith(f"l4_000000,{old},")
+        lines[line_no - 1] = lines[line_no - 1].replace(old, new, 1)
+        (data / "level4.csv").write_text("".join(lines))
+    return spoil
+
+
+# each case: (how to spoil a written dataset directory, the file the error names, its line)
+UNREADABLE_DATASETS = {
+    "level4_directory": (_directory_in_place_of("level4.csv"), "level4.csv", None),
+    "meta_directory": (_directory_in_place_of("level_meta.json"), "level_meta.json", None),
+    "level2_not_utf8": (_prepend_ff, "level2.csv", None),
+    "later_line_other_label": (_relabel(3, "residential", "industrial"), "level4.csv", 3),
+    "later_line_unknown_label": (_relabel(3, "residential", "commercial"), "level4.csv", 3),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "validate"])
+@pytest.mark.parametrize("case", UNREADABLE_DATASETS)
+def test_unreadable_dataset_exits_3_naming_the_file(case, command, bundle_path, tiny_datasets, tmp_path, capsys):
+    spoil, name, line = UNREADABLE_DATASETS[case]
+    data = tmp_path / "data"
+    write_level_datasets(tiny_datasets, data)
+    spoil(data)
+    if command == "train":
+        argv = ["train", "--data", str(data), "--output", str(tmp_path / "b.lsb")]
+    else:
+        argv = ["validate", "--bundle", str(bundle_path), "--data", str(data), "--output-dir", str(tmp_path / "val")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"{data / name}" + ("" if line is None else f" line {line}: ") in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
+
+
 def oracle_dataset_fingerprint(datasets) -> str:
     """The fingerprint loop over one standalone profile at a time, as bundle
     provenance recorded it before datasets were arrays."""
@@ -850,6 +900,67 @@ def test_defective_series_csv_exits_3(defect, tmp_path, capsys):
     assert code == 3
     assert f"{path} line 3:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def _ingest_series(path):
+    stamps, values = read_series_csv(path)
+    cli._check_30hz(path, stamps, len(values))
+
+
+# each case: a header, two good rows and a defective one, and the reader
+BLANK_LINES_BEFORE_A_DEFECT = {
+    "phasor_number": (PHASOR_HEADER, ["0.0,a,1,0,1,0", "0.03333333333333333,a,1,0,1,0",
+                                      "0.06666666666666667,a,1,x,1,0"], read_phasor_csv),
+    "phasor_step": (PHASOR_HEADER, ["0.0,a,1,0,1,0", "0.03333333333333333,a,1,0,1,0", "0.5,a,1,0,1,0"],
+                    read_phasor_csv),
+    "series_number": ("timestamp,load_1", ["2021-01-01T00:00:00,1.5", "2021-01-01T00:00:00.033333,1.5",
+                                           "2021-01-01T00:00:00.066667,abc"], _ingest_series),
+    "series_timestamp": ("timestamp,load_1", ["2021-01-01T00:00:00,1.5", "2021-01-01T00:00:00.033333,1.5",
+                                              "2021-01-01 half past,1.5"], _ingest_series),
+    "series_step": ("timestamp,load_1", ["2021-01-01T00:00:00,1.5", "2021-01-01T00:00:00.033333,1.5",
+                                         "2021-01-01T00:00:30,1.5"], _ingest_series),
+    "dataset_number": (DATASET_HEADER, ["p,residential,,0,1.0", "p,residential,,1,1.0", "p,residential,,2,x"],
+                       lambda path: read_level_datasets(path.parent)),
+    "dataset_label": (DATASET_HEADER, ["p,residential,,0,1.0", "p,residential,,1,1.0", "p,industrial,,2,1.0"],
+                      lambda path: read_level_datasets(path.parent)),
+}
+
+
+@pytest.mark.parametrize("case", BLANK_LINES_BEFORE_A_DEFECT)
+def test_blank_lines_before_a_defect_keep_its_line(case, tmp_path):
+    header, rows, read = BLANK_LINES_BEFORE_A_DEFECT[case]
+    path = tmp_path / "level1.csv"
+    path.write_text("\n".join([header, "", rows[0], "  ", rows[1], "\t", rows[2]]) + "\n")
+    with pytest.raises(InsufficientData) as info:
+        read(path)
+    assert str(info.value).startswith(f"{path} line 7: "), str(info.value)
+
+
+@pytest.mark.parametrize("fmt", ["series", "dataset"])
+def test_no_parse_call_exceeds_the_chunk(fmt, tiny_datasets, tmp_path, monkeypatch):
+    """The series and dataset readers, like the phasor reader, give every
+    np.loadtxt call at most PHASOR_CHUNK_ROWS lines, and get all rows so."""
+    def values(datasets):
+        return sum(datasets.of(level).samples.size for level in Level)
+
+    if fmt == "series":
+        path = tmp_path / "series.csv"
+        write_series_csv(path, np.arange(50) / 30.0, np.ones((2, 50)))
+        read, want = lambda: read_series_csv(path)[1].shape[1], 50  # noqa: E731
+    else:
+        write_level_datasets(tiny_datasets, tmp_path)
+        read, want = lambda: values(read_level_datasets(tmp_path)), values(tiny_datasets)  # noqa: E731
+    loadtxt, given_rows = np.loadtxt, []
+
+    def counting_loadtxt(source, *args, **kwargs):
+        rows = list(source)
+        given_rows.append(len(rows))
+        return loadtxt(rows, *args, **kwargs)
+
+    monkeypatch.setattr(ingest, "PHASOR_CHUNK_ROWS", 16 if fmt == "series" else 1000)
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    assert read() == want
+    assert sum(given_rows) == want and max(given_rows) == ingest.PHASOR_CHUNK_ROWS
 
 
 @pytest.mark.parametrize("flag", ["--series", "--phasors"])
@@ -1165,6 +1276,33 @@ def test_simulate_bad_arguments_exit_2(case, tmp_path, capsys):
     code = main(["simulate", *SIMULATE_BAD_ARGS[case], "--output", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--block-s", "30"]], ids=["full_rate", "blocks"])
+@pytest.mark.parametrize("duration", ["1000yr", "53.01yr", "1000000000yr"])
+def test_simulate_past_the_year_cap_exits_2_before_any_work(duration, extra, tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the simulator ran")
+
+    monkeypatch.setattr(cli, "simulate_ground_truth", unreachable)
+    monkeypatch.setattr(cli, "simulate_block_means", unreachable)
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--duration", duration, *extra, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --duration {duration} is longer than the 53 years of one series\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--block-s", "30"]], ids=["full_rate", "blocks"])
+def test_simulator_out_of_memory_exits_2(extra, tmp_path, capsys, monkeypatch):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 6.86 TiB")
+
+    monkeypatch.setattr(cli, "simulate_ground_truth", out_of_memory)
+    monkeypatch.setattr(cli, "simulate_block_means", out_of_memory)
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--duration", "53yr", *extra, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: simulate: --duration 53yr does not fit in memory\n"
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from loadsynth.core import (
     Level,
     LoadClass,
     Metric,
+    ProfileRowError,
     ProfileSet,
     Season,
     downsample,
     season_of_week,
 )
+from loadsynth import ingest
 from loadsynth.errors import InsufficientData, MissingChannel, WindowTooShort
 from loadsynth.ingest import (
     DATASET_HEADER,
@@ -32,6 +35,7 @@ from loadsynth.ingest import (
     LevelDatasets,
     PhasorTable,
     _evenly_spaced,
+    _meta_entry,
     compute_bus_load,
     detrend_hour,
     extract_l2_profiles,
@@ -560,3 +564,219 @@ def test_dataset_writer_matches_on_extracted_datasets(tmp_path):
     oracle_write_level_datasets(ds, tmp_path / "want")
     for name in [*_LEVEL_FILES.values(), _META_FILE]:
         assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+
+
+# ----------------------------------------------------------------------
+# the chunked dataset reader against the line-by-line reader
+# ----------------------------------------------------------------------
+
+
+def oracle_read_level_datasets(directory) -> LevelDatasets:
+    """The reader that split and converted one line at a time, kept as the
+    reference for the arrays, labels and sidecar values of every dataset and
+    for the file and line or profile that each defect is reported at."""
+    directory = Path(directory)
+    meta_path = directory / _META_FILE
+    meta = {}
+    if meta_path.exists():
+        try:
+            with open(meta_path, "r", encoding="utf-8") as fh:
+                meta = json.load(fh)
+        except ValueError as exc:  # JSON syntax or UTF-8
+            raise InsufficientData(f"{meta_path} is not valid JSON: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise InsufficientData(f"{meta_path} must hold a JSON object")
+    out = LevelDatasets()
+    for level in Level:
+        path = directory / _LEVEL_FILES[level]
+        if not path.exists():
+            raise InsufficientData(f"missing dataset file for level {level.value!r}: {path}")
+        spec = LEVEL_SPECS[level]
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if header != DATASET_HEADER:
+                raise InsufficientData(f"unexpected dataset header in {path}: {header!r}")
+            rows: dict[str, tuple] = {}  # profile id -> (load class, season, samples)
+            for line_no, line in enumerate(fh, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    pid, cls, season, idx, value = line.split(",")
+                    sample = (int(idx), float(value))
+                    if pid not in rows:
+                        rows[pid] = (LoadClass(cls) if cls else None, Season(season) if season else None, [])
+                except ValueError as exc:
+                    raise InsufficientData(f"{path} line {line_no}: bad row {line!r}: {exc}") from exc
+                rows[pid][2].append(sample)
+        pids = list(rows)
+        values = np.empty((len(pids), spec.profile_length))
+        means, coeffs = np.full(len(pids), np.nan), np.full((len(pids), 5), np.nan)
+        for i, (pid, (_, _, samples)) in enumerate(rows.items()):
+            samples.sort()
+            if [idx for idx, _ in samples] != list(range(spec.profile_length)):
+                raise InsufficientData(
+                    f"profile {pid!r} in {path} has {len(samples)} samples; level "
+                    f"{level.value!r} profiles have one at each index 0..{spec.profile_length - 1}"
+                )
+            values[i] = [v for _, v in samples]
+            try:
+                means[i], coeffs[i] = _meta_entry(meta.get(pid, {}), level)
+            except ValueError as exc:
+                raise InsufficientData(f"{meta_path}: profile {pid!r}: {exc}") from exc
+        classes, seasons, _ = zip(*rows.values()) if rows else ((), (), ())
+        try:
+            profiles = ProfileSet(level, values, classes, seasons, means, coeffs if level is Level.L2 else None)
+        except ProfileRowError as exc:  # values off the level's normalization, say
+            raise InsufficientData(f"profile {pids[exc.row]!r} in {path}: {exc.reason}") from exc
+        setattr(out, level.value, profiles)
+        if not profiles:
+            out.issues[level] = f"dataset file {path} holds no profiles"
+    return out
+
+
+# '#' would start a comment in a default np.loadtxt call
+_profile_ids = st.text(alphabet="ab_Z09#.-", min_size=1, max_size=6)
+_DATASET_DEFECTS = [
+    None, "header", "fields", "number", "underscore", "index_text", "index_value", "first_label", "later_label",
+    "meta", "values",
+]
+
+
+# the known texts of the load_class (1) and season (2) columns
+_LABEL_TEXTS = {1: ["", *(c.value for c in LoadClass)], 2: ["", *(s.value for s in Season)]}
+
+
+@st.composite
+def dataset_directories(draw):
+    """(files {name: lines}, level_meta.json text, defect, (file, file line)
+    of the defective line or None) of one dataset directory: per level up to
+    four drawn profiles, their lines in profile blocks, shuffled within each
+    profile or interleaved across profiles, blank lines among them, values
+    written by repr or as %.17e, and at most one defect."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lines, meta, firsts = {}, {}, []  # firsts: (file, data line) of each profile's first line
+    for level in Level:
+        name, profiles = _LEVEL_FILES[level], draw(profile_sets(level))
+        pids = draw(st.lists(_profile_ids, min_size=len(profiles), max_size=len(profiles), unique=True))
+        pids = [f"{level.value}{pid}" for pid in pids]  # one sidecar for all levels
+        spell = draw(st.sampled_from([repr, "{:.17e}".format]))
+        blocks = []
+        for i, pid in enumerate(pids):
+            cls, season = profiles.load_class[i], profiles.season[i]
+            head = f"{pid},{cls.value if cls else ''},{season.value if season else ''}"
+            blocks.append([f"{head},{j},{spell(float(v))}" for j, v in enumerate(profiles.samples[i])])
+            entry = {"source_mean": float(profiles.source_mean[i])} if not np.isnan(profiles.source_mean[i]) else {}
+            if level is Level.L2 and not np.isnan(profiles.trend_coeffs[i]).any():
+                entry["trend_coeffs"] = profiles.trend_coeffs[i].tolist()
+            if entry:
+                meta[pid] = entry
+        order = draw(st.sampled_from(["blocks", "shuffled", "interleaved"]))
+        if order == "shuffled":
+            blocks = [[block[j] for j in rng.permutation(len(block))] for block in blocks]
+        if order == "interleaved":  # each profile's lines in order, profiles taking turns at random
+            turns = rng.permutation(np.repeat(np.arange(len(blocks)), [len(b) for b in blocks]))
+            pending = [iter(block) for block in blocks]
+            lines[name] = [next(pending[p]) for p in turns.tolist()]
+        else:
+            lines[name] = [line for block in blocks for line in block]
+        heads = [line.rsplit(",", 2)[0] for line in lines[name]]
+        firsts += [(name, heads.index(head)) for head in dict.fromkeys(heads)]
+    defect = draw(st.sampled_from(_DATASET_DEFECTS)) if firsts else None
+    at = None  # (file, data line) of the defect
+    if defect in ("fields", "number", "underscore", "index_text", "index_value", "values"):
+        name = draw(st.sampled_from(sorted(n for n in lines if lines[n])))
+        at = (name, draw(st.integers(0, len(lines[name]) - 1)))
+        fields = lines[name][at[1]].split(",")
+        if defect == "fields":
+            fields = fields[:-1] if draw(st.booleans()) else fields + ["1.0"]
+        elif defect == "number":
+            fields[4] = draw(st.sampled_from(["abc", "", "1.2.3", "--1", "0x1p3"]))
+        elif defect == "underscore":  # a number to Python's float, not to the C grammar
+            fields[4] = "1_0"
+        elif defect == "index_text":
+            fields[3] = draw(st.sampled_from(["1.0", "x", ""]))
+        elif defect == "index_value":  # a repeat, or an index off the profile
+            fields[3] = str(draw(st.sampled_from([-1, int(fields[3]) ^ 1, 10_000])))
+        else:  # off the level's normalization
+            fields[4] = repr(float(fields[4]) + 1.0)
+        lines[name][at[1]] = ",".join(fields)
+    elif defect in ("first_label", "later_label"):
+        name, k = draw(st.sampled_from(firsts))
+        fields = lines[name][k].split(",")
+        if defect == "later_label":
+            k = lines[name].index(next(line for line in lines[name][k + 1 :] if line.startswith(fields[0] + ",")))
+        column = draw(st.sampled_from([1, 2]))
+        # an unknown label on a first line; on a later line, also a known one that differs
+        choices = ["commercial", "Winter", "residential ", "autumn"]
+        if defect == "later_label":
+            choices += [c for c in _LABEL_TEXTS[column] if c != fields[column]]
+        fields[column] = draw(st.sampled_from(choices))
+        first = lines[name][k].split(",")
+        lines[name][k] = ",".join([*fields[:3], *first[3:]])
+        at = (name, k)
+    meta_text = json.dumps(meta, sort_keys=True, indent=0)
+    if defect == "meta":
+        pid = draw(st.sampled_from(sorted(f"{lines[n][k].split(',')[0]}" for n, k in firsts)))
+        bad = draw(st.sampled_from([[1, 2], {"source_mean": "x"}, {"mean": 1.0}, {"trend_coeffs": [1.0]}]))
+        meta_text = json.dumps({**meta, pid: bad})
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    files, where = {}, None
+    for name, data in lines.items():
+        body = list(data)
+        for _ in range(draw(st.integers(0, 3))):
+            body.insert(draw(st.integers(0, len(body))), draw(st.sampled_from(["", " ", "\t "])))
+        if at is not None and at[0] == name:
+            where = (name, [i for i, line in enumerate(body) if line.strip()][at[1]] + 2)
+        header = DATASET_HEADER
+        if defect == "header" and name == firsts[0][0]:
+            header, where = DATASET_HEADER.replace("season", "seasons"), (name, 1)
+        files[name] = newline.join([header, *body]) + newline
+    return files, meta_text, defect, where
+
+
+def _named(message: str):
+    """(file, line or None, profile id or None) that an error message names."""
+    where = re.search(r"([\w.]+\.(?:csv|json))(?: line (\d+))?", message)
+    pid = re.search(r"profile '([^']*)'", message)
+    return where.group(1), where.group(2) and int(where.group(2)), pid and pid.group(1)
+
+
+def _read_outcome(reader, directory):
+    try:
+        return reader(directory)
+    except InsufficientData as exc:  # exit 3 in every command that reads datasets
+        return _named(str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_chunked_dataset_reader_matches_the_line_reader(tmp_path_factory, data):
+    files, meta_text, defect, where = data.draw(dataset_directories())
+    directory = tmp_path_factory.mktemp("data")
+    for name, text in files.items():
+        (directory / name).write_bytes(text.encode("utf-8"))
+    (directory / _META_FILE).write_text(meta_text, encoding="utf-8")
+    want = _read_outcome(oracle_read_level_datasets, directory)
+    with mock.patch.object(ingest, "PHASOR_CHUNK_ROWS", data.draw(st.integers(1, 300) | st.just(16_384))):
+        got = _read_outcome(read_level_datasets, directory)
+    if defect in ("later_label", "underscore"):  # rules the line reader did not have
+        assert got[:2] == where
+    elif defect == "header":  # the line reader named no line
+        assert got[:2] == where and want[0] == where[0]
+    elif isinstance(want, tuple):
+        assert isinstance(got, tuple), defect
+        # a line error names the file and line, any other the file and profile
+        assert got[:2] == want[:2] if want[1] else got == want, (defect, got, want)
+        if defect in ("fields", "number", "index_text", "first_label"):  # the line, not just the same one
+            assert got[:2] == where
+    else:
+        assert isinstance(got, LevelDatasets), (defect, got)
+        for level in Level:
+            a, b = want.of(level), got.of(level)
+            assert a.samples.tobytes() == b.samples.tobytes()
+            assert (a.load_class, a.season) == (b.load_class, b.season)
+            np.testing.assert_array_equal(a.source_mean, b.source_mean)  # NaN equals NaN
+            if level is Level.L2:
+                assert a.trend_coeffs.tobytes() == b.trend_coeffs.tobytes()
+        assert got.issues == want.issues

@@ -239,10 +239,10 @@ def test_gap_or_overlap_between_files_exits_3(tmp_path_factory, data):
     # the second file starts off the 30 Hz grid: a gap, a repeat or a step back
     shift = data.draw(st.sampled_from([-2.0, -1.0, 0.5, 1.0, 30.0])) * _NOMINAL_STEP
     later = [(t + shift, rows) for t, rows in records[k:]]
-    paths = [
-        _write(tmp_path_factory, render(part, data.draw), f"part{i}.csv")
-        for i, part in enumerate((records[:k], later))
-    ]
+    texts = [render(part, data.draw) for part in (records[:k], later)]
+    paths = [_write(tmp_path_factory, text, f"part{i}.csv") for i, text in enumerate(texts)]
+    # the second file's first row, after any blank lines under its header
+    line_no = next(no for no, line in enumerate(texts[1].splitlines()[1:], start=2) if line.strip())
     out, err = tmp_path_factory.getbasetemp() / "out", io.StringIO()
     with mock.patch.object(ingest, "PHASOR_CHUNK_ROWS", data.draw(chunk_rows)), redirect_stderr(err):
         code = main(
@@ -250,8 +250,8 @@ def test_gap_or_overlap_between_files_exits_3(tmp_path_factory, data):
              "--output-dir", str(out)]
         )
     assert code == 3
-    # both timestamps and both files are named
-    assert re.match(rf"error: {re.escape(str(paths[1]))}: the row at t=\S+ follows t=\S+ in "
+    # both timestamps, both files and the line are named
+    assert re.match(rf"error: {re.escape(str(paths[1]))} line {line_no}: the row at t=\S+ follows t=\S+ in "
                     rf"{re.escape(str(paths[0]))}, a step of", err.getvalue()), err.getvalue()
     assert not out.exists()
 
