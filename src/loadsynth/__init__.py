@@ -23,7 +23,6 @@ from .core import (
     LevelSpec,
     LoadClass,
     Metric,
-    Normalization,
     ProfileSet,
     Resolution,
     Season,

@@ -22,7 +22,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import sys
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -31,7 +30,6 @@ import numpy as np
 
 from . import __version__
 from .compose import (
-    _MAX_YEARS,
     GenerationRequest,
     ModelSet,
     learn_seam_filter,
@@ -39,14 +37,15 @@ from .compose import (
 )
 from .core import (
     LEVEL_SPECS,
+    MAX_YEARS,
     PMU_RATE_HZ,
     SECONDS_PER_WEEK,
     SECONDS_PER_YEAR,
-    _UNIT_SECONDS,
     Level,
     LoadClass,
     Metric,
     Season,
+    parse_duration,
     parse_resolution,
 )
 from .errors import (
@@ -62,10 +61,7 @@ from .errors import (
 )
 from .ingest import (
     extract_level_datasets,
-    line_error,
-    off_30hz_grid,
-    off_grid_error,
-    read_csv_chunks,
+    read_30hz_series,
     read_level_datasets,
     read_phasor_csv,
     write_level_datasets,
@@ -80,11 +76,11 @@ from .neural.gan import (
 from .svdgen import fit_svd_model, svd_generate
 from .toydata import (
     ToyLoadConfig,
-    _samples_per_block,
     default_desk_configs,
     desk_level_datasets,
     simulate_block_means,
     simulate_ground_truth,
+    whole_blocks,
 )
 from .validate import (
     metrics_to_csv,
@@ -102,26 +98,6 @@ EPOCH_START = datetime(2021, 1, 1, 0, 0, 0)
 TIMESTAMP_BYTES = 20
 FRACTION_BYTES = 7
 NUMERIC_BYTES = 10
-
-_DURATION_RE = re.compile(r"([0-9]+(?:\.[0-9]+)?)(s|min|h|d|wk|yr)")
-_DURATION_UNITS = {**_UNIT_SECONDS, "yr": SECONDS_PER_YEAR}
-
-
-def parse_duration(text: str) -> float:
-    """`<count><unit>` with unit in {s, min, h, d, wk, yr}; 1 yr = 52 wk.
-
-    ASCII digits, no whitespace or sign; the count may be decimal. The
-    value must be positive and finite in seconds."""
-    m = _DURATION_RE.fullmatch(text)
-    if m is None:
-        raise ParseError(f"malformed duration {text!r}; expected e.g. '1d' or '2.5h'")
-    value = float(m.group(1)) * _DURATION_UNITS[m.group(2)]
-    if value <= 0:
-        raise ParseError(f"duration {text!r} must be positive")
-    if not math.isfinite(value):
-        raise ParseError(f"duration {text!r} is too large (not a finite number of seconds)")
-    return value
-
 
 def _domain(parse, low, high, rule: str):
     """A flag's `type=`: `parse(text)` if in [low, high] (never NaN), else an error."""
@@ -334,31 +310,6 @@ def write_series_csv(path, times_s: np.ndarray, series: np.ndarray) -> None:
             fh.write(block[block_keep])
 
 
-def _series_row(header: str, stamp=object) -> np.dtype:
-    """A series CSV row under ``header``: a timestamp, then a float per load."""
-    return np.dtype([("t", stamp)] + [(f"load_{i + 1}", "f8") for i in range(header.count(","))])
-
-
-def read_series_csv(path) -> tuple[list[str], np.ndarray]:
-    """Timestamps and (n_loads, n_rows) values of a series CSV, by ``ingest.read_csv_chunks``."""
-    rows = np.concatenate(list(read_csv_chunks(path, _series_row)))
-    loads = rows.dtype.names[1:]
-    return rows["t"].tolist(), np.array([rows[name] for name in loads]).reshape(len(loads), rows.size)
-
-
-def _check_30hz(path, stamps: list[str], n_loads: int) -> None:
-    """Refuse timestamps that do not step at 30 Hz, naming the first bad or off-grid row's line."""
-    try:
-        us = np.array(stamps, dtype="datetime64[us]").astype(np.int64)
-    except ValueError:
-        raise line_error(path, 0, "expected an ISO 8601 timestamp first", _series_row("," * n_loads, "M8[us]")) from None
-    step = np.diff(us) / 1e6
-    off_grid = off_30hz_grid(step)
-    if off_grid.size:
-        k = off_grid[0]
-        raise off_grid_error(path, k + 1, stamps[k + 1], stamps[k], step[k])
-
-
 # ----------------------------------------------------------------------
 # train
 # ----------------------------------------------------------------------
@@ -429,12 +380,9 @@ def cmd_train(args) -> int:
             write_level_datasets(datasets, args.save_data)
     for level in Level:
         if not datasets.of(level):
-            print(
-                f"error: no training data for level {level.value[-1]}: "
-                f"{datasets.issues.get(level, 'empty dataset')}",
-                file=sys.stderr,
+            raise InsufficientData(
+                f"no training data for level {level.value[-1]}: {datasets.issues.get(level, 'empty dataset')}"
             )
-            return 3
 
     hyper = dict(batch_size=args.batch_size, noise_dim=args.noise_dim)
     seeds = {
@@ -533,11 +481,7 @@ def cmd_generate(args) -> int:
         return 0
     _check_output_dir(args.output)
     bundle = ModelBundle.load(_bundle_path(args))
-    try:
-        times, series = synthesize(request, bundle.models)
-    except LoadSynthError as exc:
-        print(f"error: generation failed in {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+    times, series = synthesize(request, bundle.models)
     with _writing(args.output):
         write_series_csv(args.output, times, series)
     print(
@@ -637,20 +581,13 @@ def cmd_simulate(args) -> int:
         else ToyLoadConfig.industrial
     )
     duration = parse_duration(args.duration)
-    if duration > _MAX_YEARS * SECONDS_PER_YEAR:
-        raise RequestError(f"--duration {args.duration} is longer than the {_MAX_YEARS} years of one series")
+    if duration > MAX_YEARS * SECONDS_PER_YEAR:
+        raise RequestError(f"--duration {args.duration} is longer than the {MAX_YEARS} years of one series")
     _check_output_dir(args.output)
     try:  # the simulator validates its arguments with ValueError
         config = factory(seed=args.seed, base_mw=args.base_mw)
-        ticks = duration * PMU_RATE_HZ
         if args.block_s is not None:
-            # whole blocks in whole ticks (3600 // 0.1 is 35999.0 in floats);
-            # a tick missed only by the float's rounding counts (8.2d is
-            # 21254399.999999996 ticks), a part of one does not (29.99s)
-            n_ticks = math.floor(ticks)
-            if math.isclose(ticks, n_ticks + 1, rel_tol=1e-12):
-                n_ticks += 1
-            n_blocks = n_ticks // _samples_per_block(args.block_s)
+            n_blocks = whole_blocks(duration, args.block_s)
             if n_blocks == 0:
                 raise ValueError(f"--block-s {args.block_s:g} is longer than --duration {args.duration}")
             values = simulate_block_means(config, args.block_s, n_blocks)
@@ -670,12 +607,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_ingest(args) -> int:
     _check_output_tree(args.output_dir)
-    if args.phasors:
-        series = read_phasor_csv(args.phasors)
-    else:
-        stamps, data = read_series_csv(args.series)
-        _check_30hz(args.series, stamps, len(data))
-        series = data[0]
+    series = read_phasor_csv(args.phasors) if args.phasors else read_30hz_series(args.series)
     datasets = extract_level_datasets(
         series,
         start_time_s=args.start_week * SECONDS_PER_WEEK,
@@ -821,6 +753,9 @@ def _apply_config(argv, subparsers) -> list:
         raise argparse.ArgumentError(
             flag, f"{known.config}: {command} takes no flag for {', '.join(map(repr, unknown))}"
         )
+    for key, value in config.items():  # no path holds a NUL: open() would raise ValueError
+        if any(isinstance(v, str) and "\0" in v for v in (value if isinstance(value, list) else [value])):
+            raise argparse.ArgumentError(flag, f"{known.config}: the value of {key!r} holds a NUL character")
     normalized = {key.replace("-", "_"): value for key, value in config.items()}
     for dest, value in normalized.items():
         actions[dest].default = _config_value(sp, actions[dest], value)
@@ -838,6 +773,15 @@ def _apply_config(argv, subparsers) -> list:
     return overridable
 
 
+# the exit code of each error family (see the module docstring); any other
+# LoadSynthError is a generation failure, 4
+_EXIT_CODES = {
+    ParseError: 2, ResolutionTooFine: 2, RequestError: 2,
+    BundleError: 3, InsufficientData: 3,
+    DivergenceDetected: 5,
+}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, subparsers = build_parser()
@@ -852,18 +796,11 @@ def main(argv=None) -> int:
             setattr(args, action.dest, None)
     try:
         return args.func(args)
-    except (ParseError, ResolutionTooFine, RequestError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (BundleError, InsufficientData) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DivergenceDetected as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except LoadSynthError as exc:
-        print(f"error: generation failed in {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+    except LoadSynthError as exc:  # the exit code of its family, one line
+        code = next((_EXIT_CODES[kind] for kind in type(exc).__mro__ if kind in _EXIT_CODES), 4)
+        message = str(exc) if code != 4 else f"generation failed in {type(exc).__name__}: {exc}"
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

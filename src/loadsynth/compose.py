@@ -39,6 +39,7 @@ import numpy as np
 
 from .core import (
     LEVEL_SPECS,
+    MAX_YEARS,
     PMU_RATE_HZ,
     SEASON_RUN_START,
     SEASON_RUN_WEEKS,
@@ -63,7 +64,6 @@ from .neural.gan import GanModel, gan_generate
 from .svdgen import SvdModel, svd_generate
 
 _EXTENSION_LIMIT_S = 2 * 86_400.0  # days 365/366 extend the final week
-_MAX_YEARS = 53  # of one request
 
 
 @dataclass(frozen=True)
@@ -220,10 +220,10 @@ class GenerationRequest:
             weeks, _ = _extension_weeks(self.rows * factor * LEVEL_SPECS[driving].sampling_period_s)
         except OverflowError:  # more rows than a float holds
             weeks = math.inf
-        cap = _MAX_YEARS * LEVEL_SPECS[Level.L4].profile_length
+        cap = MAX_YEARS * LEVEL_SPECS[Level.L4].profile_length
         if weeks > cap:
             raise RequestError(
-                f"duration {self.duration_s}s needs more than the {cap} weeks ({_MAX_YEARS} years) of one request"
+                f"duration {self.duration_s}s needs more than the {cap} weeks ({MAX_YEARS} years) of one request"
             )
 
 
@@ -334,9 +334,6 @@ def _driving_series(
     needed_time = span * LEVEL_SPECS[driving].sampling_period_s
     weeks_total, extend_last = _extension_weeks(needed_time)
     plan = _plan_weeks(request, weeks_total, load_index)
-    if extend_last:
-        # the extension week scales like the last real week, season winter
-        plan[-1] = (plan[-1][0], plan[-1][1], Season.WINTER)
 
     if request.season is None or weeks_total > 1:
         l4_values = _l4_week_values(

@@ -1,4 +1,4 @@
-"""Domain types, normalization, resampling, seed streams, and the resolution grammar.
+"""Domain types, normalization, resampling, seed streams, and the time grammars.
 
 Conventions used throughout the package:
 
@@ -11,8 +11,10 @@ Conventions used throughout the package:
   53rd independent week.
 
 ``LEVEL_SPECS`` is the one table of level geometry, built from the 30 Hz
-rate and the four profile lengths: a level's sample is one profile of the
-level below, a whole number of 30 Hz ticks.  ``SEASON_RUN_START`` is the one
+rate, the four profile lengths and the four centres: a level's sample is
+one profile of the level below, a whole number of 30 Hz ticks, and its
+profiles are normalized to mean one (centre 1) or, at the detrended
+level 2, to mean zero (centre 0).  ``SEASON_RUN_START`` is the one
 table of the seasons' 13-week runs.  Other modules read both.
 """
 
@@ -48,11 +50,6 @@ class Season(Enum):
     FALL = "fall"
 
 
-class Normalization(Enum):
-    MEAN_ONE = "mean_one"
-    ZERO_MEAN_DETRENDED = "zero_mean_detrended"
-
-
 class Metric(Enum):
     MEAN = "mean"
     MIN = "min"
@@ -68,11 +65,13 @@ class Level(Enum):
 
 @dataclass(frozen=True)
 class LevelSpec:
-    """One aggregation level: its profile length and 30 Hz ticks per sample."""
+    """One aggregation level: its profile length, 30 Hz ticks per sample and
+    the mean of its normalized profiles (1.0 mean-one, 0.0 detrended)."""
 
     level: Level
     profile_length: int
     ticks_per_sample: int
+    centre: float
 
     @property
     def sampling_period_s(self) -> float:
@@ -85,21 +84,15 @@ class LevelSpec:
 
 # profile lengths of L1..L4; each level's sample is one profile of the level below
 _PROFILE_LENGTHS = (900, 120, 168, 52)
+_CENTRES = (1.0, 0.0, 1.0, 1.0)  # level 2 alone is detrended to mean zero
 LEVEL_SPECS = {
-    level: LevelSpec(level, _PROFILE_LENGTHS[i], math.prod(_PROFILE_LENGTHS[:i]))
+    level: LevelSpec(level, _PROFILE_LENGTHS[i], math.prod(_PROFILE_LENGTHS[:i]), _CENTRES[i])
     for i, level in enumerate(Level)
 }
 
 SECONDS_PER_WEEK = LEVEL_SPECS[Level.L3].span_s
 SECONDS_PER_YEAR = LEVEL_SPECS[Level.L4].span_s  # 364-day year
-
-# Expected normalization of training profiles per level.
-LEVEL_NORMALIZATION = {
-    Level.L1: Normalization.MEAN_ONE,
-    Level.L2: Normalization.ZERO_MEAN_DETRENDED,
-    Level.L3: Normalization.MEAN_ONE,
-    Level.L4: Normalization.MEAN_ONE,
-}
+MAX_YEARS = 53  # of one generated or simulated series
 
 
 def _read_only(values, shape) -> np.ndarray:
@@ -170,7 +163,7 @@ class ProfileSet:
 
         means = samples.mean(axis=1)
         rules = [(~np.isfinite(samples).all(axis=1), "samples must be finite")]
-        if LEVEL_NORMALIZATION[self.level] is Normalization.MEAN_ONE:
+        if LEVEL_SPECS[self.level].centre:  # mean-one
             rules.append(((samples < 0).any(axis=1), "mean-one samples must be nonnegative"))
             rules.append((np.abs(means - 1.0) > 1e-9, "mean-one profile has mean {!r}"))
         else:
@@ -222,9 +215,13 @@ class Resolution:
         return self.period_s / self.samples_per_period
 
 
-_UNIT_SECONDS = {"s": 1, "min": 60, "h": 3600, "d": 86_400, "wk": 604_800}
+# the units of both grammars, in whole seconds; a resolution takes no "yr"
+_UNIT_SECONDS = {
+    "s": 1, "min": 60, "h": 3600, "d": 86_400, "wk": int(SECONDS_PER_WEEK), "yr": int(SECONDS_PER_YEAR),
+}
 
 _RESOLUTION_RE = re.compile(r"([0-9]+)/([0-9]*)(s|min|h|d|wk)")
+_DURATION_RE = re.compile(r"([0-9]+(?:\.[0-9]+)?)(s|min|h|d|wk|yr)")
 
 
 def parse_resolution(text: str) -> Resolution:
@@ -250,6 +247,22 @@ def parse_resolution(text: str) -> Resolution:
             f"{text!r} asks for a period of {period}/{count} s, finer than 1/30 s"
         )
     return Resolution(samples_per_period=count, period_s=float(period))
+
+
+def parse_duration(text: str) -> float:
+    """`<count><unit>` with unit in {s, min, h, d, wk, yr}; 1 yr = 52 wk.
+
+    ASCII digits, no whitespace or sign; the count may be decimal. The
+    value must be positive and finite in seconds."""
+    m = _DURATION_RE.fullmatch(text)
+    if m is None:
+        raise ParseError(f"malformed duration {text!r}; expected e.g. '1d' or '2.5h'")
+    value = float(m.group(1)) * _UNIT_SECONDS[m.group(2)]
+    if value <= 0:
+        raise ParseError(f"duration {text!r} must be positive")
+    if not math.isfinite(value):
+        raise ParseError(f"duration {text!r} is too large (not a finite number of seconds)")
+    return value
 
 
 def truncate_to_multiple(samples: np.ndarray, factor: int) -> tuple[np.ndarray, int]:

@@ -140,8 +140,19 @@ class LevelDatasets:
     def of(self, level: Level) -> ProfileSet:
         return getattr(self, level.value)
 
+    @classmethod
+    def concatenate(cls, parts: Sequence["LevelDatasets"]) -> "LevelDatasets":
+        """The profiles of one or more datasets, level by level in order; a
+        level with none keeps the last issue given for it, and skip counts add."""
+        out = cls(*(ProfileSet.concatenate([p.of(level) for p in parts]) for level in Level))
+        for part in parts:
+            out.issues.update((level, text) for level, text in part.issues.items() if not out.of(level))
+            for level, count in part.skipped.items():
+                out.skipped[level] = out.skipped.get(level, 0) + count
+        return out
 
-def _add_mean_one_rows(out: LevelDatasets, level: Level, windows, load_class, seasons=None, picks=None):
+
+def add_mean_one_rows(out: LevelDatasets, level: Level, windows, load_class, seasons=None, picks=None):
     """Set ``out``'s profiles at ``level`` to the mean-one profiles of the
     rows ``picks`` (default: all) of the raw ``windows``.
 
@@ -247,7 +258,7 @@ def extract_levels_from_block_means(
         )
     weeks = hourly[: n_weeks * week].reshape(n_weeks, week)
     seasons = [season_of_week(start_week + w) for w in range(n_weeks)]
-    _add_mean_one_rows(ds, Level.L3, weeks, load_class, seasons)
+    add_mean_one_rows(ds, Level.L3, weeks, load_class, seasons)
 
     weekly = downsample(weeks.ravel(), week, Metric.MEAN) if n_weeks else np.zeros(0)
     n_years = weekly.size // year
@@ -256,7 +267,7 @@ def extract_levels_from_block_means(
             f"level 4 needs at least one full 52-week year; got {weekly.size} weeks"
         )
     years = weekly[: n_years * year].reshape(n_years, year)
-    _add_mean_one_rows(ds, Level.L4, years, load_class)
+    add_mean_one_rows(ds, Level.L4, years, load_class)
     return ds
 
 
@@ -283,7 +294,7 @@ def extract_level_datasets(
     n_windows = series.size // length
     windows = series[: n_windows * length].reshape(n_windows, length)
     picks = _evenly_spaced(np.arange(n_windows), max_l1_profiles)
-    _add_mean_one_rows(out, Level.L1, windows, load_class, picks=picks)
+    add_mean_one_rows(out, Level.L1, windows, load_class, picks=picks)
     if max_l1_profiles == 0 and n_windows:
         out.issues[Level.L1] = (
             "level 1 needs at least 900 samples at 30 Hz and a cap above 0; the cap "
@@ -311,7 +322,7 @@ def _parse_rows(lines, dtype) -> np.ndarray:
         return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
-def line_error(path, k: int, reason: str, dtype=None) -> InsufficientData:
+def _line_error(path, k: int, reason: str, dtype=None) -> InsufficientData:
     """The error naming data line ``k`` of ``path`` (0 is the first under the
     header; blank lines do not count), found by reading the file again; given
     ``dtype``, the first from the k-th on that does not parse as a row of it."""
@@ -352,7 +363,7 @@ def read_csv_chunks(path, row_dtype):
                 except UnicodeDecodeError:
                     raise
                 except ValueError as exc:  # a wrong field count or an unparsable field
-                    raise line_error(path, parsed, f"expected the {len(dtype)} fields {header}", dtype) from exc
+                    raise _line_error(path, parsed, f"expected the {len(dtype)} fields {header}", dtype) from exc
                 yield rows
                 if rows.size < PHASOR_CHUNK_ROWS:
                     return
@@ -363,15 +374,15 @@ def read_csv_chunks(path, row_dtype):
         raise InsufficientData(f"cannot read {exc.filename or path}: {exc.strerror or exc}") from exc
 
 
-def off_30hz_grid(step_s: np.ndarray) -> np.ndarray:
+def _off_30hz_grid(step_s: np.ndarray) -> np.ndarray:
     """Indices of the timestamp steps (s) outside 1/30 s +-10%, the 30 Hz spacing."""
     step = LEVEL_SPECS[Level.L1].sampling_period_s
     return np.flatnonzero(~((step_s >= 0.9 * step) & (step_s <= 1.1 * step)))
 
 
-def off_grid_error(path, k: int, now: str, before: str, step_s: float) -> InsufficientData:
+def _off_grid_error(path, k: int, now: str, before: str, step_s: float) -> InsufficientData:
     """The error naming data line ``k``, whose row at ``now`` is ``step_s`` after ``before``."""
-    return line_error(path, k, f"the row at {now} follows {before}, a step of {step_s:.6f}s that breaks the 30 Hz +-10% spacing")
+    return _line_error(path, k, f"the row at {now} follows {before}, a step of {step_s:.6f}s that breaks the 30 Hz +-10% spacing")
 
 
 PHASOR_HEADER = "timestamp,line_id,v_mag,v_ang,i_mag,i_ang"
@@ -399,11 +410,11 @@ def _records_bus_load(rows: np.ndarray, path, start: int, carry: _RecordCarry) -
     lead = carry.last_t is not None  # step 0 comes from the record before
     stamps = np.concatenate(([carry.last_t], t[first])) if lead else t[first]
     step = np.diff(stamps)
-    off_grid = off_30hz_grid(step)
+    off_grid = _off_30hz_grid(step)
     if off_grid.size:
         k = off_grid[0]
         before = f"t={stamps[k]}" + (f" in {carry.last_path}" if k == 0 and lead and carry.last_path != path else "")
-        raise off_grid_error(path, start + first[k + 1 - lead], f"t={stamps[k + 1]}", before, step[k])
+        raise _off_grid_error(path, start + first[k + 1 - lead], f"t={stamps[k + 1]}", before, step[k])
     if carry.line_ids is None:
         carry.line_ids = tuple(sorted(set(ids[record == 0])))
     grid = np.full((first.size, len(carry.line_ids)), -1)  # (record, line) -> row
@@ -455,6 +466,36 @@ def read_phasor_csv(paths) -> np.ndarray:
             power.append(_records_bus_load(rows, path, start, carry))
         rows = chunk = None  # not held while the next file is read or the power is joined
     return np.concatenate(power) if power else np.zeros(0)
+
+
+def _series_row(header: str, stamp=object) -> np.dtype:
+    """A series CSV row under ``header``: a timestamp, then a float per load."""
+    return np.dtype([("t", stamp)] + [(f"load_{i + 1}", "f8") for i in range(header.count(","))])
+
+
+def read_series_csv(path) -> tuple[list[str], np.ndarray]:
+    """Timestamps and (n_loads, n_rows) values of a series CSV, by ``read_csv_chunks``."""
+    rows = np.concatenate(list(read_csv_chunks(path, _series_row)))
+    loads = rows.dtype.names[1:]
+    return rows["t"].tolist(), np.array([rows[name] for name in loads]).reshape(len(loads), rows.size)
+
+
+def read_30hz_series(path) -> np.ndarray:
+    """The first load of a series CSV (``read_series_csv``) stepping at 30 Hz.
+
+    A timestamp that is not ISO 8601, or a step outside 1/30 s +-10%, raises
+    InsufficientData naming the first such row's line."""
+    stamps, values = read_series_csv(path)
+    try:
+        us = np.array(stamps, dtype="datetime64[us]").astype(np.int64)
+    except ValueError:
+        raise _line_error(path, 0, "expected an ISO 8601 timestamp first", _series_row("," * len(values), "M8[us]")) from None
+    step = np.diff(us) / 1e6
+    off_grid = _off_30hz_grid(step)
+    if off_grid.size:
+        k = off_grid[0]
+        raise _off_grid_error(path, k + 1, stamps[k + 1], stamps[k], step[k])
+    return values[0]
 
 
 _LEVEL_FILES = {level: f"level{level.value[-1]}.csv" for level in Level}
@@ -546,7 +587,7 @@ def read_level_datasets(directory) -> LevelDatasets:
                     try:
                         labels.append((LoadClass(cls[at]) if cls[at] else None, Season(season[at]) if season[at] else None))
                     except ValueError as exc:
-                        raise line_error(path, parsed + at, f"profile {names[j]!r}: {exc}") from None
+                        raise _line_error(path, parsed + at, f"profile {names[j]!r}: {exc}") from None
                     ids[names[j]] = len(texts)
                     texts.append((cls[at], season[at]))
             row = np.array([ids[name] for name in names.tolist()], dtype=int)[of_run]
@@ -556,7 +597,7 @@ def read_level_datasets(directory) -> LevelDatasets:
             if differs.any():
                 at = int(np.argmax(differs))
                 labelled = f"labelled {cls[at]!r}, {season[at]!r} here and {want[at, 0]!r}, {want[at, 1]!r}"
-                raise line_error(path, parsed + at, f"profile {pid[at]!r} is {labelled} on its first line")
+                raise _line_error(path, parsed + at, f"profile {pid[at]!r} is {labelled} on its first line")
             if len(texts) > len(counts):  # room for the new profiles, doubling in place (no view of them is held)
                 for a in (values, filled, counts):
                     a.resize((max(len(texts), 2 * len(a)), *a.shape[1:]), refcheck=False)

@@ -57,7 +57,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +75,7 @@ FORMAT_VERSION = 3
 _BODY_AT = 40  # magic, version and digest precede the digested body
 ALIGN = 64  # every container and weight blob starts at a multiple of this
 
-ARTIFACT_NAMES = ("l1", "l2", "l3", "l4_residential", "l4_industrial", "seam")
+ARTIFACT_NAMES = tuple(f.name for f in fields(ModelSet))  # the slots, in the bundle's order
 _VOCAB_JSON = [[c.value, s.value] for c, s in LABEL_VOCAB]
 
 
@@ -208,15 +208,16 @@ def _slot(model) -> str:
     return "seam"
 
 
+def _dump(model) -> list:
+    if isinstance(model, GanModel):
+        return dump_gan(model)
+    if isinstance(model, SvdModel):
+        return dump_svd(model)
+    return dump_seam(model)
+
+
 def dump_models(models: ModelSet) -> dict[str, list]:
-    return {
-        "l1": dump_gan(models.l1),
-        "l2": dump_gan(models.l2),
-        "l3": dump_gan(models.l3),
-        "l4_residential": dump_svd(models.l4_residential),
-        "l4_industrial": dump_svd(models.l4_industrial),
-        "seam": dump_seam(models.seam),
-    }
+    return {name: _dump(getattr(models, name)) for name in ARTIFACT_NAMES}
 
 
 @dataclass
@@ -284,7 +285,7 @@ class ModelBundle:
             off = start + size
             if off > len(data):
                 raise BundleError(f"{path}: bundle truncated inside artifact {name!r}")
-            if name in ARTIFACT_NAMES:  # the ModelSet field names
+            if name in ARTIFACT_NAMES:
                 loaded[name] = _load_slot(name, data[start:off], path)
         missing = [n for n in ARTIFACT_NAMES if n not in loaded]
         if missing:

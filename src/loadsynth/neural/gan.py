@@ -33,11 +33,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core import (
-    LEVEL_NORMALIZATION,
     LEVEL_SPECS,
     Level,
     LoadClass,
-    Normalization,
     ProfileSet,
     Season,
     noise_rows,
@@ -88,7 +86,7 @@ class HyperParams:
 CONDITIONED_LEVEL = Level.L3
 
 # per adversarial level: generator transposed-conv kernel, discriminator conv
-# kernel and stride; lengths come from LEVEL_SPECS, output centres from _centre
+# kernel and stride; lengths and output centres come from LEVEL_SPECS
 _NETWORKS = {Level.L1: (4, 25, 5), Level.L2: (9, 9, 2), Level.L3: (4, 25, 5)}
 
 
@@ -114,7 +112,7 @@ def generator_spec(level: Level, noise_dim: int, label_dim: int = 0) -> NetworkS
             ("convt1d", 32, 16, k, 2, 2 * feat),
             ("relu",),
             ("convt1d", 16, 1, k, 2, out_len),
-            ("scaled_tanh", _centre(level), 0.5),
+            ("scaled_tanh", LEVEL_SPECS[level].centre, 0.5),
             ("flatten",),
         )
     )
@@ -155,8 +153,8 @@ class TrainingLog:
 class GanModel:
     """A trained generator plus the amplitude scale that standardized the data.
 
-    Training maps real excursions around the level's centre (1 for
-    mean-one levels, 0 for the detrended level) onto the output
+    Training maps real excursions around the level's ``LevelSpec.centre``
+    (1 for mean-one levels, 0 for the detrended level) onto the output
     activation's range; ``amplitude_scale`` undoes that map at generation
     time, so generated excursions match the training data's scale even
     when it is far narrower than the activation bound.
@@ -172,10 +170,6 @@ class GanModel:
     def conditional(self) -> bool:
         return False
 
-    @property
-    def centre(self) -> float:
-        return _centre(self.level)
-
 
 class CGanModel(GanModel):
     """A GanModel whose generator also takes LABEL_VOCAB's one-hot labels."""
@@ -183,10 +177,6 @@ class CGanModel(GanModel):
     @property
     def conditional(self) -> bool:
         return True
-
-
-def _centre(level: Level) -> float:
-    return 0.0 if LEVEL_NORMALIZATION[level] is Normalization.ZERO_MEAN_DETRENDED else 1.0
 
 
 def _with_channels(profiles: np.ndarray, onehot: Optional[np.ndarray]) -> np.ndarray:
@@ -245,7 +235,7 @@ def train_gan(profiles: ProfileSet, hyper: HyperParams, seed: int) -> GanModel:
         label_dim = LABEL_DIM
     log = TrainingLog()
 
-    centre = _centre(level)
+    centre = LEVEL_SPECS[level].centre
     spread = float(np.max(np.abs(X_real - centre)))
     scale = spread / (0.5 * _ACTIVATION_FILL) if spread > 0 else 1.0
     X = centre + (X_real - centre) / scale
@@ -375,7 +365,6 @@ def gan_generate(
         raise ValueError("unconditional models take no labels")
 
     spec = LEVEL_SPECS[model.level]
-    zero_mean = LEVEL_NORMALIZATION[model.level] is Normalization.ZERO_MEAN_DETRENDED
 
     z = noise_rows(seed, count, model.noise_dim)
     if model.conditional:
@@ -384,14 +373,14 @@ def gan_generate(
     for lo in range(0, count, 512):
         hi = min(lo + 512, count)
         outputs[lo:hi] = model.generator.forward(z[lo:hi])
-    outputs = model.centre + (outputs - model.centre) * model.amplitude_scale
+    outputs = spec.centre + (outputs - spec.centre) * model.amplitude_scale
 
-    if not zero_mean:
+    if spec.centre:
         # loads are physically nonnegative; only reachable when the training
         # data was wider than the activation range (amplitude_scale > 2)
         outputs = np.maximum(outputs, 0.0)
     means = outputs.mean(axis=1, keepdims=True)
-    outputs = outputs - means if zero_mean else outputs / means
+    outputs = outputs / means if spec.centre else outputs - means
     if not np.all(np.isfinite(outputs)):
         raise DegenerateProfile(
             f"level {model.level.value} generator produced non-finite samples"

@@ -65,7 +65,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import LEVEL_SPECS, PMU_RATE_HZ, SECONDS_PER_YEAR, Level, LoadClass, ProfileSet, sub_seed
+from .core import LEVEL_SPECS, PMU_RATE_HZ, SECONDS_PER_YEAR, Level, LoadClass, sub_seed
 
 DAY_S = 86_400.0
 
@@ -400,6 +400,19 @@ def _samples_per_block(block_s: float) -> int:
     return int(round(m))
 
 
+def whole_blocks(duration_s: float, block_s: float) -> int:
+    """The blocks of ``block_s`` that fit in ``duration_s``, in whole 30 Hz ticks.
+
+    Ticks are counted first (3600 // 0.1 is 35999.0 in floats): a tick
+    missed only by the float's rounding counts (8.2d is 21254399.999999996
+    ticks), a part of one does not (29.99s)."""
+    ticks = duration_s * PMU_RATE_HZ
+    n_ticks = math.floor(ticks)
+    if math.isclose(ticks, n_ticks + 1, rel_tol=1e-12):
+        n_ticks += 1
+    return n_ticks // _samples_per_block(block_s)
+
+
 def _shape_block_curves(
     shapes: list[ToyLoadConfig], block_s: float, n_blocks: int, start_time_s: float, pool
 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -566,14 +579,9 @@ def desk_level_datasets(
             for j in range(l1_windows_per_load):
                 t0 = halfmin * math.floor(j * span_s / l1_windows_per_load / halfmin)
                 windows.append(simulate_ground_truth(cfg, halfmin, start_time_s=t0))
-            ingest._add_mean_one_rows(part, Level.L1, np.array(windows), cfg.load_class)
+            ingest.add_mean_one_rows(part, Level.L1, np.array(windows), cfg.load_class)
             parts.append(part)
-    merged = ingest.LevelDatasets(*(ProfileSet.concatenate([p.of(level) for p in parts]) for level in Level))
-    for part in parts:
-        merged.issues.update((level, text) for level, text in part.issues.items() if not merged.of(level))
-        for level, count in part.skipped.items():
-            merged.skipped[level] = merged.skipped.get(level, 0) + count
-    return merged
+    return ingest.LevelDatasets.concatenate(parts)
 
 
 def default_desk_configs(

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import loadsynth
-from loadsynth import cli, ingest
+from loadsynth import cli, compose, ingest
 from loadsynth.cli import (
     _dataset_fingerprint,
     build_parser,
@@ -30,17 +30,24 @@ from loadsynth.cli import (
     finite_positive_float,
     main,
     non_negative_int,
-    parse_duration,
     positive_int,
-    read_series_csv,
     week_index,
     write_series_csv,
 )
 from loadsynth.compose import GenerationRequest
-from loadsynth.core import Level, parse_resolution
-from loadsynth.errors import InsufficientData, ParseError, ResolutionTooFine
-from loadsynth.ingest import DATASET_HEADER, PHASOR_HEADER, read_level_datasets, read_phasor_csv, write_level_datasets
+from loadsynth.core import Level, parse_duration, parse_resolution
+from loadsynth.errors import DegenerateProfile, InsufficientData, ParseError, ResolutionTooFine
+from loadsynth.ingest import (
+    DATASET_HEADER,
+    PHASOR_HEADER,
+    read_30hz_series,
+    read_level_datasets,
+    read_phasor_csv,
+    read_series_csv,
+    write_level_datasets,
+)
 from loadsynth.modelio import ModelBundle
+from loadsynth.neural.optim import Adam
 
 WEEK_S = 604_800.0
 YEAR_S = 52 * WEEK_S
@@ -402,6 +409,21 @@ class TestGenerate:
         assert f"artifact {artifact!r}" in err and "non-finite" in err
         assert not out.exists()
 
+    def test_generation_failure_exits_4(self, bundle_path, tmp_path, capsys, monkeypatch):
+        def degenerate(model, count, seed, labels=None):
+            raise DegenerateProfile(f"level {model.level.value} generator produced non-finite samples")
+
+        monkeypatch.setattr(compose, "gan_generate", degenerate)
+        out = tmp_path / "x.csv"
+        code = main(
+            ["generate", "--bundle", str(bundle_path), "--residential", "1", "--resolution", "1/h",
+             "--length", "1d", "--output", str(out)]
+        )
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: generation failed in DegenerateProfile: level l3 generator produced non-finite samples"
+        assert not out.exists()
+
     def test_reports_actual_size(self, bundle_path, tmp_path, capsys):
         out = tmp_path / "sized.csv"
         code = main(
@@ -596,6 +618,32 @@ class TestTrainCli:
         err = capsys.readouterr().err
         assert "error: cannot train level 3: every profile needs a (load class, season) label" in err
         assert "training level" not in err
+
+    def test_level_without_profiles_exits_3_before_training(self, tiny_datasets, tmp_path, capsys):
+        write_level_datasets(tiny_datasets, tmp_path / "data")
+        (tmp_path / "data" / "level2.csv").write_text(DATASET_HEADER + "\n")
+        code = main(["train", "--data", str(tmp_path / "data"), "--output", str(tmp_path / "b.lsb")])
+        assert code == 3
+        err = capsys.readouterr().err
+        path = tmp_path / "data" / "level2.csv"
+        assert err == f"error: no training data for level 2: dataset file {path} holds no profiles\n"
+        assert not (tmp_path / "b.lsb").exists()
+
+    def test_divergence_exits_5_and_writes_no_bundle(self, tiny_datasets, tmp_path, capsys, monkeypatch):
+        def nan_step(self, params, grads):
+            for p in params:
+                p.fill(np.nan)
+
+        write_level_datasets(tiny_datasets, tmp_path / "data")
+        monkeypatch.setattr(Adam, "step", nan_step)
+        code = main(
+            ["train", "--data", str(tmp_path / "data"), "--l1-epochs", "1", "--batch-size", "8",
+             "--output", str(tmp_path / "b.lsb")]
+        )
+        assert code == 5
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: level l1 training went non-finite twice (last lr 0.0001)"]
+        assert sorted(os.listdir(tmp_path)) == ["data"]
 
     def test_missing_data_dir_exits_3(self, tmp_path):
         code = main(
@@ -902,11 +950,6 @@ def test_defective_series_csv_exits_3(defect, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def _ingest_series(path):
-    stamps, values = read_series_csv(path)
-    cli._check_30hz(path, stamps, len(values))
-
-
 # each case: a header, two good rows and a defective one, and the reader
 BLANK_LINES_BEFORE_A_DEFECT = {
     "phasor_number": (PHASOR_HEADER, ["0.0,a,1,0,1,0", "0.03333333333333333,a,1,0,1,0",
@@ -914,11 +957,11 @@ BLANK_LINES_BEFORE_A_DEFECT = {
     "phasor_step": (PHASOR_HEADER, ["0.0,a,1,0,1,0", "0.03333333333333333,a,1,0,1,0", "0.5,a,1,0,1,0"],
                     read_phasor_csv),
     "series_number": ("timestamp,load_1", ["2021-01-01T00:00:00,1.5", "2021-01-01T00:00:00.033333,1.5",
-                                           "2021-01-01T00:00:00.066667,abc"], _ingest_series),
+                                           "2021-01-01T00:00:00.066667,abc"], read_30hz_series),
     "series_timestamp": ("timestamp,load_1", ["2021-01-01T00:00:00,1.5", "2021-01-01T00:00:00.033333,1.5",
-                                              "2021-01-01 half past,1.5"], _ingest_series),
+                                              "2021-01-01 half past,1.5"], read_30hz_series),
     "series_step": ("timestamp,load_1", ["2021-01-01T00:00:00,1.5", "2021-01-01T00:00:00.033333,1.5",
-                                         "2021-01-01T00:00:30,1.5"], _ingest_series),
+                                         "2021-01-01T00:00:30,1.5"], read_30hz_series),
     "dataset_number": (DATASET_HEADER, ["p,residential,,0,1.0", "p,residential,,1,1.0", "p,residential,,2,x"],
                        lambda path: read_level_datasets(path.parent)),
     "dataset_label": (DATASET_HEADER, ["p,residential,,0,1.0", "p,residential,,1,1.0", "p,industrial,,2,1.0"],
@@ -1214,6 +1257,29 @@ def test_bad_ingest_config_exits_2(config, message, tmp_path, capsys, monkeypatc
     Path("c.json").write_text(json.dumps({**config, "load_class": "residential"}))
     assert main(["ingest", "--config", "c.json", "--output-dir", "out"]) == 2
     assert capsys.readouterr().err == message
+    assert os.listdir() == ["c.json"]
+
+
+# each case: a command, and a config whose value of the named key holds a
+# NUL, which open() refuses with ValueError; no command line can pass one
+NUL_CONFIGS = {
+    "ingest_series": ("ingest", "series", {"series": "a\0.csv", "load_class": "residential", "output_dir": "o"}),
+    "ingest_phasors": ("ingest", "phasors", {"phasors": ["a.csv", "b\0.csv"], "load_class": "residential",
+                                             "output_dir": "o"}),
+    "train": ("train", "data", {"data": "d\0", "output": "out.lsb"}),
+    "generate": ("generate", "bundle", {"bundle": "b\0.lsb", "residential": 1, "resolution": "1/h",
+                                        "length": "1d", "output": "out.csv"}),
+    "simulate": ("simulate", "output", {"duration": "2h", "output": "out\0.csv"}),
+}
+
+
+@pytest.mark.parametrize("case", NUL_CONFIGS)
+def test_nul_in_a_config_value_exits_2_naming_the_key(case, tmp_path, capsys, monkeypatch):
+    command, key, config = NUL_CONFIGS[case]
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_text(json.dumps(config))
+    assert main([command, "--config", "c.json"]) == 2
+    assert capsys.readouterr().err == f"error: --config c.json: the value of {key!r} holds a NUL character\n"
     assert os.listdir() == ["c.json"]
 
 

@@ -23,7 +23,7 @@ from loadsynth.errors import (
     ParseError,
     ResolutionTooFine,
 )
-from loadsynth.ingest import LevelDatasets, _add_mean_one_rows
+from loadsynth.ingest import LevelDatasets, add_mean_one_rows
 
 
 def normalize(window, level=Level.L4):
@@ -31,7 +31,7 @@ def normalize(window, level=Level.L4):
     ``window`` at ``level``, as (samples, source mean); None when the window
     is left out."""
     out = LevelDatasets()
-    _add_mean_one_rows(out, level, np.asarray(window, float)[None, :], LoadClass.MAINLY_RESIDENTIAL)
+    add_mean_one_rows(out, level, np.asarray(window, float)[None, :], LoadClass.MAINLY_RESIDENTIAL)
     profiles = out.of(level)
     return (profiles.samples[0], profiles.source_mean[0]) if len(profiles) else None
 
@@ -52,7 +52,7 @@ class TestNormalizeMean:
 
     def test_zero_profile_degenerate(self):
         out = LevelDatasets()
-        _add_mean_one_rows(out, Level.L4, np.zeros((1, 52)), LoadClass.MAINLY_RESIDENTIAL)
+        add_mean_one_rows(out, Level.L4, np.zeros((1, 52)), LoadClass.MAINLY_RESIDENTIAL)
         assert len(out.l4) == 0
         assert not out.skipped  # left out, but not counted as a bad reading
 

@@ -8,6 +8,7 @@ import pytest
 from loadsynth.core import LEVEL_SPECS, Level, LoadClass, ProfileRowError, ProfileSet, Season
 from loadsynth.errors import (
     DatasetTooSmall,
+    DivergenceDetected,
     LabelRequired,
     MissingLabelCoverage,
 )
@@ -26,6 +27,7 @@ from loadsynth.neural.gan import (
     train_gan,
 )
 from loadsynth.neural.network import Network
+from loadsynth.neural.optim import Adam
 
 
 def l2_set(rows):
@@ -63,6 +65,30 @@ class TestTrainGan:
         model = train_gan(small_l2_dataset, hyper, seed=3)
         assert model.log.disc_updates == 2 * model.log.gen_updates
         assert model.log.gen_updates == 3 * (64 // 8 // 2)
+
+    def test_non_finite_training_retries_once_at_half_the_rate(self, small_l2_dataset, monkeypatch):
+        logs = []
+
+        class RecordedLog(gan.TrainingLog):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                logs.append(self)
+
+        def nan_step(self, params, grads):
+            for p in params:
+                p.fill(np.nan)
+
+        monkeypatch.setattr(gan, "TrainingLog", RecordedLog)
+        monkeypatch.setattr(Adam, "step", nan_step)
+        hyper = HyperParams(epochs=3, batch_size=8, trace_samples=50)
+        with pytest.raises(DivergenceDetected, match=r"^level l2 training went non-finite twice \(last lr 0.0001\)$"):
+            train_gan(small_l2_dataset, hyper, seed=4)
+        (log,) = logs
+        assert log.attempts == [
+            {"seed_path": [4, 0], "learning_rate": 2e-4, "diverged": True},
+            {"seed_path": [4, 1], "learning_rate": 1e-4, "diverged": True},
+        ]
+        assert len(log.epochs) == 1  # the second attempt stopped after its first epoch
 
     def test_dataset_too_small(self):
         dataset = l2_set([np.random.default_rng(0).standard_normal(120)] * 10)
