@@ -246,7 +246,12 @@ def parse_resolution(text: str) -> Resolution:
         raise ResolutionTooFine(
             f"{text!r} asks for a period of {period}/{count} s, finer than 1/30 s"
         )
-    return Resolution(samples_per_period=count, period_s=float(period))
+    try:  # the period, or the count it is divided by, past the largest float
+        return Resolution(samples_per_period=count, period_s=float(period))
+    except OverflowError:
+        raise ParseError(
+            f"resolution {text!r} is too large (not a finite number of seconds)"
+        ) from None
 
 
 def parse_duration(text: str) -> float:
@@ -265,24 +270,23 @@ def parse_duration(text: str) -> float:
     return value
 
 
-def truncate_to_multiple(samples: np.ndarray, factor: int) -> tuple[np.ndarray, int]:
+def truncate_to_multiple(samples: np.ndarray, factor: int) -> np.ndarray:
     """Drop trailing samples that do not fill a whole block of ``factor``.
 
-    Returns (truncated array, number of samples dropped).  Truncation, not
-    padding: padding would fabricate data.
+    Truncation, not padding: padding would fabricate data.
     """
     if factor <= 0:
         raise InvalidFactor(f"factor must be a positive integer, got {factor}")
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.size - samples.size % factor
-    return samples[:n], int(samples.size - n)
+    return samples[:n]
 
 
 def downsample(samples: Sequence[float], factor: int, metric: Metric) -> np.ndarray:
     """Aggregate contiguous blocks of ``factor`` samples with the metric.
 
     The input length must already be a multiple of ``factor``; use
-    truncate_to_multiple first and record the remainder.
+    truncate_to_multiple first.
     """
     if factor == 0:
         raise InvalidFactor("downsampling factor must be >= 1")

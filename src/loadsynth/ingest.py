@@ -57,34 +57,26 @@ DETREND_CENTER = slice(2 * DETREND_WINDOW // 5, 3 * DETREND_WINDOW // 5)  # the 
 DETREND_DEGREE = 4
 
 
-@dataclass(frozen=True, eq=False)
-class PhasorTable:
-    """Phasor records as columns: the first record's sorted ``line_ids`` and
-    (n_records, n_lines) phasor arrays, magnitudes in kV/kA, angles in radians."""
-
-    timestamps_s: np.ndarray
-    line_ids: tuple[str, ...]
-    v_mag: np.ndarray
-    v_ang: np.ndarray
-    i_mag: np.ndarray
-    i_ang: np.ndarray
-
-
-def compute_bus_load(table: PhasorTable) -> np.ndarray:
+def compute_bus_load(
+    v_mag: np.ndarray, v_ang: np.ndarray, i_mag: np.ndarray, i_ang: np.ndarray
+) -> np.ndarray:
     """Net active power injection per record: P = sum_lines Re(V * conj(I)).
 
-    Positive means consumption; with kV and kA the result is in MW.  Lines
-    are added in sorted order, one ``v_mag * i_mag * cos(v_ang - i_ang)`` each.
+    The arguments are (n_records, n_lines) phasor arrays, magnitudes in
+    kV/kA and angles in radians.  Positive means consumption; with kV and kA
+    the result is in MW.  Starting from zeros, the lines are added in column
+    order, one ``v_mag * i_mag * cos(v_ang - i_ang)`` each.
     """
-    out = np.zeros(table.timestamps_s.size)
-    for j in range(len(table.line_ids)):
-        out += table.v_mag[:, j] * table.i_mag[:, j] * np.cos(table.v_ang[:, j] - table.i_ang[:, j])
+    out = np.zeros(v_mag.shape[0])
+    for j in range(v_mag.shape[1]):
+        out += v_mag[:, j] * i_mag[:, j] * np.cos(v_ang[:, j] - i_ang[:, j])
     return out
 
 
-def _detrend_basis(n: int = DETREND_WINDOW) -> np.ndarray:
+def _detrend_basis() -> np.ndarray:
     # centred abscissa scaled to [-1, 1]: raw indices up to 600 would push
     # the degree-4 normal equations past condition 1e12
+    n = DETREND_WINDOW
     u = (np.arange(n) - (n - 1) / 2.0) / ((n - 1) / 2.0)
     return np.vander(u, DETREND_DEGREE + 1, increasing=True)
 
@@ -247,7 +239,7 @@ def extract_levels_from_block_means(
             f"of 0 kept none of the {n_hours - 4} hours with the +-2 h context"
         )
 
-    hourly, _ = truncate_to_multiple(m30, hour)
+    hourly = truncate_to_multiple(m30, hour)
     hourly = downsample(hourly, hour, Metric.MEAN) if hourly.size else np.zeros(0)
     start_week = int(start_time_s // LEVEL_SPECS[Level.L4].sampling_period_s)
 
@@ -285,7 +277,7 @@ def extract_level_datasets(
     """
     series = np.asarray(load_series, dtype=np.float64)
     length = LEVEL_SPECS[Level.L1].profile_length  # 30 Hz ticks per 30 s
-    trimmed, _ = truncate_to_multiple(series, length)
+    trimmed = truncate_to_multiple(series, length)
     m30 = downsample(trimmed, length, Metric.MEAN) if trimmed.size else np.zeros(0)
     out = extract_levels_from_block_means(
         m30, load_class, start_time_s, max_l2_profiles
@@ -429,8 +421,7 @@ def _records_bus_load(rows: np.ndarray, path, start: int, carry: _RecordCarry) -
         k, j = missing[0]
         raise MissingChannel(f"{path}: record at t={t[first[k]]} lacks phasors for line {carry.line_ids[j]!r}")
     carry.last_t, carry.last_path = t[first[-1]], path
-    table = PhasorTable(t[first], carry.line_ids, *(rows[name][grid] for name in _PHASOR_FIELDS))
-    return compute_bus_load(table)
+    return compute_bus_load(*(rows[name][grid] for name in _PHASOR_FIELDS))
 
 
 def read_phasor_csv(paths) -> np.ndarray:
@@ -468,8 +459,11 @@ def read_phasor_csv(paths) -> np.ndarray:
     return np.concatenate(power) if power else np.zeros(0)
 
 
-def _series_row(header: str, stamp=object) -> np.dtype:
-    """A series CSV row under ``header``: a timestamp, then a float per load."""
+def _series_row(header: str, stamp=object) -> Optional[np.dtype]:
+    """A series CSV row under ``header``: a timestamp, then a float per load;
+    None for a header with no load column (no comma)."""
+    if "," not in header:
+        return None
     return np.dtype([("t", stamp)] + [(f"load_{i + 1}", "f8") for i in range(header.count(","))])
 
 

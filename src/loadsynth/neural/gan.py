@@ -49,7 +49,7 @@ from ..errors import (
 )
 from ..validate import wasserstein_1d, wasserstein_histogram
 from .network import Network, NetworkSpec, init_params
-from .optim import Adam
+from .optim import LEARNING_RATE, Adam
 
 LABEL_DIM = 6
 # all (class, season) combinations in enum order; fixed vocabulary
@@ -75,9 +75,6 @@ def encode_labels(labels: Sequence[tuple[LoadClass, Season]]) -> np.ndarray:
 class HyperParams:
     epochs: int = 40
     batch_size: int = 32
-    learning_rate: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
     noise_dim: int = 100
     trace_samples: int = 500
 
@@ -241,14 +238,14 @@ def train_gan(profiles: ProfileSet, hyper: HyperParams, seed: int) -> GanModel:
     X = centre + (X_real - centre) / scale
 
     for attempt in range(2):
-        lr = hyper.learning_rate / (2.0**attempt)
+        lr = LEARNING_RATE / (2.0**attempt)
         rng = np.random.default_rng((seed, attempt))
         gen_spec = generator_spec(level, hyper.noise_dim, label_dim)
         gen = Network(gen_spec, init_params(gen_spec, rng))
         disc_spec = discriminator_spec(level, label_dim)
         disc = Network(disc_spec, init_params(disc_spec, rng))
-        opt_g = Adam([gen.params], lr, hyper.beta1, hyper.beta2)
-        opt_d = Adam([disc.params], lr, hyper.beta1, hyper.beta2)
+        opt_g = Adam([gen.params], lr)
+        opt_d = Adam([disc.params], lr)
         log.attempts.append({"seed_path": [seed, attempt], "learning_rate": lr})
         log.epochs, log.disc_updates, log.gen_updates = [], 0, 0
         diverged = False
@@ -344,10 +341,11 @@ def gan_generate(
     model: GanModel,
     count: int,
     seed: int,
-    labels: Optional[Sequence[tuple[LoadClass, Season]] | tuple[LoadClass, Season]] = None,
+    labels: Optional[Sequence[tuple[LoadClass, Season]]] = None,
 ) -> np.ndarray:
     """Sample ``count`` profiles as one float64 (count, profile length) array.
 
+    A conditional model takes one (load class, season) label per row.
     Mean-one levels are rescaled to mean exactly 1, the detrended level to
     mean exactly 0.  Rows are plain samples; a ProfileSet is built only
     where a dataset is.  Raises DegenerateProfile when any
@@ -356,9 +354,6 @@ def gan_generate(
     if model.conditional:
         if labels is None:
             raise LabelRequired("conditional generation needs (load class, season) labels")
-        if isinstance(labels, tuple) and len(labels) == 2 and isinstance(labels[0], LoadClass):
-            labels = [labels] * count
-        labels = list(labels)
         if len(labels) != count:
             raise ValueError(f"need {count} labels, got {len(labels)}")
     elif labels is not None:

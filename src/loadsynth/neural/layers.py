@@ -159,10 +159,12 @@ class ConvT1d(Layer):
 
     ``out_length`` crops trailing samples of the raw output (the cropped
     tail receives no gradient), letting two stride-2 stages produce an
-    exact 4x upscale even when k > stride.
+    exact 4x upscale even when k > stride.  It must be a positive int.
     """
 
-    def __init__(self, in_ch, out_ch, k, stride, out_length=None):
+    def __init__(self, in_ch, out_ch, k, stride, out_length):
+        if type(out_length) is not int or out_length < 1:
+            raise ValueError(f"convt1d output length {out_length!r} is not a positive int")
         self.in_ch, self.out_ch, self.k, self.stride = in_ch, out_ch, k, stride
         self.out_length = out_length
         self.shapes = ((in_ch, out_ch, k), (out_ch,))
@@ -173,22 +175,19 @@ class ConvT1d(Layer):
                 f"convt1d({self.in_ch}->{self.out_ch}, k={self.k}) got input {x.shape}"
             )
         raw_len = (x.shape[2] - 1) * self.stride + self.k
-        if self.out_length is not None and self.out_length > raw_len:
+        if self.out_length > raw_len:
             raise ShapeMismatch(
                 f"convt1d cannot crop raw length {raw_len} up to {self.out_length}"
             )
         y = _scatter_taps(x, self.w, self.stride, raw_len)
         y += self.b[:, None]
-        if self.out_length is not None:
-            y = y[:, :, : self.out_length]
-        return y
+        return y[:, :, : self.out_length]
 
     def backward(self, x, gy):
         b, c, n_in = x.shape
-        if self.out_length is not None:
-            padded = np.zeros((b, self.out_ch, (n_in - 1) * self.stride + self.k))
-            padded[:, :, : self.out_length] = gy
-            gy = padded
+        padded = np.zeros((b, self.out_ch, (n_in - 1) * self.stride + self.k))
+        padded[:, :, : self.out_length] = gy
+        gy = padded
         taps = [gy[:, :, k : k + self.stride * (n_in - 1) + 1 : self.stride] for k in range(self.k)]
         gx = np.zeros_like(x)
         if _einsum_is_this_matmul(b, c, n_in):

@@ -20,12 +20,17 @@ import numpy as np
 # scratch rows) take 768 KiB
 _BLOCK = 1 << 14
 
+# the training recipe: the first attempt's learning rate (a retry halves
+# it) and Adam's moment decays and denominator floor
+LEARNING_RATE = 2e-4
+BETA1, BETA2, EPS = 0.5, 0.999, 1e-8
+
 
 class Adam:
-    def __init__(self, params, lr=2e-4, beta1=0.5, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr):
         if not all(p.flags.c_contiguous for p in params):
             raise ValueError("Adam steps C-contiguous parameter arrays in place")
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
@@ -33,7 +38,7 @@ class Adam:
 
     def step(self, params, grads) -> None:
         self.t += 1
-        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        b1, b2, lr, eps = BETA1, BETA2, self.lr, EPS
         correction1 = 1.0 - b1**self.t
         correction2 = 1.0 - b2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):

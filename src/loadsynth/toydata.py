@@ -19,7 +19,7 @@ year), so two sampling paths are provided:
 
 * :func:`simulate_ground_truth` materializes the full 30 Hz signal, for
   windows up to hours;
-* :func:`simulate_block_means` returns block averages over any span.  The
+* :func:`simulate_block_means` returns block averages from t = 0.  The
   deterministic part is averaged in closed form over each block's 30 Hz
   sample grid (the product of the two Fourier series is a finite cosine
   sum, and the discrete average of a cosine has a Dirichlet-kernel closed
@@ -414,7 +414,7 @@ def whole_blocks(duration_s: float, block_s: float) -> int:
 
 
 def _shape_block_curves(
-    shapes: list[ToyLoadConfig], block_s: float, n_blocks: int, start_time_s: float, pool
+    shapes: list[ToyLoadConfig], block_s: float, n_blocks: int, pool
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each shape's deterministic block means and its value at the block centres.
 
@@ -433,7 +433,7 @@ def _shape_block_curves(
 
     def fill(lo: int) -> None:
         hi = min(lo + _RANGE_BLOCKS, n_blocks)
-        starts = start_time_s + block_s * np.arange(lo, hi)
+        starts = block_s * np.arange(lo, hi)
         means = _block_means_of_terms(term_lists, starts, m, LEVEL_SPECS[Level.L1].sampling_period_s)
         centres = starts + 0.5 * block_s
         yearly, daily = _yearly_cosines(centres), _daily_cosines(centres)
@@ -447,8 +447,7 @@ def _shape_block_curves(
 
 
 def _add_block_noise(
-    config: ToyLoadConfig, curve: tuple[np.ndarray, np.ndarray], block_s: float,
-    start_time_s: float, out: np.ndarray,
+    config: ToyLoadConfig, curve: tuple[np.ndarray, np.ndarray], block_s: float, out: np.ndarray
 ) -> np.ndarray:
     """One load's block means: its shape's curve with its own AR(1) block noise.
 
@@ -471,7 +470,7 @@ def _add_block_noise(
 
     rho = config.ar_coeff
     A, rho_m, var_eta, var_zeta, cov = _ar1_block_moments(rho, sigma_e, m)
-    rng = _rng_for(config, 1, int(round(start_time_s * PMU_RATE_HZ)))
+    rng = _rng_for(config, 1, 0)
     sigma = config.noise_rel_std
     n_init = sigma * rng.standard_normal()
     rng.standard_normal(out=out)  # z_eta
@@ -506,7 +505,7 @@ def _add_block_noise(
 
 
 def _fleet_block_means(
-    configs: list[ToyLoadConfig], block_s: float, n_blocks: int, start_time_s: float = 0.0
+    configs: list[ToyLoadConfig], block_s: float, n_blocks: int
 ) -> Iterator[np.ndarray]:
     """Yield simulate_block_means(config, ...) for each config in turn.
 
@@ -527,9 +526,9 @@ def _fleet_block_means(
     shapes = list(dict.fromkeys(shape_of))
     workers = _worker_count()
     with ThreadPoolExecutor(workers) as pool:
-        curves = dict(zip(shapes, _shape_block_curves(shapes, block_s, n_blocks, start_time_s, pool)))
+        curves = dict(zip(shapes, _shape_block_curves(shapes, block_s, n_blocks, pool)))
         jobs = (  # each load's array is allocated here, in the caller's thread
-            pool.submit(_add_block_noise, cfg, curves[shape], block_s, start_time_s, np.empty(n_blocks))
+            pool.submit(_add_block_noise, cfg, curves[shape], block_s, np.empty(n_blocks))
             for cfg, shape in zip(configs, shape_of)
         )
         pending = deque(islice(jobs, min(workers, _LOADS_IN_FLIGHT)))
@@ -539,15 +538,13 @@ def _fleet_block_means(
             yield job.result()
 
 
-def simulate_block_means(
-    config: ToyLoadConfig, block_s: float, n_blocks: int, start_time_s: float = 0.0
-) -> np.ndarray:
-    """Block averages of the simulated load without materializing 30 Hz data.
+def simulate_block_means(config: ToyLoadConfig, block_s: float, n_blocks: int) -> np.ndarray:
+    """Block averages of the simulated load from t = 0, without materializing 30 Hz data.
 
     ``block_s`` must be a whole number of 30 Hz samples.  One value per
-    block; deterministic in (config, start_time_s, block_s).
+    block; deterministic in (config, block_s).
     """
-    (values,) = _fleet_block_means([config], block_s, n_blocks, start_time_s)
+    (values,) = _fleet_block_means([config], block_s, n_blocks)
     return values
 
 

@@ -39,12 +39,15 @@ def wasserstein_1d(a, b) -> float:
     return float(np.sum(np.abs(cdf_a - cdf_b) * deltas))
 
 
-def wasserstein_histogram(a, b, bins: int = 100) -> float:
+HISTOGRAM_BINS = 100
+
+
+def wasserstein_histogram(a, b) -> float:
     """Histogram estimate of the distance over the joint sample range.
 
-    Both sets are binned into ``bins`` equal cells spanning their combined
-    range; the distance is the CDF-difference integral of the two binned
-    distributions.  Retained to mirror the training-time trace.
+    Both sets are binned into HISTOGRAM_BINS equal cells spanning their
+    combined range; the distance is the CDF-difference integral of the two
+    binned distributions.  Retained to mirror the training-time trace.
     """
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
@@ -54,9 +57,9 @@ def wasserstein_histogram(a, b, bins: int = 100) -> float:
     hi = max(a.max(), b.max())
     if hi == lo:
         return 0.0
-    ha, _ = np.histogram(a, bins=bins, range=(lo, hi))
-    hb, _ = np.histogram(b, bins=bins, range=(lo, hi))
-    width = (hi - lo) / bins
+    ha, _ = np.histogram(a, bins=HISTOGRAM_BINS, range=(lo, hi))
+    hb, _ = np.histogram(b, bins=HISTOGRAM_BINS, range=(lo, hi))
+    width = (hi - lo) / HISTOGRAM_BINS
     cdf_a = np.cumsum(ha) / a.size
     cdf_b = np.cumsum(hb) / b.size
     return float(np.sum(np.abs(cdf_a - cdf_b)) * width)

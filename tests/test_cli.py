@@ -101,6 +101,25 @@ class TestParseDuration:
         assert err.count("\n") == 1 and err.startswith("error: duration '999") and "too large" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "resolution",
+        [
+            "1/" + "9" * 400 + "s",
+            "9" * 400 + "/" + "9" * 400 + "s",
+            "1" + "0" * 309 + "/1" + "0" * 308 + "s",  # a finite period, a count past the largest float
+        ],
+    )
+    def test_overflowing_resolution_exits_2(self, resolution, bundle_path, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = main(
+            ["generate", "--bundle", str(bundle_path), "--residential", "1", "--resolution", resolution,
+             "--length", "1d", "--estimate-only", "--output", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: resolution {resolution!r} is too large (not a finite number of seconds)\n"
+        assert not out.exists()
+
 
 # --resolution, --length and the exit code: one request covers at most 53
 # years of 52 weeks, counted in the weeks its driving level needs
@@ -947,6 +966,20 @@ def test_defective_series_csv_exits_3(defect, tmp_path, capsys):
     )
     assert code == 3
     assert f"{path} line 3:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_series_header_without_a_load_column_exits_3(tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    path.write_text("timestamp\n2021-01-01T00:00:00\n")
+    code = main(
+        [
+            "ingest", "--series", str(path), "--load-class", "residential",
+            "--output-dir", str(tmp_path / "out"),
+        ]
+    )
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {path} line 1: unexpected header 'timestamp'\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,7 +1,8 @@
 """Fleet block means, with shared deterministic curves, against per-load ones.
 
 ``oracle_simulate_block_means`` is the per-load simulator that the shared
-path replaced, kept here verbatim (apart from its name) with the
+path replaced, kept here verbatim (apart from its name and the start time
+it no longer takes: the block path starts at t = 0) with the
 ``_block_means_of_terms`` and ``ToyLoadConfig.deterministic`` it called, as
 the reference: it rebuilds the deterministic curve for every load.  For
 every fleet, each load's block means from ``_fleet_block_means`` must equal
@@ -73,12 +74,12 @@ def _block_means_of_terms(terms, starts, m, h):
     return out
 
 
-def oracle_simulate_block_means(config, block_s, n_blocks, start_time_s=0.0):
+def oracle_simulate_block_means(config, block_s, n_blocks):
     m = block_s * 30.0
     if abs(m - round(m)) > 1e-9 or m < 1:
         raise ValueError("block_s must be a positive multiple of 1/30 s")
     m = int(round(m))
-    starts = start_time_s + block_s * np.arange(n_blocks)
+    starts = block_s * np.arange(n_blocks)
     det_mean = _block_means_of_terms(_cosine_terms(config), starts, m, 1.0 / 30.0)
 
     sigma_e = config.noise_rel_std * math.sqrt(1.0 - config.ar_coeff**2)
@@ -87,7 +88,7 @@ def oracle_simulate_block_means(config, block_s, n_blocks, start_time_s=0.0):
 
     rho = config.ar_coeff
     A, rho_m, var_eta, var_zeta, cov = _ar1_block_moments(rho, sigma_e, m)
-    rng = _rng_for(config, 1, int(round(start_time_s * 30.0)))
+    rng = _rng_for(config, 1, 0)
     sigma = config.noise_rel_std
     n_init = sigma * rng.standard_normal()
     z_eta = rng.standard_normal(n_blocks)
@@ -149,12 +150,7 @@ def block_grids(draw):
     m = draw(st.integers(1, 3 * 30 * 3600))  # 1/30 s to 3 h
     block_s = draw(st.sampled_from([m / 30.0, m * (1.0 / 30.0)]))
     n_blocks = draw(st.integers(0, 300))
-    start_time_s = draw(
-        st.just(0.0)
-        | st.integers(0, 3 * 1_048_320).map(lambda k: 30.0 * k)  # on the desk grid
-        | st.floats(0.0, 3 * YEAR_S)
-    )
-    return block_s, n_blocks, start_time_s
+    return block_s, n_blocks
 
 
 @settings(max_examples=150, deadline=None)
@@ -165,49 +161,46 @@ def block_grids(draw):
         ToyLoadConfig.industrial(seed=2, base_mw=20.0),
         replace(ToyLoadConfig.industrial(seed=3, base_mw=30.0), daily_ripple=0.2),
     ],
-    grid=(30.0, 50, 0.0),
+    grid=(30.0, 50),
 )
 def test_fleet_equals_per_load_oracle(fleet, grid):
-    block_s, n_blocks, start_time_s = grid
-    got = _fleet_block_means(fleet, block_s, n_blocks, start_time_s)
+    block_s, n_blocks = grid
+    got = _fleet_block_means(fleet, block_s, n_blocks)
     for config in fleet:
-        want = oracle_simulate_block_means(config, block_s, n_blocks, start_time_s)
+        want = oracle_simulate_block_means(config, block_s, n_blocks)
         np.testing.assert_array_equal(next(got), want)
     assert next(got, None) is None
 
 
 @st.composite
 def ranged_grids(draw):
-    """(block_s, n_blocks, start_time_s, blocks per range): a non-zero start
-    and a block count that leaves a partial last range."""
+    """(block_s, n_blocks, blocks per range): a block count that leaves a
+    partial last range."""
     per_range = draw(st.integers(2, 64))
     n_blocks = per_range * draw(st.integers(0, 6)) + draw(st.integers(1, per_range - 1))
     block_s = draw(st.integers(1, 3 * 30 * 3600)) / 30.0
-    start_time_s = draw(
-        st.integers(1, 3 * 1_048_320).map(lambda k: 30.0 * k) | st.floats(1e-3, 3 * YEAR_S)
-    )
-    return block_s, n_blocks, start_time_s, per_range
+    return block_s, n_blocks, per_range
 
 
-def _curves(workers, shapes, block_s, n_blocks, start_time_s):
+def _curves(workers, shapes, block_s, n_blocks):
     """_shape_block_curves on a pool of `workers` threads."""
     with ThreadPoolExecutor(workers) as pool:
-        return _shape_block_curves(shapes, block_s, n_blocks, start_time_s, pool)
+        return _shape_block_curves(shapes, block_s, n_blocks, pool)
 
 
 @settings(max_examples=150, deadline=None)
 @given(fleet=st.lists(load_configs(), min_size=1, max_size=4), grid=ranged_grids())
 @example(  # the module's own range, crossed twice
     fleet=[ToyLoadConfig.residential(seed=1), ToyLoadConfig.industrial(seed=2)],
-    grid=(30.0, 2 * toydata._RANGE_BLOCKS + 7, 1800.0, toydata._RANGE_BLOCKS),
+    grid=(30.0, 2 * toydata._RANGE_BLOCKS + 7, toydata._RANGE_BLOCKS),
 )
 def test_curves_by_block_range_equal_the_whole_array(fleet, grid):
-    block_s, n_blocks, start_time_s, per_range = grid
+    block_s, n_blocks, per_range = grid
     shapes = list(dict.fromkeys(replace(c, seed=0, base_mw=1.0) for c in fleet))
     with mock.patch.object(toydata, "_RANGE_BLOCKS", n_blocks):
-        whole = _curves(toydata._worker_count(), shapes, block_s, n_blocks, start_time_s)
+        whole = _curves(toydata._worker_count(), shapes, block_s, n_blocks)
     with mock.patch.object(toydata, "_RANGE_BLOCKS", per_range):
-        ranged = _curves(toydata._worker_count(), shapes, block_s, n_blocks, start_time_s)
+        ranged = _curves(toydata._worker_count(), shapes, block_s, n_blocks)
     for (mean, centre), (want_mean, want_centre) in zip(ranged, whole, strict=True):
         assert mean.tobytes() == want_mean.tobytes()
         assert centre.tobytes() == want_centre.tobytes()
@@ -217,29 +210,29 @@ def test_curves_by_block_range_equal_the_whole_array(fleet, grid):
 @given(fleet=st.lists(load_configs(), min_size=1, max_size=4), grid=ranged_grids())
 @example(  # the module's own range, crossed twice
     fleet=[ToyLoadConfig.residential(seed=1), ToyLoadConfig.industrial(seed=2)],
-    grid=(30.0, 2 * toydata._RANGE_BLOCKS + 7, 1800.0, toydata._RANGE_BLOCKS),
+    grid=(30.0, 2 * toydata._RANGE_BLOCKS + 7, toydata._RANGE_BLOCKS),
 )
 def test_noise_by_block_range_equals_the_oracle(fleet, grid):
     # the AR(1) state crosses each range boundary, and the second stream's
     # draws come in pieces
-    block_s, n_blocks, start_time_s, per_range = grid
+    block_s, n_blocks, per_range = grid
     with mock.patch.object(toydata, "_RANGE_BLOCKS", per_range):
-        got = list(_fleet_block_means(fleet, block_s, n_blocks, start_time_s))
+        got = list(_fleet_block_means(fleet, block_s, n_blocks))
     for values, config in zip(got, fleet, strict=True):
-        want = oracle_simulate_block_means(config, block_s, n_blocks, start_time_s)
+        want = oracle_simulate_block_means(config, block_s, n_blocks)
         assert values.tobytes() == want.tobytes()
 
 
 def _bytes_at(workers, fleet, grid):
     """Curve and load bytes with `workers` pool threads and many small ranges."""
-    block_s, n_blocks, start_time_s, per_range = grid
+    block_s, n_blocks, per_range = grid
     shapes = list(dict.fromkeys(replace(c, seed=0, base_mw=1.0) for c in fleet))
     with (
         mock.patch.object(toydata, "_RANGE_BLOCKS", per_range),
         mock.patch.object(toydata, "_worker_count", lambda: workers),
     ):
-        curves = _curves(workers, shapes, block_s, n_blocks, start_time_s)
-        loads = list(_fleet_block_means(fleet, block_s, n_blocks, start_time_s))
+        curves = _curves(workers, shapes, block_s, n_blocks)
+        loads = list(_fleet_block_means(fleet, block_s, n_blocks))
     return [a.tobytes() for pair in curves for a in pair], [v.tobytes() for v in loads]
 
 
@@ -253,7 +246,7 @@ def test_bytes_do_not_depend_on_the_worker_count_under_stress():
     # more workers than CPUs, switching threads as often as the interpreter allows
     fleet = [ToyLoadConfig.residential(seed=1), ToyLoadConfig.industrial(seed=2),
              replace(ToyLoadConfig.industrial(seed=3), daily_ripple=0.2)] * 3
-    grid = (30.0, 5000, 1800.0, 7)
+    grid = (30.0, 5000, 7)
     want = _bytes_at(1, fleet, grid)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -165,12 +165,8 @@ class TestTrainCGan:
         dataset = two_cluster_dataset(per_combo=8)
         hyper = HyperParams(epochs=150, batch_size=8, trace_samples=32)
         model = train_gan(dataset, hyper, seed=5)
-        res = gan_generate(
-            model, 64, seed=1, labels=(LoadClass.MAINLY_RESIDENTIAL, Season.WINTER)
-        )
-        ind = gan_generate(
-            model, 64, seed=2, labels=(LoadClass.MAINLY_INDUSTRIAL, Season.WINTER)
-        )
+        res = gan_generate(model, 64, seed=1, labels=[(LoadClass.MAINLY_RESIDENTIAL, Season.WINTER)] * 64)
+        ind = gan_generate(model, 64, seed=2, labels=[(LoadClass.MAINLY_INDUSTRIAL, Season.WINTER)] * 64)
         res_first_half = res[:, :84].mean()
         ind_first_half = ind[:, :84].mean()
         # residential profiles fall (high first half), industrial rise
@@ -292,14 +288,14 @@ class TestGenerate:
 
     def test_unconditional_rejects_labels(self, model):
         with pytest.raises(ValueError, match="no labels"):
-            gan_generate(model, 1, seed=0, labels=(LoadClass.MAINLY_RESIDENTIAL, Season.WINTER))
+            gan_generate(model, 1, seed=0, labels=[(LoadClass.MAINLY_RESIDENTIAL, Season.WINTER)])
 
     def test_conditional_requires_labels(self):
         dataset = two_cluster_dataset(per_combo=8)
         model = train_gan(dataset, HyperParams(epochs=1, batch_size=8, trace_samples=16), seed=0)
         with pytest.raises(LabelRequired):
             gan_generate(model, 2, seed=0)
-        out = gan_generate(model, 3, seed=0, labels=(LoadClass.MAINLY_INDUSTRIAL, Season.SUMMER))
+        out = gan_generate(model, 3, seed=0, labels=[(LoadClass.MAINLY_INDUSTRIAL, Season.SUMMER)] * 3)
         assert out.shape == (3, 168)
         assert np.all(out >= 0)
         assert np.all(np.abs(out.mean(axis=1) - 1.0) < 1e-9)

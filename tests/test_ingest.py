@@ -31,9 +31,7 @@ from loadsynth.ingest import (
     PHASOR_HEADER,
     _LEVEL_FILES,
     _META_FILE,
-    _PHASOR_FIELDS,
     LevelDatasets,
-    PhasorTable,
     _evenly_spaced,
     _meta_entry,
     compute_bus_load,
@@ -48,21 +46,20 @@ from loadsynth.ingest import (
 from loadsynth.toydata import ToyLoadConfig, desk_level_datasets, simulate_block_means, simulate_ground_truth
 
 
-def table(phasors):
-    """30 Hz PhasorTable from (n_records, n_lines, 4) rows of (v_mag, v_ang, i_mag, i_ang)."""
+def bus_load(phasors):
+    """compute_bus_load of (n_records, n_lines, 4) rows of (v_mag, v_ang, i_mag, i_ang)."""
     ph = np.asarray(phasors, dtype=np.float64)
-    line_ids = tuple(f"line{i}" for i in range(ph.shape[1]))
-    return PhasorTable(np.arange(ph.shape[0]) / 30.0, line_ids, *(ph[..., f].copy() for f in range(4)))
+    return compute_bus_load(*(ph[..., f].copy() for f in range(4)))
 
 
-def write_phasor_csv(path, table: PhasorTable) -> None:
-    """Write a table as phasor CSV rows, one per (record, line), floats by repr."""
+def write_phasor_csv(path, phasors) -> None:
+    """Write (n_records, n_lines, 4) phasors as 30 Hz phasor CSV rows, one per
+    (record, line), lines named line0, line1, ..., floats by repr."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(PHASOR_HEADER + "\n")
-        for k, t in enumerate(table.timestamps_s.tolist()):
-            for j, lid in enumerate(table.line_ids):
-                values = (float(getattr(table, name)[k, j]) for name in _PHASOR_FIELDS)
-                fh.write(",".join([repr(t), lid, *map(repr, values)]) + "\n")
+        for k, record in enumerate(np.asarray(phasors, dtype=np.float64).tolist()):
+            for j, values in enumerate(record):
+                fh.write(",".join([repr(k / 30.0), f"line{j}", *map(repr, values)]) + "\n")
 
 
 def random_phasors(rng, shape, min_mag=0.5):
@@ -78,17 +75,17 @@ def complex_power(v_mag, v_ang, i_mag, i_ang):
 
 class TestComputeBusLoad:
     def test_unity_power_factor(self):
-        out = compute_bus_load(table([[(1.0, 0.0, 2.0, 0.0)]]))
+        out = bus_load([[(1.0, 0.0, 2.0, 0.0)]])
         np.testing.assert_allclose(out, [2.0])
 
     def test_pure_export(self):
-        out = compute_bus_load(table([[(1.0, 0.0, 1.0, math.pi)]]))
+        out = bus_load([[(1.0, 0.0, 1.0, math.pi)]])
         np.testing.assert_allclose(out, [-1.0])
 
     def test_two_lines_against_complex_oracle(self):
         deg = math.pi / 180.0
         phasors = [(1.0, 0.0, 1.0, -30 * deg), (1.0, 30 * deg, 2.0, 0.0)]
-        out = compute_bus_load(table([phasors]))
+        out = bus_load([phasors])
         # independent route: complex multiply-accumulate
         oracle = sum(complex_power(*ph) for ph in phasors)
         assert oracle == pytest.approx(3.0 * math.sqrt(3.0) / 2.0, rel=1e-12)
@@ -99,14 +96,14 @@ class TestComputeBusLoad:
         rng = np.random.default_rng(seed)
         phasors = random_phasors(rng, (10, 3), min_mag=0.1)
         oracle = [sum(complex_power(*ph) for ph in record) for record in phasors]
-        np.testing.assert_allclose(compute_bus_load(table(phasors)), oracle, rtol=1e-12)
+        np.testing.assert_allclose(bus_load(phasors), oracle, rtol=1e-12)
 
     def test_linear_in_currents(self):
         rng = np.random.default_rng(1)
         phasors = random_phasors(rng, 4)
         doubled = phasors * [1.0, 1.0, 2.0, 1.0]
-        p1 = compute_bus_load(table([phasors]))
-        p2 = compute_bus_load(table([doubled]))
+        p1 = bus_load([phasors])
+        p2 = bus_load([doubled])
         np.testing.assert_array_equal(p2, 2.0 * p1)
 
 
@@ -255,10 +252,9 @@ class TestFiles:
     def test_phasor_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
         phasors = random_phasors(rng, (12, 2))
-        written = table(phasors)
         path = tmp_path / "phasors.csv"
-        write_phasor_csv(path, written)
-        np.testing.assert_array_equal(read_phasor_csv(path), compute_bus_load(written))
+        write_phasor_csv(path, phasors)
+        np.testing.assert_array_equal(read_phasor_csv(path), bus_load(phasors))
 
     def test_phasor_rejects_bad_spacing(self, tmp_path):
         path = tmp_path / "bad.csv"

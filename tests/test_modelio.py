@@ -50,10 +50,9 @@ class TestArtifactRoundTrips:
         back = load_artifact(b"".join(dump_gan(tiny_models.l3)))
         assert isinstance(back, CGanModel)
         assert back.conditional
-        a = gan_generate(
-            tiny_models.l3, 2, seed=9, labels=(LoadClass.MAINLY_INDUSTRIAL, Season.FALL)
-        )
-        b = gan_generate(back, 2, seed=9, labels=(LoadClass.MAINLY_INDUSTRIAL, Season.FALL))
+        labels = [(LoadClass.MAINLY_INDUSTRIAL, Season.FALL)] * 2
+        a = gan_generate(tiny_models.l3, 2, seed=9, labels=labels)
+        b = gan_generate(back, 2, seed=9, labels=labels)
         np.testing.assert_array_equal(a, b)
 
     def test_svd(self, tiny_models):
@@ -119,7 +118,7 @@ class TestBundle:
         l3 = ModelBundle.load(path).models.l3
         l3.generator.params[-1] = np.nan  # output-layer bias
         with pytest.raises(DegenerateProfile):
-            gan_generate(l3, 2, seed=1, labels=(LoadClass.MAINLY_RESIDENTIAL, Season.WINTER))
+            gan_generate(l3, 2, seed=1, labels=[(LoadClass.MAINLY_RESIDENTIAL, Season.WINTER)] * 2)
 
     def test_nan_hidden_bias_is_degenerate(self, tiny_models, tmp_path):
         # a NaN before a ReLU reaches the output's finite check; it is not
@@ -217,6 +216,11 @@ BYTE_EDITS = {
         _replace_once(b'"normal(0,0.02)"', b'"normal(0,0.03)"'), "artifact 'l1'"
     ),
     "l1_blob_one_short": (_drop_l1_weight, "artifact 'l1'"),
+    # the output layer's crop made null; its centre 1.0 written "1" and a
+    # space keep the metadata's length
+    "l1_null_crop": (
+        _replace_once(b'2,900],["scaled_tanh",1.0,', b'2,null], ["scaled_tanh",1,'), "artifact 'l1'"
+    ),
 }
 
 

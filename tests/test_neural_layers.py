@@ -6,6 +6,7 @@ import copy
 import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ class TestConvTranspose:
         K = int(rng.integers(1, 5))
         stride = int(rng.integers(1, 4))
         L = int(rng.integers(2, 7))
-        layer = bound(ConvT1d(C, O, K, stride), rng)
+        layer = bound(ConvT1d(C, O, K, stride, (L - 1) * stride + K), rng)
         layer.b[...] = rng.normal(size=O)
         x = rng.normal(size=(B, C, L))
         np.testing.assert_allclose(
@@ -143,6 +144,11 @@ class TestConvTranspose:
         with pytest.raises(ShapeMismatch):
             layer.forward(np.zeros((1, 1, 3)))
 
+    @pytest.mark.parametrize("out_length", [None, 0, -2, 6.0, True, "6"])
+    def test_crop_must_be_a_positive_int(self, out_length):
+        with pytest.raises(ValueError, match=f"^convt1d output length {re.escape(repr(out_length))} is not"):
+            ConvT1d(1, 1, 4, 2, out_length)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_adjoint_identity(self, seed):
         # <Conv(x), y> == <x, ConvT(y)> with the shared kernel, biases zero
@@ -154,7 +160,7 @@ class TestConvTranspose:
         L = K + stride * (n_pos - 1)  # exact fit
         conv = bound(Conv1d(C, O, K, stride), rng)
         conv.b[...] = 0.0
-        convt = bound(ConvT1d(O, C, K, stride), rng)
+        convt = bound(ConvT1d(O, C, K, stride, L), rng)
         convt.w = conv.w.copy()  # same array, reinterpreted (O->C map)
         convt.b = np.zeros(C)
         x = rng.normal(size=(2, C, L))
@@ -222,7 +228,7 @@ class TestGradients:
     def test_convt1d(self, seed):
         rng = np.random.default_rng(20 + seed)
         K, stride = int(rng.integers(1, 4)), int(rng.integers(1, 3))
-        out_length = None if seed % 2 else (3 - 1) * stride + K - 1
+        out_length = (3 - 1) * stride + K - seed % 2
         layer = bound(ConvT1d(2, 2, K, stride, out_length), rng)
         x = rng.normal(size=(2, 2, 3))
         assert finite_difference_check(layer, x) < 1e-4
@@ -468,8 +474,8 @@ class TestFlatBuffer:
         rng = np.random.default_rng(14)
         net = build(spec, rng)
         tensors = [t.copy() for layer in param_layers(net) for t in (layer.w, layer.b)]
-        flat_opt = Adam([net.params], lr=1e-3, beta1=0.5, beta2=0.999)
-        tensor_opt = Adam(tensors, lr=1e-3, beta1=0.5, beta2=0.999)
+        flat_opt = Adam([net.params], lr=1e-3)
+        tensor_opt = Adam(tensors, lr=1e-3)
         for _ in range(3):
             net.grads[...] = rng.normal(size=net.grads.size)
             grads = [g.copy() for layer in param_layers(net) for g in (layer.gw, layer.gb)]
@@ -498,16 +504,16 @@ class TestAdam:
     def test_matches_manual_update(self):
         p = np.array([1.0, -2.0])
         g = np.array([0.5, 0.25])
-        opt = Adam([p], lr=0.1, beta1=0.9, beta2=0.999)
+        opt = Adam([p], lr=0.1)
         opt.step([p], [g])
-        m = 0.1 * g
-        v = 0.001 * g * g
-        want = np.array([1.0, -2.0]) - 0.1 * (m / 0.1) / (np.sqrt(v / 0.001) + 1e-8)
+        m = 0.5 * g  # beta1 = 0.5
+        v = 0.001 * g * g  # beta2 = 0.999
+        want = np.array([1.0, -2.0]) - 0.1 * (m / 0.5) / (np.sqrt(v / 0.001) + 1e-8)
         np.testing.assert_allclose(p, want, rtol=1e-12)
 
     def test_two_steps_state(self):
         p = np.array([0.0])
-        opt = Adam([p], lr=1.0, beta1=0.5, beta2=0.5)
+        opt = Adam([p], lr=1.0)
         opt.step([p], [np.array([1.0])])
         opt.step([p], [np.array([1.0])])
         # both steps should move p by ~lr when gradients are constant
@@ -519,7 +525,7 @@ class WholeArrayAdam(Adam):
 
     def step(self, params, grads):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = optim_module.BETA1, optim_module.BETA2
         correction1 = 1.0 - b1**self.t
         correction2 = 1.0 - b2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
@@ -527,7 +533,7 @@ class WholeArrayAdam(Adam):
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + self.eps)
+            p -= self.lr * (m / correction1) / (np.sqrt(v / correction2) + optim_module.EPS)
 
 
 # buffer sizes around the block boundaries and the level-1 generator's size,
@@ -546,8 +552,8 @@ def test_blocked_adam_matches_whole_array_step_bit_for_bit(size):
     rng = np.random.default_rng(size)
     ours = rng.normal(size=shape)
     theirs = ours.copy()
-    opt = Adam([ours], lr=1e-3, beta1=0.5, beta2=0.999)
-    oracle = WholeArrayAdam([theirs], lr=1e-3, beta1=0.5, beta2=0.999)
+    opt = Adam([ours], lr=1e-3)
+    oracle = WholeArrayAdam([theirs], lr=1e-3)
     special = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300])
     for _ in range(3):
         g = rng.normal(size=shape)
@@ -562,7 +568,7 @@ def test_blocked_adam_matches_whole_array_step_bit_for_bit(size):
 
 def test_adam_refuses_a_non_contiguous_parameter():
     with pytest.raises(ValueError, match="C-contiguous"):
-        Adam([np.zeros((4, 4))[:, 1]])
+        Adam([np.zeros((4, 4))[:, 1]], lr=1e-3)
 
 
 # The layers as they were when each kept its last forward's activations on
@@ -609,17 +615,14 @@ class CachedConvT1d(ConvT1d):
                 "bct,co->bot", x, self.w[:, :, k], optimize=True
             )
         y += self.b[:, None]
-        if self.out_length is not None:
-            y = y[:, :, : self.out_length]
-        return y
+        return y[:, :, : self.out_length]
 
     def backward(self, gy):
         x = self._x
         n_in = x.shape[2]
-        if self.out_length is not None:
-            padded = np.zeros((gy.shape[0], self.out_ch, (n_in - 1) * self.stride + self.k))
-            padded[:, :, : self.out_length] = gy
-            gy = padded
+        padded = np.zeros((gy.shape[0], self.out_ch, (n_in - 1) * self.stride + self.k))
+        padded[:, :, : self.out_length] = gy
+        gy = padded
         gx = np.zeros_like(x)
         for k in range(self.k):
             gy_k = gy[:, :, k : k + self.stride * (n_in - 1) + 1 : self.stride]
@@ -699,7 +702,7 @@ def layer_cases(draw):
     if cls is ConvT1d:
         n_in = draw(dim)
         raw_len = (n_in - 1) * stride + k
-        out_length = draw(st.none() | st.integers(1, raw_len))
+        out_length = draw(st.integers(1, raw_len))
         return cls, (c_in, c_out, k, stride, out_length), (batch, c_in, n_in)
     if cls is Reshape:
         return cls, (c_in, k), (batch, c_in * k)

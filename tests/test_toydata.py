@@ -141,8 +141,8 @@ class TestBlockMeans:
             seasonal_amp=0.15, seasonal_tilt=0.05, daily_amp=0.3,
             daily_ripple=0.03, ar_coeff=0.0, noise_rel_std=0.0, seed=0,
         )
-        blocks = simulate_block_means(cfg, 30.0, 120, start_time_s=5.0 * 86400)
-        full = simulate_ground_truth(cfg, 3600.0, start_time_s=5.0 * 86400)
+        blocks = simulate_block_means(cfg, 30.0, 120)
+        full = simulate_ground_truth(cfg, 3600.0)
         sampled = downsample(full, 900, Metric.MEAN)
         np.testing.assert_allclose(blocks, sampled, rtol=1e-9)
 

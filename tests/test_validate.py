@@ -9,6 +9,7 @@ from loadsynth.errors import (
     SeriesTooShort,
 )
 from loadsynth.validate import (
+    HISTOGRAM_BINS,
     ForecastReport,
     SeamStats,
     ar_forecast_eval,
@@ -72,8 +73,8 @@ class TestWasserstein:
         a = rng.normal(0, 1, 5000)
         b = rng.normal(0.3, 1.2, 5000)
         exact = wasserstein_1d(a, b)
-        hist = wasserstein_histogram(a, b, bins=100)
-        binwidth = (max(a.max(), b.max()) - min(a.min(), b.min())) / 100
+        hist = wasserstein_histogram(a, b)
+        binwidth = (max(a.max(), b.max()) - min(a.min(), b.min())) / HISTOGRAM_BINS
         assert abs(hist - exact) < 2 * binwidth
 
     def test_histogram_identical_degenerate(self):
