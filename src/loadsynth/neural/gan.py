@@ -263,7 +263,7 @@ def train_gan(profiles: ProfileSet, hyper: HyperParams, seed: int) -> GanModel:
             tape = []
             p = disc.forward(d_in, tape)
             loss, grad = _bce_and_grad(p, targets)
-            disc.backward(tape, grad)
+            disc.backward(tape, grad)  # no input gradient: nothing reads it
             opt_d.step([disc.params], [disc.grads])
             return loss
 
@@ -277,7 +277,9 @@ def train_gan(profiles: ProfileSet, hyper: HyperParams, seed: int) -> GanModel:
             p_c = np.clip(p, _P_CLAMP, 1.0 - _P_CLAMP)
             loss = float(-np.mean(np.log(p_c)))
             grad_p = -1.0 / p_c / p.size
-            g_d_in = disc.backward(disc_tape, grad_p)
+            # the discriminator's gradients are not filled: the next disc_step
+            # overwrites every one of them before an Adam step reads them
+            g_d_in = disc.backward(disc_tape, grad_p, param_grads=False, input_grad=True)
             gen.backward(gen_tape, g_d_in[:, 0, :])
             opt_g.step([gen.params], [gen.grads])
             return loss

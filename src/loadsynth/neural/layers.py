@@ -22,6 +22,20 @@ order, as the plain forms they replace:
   axis of size 1 changes its plan, each tap calls that matmul with the
   operands einsum would pass it; only the transposed copies of the
   activations, which einsum makes once per tap, are made once per call.
+
+Memory layout is not part of a layer's result, only its values are.  The
+activations from ``Reshape`` to the last transpose convolution live in
+channel-major memory, a C-contiguous (channels, batch, length) array seen
+through a (batch, channels, length) view.  ``Reshape`` makes that one
+transposing copy; the tap matmuls then take the activations (channels,
+batch*length) as a free view and add their (out channels, batch*length)
+products straight into a channel-major output, and a pointwise layer keeps
+its input's layout.  Each BLAS call gets an operand of the same values and
+memory order as with batch-major activations, since a transposed or
+Fortran-ordered operand can change its bits: ``ConvT1d.backward`` copies
+its (batch*length, channels) operand, of which a channel-major input would
+give a Fortran-ordered view, and the einsum fallback takes a batch-major
+copy of a channel-major input.
 """
 
 from __future__ import annotations
@@ -38,6 +52,8 @@ class Layer:
 
     A parametrised layer lists its (weight, bias) ``shapes``; ``bind`` hands
     it views of the owning network's flat parameter and gradient buffers.
+    Its backward also takes ``param_grads`` and ``input_grad``: with either
+    false it skips filling its gradients or returns None for the input's.
     """
 
     shapes: tuple = ()
@@ -71,12 +87,15 @@ class Dense(Layer):
     def forward(self, x):
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ShapeMismatch(f"dense({self.n_in}->{self.n_out}) got input {x.shape}")
-        return x @ self.w + self.b
+        y = x @ self.w
+        y += self.b
+        return y
 
-    def backward(self, x, gy):
-        self.gw[...] = x.T @ gy
-        self.gb[...] = gy.sum(axis=0)
-        return gy @ self.w.T
+    def backward(self, x, gy, param_grads=True, input_grad=True):
+        if param_grads:
+            self.gw[...] = x.T @ gy
+            self.gb[...] = gy.sum(axis=0)
+        return gy @ self.w.T if input_grad else None
 
     def spec(self):
         return ("dense", self.n_in, self.n_out)
@@ -111,22 +130,34 @@ def _weight_taps(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(2, 0, 1))
 
 
+def _batch_major(x: np.ndarray) -> np.ndarray:
+    """x, or its C-contiguous copy where x is a channel-major view: einsum's
+    plan, and so its bits, depend on the layout of its operands."""
+    if x.flags.c_contiguous or not x.transpose(1, 0, 2).flags.c_contiguous:
+        return x
+    return np.ascontiguousarray(x)
+
+
 def _scatter_taps(g: np.ndarray, w: np.ndarray, stride: int, length: int) -> np.ndarray:
-    # (batch, o, length): tap k maps g (batch, i, t) through w[:, :, k] onto
-    # k + stride * t; a transpose convolution, or a convolution's input gradient
+    # (batch, o, length), a channel-major view: tap k maps g (batch, i, t)
+    # through w[:, :, k] onto k + stride * t, for the positions below length;
+    # a cropped transpose convolution, or a convolution's input gradient
     b, i, n = g.shape
-    out = np.zeros((b, w.shape[1], length))
+    out = np.zeros((w.shape[1], b, length))
     taps = [out[:, :, k : k + stride * (n - 1) + 1 : stride] for k in range(w.shape[2])]
     if _einsum_is_this_matmul(b, i, n):
-        # einsum("bit,io->bot") is (o, i) @ (i, b*t), with its transposed
-        # copy of g made once here rather than once per tap
+        # einsum("bit,io->bot") is (o, i) @ (i, b*t): g's transposed copy,
+        # a free view when g is channel-major, is made once here rather than
+        # once per tap
         g_cols = g.transpose(1, 0, 2).reshape(i, b * n)
         for tap, w_k in zip(taps, _weight_taps(w)):
-            tap += (w_k.T @ g_cols).reshape(-1, b, n).transpose(1, 0, 2)
+            tap += (w_k.T @ g_cols).reshape(-1, b, n)[:, :, : tap.shape[2]]
     else:
+        g = _batch_major(g)
         for k, tap in enumerate(taps):
-            tap += np.einsum("bit,io->bot", g, w[:, :, k], optimize=True)
-    return out
+            y_k = np.einsum("bit,io->bot", g, w[:, :, k], optimize=True)
+            tap += y_k.transpose(1, 0, 2)[:, :, : tap.shape[2]]
+    return out.transpose(1, 0, 2)
 
 
 class Conv1d(Layer):
@@ -144,11 +175,12 @@ class Conv1d(Layer):
         windows = _conv_windows(x, self.k, self.stride)
         return np.einsum("bctk,ock->bot", windows, self.w, optimize=True) + self.b[:, None]
 
-    def backward(self, x, gy):
-        windows = _conv_windows(x, self.k, self.stride)
-        self.gw[...] = np.einsum("bot,bctk->ock", gy, windows, optimize=True)
-        self.gb[...] = gy.sum(axis=(0, 2))
-        return _scatter_taps(gy, self.w, self.stride, x.shape[2])
+    def backward(self, x, gy, param_grads=True, input_grad=True):
+        if param_grads:
+            windows = _conv_windows(x, self.k, self.stride)
+            self.gw[...] = np.einsum("bot,bctk->ock", gy, windows, optimize=True)
+            self.gb[...] = gy.sum(axis=(0, 2))
+        return _scatter_taps(gy, self.w, self.stride, x.shape[2]) if input_grad else None
 
     def spec(self):
         return ("conv1d", self.in_ch, self.out_ch, self.k, self.stride)
@@ -179,32 +211,40 @@ class ConvT1d(Layer):
             raise ShapeMismatch(
                 f"convt1d cannot crop raw length {raw_len} up to {self.out_length}"
             )
-        y = _scatter_taps(x, self.w, self.stride, raw_len)
+        y = _scatter_taps(x, self.w, self.stride, self.out_length)
         y += self.b[:, None]
-        return y[:, :, : self.out_length]
+        return y
 
-    def backward(self, x, gy):
+    def backward(self, x, gy, param_grads=True, input_grad=True):
         b, c, n_in = x.shape
         padded = np.zeros((b, self.out_ch, (n_in - 1) * self.stride + self.k))
         padded[:, :, : self.out_length] = gy
         gy = padded
         taps = [gy[:, :, k : k + self.stride * (n_in - 1) + 1 : self.stride] for k in range(self.k)]
-        gx = np.zeros_like(x)
+        gx = np.zeros_like(x) if input_grad else None
         if _einsum_is_this_matmul(b, c, n_in):
             # the einsums below are (o, b*t) @ (b*t, c) and (c, o) @ (o, b*t):
-            # x's transposed copy is made once, and one copy of each gy_k
-            # serves both (a copy even where a reshape could give a view, as
-            # einsum's is)
-            x_rows = x.transpose(0, 2, 1).reshape(b * n_in, c)
+            # x's transposed copy is made once (a copy also where a reshape
+            # gives a Fortran-ordered view, as of a channel-major x), and one
+            # copy of each gy_k serves both (a copy even where a reshape could
+            # give a view, as einsum's is)
+            if param_grads:
+                x_rows = np.ascontiguousarray(x.transpose(0, 2, 1)).reshape(b * n_in, c)
             for k, (gy_k, w_k) in enumerate(zip(taps, _weight_taps(self.w))):
                 gy_cols = np.ascontiguousarray(gy_k.transpose(1, 0, 2)).reshape(-1, b * n_in)
-                self.gw[:, :, k] = (gy_cols @ x_rows).T
-                gx += (w_k @ gy_cols).reshape(c, b, n_in).transpose(1, 0, 2)
+                if param_grads:
+                    self.gw[:, :, k] = (gy_cols @ x_rows).T
+                if input_grad:
+                    gx += (w_k @ gy_cols).reshape(c, b, n_in).transpose(1, 0, 2)
         else:
+            x = _batch_major(x)
             for k, gy_k in enumerate(taps):
-                self.gw[:, :, k] = np.einsum("bct,bot->co", x, gy_k, optimize=True)
-                gx += np.einsum("bot,co->bct", gy_k, self.w[:, :, k], optimize=True)
-        self.gb[...] = gy.sum(axis=(0, 2))
+                if param_grads:
+                    self.gw[:, :, k] = np.einsum("bct,bot->co", x, gy_k, optimize=True)
+                if input_grad:
+                    gx += np.einsum("bot,co->bct", gy_k, self.w[:, :, k], optimize=True)
+        if param_grads:
+            self.gb[...] = gy.sum(axis=(0, 2))
         return gx
 
     def spec(self):
@@ -280,7 +320,8 @@ class Reshape(Layer):
             raise ShapeMismatch(
                 f"reshape to ({self.channels},{self.length}) got input {x.shape}"
             )
-        return x.reshape(x.shape[0], self.channels, self.length)
+        x = x.reshape(x.shape[0], self.channels, self.length)
+        return np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
 
     def backward(self, x, gy):
         return gy.reshape(x.shape)

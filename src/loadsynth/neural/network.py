@@ -100,8 +100,21 @@ class Network:
             x = layer.forward(x)
         return x
 
-    def backward(self, tape: list, gy: np.ndarray) -> np.ndarray:
-        """Backpropagate over the tape of one forward; fills ``grads``."""
-        for layer, x in zip(reversed(self.layers), reversed(tape), strict=True):
-            gy = layer.backward(x, gy)
+    def backward(
+        self, tape: list, gy: np.ndarray, *, param_grads: bool = True, input_grad: bool = False
+    ) -> np.ndarray | None:
+        """Backpropagate over the tape of one forward.
+
+        Fills ``grads`` when ``param_grads`` (else leaves them as they are)
+        and returns the gradient of the network's input when ``input_grad``
+        (else None).  A skipped gradient is not computed at all.
+        """
+        for i, (layer, x) in reversed(list(enumerate(zip(self.layers, tape, strict=True)))):
+            want_gx = input_grad or i > 0
+            if layer.shapes:
+                gy = layer.backward(x, gy, param_grads, want_gx)
+            elif want_gx:
+                gy = layer.backward(x, gy)
+            else:
+                gy = None
         return gy

@@ -232,6 +232,33 @@ class TestOneTrainer:
             train_gan(unlabelled, HyperParams(epochs=1, batch_size=8), seed=0)
 
 
+@pytest.mark.parametrize("level,batch", [(Level.L1, 8), (Level.L2, 1), (Level.L3, 8)])
+def test_skipped_gradients_change_no_trained_bit(level, batch, monkeypatch):
+    # the trainer asks each backward pass only for the gradients it reads;
+    # computing every gradient every time gives the same model and log
+    if level is Level.L3:
+        dataset = two_cluster_dataset(per_combo=8)
+    else:
+        rows = 1.0 + 0.01 * np.random.default_rng(9).standard_normal((16, LEVEL_SPECS[level].profile_length))
+        dataset = l1_set(rows) if level is Level.L1 else l2_set(rows)
+    hyper = HyperParams(epochs=2, batch_size=batch, noise_dim=5, trace_samples=16)
+    skipping = train_gan(dataset, hyper, seed=4)
+
+    backward = Network.backward
+    asked = []
+
+    def every_gradient(self, tape, gy, *, param_grads=True, input_grad=False):
+        asked.append((self.spec.layers[0][0], param_grads, input_grad))
+        return backward(self, tape, gy, param_grads=True, input_grad=True)
+
+    monkeypatch.setattr(Network, "backward", every_gradient)
+    full = train_gan(dataset, hyper, seed=4)
+    assert skipping.generator.params.tobytes() == full.generator.params.tobytes()
+    assert skipping.log.to_jsonable() == full.log.to_jsonable()
+    # discriminator: parameters only, then the input only; generator: parameters only
+    assert set(asked) == {("conv1d", True, False), ("conv1d", False, True), ("dense", True, False)}
+
+
 @pytest.fixture(scope="module")
 def generate_model(small_l2_dataset):
     hyper = HyperParams(epochs=1, batch_size=8, trace_samples=50)

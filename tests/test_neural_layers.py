@@ -284,7 +284,7 @@ class TestNetwork:
         gy = rng.normal(size=(5, 2))
         tape = []
         net.forward(x, tape)
-        gx = net.backward(tape, gy)
+        gx = net.backward(tape, gy, input_grad=True)
         grads = net.grads.copy()
         assert gx.shape == x.shape
         assert grads.size == (4 * 3 + 3) + (3 * 2 + 2)  # two dense layers, weights + biases
@@ -770,11 +770,186 @@ def test_interleaved_tapes_give_sequential_gradients(name):
     for x, gy in zip(xs, gys):
         tape = []
         net.forward(x, tape)
-        sequential.append((net.backward(tape, gy), net.grads.copy()))
+        sequential.append((net.backward(tape, gy, input_grad=True), net.grads.copy()))
 
     tapes = [[], []]
     for x, tape in zip(xs, tapes):
         net.forward(x, tape)
     for (gx_want, grads_want), tape, gy in zip(sequential, tapes, gys):
-        assert same_bits(net.backward(tape, gy), gx_want)
+        assert same_bits(net.backward(tape, gy, input_grad=True), gx_want)
         assert same_bits(net.grads, grads_want)
+
+
+@pytest.mark.parametrize("name", ["gen-l1-0", "disc-l3-6", "disc-l2-0"])
+def test_backward_skips_only_the_gradients_it_is_told_to(name):
+    spec, row_shape = ALL_SPECS[name]
+    net = build(spec, np.random.default_rng(18))
+    rng = np.random.default_rng(19)
+    x = rng.normal(size=(3, *row_shape))
+    tape = []
+    gy = rng.normal(size=net.forward(x, tape).shape)
+    gx_want = net.backward(tape, gy, input_grad=True)
+    grads_want = net.grads.copy()
+
+    net.grads[...] = np.nan
+    assert same_bits(net.backward(tape, gy, param_grads=False, input_grad=True), gx_want)
+    assert np.isnan(net.grads).all()
+    assert net.backward(tape, gy) is None
+    assert same_bits(net.grads, grads_want)
+
+
+# The transpose convolution and reshape as they were before the activations
+# went channel-major: the oracle for the layouts' bits.
+def batch_major_scatter_taps(g, w, stride, length):
+    b, i, n = g.shape
+    out = np.zeros((b, w.shape[1], length))
+    taps = [out[:, :, k : k + stride * (n - 1) + 1 : stride] for k in range(w.shape[2])]
+    if layers_module._einsum_is_this_matmul(b, i, n):
+        g_cols = g.transpose(1, 0, 2).reshape(i, b * n)
+        for tap, w_k in zip(taps, layers_module._weight_taps(w)):
+            tap += (w_k.T @ g_cols).reshape(-1, b, n).transpose(1, 0, 2)
+    else:
+        for k, tap in enumerate(taps):
+            tap += np.einsum("bit,io->bot", g, w[:, :, k], optimize=True)
+    return out
+
+
+class BatchMajorConvT1d(ConvT1d):
+    def forward(self, x):
+        raw_len = (x.shape[2] - 1) * self.stride + self.k
+        y = batch_major_scatter_taps(x, self.w, self.stride, raw_len)
+        y += self.b[:, None]
+        return y[:, :, : self.out_length]
+
+    def backward(self, x, gy):
+        b, c, n_in = x.shape
+        padded = np.zeros((b, self.out_ch, (n_in - 1) * self.stride + self.k))
+        padded[:, :, : self.out_length] = gy
+        gy = padded
+        taps = [gy[:, :, k : k + self.stride * (n_in - 1) + 1 : self.stride] for k in range(self.k)]
+        gx = np.zeros_like(x)
+        if layers_module._einsum_is_this_matmul(b, c, n_in):
+            x_rows = x.transpose(0, 2, 1).reshape(b * n_in, c)
+            for k, (gy_k, w_k) in enumerate(zip(taps, layers_module._weight_taps(self.w))):
+                gy_cols = np.ascontiguousarray(gy_k.transpose(1, 0, 2)).reshape(-1, b * n_in)
+                self.gw[:, :, k] = (gy_cols @ x_rows).T
+                gx += (w_k @ gy_cols).reshape(c, b, n_in).transpose(1, 0, 2)
+        else:
+            for k, gy_k in enumerate(taps):
+                self.gw[:, :, k] = np.einsum("bct,bot->co", x, gy_k, optimize=True)
+                gx += np.einsum("bot,co->bct", gy_k, self.w[:, :, k], optimize=True)
+        self.gb[...] = gy.sum(axis=(0, 2))
+        return gx
+
+
+class BatchMajorReshape(Reshape):
+    def forward(self, x):
+        return x.reshape(x.shape[0], self.channels, self.length)
+
+
+# the generator's 512-row slice, a full desk batch and small ones
+BATCHES = st.one_of(st.integers(1, 40), st.sampled_from([240, 512]))
+
+
+@st.composite
+def upsampling_stacks(draw):
+    """(batch, reshape (channels, length), two (out channels, k, stride, crop))."""
+    batch = draw(BATCHES)
+    channels = st.integers(1, 6) if batch < 100 else st.integers(1, 3)
+    c_in, length = draw(channels), draw(st.integers(1, 12 if batch < 100 else 5))
+    convs, n = [], length
+    for _ in range(2):
+        k, stride = draw(st.integers(1, 9)), draw(st.integers(1, 3))
+        raw_len = (n - 1) * stride + k
+        crop = draw(st.integers(max(1, raw_len - k), raw_len))
+        convs.append((draw(channels), k, stride, crop))
+        n = crop
+    return batch, (c_in, length), convs
+
+
+def run_stack(stack, x, gy):
+    """Forward, then backward over (Reshape, ConvT1d, ReLU, ConvT1d)."""
+    tape, y = [], x
+    for layer in stack:
+        tape.append(y)
+        y = layer.forward(y)
+    out = y
+    for layer, x_in in zip(reversed(stack), reversed(tape)):
+        gy = layer.backward(x_in, gy)
+    return out, gy
+
+
+@pytest.mark.parametrize("matmul", [True, False], ids=["matmul", "einsum"])
+@settings(max_examples=100, deadline=None)
+@given(case=upsampling_stacks(), seed=st.integers(0, 2**32 - 1))
+def test_channel_major_stack_matches_batch_major_bit_for_bit(matmul, case, seed):
+    batch, (c_in, length), convs = case
+    rng = np.random.default_rng(seed)
+    stacks = []
+    for reshape, convt in ((Reshape, ConvT1d), (BatchMajorReshape, BatchMajorConvT1d)):
+        stack, c = [reshape(c_in, length)], c_in
+        for i, (c_out, k, stride, crop) in enumerate(convs):
+            stack += [convt(c, c_out, k, stride, crop)] + [ReLU()] * (i == 0)
+            c = c_out
+        stacks.append(stack)
+    for layer, twin in zip(*stacks):
+        if layer.shapes:
+            params = rng.normal(0.0, 0.5, layer.size)
+            params[-layer.shapes[1][0]:] = rng.normal(size=layer.shapes[1][0])
+            layer.bind(params, np.zeros_like(params))
+            twin.bind(params, np.zeros_like(params))
+    x = rng.normal(size=(batch, c_in * length)) * (rng.random((batch, c_in * length)) < 0.8)
+    gy = rng.normal(size=(batch, convs[-1][0], convs[-1][3]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(layers_module, "_EINSUM_IS_MATMUL", matmul)
+        got, want = run_stack(stacks[0], x, gy), run_stack(stacks[1], x, gy)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    for layer, twin in zip(*stacks):
+        if layer.shapes:
+            assert same_bits(layer.gw, twin.gw) and same_bits(layer.gb, twin.gb)
+
+
+@pytest.mark.parametrize("matmul", [True, False], ids=["matmul", "einsum"])
+@settings(max_examples=100, deadline=None)
+@given(
+    batch=BATCHES, c_in=st.integers(1, 5), c_out=st.integers(1, 5), k=st.integers(1, 9),
+    stride=st.integers(1, 3), n=st.integers(1, 40), extra=st.integers(0, 4),
+    layout=st.sampled_from(["batch", "channel", "position"]), seed=st.integers(0, 2**32 - 1),
+)
+def test_scatter_taps_matches_batch_major_bit_for_bit(
+    matmul, batch, c_in, c_out, k, stride, n, extra, layout, seed
+):
+    # any crop of the raw length, or the longer input of a convolution's
+    # input gradient, from g in any of the layouts a caller passes; a
+    # channel-major g stands for the batch-major array that was passed before
+    rng = np.random.default_rng(seed)
+    raw_len = (n - 1) * stride + k
+    length = int(rng.integers(1, raw_len + 1)) if extra == 0 else raw_len + extra
+    order = {"batch": (0, 1, 2), "channel": (1, 0, 2), "position": (0, 2, 1)}[layout]
+    shape = (batch, c_in, n)
+    g = rng.normal(size=[shape[a] for a in order]).transpose(np.argsort(order))
+    w = rng.normal(size=(c_in, c_out, k))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(layers_module, "_EINSUM_IS_MATMUL", matmul)
+        got = layers_module._scatter_taps(g, w, stride, length)
+        g_before = np.ascontiguousarray(g) if layout == "channel" else g
+        want = batch_major_scatter_taps(g_before, w, stride, max(length, raw_len))[:, :, :length]
+    assert same_bits(got, want)
+
+
+def test_level_1_generator_forward_peak_memory():
+    # the 240-row slice of a 2 h 30/s request: 33.2 MiB channel-major,
+    # 46.4 MiB when each transpose convolution made its own transposed copy
+    import tracemalloc
+
+    spec = generator_spec(Level.L1, 100)
+    net = build(spec, np.random.default_rng(20))
+    z = np.random.default_rng(21).standard_normal((240, 100))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        net.forward(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * 2**20, f"{peak / 2**20:.1f} MiB"
