@@ -263,7 +263,7 @@ def train_gan(profiles: ProfileSet, hyper: HyperParams, seed: int) -> GanModel:
             tape = []
             p = disc.forward(d_in, tape)
             loss, grad = _bce_and_grad(p, targets)
-            disc.backward(tape, grad)  # no input gradient: nothing reads it
+            disc.backward(tape, grad, input_grad=False)  # nothing reads it
             opt_d.step([disc.params], [disc.grads])
             return loss
 
@@ -279,8 +279,8 @@ def train_gan(profiles: ProfileSet, hyper: HyperParams, seed: int) -> GanModel:
             grad_p = -1.0 / p_c / p.size
             # the discriminator's gradients are not filled: the next disc_step
             # overwrites every one of them before an Adam step reads them
-            g_d_in = disc.backward(disc_tape, grad_p, param_grads=False, input_grad=True)
-            gen.backward(gen_tape, g_d_in[:, 0, :])
+            g_d_in = disc.backward(disc_tape, grad_p, param_grads=False)
+            gen.backward(gen_tape, g_d_in[:, 0, :], input_grad=False)
             opt_g.step([gen.params], [gen.grads])
             return loss
 

@@ -23,19 +23,23 @@ order, as the plain forms they replace:
   operands einsum would pass it; only the transposed copies of the
   activations, which einsum makes once per tap, are made once per call.
 
-Memory layout is not part of a layer's result, only its values are.  The
-activations from ``Reshape`` to the last transpose convolution live in
-channel-major memory, a C-contiguous (channels, batch, length) array seen
-through a (batch, channels, length) view.  ``Reshape`` makes that one
-transposing copy; the tap matmuls then take the activations (channels,
-batch*length) as a free view and add their (out channels, batch*length)
-products straight into a channel-major output, and a pointwise layer keeps
-its input's layout.  Each BLAS call gets an operand of the same values and
-memory order as with batch-major activations, since a transposed or
-Fortran-ordered operand can change its bits: ``ConvT1d.backward`` copies
-its (batch*length, channels) operand, of which a channel-major input would
-give a Fortran-ordered view, and the einsum fallback takes a batch-major
-copy of a channel-major input.
+Memory layout is not part of a layer's result, only its values are.  Where
+the transpose convolutions' taps are matmuls, the activations from
+``Reshape`` to the last transpose convolution live in channel-major memory,
+a C-contiguous (channels, batch, length) array seen through a (batch,
+channels, length) view.  ``Reshape`` makes that one transposing copy; the
+tap matmuls then take the activations (channels, batch*length) as a free
+view and add their (out channels, batch*length) products straight into a
+channel-major output, and a pointwise layer keeps its input's layout.
+Where the taps are einsums (numpy < 2.4, or an axis of size 1), ``Reshape``
+returns its batch-major view and the taps write a batch-major output, so
+that fallback makes no copy the batch-major form does not.  Each BLAS call
+gets an operand of the same values and memory order as with batch-major
+activations, since a transposed or Fortran-ordered operand can change its
+bits: ``ConvT1d.backward`` copies its (batch*length, channels) operand, of
+which a channel-major input would give a Fortran-ordered view, and an
+einsum tap loop that follows a matmul one takes a batch-major copy of its
+channel-major input.
 """
 
 from __future__ import annotations
@@ -139,25 +143,26 @@ def _batch_major(x: np.ndarray) -> np.ndarray:
 
 
 def _scatter_taps(g: np.ndarray, w: np.ndarray, stride: int, length: int) -> np.ndarray:
-    # (batch, o, length), a channel-major view: tap k maps g (batch, i, t)
-    # through w[:, :, k] onto k + stride * t, for the positions below length;
-    # a cropped transpose convolution, or a convolution's input gradient
+    # (batch, o, length): tap k maps g (batch, i, t) through w[:, :, k] onto
+    # k + stride * t, for the positions below length; a cropped transpose
+    # convolution, or a convolution's input gradient.  The tap matmuls
+    # return a channel-major view, the einsum taps a batch-major array.
     b, i, n = g.shape
-    out = np.zeros((w.shape[1], b, length))
+    matmul = _einsum_is_this_matmul(b, i, n)
+    out = np.zeros((w.shape[1], b, length) if matmul else (b, w.shape[1], length))
     taps = [out[:, :, k : k + stride * (n - 1) + 1 : stride] for k in range(w.shape[2])]
-    if _einsum_is_this_matmul(b, i, n):
+    if matmul:
         # einsum("bit,io->bot") is (o, i) @ (i, b*t): g's transposed copy,
         # a free view when g is channel-major, is made once here rather than
         # once per tap
         g_cols = g.transpose(1, 0, 2).reshape(i, b * n)
         for tap, w_k in zip(taps, _weight_taps(w)):
             tap += (w_k.T @ g_cols).reshape(-1, b, n)[:, :, : tap.shape[2]]
-    else:
-        g = _batch_major(g)
-        for k, tap in enumerate(taps):
-            y_k = np.einsum("bit,io->bot", g, w[:, :, k], optimize=True)
-            tap += y_k.transpose(1, 0, 2)[:, :, : tap.shape[2]]
-    return out.transpose(1, 0, 2)
+        return out.transpose(1, 0, 2)
+    g = _batch_major(g)
+    for k, tap in enumerate(taps):
+        tap += np.einsum("bit,io->bot", g, w[:, :, k], optimize=True)[:, :, : tap.shape[2]]
+    return out
 
 
 class Conv1d(Layer):
@@ -321,6 +326,9 @@ class Reshape(Layer):
                 f"reshape to ({self.channels},{self.length}) got input {x.shape}"
             )
         x = x.reshape(x.shape[0], self.channels, self.length)
+        if not _einsum_is_this_matmul(*x.shape):
+            return x
+        # channel-major, for the next transpose convolution's tap matmuls
         return np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
 
     def backward(self, x, gy):

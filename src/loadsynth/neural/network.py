@@ -101,7 +101,7 @@ class Network:
         return x
 
     def backward(
-        self, tape: list, gy: np.ndarray, *, param_grads: bool = True, input_grad: bool = False
+        self, tape: list, gy: np.ndarray, *, param_grads: bool = True, input_grad: bool = True
     ) -> np.ndarray | None:
         """Backpropagate over the tape of one forward.
 

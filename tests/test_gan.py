@@ -247,7 +247,7 @@ def test_skipped_gradients_change_no_trained_bit(level, batch, monkeypatch):
     backward = Network.backward
     asked = []
 
-    def every_gradient(self, tape, gy, *, param_grads=True, input_grad=False):
+    def every_gradient(self, tape, gy, *, param_grads=True, input_grad=True):
         asked.append((self.spec.layers[0][0], param_grads, input_grad))
         return backward(self, tape, gy, param_grads=True, input_grad=True)
 

@@ -284,7 +284,7 @@ class TestNetwork:
         gy = rng.normal(size=(5, 2))
         tape = []
         net.forward(x, tape)
-        gx = net.backward(tape, gy, input_grad=True)
+        gx = net.backward(tape, gy)
         grads = net.grads.copy()
         assert gx.shape == x.shape
         assert grads.size == (4 * 3 + 3) + (3 * 2 + 2)  # two dense layers, weights + biases
@@ -770,13 +770,13 @@ def test_interleaved_tapes_give_sequential_gradients(name):
     for x, gy in zip(xs, gys):
         tape = []
         net.forward(x, tape)
-        sequential.append((net.backward(tape, gy, input_grad=True), net.grads.copy()))
+        sequential.append((net.backward(tape, gy), net.grads.copy()))
 
     tapes = [[], []]
     for x, tape in zip(xs, tapes):
         net.forward(x, tape)
     for (gx_want, grads_want), tape, gy in zip(sequential, tapes, gys):
-        assert same_bits(net.backward(tape, gy, input_grad=True), gx_want)
+        assert same_bits(net.backward(tape, gy), gx_want)
         assert same_bits(net.grads, grads_want)
 
 
@@ -788,13 +788,13 @@ def test_backward_skips_only_the_gradients_it_is_told_to(name):
     x = rng.normal(size=(3, *row_shape))
     tape = []
     gy = rng.normal(size=net.forward(x, tape).shape)
-    gx_want = net.backward(tape, gy, input_grad=True)
+    gx_want = net.backward(tape, gy)
     grads_want = net.grads.copy()
 
     net.grads[...] = np.nan
-    assert same_bits(net.backward(tape, gy, param_grads=False, input_grad=True), gx_want)
+    assert same_bits(net.backward(tape, gy, param_grads=False), gx_want)
     assert np.isnan(net.grads).all()
-    assert net.backward(tape, gy) is None
+    assert net.backward(tape, gy, input_grad=False) is None
     assert same_bits(net.grads, grads_want)
 
 
@@ -937,19 +937,53 @@ def test_scatter_taps_matches_batch_major_bit_for_bit(
     assert same_bits(got, want)
 
 
-def test_level_1_generator_forward_peak_memory():
-    # the 240-row slice of a 2 h 30/s request: 33.2 MiB channel-major,
-    # 46.4 MiB when each transpose convolution made its own transposed copy
+def forward_peak(layers, x):
+    """The traced peak, in bytes, of the layers' forward pass over x."""
     import tracemalloc
 
-    spec = generator_spec(Level.L1, 100)
-    net = build(spec, np.random.default_rng(20))
-    z = np.random.default_rng(21).standard_normal((240, 100))
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        net.forward(z)
-        _, peak = tracemalloc.get_traced_memory()
+        for layer in layers:
+            x = layer.forward(x)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def level_1_generator_and_slice():
+    # the 240-row slice of a 2 h 30/s request
+    net = build(generator_spec(Level.L1, 100), np.random.default_rng(20))
+    return net, np.random.default_rng(21).standard_normal((240, 100))
+
+
+@pytest.mark.skipif(
+    not layers_module._EINSUM_IS_MATMUL, reason="the tap matmuls run where einsum is a matmul"
+)
+def test_level_1_generator_forward_peak_memory():
+    # 33.2 MiB channel-major, 46.4 MiB when each transpose convolution made
+    # its own transposed copy
+    net, z = level_1_generator_and_slice()
+    peak = forward_peak(net.layers, z)
     assert peak <= 36 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_einsum_fallback_forward_peak_is_the_batch_major_one(monkeypatch):
+    # where the taps are einsums the activations stay batch-major, so the
+    # forward peaks no higher than the batch-major layers' (a channel-major
+    # copy and einsum's batch-major copy of it would add a 13.2 MiB array)
+    monkeypatch.setattr(layers_module, "_EINSUM_IS_MATMUL", False)
+    net, z = level_1_generator_and_slice()
+    before = []
+    for layer in net.layers:
+        if isinstance(layer, Reshape):
+            layer = BatchMajorReshape(layer.channels, layer.length)
+        elif isinstance(layer, ConvT1d):
+            twin = BatchMajorConvT1d(
+                layer.in_ch, layer.out_ch, layer.k, layer.stride, layer.out_length
+            )
+            twin.w, twin.b = layer.w, layer.b
+            layer = twin
+        before.append(layer)
+    peak, peak_before = forward_peak(net.layers, z), forward_peak(before, z)
+    assert peak <= peak_before, f"{peak / 2**20:.1f} > {peak_before / 2**20:.1f} MiB"
