@@ -1,7 +1,9 @@
 """Command-line front end: train, generate, validate, simulate, ingest.
 
-Exit codes: 0 success, 2 invalid arguments, 3 missing/incompatible bundle
-or missing/malformed input data, 4 generation failure, 5 training divergence.
+Exit codes: 0 success, 2 invalid arguments or a request that does not fit in
+memory, 3 missing/incompatible bundle or missing/malformed input data,
+4 generation failure, 5 training divergence.  Each is one error family of
+`errors`, and only `main` maps a failure to its code.
 
 Every subcommand takes a JSON configuration file (--config) that may supply
 any of its flags, keyed by the flag's long name (dashes or underscores);
@@ -50,14 +52,10 @@ from .core import (
 )
 from .errors import (
     BundleError,
-    DatasetTooSmall,
     DivergenceDetected,
     InsufficientData,
     LoadSynthError,
-    MissingLabelCoverage,
-    ParseError,
     RequestError,
-    ResolutionTooFine,
 )
 from .ingest import (
     extract_level_datasets,
@@ -123,16 +121,18 @@ def estimate_file_size(request: GenerationRequest) -> int:
     """Estimated CSV size in bytes for the request, within +-15% of actual.
 
     With the effective period a/b s in lowest terms, all but one timestamp
-    in b has a fraction of a second."""
+    in b has a fraction of a second.  The header names load_1..load_n; with d
+    the digits of n, each number has d digits less one per power 10**k
+    (0 < k < d) above it, (n + 1) * d - (10**d - 1) // 9 digits in all."""
     resolution, rows = request.resolution, request.rows
     b = resolution.samples_per_period // math.gcd(
         resolution.samples_per_period, int(resolution.period_s)
     )
-    header = len("timestamp") + sum(
-        len(f",load_{i+1}") for i in range(request.n_loads)
-    ) + 1
+    n = request.n_loads
+    d = len(str(n))
+    header = len("timestamp\n") + n * len(",load_") + (n + 1) * d - (10**d - 1) // 9
     return (
-        rows * (TIMESTAMP_BYTES + request.n_loads * NUMERIC_BYTES)
+        rows * (TIMESTAMP_BYTES + n * NUMERIC_BYTES)
         + rows * FRACTION_BYTES * (b - 1) // b
         + header
     )
@@ -355,6 +355,8 @@ def _check_output_tree(path) -> None:
 
 
 def cmd_train(args) -> int:
+    if args.toy_years > MAX_YEARS:
+        raise RequestError(f"--toy-years {args.toy_years} is longer than the {MAX_YEARS} years of one series")
     _check_output_dir(args.output)
     if args.save_data:
         _check_output_tree(args.save_data)
@@ -400,10 +402,7 @@ def cmd_train(args) -> int:
     seam = learn_seam_filter(datasets.l3.samples)
     epochs = {Level.L1: args.l1_epochs, Level.L2: args.l2_epochs, Level.L3: args.l3_epochs}
     for level in epochs:  # the trainer's own data rules, before any training
-        try:
-            check_trainable(datasets.of(level), args.batch_size)
-        except (DatasetTooSmall, MissingLabelCoverage, ValueError) as exc:
-            raise InsufficientData(f"cannot train level {level.value[-1]}: {exc}") from exc
+        check_trainable(datasets.of(level), args.batch_size)
     gans = {}
     for level, n_epochs in epochs.items():
         profiles = datasets.of(level)
@@ -597,8 +596,6 @@ def cmd_simulate(args) -> int:
             times = np.arange(values.size) / PMU_RATE_HZ
     except ValueError as exc:
         raise RequestError(f"simulate: {exc}") from exc
-    except MemoryError:
-        raise RequestError(f"simulate: --duration {args.duration} does not fit in memory") from None
     with _writing(args.output):
         write_series_csv(args.output, times, values[None, :])
     print(f"wrote {values.size} samples to {args.output}", file=sys.stderr)
@@ -775,11 +772,7 @@ def _apply_config(argv, subparsers) -> list:
 
 # the exit code of each error family (see the module docstring); any other
 # LoadSynthError is a generation failure, 4
-_EXIT_CODES = {
-    ParseError: 2, ResolutionTooFine: 2, RequestError: 2,
-    BundleError: 3, InsufficientData: 3,
-    DivergenceDetected: 5,
-}
+_EXIT_CODES = {RequestError: 2, BundleError: 3, InsufficientData: 3, DivergenceDetected: 5}
 
 
 def main(argv=None) -> int:
@@ -796,8 +789,11 @@ def main(argv=None) -> int:
             setattr(args, action.dest, None)
     try:
         return args.func(args)
+    except MemoryError:  # numpy's, for an array larger than memory
+        print(f"error: {args.command}: the request does not fit in memory", file=sys.stderr)
+        return 2
     except LoadSynthError as exc:  # the exit code of its family, one line
-        code = next((_EXIT_CODES[kind] for kind in type(exc).__mro__ if kind in _EXIT_CODES), 4)
+        code = _EXIT_CODES.get(type(exc), 4)
         message = str(exc) if code != 4 else f"generation failed in {type(exc).__name__}: {exc}"
         print(f"error: {message}", file=sys.stderr)
         return code

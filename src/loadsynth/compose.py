@@ -54,12 +54,7 @@ from .core import (
     season_of_week,
     sub_seed,
 )
-from .errors import (
-    DegenerateProfile,
-    InsufficientData,
-    RequestError,
-    SeamTooCloseToEdge,
-)
+from .errors import DegenerateProfile, InsufficientData, RequestError
 from .neural.gan import GanModel, gan_generate
 from .svdgen import SvdModel, svd_generate
 
@@ -116,9 +111,7 @@ def apply_seam_filter(series, seam_indices, filt: SeamFilter) -> np.ndarray:
     out = series.copy()
     for j in sorted(seam_indices):
         if j - 3 < 0 or j + 4 > series.size - 1:
-            raise SeamTooCloseToEdge(
-                f"seam at {j} lacks two in-range neighbours on both sides"
-            )
+            raise ValueError(f"seam at {j} lacks two in-range neighbours on both sides")
         for i in range(j - 1, j + 3):
             out[i] = float(np.dot(filt.beta, series[i - 2 : i + 3]))
     return out
@@ -137,14 +130,7 @@ def scale_to_parent(children, parent_values) -> np.ndarray:
     return children * (parent_values / means)[:, None]
 
 
-_HOUR_POSITIONS = (-2, -1, 0, 1, 2)
-
-
-def add_hour_trend(
-    hour_samples,
-    hourly_context,
-    positions=_HOUR_POSITIONS,
-) -> np.ndarray:
+def add_hour_trend(hour_samples, hourly_context, positions) -> np.ndarray:
     """Add to each hour the degree-4 interpolant through its five hourly values.
 
     ``hour_samples`` is (n, 120), ``hourly_context`` (n, 5) and

@@ -28,12 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    InvalidFactor,
-    ParseError,
-    ResolutionTooFine,
-)
+from .errors import RequestError
 
 PMU_RATE_HZ = 30.0
 
@@ -199,13 +194,13 @@ class Resolution:
 
     def __post_init__(self):
         if self.samples_per_period < 1:
-            raise ParseError("samples_per_period must be a positive integer")
+            raise RequestError("samples_per_period must be a positive integer")
         if self.period_s <= 0:
-            raise ParseError("period_s must be positive")
+            raise RequestError("period_s must be positive")
         # PMU ceiling: compare via integers where the grammar produced them,
         # with a small relative slack for float periods.
         if self.effective_period_s < LEVEL_SPECS[Level.L1].sampling_period_s * (1.0 - 1e-9):
-            raise ResolutionTooFine(
+            raise RequestError(
                 f"{self.samples_per_period} samples per {self.period_s} s is finer "
                 "than the 30 samples/s measurement ceiling"
             )
@@ -232,24 +227,24 @@ def parse_resolution(text: str) -> Resolution:
     per 600 s; "30/s" is the 30 samples/s ceiling.
     """
     if not isinstance(text, str):
-        raise ParseError(f"resolution must be a string, got {type(text).__name__}")
+        raise RequestError(f"resolution must be a string, got {type(text).__name__}")
     m = _RESOLUTION_RE.fullmatch(text)
     if m is None:
-        raise ParseError(f"malformed resolution {text!r}; expected e.g. '1/10min'")
+        raise RequestError(f"malformed resolution {text!r}; expected e.g. '1/10min'")
     count = int(m.group(1))
     n = int(m.group(2)) if m.group(2) else 1
     if count == 0 or n == 0:
-        raise ParseError(f"counts in {text!r} must be positive")
+        raise RequestError(f"counts in {text!r} must be positive")
     period = n * _UNIT_SECONDS[m.group(3)]
     # Exact integer form of the ceiling check: need period/count >= 1/30.
     if period * 30 < count:
-        raise ResolutionTooFine(
+        raise RequestError(
             f"{text!r} asks for a period of {period}/{count} s, finer than 1/30 s"
         )
     try:  # the period, or the count it is divided by, past the largest float
         return Resolution(samples_per_period=count, period_s=float(period))
     except OverflowError:
-        raise ParseError(
+        raise RequestError(
             f"resolution {text!r} is too large (not a finite number of seconds)"
         ) from None
 
@@ -261,12 +256,12 @@ def parse_duration(text: str) -> float:
     value must be positive and finite in seconds."""
     m = _DURATION_RE.fullmatch(text)
     if m is None:
-        raise ParseError(f"malformed duration {text!r}; expected e.g. '1d' or '2.5h'")
+        raise RequestError(f"malformed duration {text!r}; expected e.g. '1d' or '2.5h'")
     value = float(m.group(1)) * _UNIT_SECONDS[m.group(2)]
     if value <= 0:
-        raise ParseError(f"duration {text!r} must be positive")
+        raise RequestError(f"duration {text!r} must be positive")
     if not math.isfinite(value):
-        raise ParseError(f"duration {text!r} is too large (not a finite number of seconds)")
+        raise RequestError(f"duration {text!r} is too large (not a finite number of seconds)")
     return value
 
 
@@ -276,7 +271,7 @@ def truncate_to_multiple(samples: np.ndarray, factor: int) -> np.ndarray:
     Truncation, not padding: padding would fabricate data.
     """
     if factor <= 0:
-        raise InvalidFactor(f"factor must be a positive integer, got {factor}")
+        raise ValueError(f"factor must be a positive integer, got {factor}")
     samples = np.asarray(samples, dtype=np.float64)
     n = samples.size - samples.size % factor
     return samples[:n]
@@ -288,15 +283,13 @@ def downsample(samples: Sequence[float], factor: int, metric: Metric) -> np.ndar
     The input length must already be a multiple of ``factor``; use
     truncate_to_multiple first.
     """
-    if factor == 0:
-        raise InvalidFactor("downsampling factor must be >= 1")
-    if factor < 0:
-        raise InvalidFactor(f"downsampling factor must be positive, got {factor}")
+    if factor < 1:
+        raise ValueError(f"downsampling factor must be positive, got {factor}")
     arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
-        raise EmptyInput("cannot downsample an empty sequence")
+        raise ValueError("cannot downsample an empty sequence")
     if arr.size % factor != 0:
-        raise InvalidFactor(
+        raise ValueError(
             f"length {arr.size} is not a multiple of factor {factor}; "
             "truncate the remainder first"
         )

@@ -1,91 +1,41 @@
 """Exception types shared across the package.
 
-Everything derives from LoadSynthError so callers can catch the whole
-family; the CLI maps subfamilies onto exit codes.
+Each error family is one exit code of the command line (`cli.main` maps
+them): RequestError 2, InsufficientData and BundleError 3,
+DivergenceDetected 5, and any other LoadSynthError, a generation failure, 4.
+DegenerateProfile and ShapeMismatch are such failures, kept apart because
+the command line prints the class name.  Misuse of the library, an argument
+no command-line input can produce, raises ValueError.
 """
 
 
 class LoadSynthError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package: a generation failure."""
 
 
-class DegenerateProfile(LoadSynthError):
-    """Profile mean is too small (or negative) to normalize or rescale."""
-
-
-class EmptyInput(LoadSynthError):
-    """An operation received an empty sample sequence."""
-
-
-class InvalidFactor(LoadSynthError):
-    """Downsampling factor is zero or otherwise unusable."""
-
-
-class ParseError(LoadSynthError):
-    """Text does not match the resolution/duration grammar."""
-
-
-class ResolutionTooFine(LoadSynthError):
-    """Requested effective sampling period is below the 1/30 s ceiling."""
+class RequestError(LoadSynthError):
+    """The request or its arguments are invalid: a malformed or too-fine
+    resolution or duration, or a request that breaks one of its invariants."""
 
 
 class InsufficientData(LoadSynthError):
-    """Input data is missing, malformed, or too short to extract or fit something."""
+    """Input data is missing, malformed, or too short to extract or train something."""
 
 
-class MissingChannel(InsufficientData):
-    """A phasor record lacks the voltage/current pair for some line."""
-
-
-class WindowTooShort(LoadSynthError):
-    """Detrending window does not cover the required five hours."""
-
-
-class ShapeMismatch(LoadSynthError):
-    """Tensor shapes are incompatible with the layer configuration."""
-
-
-class DatasetTooSmall(LoadSynthError):
-    """Training dataset smaller than the minimum for the configuration."""
+class BundleError(LoadSynthError):
+    """Model bundle is missing, incomplete, or from another format version."""
 
 
 class DivergenceDetected(LoadSynthError):
     """GAN losses became non-finite even after the bounded retry."""
 
 
-class MissingLabelCoverage(LoadSynthError):
-    """Conditional training data misses some (load class, season) combos."""
-
-    def __init__(self, missing):
-        self.missing = list(missing)
-        super().__init__(
-            "label combinations with too few examples: "
-            + ", ".join(str(m) for m in self.missing)
-        )
+class DegenerateProfile(LoadSynthError):
+    """Profile mean is too small (or negative) to rescale, or samples are non-finite."""
 
 
-class LabelRequired(LoadSynthError):
-    """Conditional model invoked without conditioning labels."""
-
-
-class SeamTooCloseToEdge(LoadSynthError):
-    """Seam filtering needs two in-range neighbours on both sides."""
-
-
-class NoSeams(LoadSynthError):
-    """Seam statistics requested over an empty seam set."""
-
-
-class SeriesTooShort(LoadSynthError):
-    """Forecast series shorter than the autoregression needs."""
-
-
-class RequestError(LoadSynthError):
-    """GenerationRequest violates one of its invariants."""
-
-
-class BundleError(LoadSynthError):
-    """Model bundle is missing, incomplete, or from another format version."""
+class ShapeMismatch(LoadSynthError):
+    """Tensor shapes are incompatible with the layer configuration."""
 
 
 class RankDeficientWarning(UserWarning):

@@ -50,7 +50,7 @@ from .core import (
     season_of_week,
     truncate_to_multiple,
 )
-from .errors import InsufficientData, MissingChannel, WindowTooShort
+from .errors import InsufficientData
 
 DETREND_WINDOW = 5 * LEVEL_SPECS[Level.L2].profile_length  # five hours of 30-second means
 DETREND_CENTER = slice(2 * DETREND_WINDOW // 5, 3 * DETREND_WINDOW // 5)  # the middle hour
@@ -96,12 +96,8 @@ def detrend_hour(window: Sequence[float]) -> tuple[np.ndarray, tuple[float, ...]
     of the removed polynomial, lowest order first).
     """
     arr = np.asarray(window, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < DETREND_WINDOW:
-        raise WindowTooShort(
-            f"detrend window needs {DETREND_WINDOW} samples, got {arr.size}"
-        )
-    if arr.size != DETREND_WINDOW:
-        raise ValueError(f"detrend window must be exactly {DETREND_WINDOW} samples")
+    if arr.shape != (DETREND_WINDOW,):
+        raise ValueError(f"detrend window must be {DETREND_WINDOW} samples, got shape {arr.shape}")
     coeffs = _BASIS_PINV @ arr
     resid = arr[DETREND_CENTER] - _BASIS[DETREND_CENTER] @ coeffs
     resid = resid - resid.mean()
@@ -181,15 +177,13 @@ def _evenly_spaced(indices: np.ndarray, max_count: Optional[int]) -> np.ndarray:
 
 
 def extract_l2_profiles(
-    halfmin_means: np.ndarray,
-    load_class: LoadClass,
-    max_profiles: Optional[int] = None,
+    halfmin_means: np.ndarray, load_class: LoadClass, max_profiles: Optional[int]
 ) -> tuple[ProfileSet, int]:
     """Detrended hour-long profiles from a series of 30-second means, and the
     number of hours left out for a non-finite value in their detrending window.
 
     Only hours with a full +-2 h context are used; when ``max_profiles``
-    is given the eligible hours are thinned evenly across the span.
+    is not None the eligible hours are thinned evenly across the span.
     """
     hour = LEVEL_SPECS[Level.L2].profile_length
     n_hours = halfmin_means.size // hour
@@ -216,8 +210,8 @@ def extract_l2_profiles(
 def extract_levels_from_block_means(
     halfmin_means: np.ndarray,
     load_class: LoadClass,
-    start_time_s: float = 0.0,
-    max_l2_profiles: Optional[int] = None,
+    start_time_s: float,
+    max_l2_profiles: Optional[int],
 ) -> LevelDatasets:
     """Levels 2-4 from 30-second means (level 1 needs the full 30 Hz data)."""
     ds = LevelDatasets()
@@ -265,10 +259,10 @@ def extract_levels_from_block_means(
 
 def extract_level_datasets(
     load_series: Sequence[float],
-    start_time_s: float = 0.0,
-    load_class: LoadClass = LoadClass.MAINLY_RESIDENTIAL,
-    max_l1_profiles: Optional[int] = None,
-    max_l2_profiles: Optional[int] = None,
+    start_time_s: float,
+    load_class: LoadClass,
+    max_l1_profiles: Optional[int],
+    max_l2_profiles: Optional[int],
 ) -> LevelDatasets:
     """All four datasets from a contiguous 30 Hz load series.
 
@@ -419,7 +413,7 @@ def _records_bus_load(rows: np.ndarray, path, start: int, carry: _RecordCarry) -
     missing = np.argwhere(grid < 0)
     if missing.size:
         k, j = missing[0]
-        raise MissingChannel(f"{path}: record at t={t[first[k]]} lacks phasors for line {carry.line_ids[j]!r}")
+        raise InsufficientData(f"{path}: record at t={t[first[k]]} lacks phasors for line {carry.line_ids[j]!r}")
     carry.last_t, carry.last_path = t[first[-1]], path
     return compute_bus_load(*(rows[name][grid] for name in _PHASOR_FIELDS))
 
@@ -433,8 +427,8 @@ def read_phasor_csv(paths) -> np.ndarray:
     timestamps must step at nominally 30 Hz (each step within +-10%), also
     from the last record of one file to the first of the next.  The first
     record fixes the line set: extra lines in later records are ignored, a
-    record lacking one of its lines raises MissingChannel, and within a
-    record the last row of a line wins.  Any other defect raises
+    record lacking one of its lines raises InsufficientData naming it, and
+    within a record the last row of a line wins.  Any other defect raises
     InsufficientData naming the file and line.
 
     The whole records of each chunk of read_csv_chunks are reduced to bus

@@ -40,13 +40,7 @@ from ..core import (
     Season,
     noise_rows,
 )
-from ..errors import (
-    DatasetTooSmall,
-    DegenerateProfile,
-    DivergenceDetected,
-    LabelRequired,
-    MissingLabelCoverage,
-)
+from ..errors import DegenerateProfile, DivergenceDetected, InsufficientData
 from ..validate import wasserstein_1d, wasserstein_histogram
 from .network import Network, NetworkSpec, init_params
 from .optim import LEARNING_RATE, Adam
@@ -73,9 +67,9 @@ def encode_labels(labels: Sequence[tuple[LoadClass, Season]]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HyperParams:
-    epochs: int = 40
-    batch_size: int = 32
-    noise_dim: int = 100
+    epochs: int
+    batch_size: int
+    noise_dim: int
     trace_samples: int = 500
 
 
@@ -196,25 +190,24 @@ _ACTIVATION_FILL = 0.95  # scaled excursions reach 95% of the tanh range
 
 
 def check_trainable(profiles: ProfileSet, batch: int) -> None:
-    """Raise unless ``train_gan`` can train on ``profiles`` in batches of ``batch``.
+    """Raise InsufficientData unless ``train_gan`` can train on ``profiles``
+    in batches of ``batch``.
 
-    At CONDITIONED_LEVEL a row lacking its class or season is a ValueError
-    and a label combo without a full batch is MissingLabelCoverage; then,
-    at every level, too few rows to fill the two batches of a step is
-    DatasetTooSmall.
+    At CONDITIONED_LEVEL every row needs its class and season, and every
+    label combo a full batch; then, at every level, the rows must fill the
+    two batches of a step.
     """
+    prefix = f"cannot train level {profiles.level.value[-1]}: "
     if profiles.level is CONDITIONED_LEVEL:
         labels = list(zip(profiles.load_class, profiles.season))
         if any(cls is None or season is None for cls, season in labels):
-            raise ValueError("every profile needs a (load class, season) label")
+            raise InsufficientData(prefix + "every profile needs a (load class, season) label")
         counts = Counter(labels)
-        missing = [combo for combo in LABEL_VOCAB if counts[combo] < batch]
+        missing = [f"({c.value}, {s.value}): {counts[c, s]} examples" for c, s in LABEL_VOCAB if counts[c, s] < batch]
         if missing:
-            raise MissingLabelCoverage(
-                [f"({c.value}, {s.value}): {counts[(c, s)]} examples" for c, s in missing]
-            )
+            raise InsufficientData(f"{prefix}label combinations with too few examples: {', '.join(missing)}")
     if len(profiles) < 2 * batch:
-        raise DatasetTooSmall(f"{len(profiles)} profiles < 2 batches of {batch}")
+        raise InsufficientData(f"{prefix}{len(profiles)} profiles < 2 batches of {batch}")
 
 
 def train_gan(profiles: ProfileSet, hyper: HyperParams, seed: int) -> GanModel:
@@ -355,7 +348,7 @@ def gan_generate(
     """
     if model.conditional:
         if labels is None:
-            raise LabelRequired("conditional generation needs (load class, season) labels")
+            raise ValueError("conditional generation needs (load class, season) labels")
         if len(labels) != count:
             raise ValueError(f"need {count} labels, got {len(labels)}")
     elif labels is not None:

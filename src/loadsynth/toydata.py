@@ -550,9 +550,9 @@ def simulate_block_means(config: ToyLoadConfig, block_s: float, n_blocks: int) -
 
 def desk_level_datasets(
     configs: list[ToyLoadConfig],
-    n_years: int = 2,
-    l1_windows_per_load: int = 200,
-    l2_profiles_per_load: int = 250,
+    n_years: int,
+    l1_windows_per_load: int,
+    l2_profiles_per_load: int,
 ):
     """Training datasets for a fleet of simulated loads, at desk scale.
 
@@ -581,10 +581,8 @@ def desk_level_datasets(
     return ingest.LevelDatasets.concatenate(parts)
 
 
-def default_desk_configs(
-    n_residential: int = 6, n_industrial: int = 6, seed: int = 2024
-) -> list[ToyLoadConfig]:
-    """The default desk-scale fleet: 12 loads of varied size, half per class."""
+def default_desk_configs(n_residential: int, n_industrial: int, seed: int) -> list[ToyLoadConfig]:
+    """A desk-scale fleet of loads of varied size, residential loads first."""
     rng = np.random.default_rng((seed, 0xD5))
     configs = []
     for i in range(n_residential):

@@ -15,12 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import SECONDS_PER_WEEK
-from .errors import (
-    EmptyInput,
-    InsufficientData,
-    NoSeams,
-    SeriesTooShort,
-)
+from .errors import InsufficientData
 
 
 def wasserstein_1d(a, b) -> float:
@@ -31,7 +26,7 @@ def wasserstein_1d(a, b) -> float:
     a = np.sort(np.asarray(a, dtype=np.float64).ravel())
     b = np.sort(np.asarray(b, dtype=np.float64).ravel())
     if a.size == 0 or b.size == 0:
-        raise EmptyInput("wasserstein_1d needs non-empty sample sets")
+        raise ValueError("wasserstein_1d needs non-empty sample sets")
     values = np.sort(np.concatenate([a, b]))
     deltas = np.diff(values)
     cdf_a = np.searchsorted(a, values[:-1], side="right") / a.size
@@ -52,7 +47,7 @@ def wasserstein_histogram(a, b) -> float:
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.size == 0 or b.size == 0:
-        raise EmptyInput("wasserstein_histogram needs non-empty sample sets")
+        raise ValueError("wasserstein_histogram needs non-empty sample sets")
     lo = min(a.min(), b.min())
     hi = max(a.max(), b.max())
     if hi == lo:
@@ -75,7 +70,7 @@ def psd(profiles, sampling_period_s: float) -> tuple[np.ndarray, np.ndarray]:
     """
     profiles = np.asarray(profiles, dtype=np.float64)
     if profiles.size == 0:
-        raise EmptyInput("psd needs at least one profile")
+        raise ValueError("psd needs at least one profile")
     n = profiles.shape[1]
     fs = 1.0 / sampling_period_s
     freqs = np.fft.rfftfreq(n, d=sampling_period_s)
@@ -111,7 +106,7 @@ def seam_stats(series, seam_indices) -> SeamStats:
     series = np.asarray(series, dtype=np.float64)
     idx = np.sort(np.asarray(sorted(seam_indices), dtype=np.int64))
     if idx.size == 0:
-        raise NoSeams("no seam indices given")
+        raise ValueError("no seam indices given")
     if idx[0] < 0 or idx[-1] + 1 >= series.size:
         raise IndexError("seam index out of range")
     x0 = series[idx]
@@ -161,9 +156,7 @@ def ar_forecast_eval(
     for s in train:
         s = np.asarray(s, dtype=np.float64)
         if s.size <= lags + 1:
-            raise SeriesTooShort(
-                f"training series of length {s.size} cannot support {lags} lags"
-            )
+            raise ValueError(f"training series of length {s.size} cannot support {lags} lags")
         x, y = _ar_design(s, lags)
         xs.append(x)
         ys.append(y)
@@ -177,9 +170,7 @@ def ar_forecast_eval(
     for s in test:
         s = np.asarray(s, dtype=np.float64)
         if s.size <= lags + 1:
-            raise SeriesTooShort(
-                f"test series of length {s.size} cannot support {lags} lags"
-            )
+            raise ValueError(f"test series of length {s.size} cannot support {lags} lags")
         x, target = _ar_design(s, lags)
         pred = np.hstack([x, np.ones((x.shape[0], 1))]) @ w
         denom = np.maximum(np.abs(target), 1e-12)

@@ -34,7 +34,7 @@ def year_rows(datasets, load_class):
 @pytest.fixture(scope="session")
 def tiny_models(tiny_datasets):
     ds = tiny_datasets
-    hyper = HyperParams(epochs=2, batch_size=8, trace_samples=100)
+    hyper = HyperParams(epochs=2, batch_size=8, noise_dim=100, trace_samples=100)
     return ModelSet(
         l1=train_gan(ds.l1, hyper, seed=1),
         l2=train_gan(ds.l2, hyper, seed=2),

@@ -36,7 +36,7 @@ from loadsynth.cli import (
 )
 from loadsynth.compose import GenerationRequest
 from loadsynth.core import Level, parse_duration, parse_resolution
-from loadsynth.errors import DegenerateProfile, InsufficientData, ParseError, ResolutionTooFine
+from loadsynth.errors import DegenerateProfile, InsufficientData, RequestError
 from loadsynth.ingest import (
     DATASET_HEADER,
     PHASOR_HEADER,
@@ -77,12 +77,12 @@ class TestParseDuration:
 
     @pytest.mark.parametrize("text", ["", "1", "d", "1 d", "-1d", "1.5.2h", "1mo", "0s"])
     def test_rejects(self, text):
-        with pytest.raises(ParseError):
+        with pytest.raises(RequestError):
             parse_duration(text)
 
     @pytest.mark.parametrize("unit", ["s", "yr"])
     def test_rejects_a_count_too_large_for_a_float(self, unit):
-        with pytest.raises(ParseError, match="too large"):
+        with pytest.raises(RequestError, match="too large"):
             parse_duration("9" * 400 + unit)
         # 300 digits are still a finite number of seconds
         assert parse_duration("9" * 300 + "s") == float("9" * 300)
@@ -197,10 +197,10 @@ class TestGrammars:
     def test_resolution_is_the_exact_period(self, drawn):
         text, count, n, unit_s = drawn
         if count == 0 or n == 0:
-            with pytest.raises(ParseError, match="must be positive"):
+            with pytest.raises(RequestError, match="must be positive"):
                 parse_resolution(text)
         elif n * unit_s * 30 < count:
-            with pytest.raises(ResolutionTooFine):
+            with pytest.raises(RequestError, match="finer than"):
                 parse_resolution(text)
         else:
             r = parse_resolution(text)
@@ -211,7 +211,7 @@ class TestGrammars:
     def test_duration_is_count_times_unit(self, drawn):
         text, count, unit_s = drawn
         if float(count) == 0:
-            with pytest.raises(ParseError, match="must be positive"):
+            with pytest.raises(RequestError, match="must be positive"):
                 parse_duration(text)
         else:
             assert parse_duration(text) == float(count) * unit_s
@@ -224,7 +224,7 @@ class TestGrammars:
             ("--length", parse_duration, duration_texts()),
         ]))
         text = data.draw(mutated(texts))
-        with pytest.raises(ParseError):
+        with pytest.raises(RequestError, match="malformed"):
             parse(text)
         argv = {"--resolution": "1/h", "--length": "1d", flag: text}
         err = io.StringIO()
@@ -247,6 +247,14 @@ class TestEstimate:
         one = GenerationRequest(1, 0, parse_resolution("1/h"), 86_400.0)
         two = GenerationRequest(1, 1, parse_resolution("1/h"), 86_400.0)
         assert estimate_file_size(two) - estimate_file_size(one) == 24 * 10 + len(",load_2")
+
+    def test_header_is_the_sum_over_the_load_columns(self):
+        # one row (one week at 1/wk): a 20-byte timestamp, 10 bytes a load, then the header
+        header = np.cumsum([len(f",load_{i}") for i in range(1, 10**6 + 1)]) + len("timestamp\n")
+        random = np.random.default_rng(25).integers(10**4, 10**6, 200, endpoint=True)
+        for n in [*range(1, 10**4 + 1), *random.tolist()]:
+            request = GenerationRequest(n, 0, parse_resolution("1/wk"), WEEK_S)
+            assert estimate_file_size(request) == 20 + 10 * n + header[n - 1], n
 
 
 # weights of one artifact each, to be made non-finite in a bundle
@@ -333,6 +341,18 @@ class TestGenerate:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "resolution,line",
+        [
+            ("1/0s", "counts in '1/0s' must be positive"),
+            ("31/s", "'31/s' asks for a period of 1/31 s, finer than 1/30 s"),
+        ],
+    )
+    def test_bad_resolution_exits_2_with_its_line(self, resolution, line, capsys):
+        argv = ["generate", "--residential", "1", "--resolution", resolution, "--length", "1d", "--estimate-only"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {line}\n"
 
     def test_explicit_season_too_long_exits_2(self, bundle_path):
         code = main(
@@ -664,6 +684,27 @@ class TestTrainCli:
         assert errors == ["error: level l1 training went non-finite twice (last lr 0.0001)"]
         assert sorted(os.listdir(tmp_path)) == ["data"]
 
+    @pytest.mark.parametrize(
+        "drop,batch,line",
+        [
+            # 26 weeks per label, one (residential, winter) week dropped
+            (1, "26", "level 3: label combinations with too few examples: (residential, winter): 25 examples"),
+            (0, "41", "level 1: 80 profiles < 2 batches of 41"),
+        ],
+        ids=["label_coverage", "batches"],
+    )
+    def test_untrainable_dataset_exits_3_with_its_line(self, drop, batch, line, tiny_datasets, tmp_path, capsys):
+        write_level_datasets(tiny_datasets, tmp_path / "data")
+        path = tmp_path / "data" / "level3.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        winter = sorted({ln.split(",")[0] for ln in lines[1:] if ",residential,winter," in ln})[:drop]
+        path.write_text("".join(ln for ln in lines if ln.split(",")[0] not in winter))
+        code = main(["train", "--data", str(tmp_path / "data"), "--batch-size", batch,
+                     "--output", str(tmp_path / "b.lsb")])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: cannot train {line}"
+        assert not (tmp_path / "b.lsb").exists()
+
     def test_missing_data_dir_exits_3(self, tmp_path):
         code = main(
             ["train", "--data", str(tmp_path / "nodata"), "--output", str(tmp_path / "b.lsb")]
@@ -942,6 +983,8 @@ def test_defective_phasor_csv_exits_3(defect, tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert all(word in err for word in words), err
+    if defect == "missing_channel":
+        assert err == f"error: {path}: record at t=0.03333333333333333 lacks phasors for line 'line1'\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -1401,8 +1444,42 @@ def test_simulator_out_of_memory_exits_2(extra, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "simulate_block_means", out_of_memory)
     out = tmp_path / "sim.csv"
     assert main(["simulate", "--duration", "53yr", *extra, "--output", str(out)]) == 2
-    assert capsys.readouterr().err == "error: simulate: --duration 53yr does not fit in memory\n"
+    assert capsys.readouterr().err == "error: simulate: the request does not fit in memory\n"
     assert not out.exists()
+
+
+# more bytes than any 64-bit machine maps (2**57), yet under numpy's 2**63
+# limit: the allocation fails whatever the overcommit setting
+OUT_OF_MEMORY = {
+    # 10**12 loads x 53 years of 8736 hours: 3.7e18 bytes of output
+    "generate": ["--residential", "1000000000000", "--resolution", "1/h", "--length", "53yr"],
+    # (10**15 x 128) level-1 generator weights: 1.0e18 bytes
+    "train": ["--toy-loads", "2", "--l1-windows", "16", "--l2-profiles", "16", "--batch-size", "8",
+              "--noise-dim", "1000000000000000"],
+}
+
+
+@pytest.mark.parametrize("command", OUT_OF_MEMORY)
+def test_request_larger_than_memory_exits_2(command, bundle_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    bundle = ["--bundle", str(bundle_path)] if command == "generate" else []
+    assert main([command, *bundle, *OUT_OF_MEMORY[command], "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: {command}: the request does not fit in memory"
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_past_the_year_cap_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the simulator ran")
+
+    monkeypatch.setattr(cli, "default_desk_configs", unreachable)
+    monkeypatch.setattr(cli, "desk_level_datasets", unreachable)
+    out = tmp_path / "b.lsb"
+    assert main(["train", "--toy-years", "54", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --toy-years 54 is longer than the 53 years of one series\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_header_only_series_csv_has_no_rows(tmp_path):

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from loadsynth.core import LEVEL_SPECS, Level, LoadClass, ProfileRowError, ProfileSet, Season
-from loadsynth.errors import (
-    DatasetTooSmall,
-    DivergenceDetected,
-    LabelRequired,
-    MissingLabelCoverage,
-)
+from loadsynth.errors import DivergenceDetected, InsufficientData
 from loadsynth.neural import gan
 from loadsynth.neural.gan import (
     CONDITIONED_LEVEL,
@@ -48,20 +43,20 @@ def small_l2_dataset():
 
 class TestTrainGan:
     def test_deterministic_weights(self, small_l2_dataset):
-        hyper = HyperParams(epochs=2, batch_size=8, trace_samples=50)
+        hyper = HyperParams(epochs=2, batch_size=8, noise_dim=100, trace_samples=50)
         a = train_gan(small_l2_dataset, hyper, seed=42)
         b = train_gan(small_l2_dataset, hyper, seed=42)
         np.testing.assert_array_equal(a.generator.params, b.generator.params)
         assert a.log.to_jsonable() == b.log.to_jsonable()
 
     def test_different_seed_differs(self, small_l2_dataset):
-        hyper = HyperParams(epochs=1, batch_size=8, trace_samples=50)
+        hyper = HyperParams(epochs=1, batch_size=8, noise_dim=100, trace_samples=50)
         a = train_gan(small_l2_dataset, hyper, seed=1)
         b = train_gan(small_l2_dataset, hyper, seed=2)
         assert not np.array_equal(a.generator.params, b.generator.params)
 
     def test_two_disc_updates_per_gen_update(self, small_l2_dataset):
-        hyper = HyperParams(epochs=3, batch_size=8, trace_samples=50)
+        hyper = HyperParams(epochs=3, batch_size=8, noise_dim=100, trace_samples=50)
         model = train_gan(small_l2_dataset, hyper, seed=3)
         assert model.log.disc_updates == 2 * model.log.gen_updates
         assert model.log.gen_updates == 3 * (64 // 8 // 2)
@@ -80,7 +75,7 @@ class TestTrainGan:
 
         monkeypatch.setattr(gan, "TrainingLog", RecordedLog)
         monkeypatch.setattr(Adam, "step", nan_step)
-        hyper = HyperParams(epochs=3, batch_size=8, trace_samples=50)
+        hyper = HyperParams(epochs=3, batch_size=8, noise_dim=100, trace_samples=50)
         with pytest.raises(DivergenceDetected, match=r"^level l2 training went non-finite twice \(last lr 0.0001\)$"):
             train_gan(small_l2_dataset, hyper, seed=4)
         (log,) = logs
@@ -92,8 +87,8 @@ class TestTrainGan:
 
     def test_dataset_too_small(self):
         dataset = l2_set([np.random.default_rng(0).standard_normal(120)] * 10)
-        with pytest.raises(DatasetTooSmall):
-            train_gan(dataset, HyperParams(epochs=1, batch_size=8), seed=0)
+        with pytest.raises(InsufficientData, match="^cannot train level 2: 10 profiles < 2 batches of 8$"):
+            train_gan(dataset, HyperParams(epochs=1, batch_size=8, noise_dim=100), seed=0)
 
     def test_wrong_normalization_rejected(self):
         # mean-one rows cannot form the level-2 set that train_gan takes
@@ -107,14 +102,14 @@ class TestTrainGan:
     def test_constant_dataset_stays_near_target(self):
         # identical mean-one profiles: generated output should hug 1.0
         dataset = l1_set(np.ones((32, 900)))
-        hyper = HyperParams(epochs=4, batch_size=8, trace_samples=32)
+        hyper = HyperParams(epochs=4, batch_size=8, noise_dim=100, trace_samples=32)
         model = train_gan(dataset, hyper, seed=7)
         out = gan_generate(model, 500, seed=1)
         deviation = np.abs(out - 1.0).mean()
         assert deviation < 0.05
 
     def test_training_log_has_both_trace_estimates(self, small_l2_dataset):
-        hyper = HyperParams(epochs=2, batch_size=8, trace_samples=50)
+        hyper = HyperParams(epochs=2, batch_size=8, noise_dim=100, trace_samples=50)
         model = train_gan(small_l2_dataset, hyper, seed=4)
         assert len(model.log.epochs) == 2
         for entry in model.log.epochs:
@@ -153,17 +148,17 @@ def two_cluster_dataset(per_combo=8, leave_out=None):
 class TestTrainCGan:
     def test_missing_label_coverage(self):
         dataset = two_cluster_dataset(per_combo=8, leave_out=(LoadClass.MAINLY_INDUSTRIAL, Season.FALL))
-        with pytest.raises(MissingLabelCoverage, match="industrial"):
-            train_gan(dataset, HyperParams(epochs=1, batch_size=8), seed=0)
+        with pytest.raises(InsufficientData, match=r"^cannot train level 3: .*\(industrial, fall\): 0 examples$"):
+            train_gan(dataset, HyperParams(epochs=1, batch_size=8, noise_dim=100), seed=0)
 
     def test_labels_from_profiles_when_omitted(self):
         dataset = two_cluster_dataset(per_combo=8)
-        model = train_gan(dataset, HyperParams(epochs=1, batch_size=8, trace_samples=16), seed=0)
+        model = train_gan(dataset, HyperParams(epochs=1, batch_size=8, noise_dim=100, trace_samples=16), seed=0)
         assert model.conditional
 
     def test_conditioning_separates_classes(self):
         dataset = two_cluster_dataset(per_combo=8)
-        hyper = HyperParams(epochs=150, batch_size=8, trace_samples=32)
+        hyper = HyperParams(epochs=150, batch_size=8, noise_dim=100, trace_samples=32)
         model = train_gan(dataset, hyper, seed=5)
         res = gan_generate(model, 64, seed=1, labels=[(LoadClass.MAINLY_RESIDENTIAL, Season.WINTER)] * 64)
         ind = gan_generate(model, 64, seed=2, labels=[(LoadClass.MAINLY_INDUSTRIAL, Season.WINTER)] * 64)
@@ -174,7 +169,7 @@ class TestTrainCGan:
 
     def test_seed_reproducibility(self):
         dataset = two_cluster_dataset(per_combo=8)
-        hyper = HyperParams(epochs=1, batch_size=8, trace_samples=16)
+        hyper = HyperParams(epochs=1, batch_size=8, noise_dim=100, trace_samples=16)
         a = train_gan(dataset, hyper, seed=9)
         b = train_gan(dataset, hyper, seed=9)
         np.testing.assert_array_equal(a.generator.params, b.generator.params)
@@ -219,17 +214,17 @@ class TestOneTrainer:
     def test_label_rules_come_before_the_batch_count(self):
         # 8 profiles fill no two batches of 8, but the missing combos are named first
         dataset = two_cluster_dataset(per_combo=1)
-        with pytest.raises(MissingLabelCoverage, match="1 examples"):
+        with pytest.raises(InsufficientData, match="1 examples"):
             check_trainable(dataset, 8)
-        with pytest.raises(DatasetTooSmall, match="8 profiles < 2 batches of 8"):
+        with pytest.raises(InsufficientData, match="^cannot train level 2: 8 profiles < 2 batches of 8$"):
             check_trainable(l2_set(np.random.default_rng(0).standard_normal((8, 120))), 8)
 
     def test_unlabelled_level_3_row_is_refused(self):
         dataset = two_cluster_dataset(per_combo=8)
         seasons = (None,) + dataset.season[1:]
         unlabelled = ProfileSet(Level.L3, dataset.samples, dataset.load_class, seasons)
-        with pytest.raises(ValueError, match="every profile needs a"):
-            train_gan(unlabelled, HyperParams(epochs=1, batch_size=8), seed=0)
+        with pytest.raises(InsufficientData, match="^cannot train level 3: every profile needs a"):
+            train_gan(unlabelled, HyperParams(epochs=1, batch_size=8, noise_dim=100), seed=0)
 
 
 @pytest.mark.parametrize("level,batch", [(Level.L1, 8), (Level.L2, 1), (Level.L3, 8)])
@@ -261,7 +256,7 @@ def test_skipped_gradients_change_no_trained_bit(level, batch, monkeypatch):
 
 @pytest.fixture(scope="module")
 def generate_model(small_l2_dataset):
-    hyper = HyperParams(epochs=1, batch_size=8, trace_samples=50)
+    hyper = HyperParams(epochs=1, batch_size=8, noise_dim=100, trace_samples=50)
     return train_gan(small_l2_dataset, hyper, seed=11)
 
 
@@ -278,7 +273,7 @@ def held_arrays(networks):
 
 def test_layers_keep_no_activations(small_l2_dataset, built_networks):
     # both networks after the forward and backward passes of training
-    model = train_gan(small_l2_dataset, HyperParams(epochs=1, batch_size=8), seed=12)
+    model = train_gan(small_l2_dataset, HyperParams(epochs=1, batch_size=8, noise_dim=100), seed=12)
     generator, discriminator = built_networks
     assert generator is model.generator
     assert discriminator.spec == discriminator_spec(Level.L2)
@@ -319,8 +314,8 @@ class TestGenerate:
 
     def test_conditional_requires_labels(self):
         dataset = two_cluster_dataset(per_combo=8)
-        model = train_gan(dataset, HyperParams(epochs=1, batch_size=8, trace_samples=16), seed=0)
-        with pytest.raises(LabelRequired):
+        model = train_gan(dataset, HyperParams(epochs=1, batch_size=8, noise_dim=100, trace_samples=16), seed=0)
+        with pytest.raises(ValueError, match="needs \\(load class, season\\) labels"):
             gan_generate(model, 2, seed=0)
         out = gan_generate(model, 3, seed=0, labels=[(LoadClass.MAINLY_INDUSTRIAL, Season.SUMMER)] * 3)
         assert out.shape == (3, 168)

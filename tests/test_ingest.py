@@ -23,7 +23,7 @@ from loadsynth.core import (
     season_of_week,
 )
 from loadsynth import ingest
-from loadsynth.errors import InsufficientData, MissingChannel, WindowTooShort
+from loadsynth.errors import InsufficientData
 from loadsynth.ingest import (
     DATASET_HEADER,
     DETREND_CENTER,
@@ -152,7 +152,7 @@ class TestDetrendHour:
         np.testing.assert_allclose(a, b, atol=1e-8)
 
     def test_window_too_short(self):
-        with pytest.raises(WindowTooShort):
+        with pytest.raises(ValueError, match="must be 600 samples"):
             detrend_hour(np.ones(599))
 
     def test_window_too_long_is_a_bug(self):
@@ -163,7 +163,7 @@ class TestDetrendHour:
 class TestExtraction:
     def test_constant_week_block_means(self):
         m30 = np.full(20_160, 3.0)  # one week of 30-second means
-        ds = extract_levels_from_block_means(m30, LoadClass.MAINLY_RESIDENTIAL)
+        ds = extract_levels_from_block_means(m30, LoadClass.MAINLY_RESIDENTIAL, 0.0, None)
         assert len(ds.l3) == 1
         np.testing.assert_allclose(ds.l3.samples[0], 1.0, atol=1e-12)
         assert ds.l3.season[0] is Season.WINTER
@@ -172,7 +172,7 @@ class TestExtraction:
 
     def test_constant_30hz_five_hours(self):
         series = np.full(5 * 3600 * 30, 2.0)
-        ds = extract_level_datasets(series, load_class=LoadClass.MAINLY_INDUSTRIAL)
+        ds = extract_level_datasets(series, 0.0, LoadClass.MAINLY_INDUSTRIAL, None, None)
         assert len(ds.l1) == 600
         np.testing.assert_allclose(ds.l1.samples[0], 1.0, atol=1e-12)
         assert len(ds.l2) == 1  # only hour 2 has the full context
@@ -180,7 +180,7 @@ class TestExtraction:
 
     def test_ninety_minutes_only_l1(self):
         series = np.full(90 * 60 * 30, 2.0)
-        ds = extract_level_datasets(series)
+        ds = extract_level_datasets(series, 0.0, LoadClass.MAINLY_RESIDENTIAL, None, None)
         assert len(ds.l1) == 180
         assert not ds.l2 and Level.L2 in ds.issues
         assert Level.L3 in ds.issues and Level.L4 in ds.issues
@@ -188,7 +188,7 @@ class TestExtraction:
     def test_two_years_gives_two_l4_profiles(self):
         cfg = ToyLoadConfig.residential(seed=31)
         m30 = simulate_block_means(cfg, 30.0, 2 * 52 * 20_160)
-        ds = extract_levels_from_block_means(m30, cfg.load_class, max_l2_profiles=20)
+        ds = extract_levels_from_block_means(m30, cfg.load_class, 0.0, 20)
         assert ds.l4.samples.shape == (2, 52)
         assert len(ds.l3) == 104
         assert abs(ds.l4.samples[0].mean() - 1.0) < 1e-9
@@ -196,7 +196,7 @@ class TestExtraction:
     def test_l3_l4_bookkeeping_consistency(self):
         cfg = ToyLoadConfig.industrial(seed=32)
         m30 = simulate_block_means(cfg, 30.0, 52 * 20_160)
-        ds = extract_levels_from_block_means(m30, cfg.load_class, max_l2_profiles=5)
+        ds = extract_levels_from_block_means(m30, cfg.load_class, 0.0, 5)
         hourly = downsample(m30[: 52 * 20_160], 120, Metric.MEAN)
         weekly = downsample(hourly, 168, Metric.MEAN)
         # the mean divided out of week w equals the raw weekly mean
@@ -207,7 +207,7 @@ class TestExtraction:
     def test_season_tags_follow_week_map(self):
         cfg = ToyLoadConfig.residential(seed=33)
         m30 = simulate_block_means(cfg, 30.0, 52 * 20_160)
-        ds = extract_levels_from_block_means(m30, cfg.load_class, max_l2_profiles=1)
+        ds = extract_levels_from_block_means(m30, cfg.load_class, 0.0, 1)
         seasons = ds.l3.season
         assert seasons[0] is Season.WINTER
         assert seasons[15] is Season.SPRING
@@ -224,26 +224,28 @@ class TestExtraction:
     def test_l2_skips_an_hour_whose_window_holds_a_non_finite_value(self):
         series = np.full(6 * 3600 * 30, 2.0)
         series[3 * 3600 * 30] = np.nan  # inside the windows of hours 2 and 3, the eligible ones
-        ds = extract_level_datasets(series)
+        ds = extract_level_datasets(series, 0.0, LoadClass.MAINLY_RESIDENTIAL, None, None)
         assert (len(ds.l1), len(ds.l2)) == (719, 0)
         assert ds.skipped == {Level.L1: 1, Level.L2: 2}
         assert Level.L2 not in ds.issues  # the hours were there: not a shortage
         series[3 * 3600 * 30] = np.inf
         series[-1] = np.nan  # hour 5: no hour's window reaches it
-        assert extract_level_datasets(series).skipped == {Level.L1: 2, Level.L2: 2}
+        ds = extract_level_datasets(series, 0.0, LoadClass.MAINLY_RESIDENTIAL, None, None)
+        assert ds.skipped == {Level.L1: 2, Level.L2: 2}
 
     def test_windows_left_out_are_no_shortage(self):
-        ds = extract_level_datasets(np.full(6 * 3600 * 30, -2.0))  # net export throughout
+        export = np.full(6 * 3600 * 30, -2.0)  # net export throughout
+        ds = extract_level_datasets(export, 0.0, LoadClass.MAINLY_RESIDENTIAL, None, None)
         assert (len(ds.l1), len(ds.l2)) == (0, 0)
         assert ds.skipped == {Level.L1: 720}  # level-2 hours of negative mean are degenerate
         assert Level.L1 not in ds.issues and Level.L2 not in ds.issues
 
     def test_zero_caps_keep_no_profiles_and_say_so(self):
-        ds = extract_level_datasets(np.full(6 * 3600 * 30, 2.0), max_l1_profiles=0, max_l2_profiles=0)
+        ds = extract_level_datasets(np.full(6 * 3600 * 30, 2.0), 0.0, LoadClass.MAINLY_RESIDENTIAL, 0, 0)
         assert (len(ds.l1), len(ds.l2)) == (0, 0)
         assert ds.issues[Level.L1].endswith("the cap of 0 kept none of the 720 windows")
         assert ds.issues[Level.L2].endswith("the cap of 0 kept none of the 2 hours with the +-2 h context")
-        short = extract_level_datasets(np.full(899, 2.0), max_l1_profiles=0, max_l2_profiles=0)
+        short = extract_level_datasets(np.full(899, 2.0), 0.0, LoadClass.MAINLY_RESIDENTIAL, 0, 0)
         assert short.issues[Level.L1] == "level 1 needs at least 900 samples at 30 Hz; got 899"
         assert short.issues[Level.L2].startswith("level 2 needs at least 5 full hours of data for")
 
@@ -271,7 +273,7 @@ class TestFiles:
             PHASOR_HEADER + "\n0.0,line0,1,0,1,0\n0.0,line1,1,0,1,0\n"
             "0.03333333333333333,line1,1,0,1,0\n"
         )
-        with pytest.raises(MissingChannel, match="line0"):
+        with pytest.raises(InsufficientData, match="lacks phasors for line 'line0'"):
             read_phasor_csv(path)
 
     def test_phasor_record_rules(self, tmp_path):
@@ -300,10 +302,9 @@ class TestFiles:
     def test_level_dataset_round_trip(self, tmp_path):
         cfg = ToyLoadConfig.residential(seed=41)
         m30 = simulate_block_means(cfg, 30.0, 52 * 20_160)
-        ds = extract_levels_from_block_means(m30, cfg.load_class, max_l2_profiles=4)
+        ds = extract_levels_from_block_means(m30, cfg.load_class, 0.0, 4)
         full = extract_level_datasets(
-            np.abs(np.random.default_rng(4).normal(5.0, 0.1, 4 * 900)),
-            load_class=cfg.load_class,
+            np.abs(np.random.default_rng(4).normal(5.0, 0.1, 4 * 900)), 0.0, cfg.load_class, None, None
         )
         ds.l1 = full.l1
         ds.issues.pop(Level.L1, None)
@@ -345,9 +346,9 @@ class TestFiles:
 
 def LevelDatasetsFactory():
     series = np.full(5 * 3600 * 30, 2.0)
-    ds = extract_level_datasets(series)
+    ds = extract_level_datasets(series, 0.0, LoadClass.MAINLY_RESIDENTIAL, None, None)
     m30 = np.full(52 * 20_160, 3.0)
-    rest = extract_levels_from_block_means(m30, LoadClass.MAINLY_RESIDENTIAL, max_l2_profiles=3)
+    rest = extract_levels_from_block_means(m30, LoadClass.MAINLY_RESIDENTIAL, 0.0, 3)
     ds.l3, ds.l4 = rest.l3, rest.l4
     return ds
 
@@ -401,14 +402,14 @@ class TestWindowsAsOneArray:
     def test_l1_equals_mean_one_profile_of_each_window(self, seed):
         windows = self.windows(seed, 13)
         series = np.concatenate([windows.ravel(), np.ones(450)])  # a half window left over
-        got = extract_level_datasets(series, load_class=LoadClass.MAINLY_INDUSTRIAL)
+        got = extract_level_datasets(series, 0.0, LoadClass.MAINLY_INDUSTRIAL, None, None)
         want, _ = oracle_mean_one_profiles(windows, LoadClass.MAINLY_INDUSTRIAL)
         assert_same_profiles(got.l1, want)
         assert not got.skipped
 
     def test_l1_thinned_by_max_l1(self):
         windows = self.windows(7, 20)
-        got = extract_level_datasets(windows.ravel(), max_l1_profiles=6)
+        got = extract_level_datasets(windows.ravel(), 0.0, LoadClass.MAINLY_RESIDENTIAL, 6, None)
         picks = _evenly_spaced(np.arange(20), 6)
         want, _ = oracle_mean_one_profiles(windows, LoadClass.MAINLY_RESIDENTIAL, picks=picks)
         assert len(want) == 6
@@ -418,7 +419,7 @@ class TestWindowsAsOneArray:
     def test_l1_drops_a_degenerate_window(self, max_l1):
         windows = self.windows(8, 12)
         windows[[4, 6]] = 0.0  # mean 0: degenerate; window 6 is also one of the 5 picked
-        got = extract_level_datasets(windows.ravel(), max_l1_profiles=max_l1)
+        got = extract_level_datasets(windows.ravel(), 0.0, LoadClass.MAINLY_RESIDENTIAL, max_l1, None)
         picks = None if max_l1 is None else _evenly_spaced(np.arange(12), max_l1)
         want, _ = oracle_mean_one_profiles(windows, LoadClass.MAINLY_RESIDENTIAL, picks=picks)
         assert len(want) < (12 if picks is None else picks.size)
@@ -430,20 +431,20 @@ class TestWindowsAsOneArray:
         windows = self.windows(9, 8)
         windows[2, 17] = bad  # net export, or a bad reading
         windows[6, 0] = bad
-        got = extract_level_datasets(windows.ravel())
+        got = extract_level_datasets(windows.ravel(), 0.0, LoadClass.MAINLY_RESIDENTIAL, None, None)
         want, skipped = oracle_mean_one_profiles(windows, LoadClass.MAINLY_RESIDENTIAL)
         assert skipped == 2 and len(want) == 6
         assert_same_profiles(got.l1, want)
         assert got.skipped == {Level.L1: 2}
         # a thinned run counts only the windows it picks
-        assert extract_level_datasets(windows.ravel(), max_l1_profiles=1).skipped == {}
+        assert extract_level_datasets(windows.ravel(), 0.0, LoadClass.MAINLY_RESIDENTIAL, 1, None).skipped == {}
 
     def test_l3_l4_equal_mean_one_profile_of_each_week_and_year(self):
         cfg = ToyLoadConfig.residential(seed=34)
         m30 = simulate_block_means(cfg, 30.0, 2 * 52 * 20_160 + 20_160)
         m30[3 * 20_160 : 4 * 20_160] = 0.0  # a degenerate week
         m30[60 * 20_160 : 61 * 20_160] *= -1.0  # a week, and so its year, of net export
-        got = extract_levels_from_block_means(m30, cfg.load_class, 5 * 604_800.0, max_l2_profiles=1)
+        got = extract_levels_from_block_means(m30, cfg.load_class, 5 * 604_800.0, 1)
         hourly = downsample(m30, 120, Metric.MEAN)
         weeks = hourly.reshape(-1, 168)
         seasons = [season_of_week(5 + w) for w in range(len(weeks))]
@@ -555,7 +556,8 @@ def test_dataset_writer_writes_the_bytes_of_one_row_at_a_time(tmp_path_factory, 
 
 def test_dataset_writer_matches_on_extracted_datasets(tmp_path):
     ds = LevelDatasetsFactory()
-    ds.l1 = extract_level_datasets(np.random.default_rng(3).lognormal(0, 0.5, 3 * 900)).l1
+    series = np.random.default_rng(3).lognormal(0, 0.5, 3 * 900)
+    ds.l1 = extract_level_datasets(series, 0.0, LoadClass.MAINLY_RESIDENTIAL, None, None).l1
     write_level_datasets(ds, tmp_path / "got")
     oracle_write_level_datasets(ds, tmp_path / "want")
     for name in [*_LEVEL_FILES.values(), _META_FILE]:

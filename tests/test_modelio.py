@@ -436,13 +436,13 @@ from loadsynth.compose import ModelSet, SeamFilter
 from loadsynth.core import Level, LoadClass
 from loadsynth.modelio import ModelBundle
 from loadsynth.neural.gan import (
-    CONDITIONED_LEVEL, LABEL_DIM, CGanModel, GanModel, HyperParams, TrainingLog, generator_spec,
+    CONDITIONED_LEVEL, LABEL_DIM, CGanModel, GanModel, TrainingLog, generator_spec,
 )
 from loadsynth.neural.network import Network, init_params
 from loadsynth.svdgen import SvdModel
 
 rng = np.random.default_rng(7)
-noise_dim = HyperParams().noise_dim
+noise_dim = 100  # the CLI default
 
 def gan(level):
     conditioned = level is CONDITIONED_LEVEL

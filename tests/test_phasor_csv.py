@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from loadsynth import ingest
 from loadsynth.cli import main
-from loadsynth.errors import InsufficientData, MissingChannel
+from loadsynth.errors import InsufficientData
 from loadsynth.ingest import PHASOR_HEADER, read_phasor_csv
 
 _NOMINAL_STEP = 1.0 / 30.0
@@ -53,7 +53,7 @@ def oracle_bus_load(records: Sequence[PhasorRecord]) -> np.ndarray:
         for lid in line_ids:
             ph = rec.lines.get(lid)
             if ph is None:
-                raise MissingChannel(
+                raise InsufficientData(
                     f"record at t={rec.timestamp_s} lacks phasors for line {lid!r}"
                 )
             p += ph.v_mag * ph.i_mag * math.cos(ph.v_ang - ph.i_ang)
@@ -103,7 +103,7 @@ def oracle_read_phasor_csv(path) -> list[PhasorRecord]:
 def oracle_outcome(path):
     try:
         return oracle_bus_load(oracle_read_phasor_csv(path))
-    except MissingChannel:
+    except InsufficientData:
         return "missing channel"
     except ValueError:
         return "malformed"
@@ -112,10 +112,8 @@ def oracle_outcome(path):
 def chunked_outcome(path):
     try:
         return read_phasor_csv(path)
-    except MissingChannel:
-        return "missing channel"
-    except InsufficientData:
-        return "malformed"
+    except InsufficientData as exc:
+        return "missing channel" if "lacks phasors for line" in str(exc) else "malformed"
 
 
 # ----------------------------------------------------------------------
