@@ -12,8 +12,8 @@ be (a string as it is, any other value as its JSON text), a switch such as
 --estimate-only takes a boolean, and --phasors takes a list of paths.
 The LOADSYNTH_BUNDLE environment variable supplies the default --bundle.
 
-Timestamps are nominal, starting 2021-01-01T00:00:00 (a non-leap year
-whose January 1st anchors the winter start of auto-yearly generation).
+The phasor, series and dataset CSV formats are `ingest`'s: this module
+reads and writes those files only through it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import json
 import math
 import os
 import sys
-from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -58,11 +57,13 @@ from .errors import (
     RequestError,
 )
 from .ingest import (
+    estimate_file_size,
     extract_level_datasets,
     read_30hz_series,
     read_level_datasets,
     read_phasor_csv,
     write_level_datasets,
+    write_series_csv,
 )
 from .modelio import ModelBundle
 from .neural.gan import (
@@ -88,14 +89,6 @@ from .validate import (
     wasserstein_1d,
 )
 
-EPOCH_START = datetime(2021, 1, 1, 0, 0, 0)
-
-# file-size estimate constants (documented): one ISO timestamp plus its
-# delimiter, its `.ffffff` when the offset has a fraction of a second, and
-# one numeric cell (6 significant digits) plus delimiter
-TIMESTAMP_BYTES = 20
-FRACTION_BYTES = 7
-NUMERIC_BYTES = 10
 
 def _domain(parse, low, high, rule: str):
     """A flag's `type=`: `parse(text)` if in [low, high] (never NaN), else an error."""
@@ -115,199 +108,6 @@ non_negative_int = _domain(int, 0, math.inf, "zero or more")
 positive_int = _domain(int, 1, math.inf, "positive")
 week_index = _domain(int, 0, LEVEL_SPECS[Level.L4].profile_length - 1, "a week from 0 to 51")
 finite_positive_float = _domain(float, math.ulp(0.0), sys.float_info.max, "finite and above zero")
-
-
-def estimate_file_size(request: GenerationRequest) -> int:
-    """Estimated CSV size in bytes for the request, within +-15% of actual.
-
-    With the effective period a/b s in lowest terms, all but one timestamp
-    in b has a fraction of a second.  The header names load_1..load_n; with d
-    the digits of n, each number has d digits less one per power 10**k
-    (0 < k < d) above it, (n + 1) * d - (10**d - 1) // 9 digits in all."""
-    resolution, rows = request.resolution, request.rows
-    b = resolution.samples_per_period // math.gcd(
-        resolution.samples_per_period, int(resolution.period_s)
-    )
-    n = request.n_loads
-    d = len(str(n))
-    header = len("timestamp\n") + n * len(",load_") + (n + 1) * d - (10**d - 1) // 9
-    return (
-        rows * (TIMESTAMP_BYTES + n * NUMERIC_BYTES)
-        + rows * FRACTION_BYTES * (b - 1) // b
-        + header
-    )
-
-
-# rows formatted per write: bounds the writer's memory whatever the duration
-CSV_BLOCK_ROWS = 65_536
-_US_PER_DAY = 86_400_000_000
-
-# A series CSV row as fixed-width byte fields (see `write_series_csv`): the
-# timestamp, then per load a sign column and a 16-byte value field of 6
-# integer digits, a point and 9 fraction digits.
-_STAMP = b"0000-00-00T00:00:00.000000,"
-_VALUE = b"-000000.000000000"
-_DIGITS2 = np.array([b"%02d" % i for i in range(100)], dtype="S2")
-_DIGITS3 = np.array([b"%03d" % i for i in range(1000)], dtype="S3")
-_TRAILING_ZEROS3 = np.array([3] + [len(s) - len(s.rstrip(b"0")) for s in _DIGITS3[1:].tolist()])
-# `%.6g` prints |x| in [1e-4, 1e6) in fixed notation.  Its decade e (10**e <=
-# |x| < 10**(e+1)) is `searchsorted(_DECADE_EDGES, |x|, "right") - 5`: each
-# edge is a power of ten or the float just above it, so the search is exact.
-# The per-decade tables are indexed by the search; 0 and 11 are outside.
-_DECADE_EDGES = 10.0 ** np.arange(-4, 7)
-_DECADE = np.arange(-5, 7)
-_FIXED_DECADE = (_DECADE >= -4) & (_DECADE <= 5)
-_TO_SIX_DIGITS = np.where(_FIXED_DECADE, 10.0 ** (5 - _DECADE), 1.0)  # exact powers
-_TO_BILLIONTHS = np.where(_FIXED_DECADE, 10 ** np.clip(_DECADE + 4, 0, 9), 0)
-
-
-def _keep_field_table() -> np.ndarray:
-    """Which of a value field's 16 columns are printed, as `V16` rows.
-
-    Row 6 * (e + 4) + t: a fixed-notation value of decade e whose six
-    digits end in t zeros, from its leading digit (or the 0 of `0.`)
-    through its last non-zero fraction digit, the point only before one.
-    Row 60 + n: the first n columns, a `%.6g` fallback of n bytes."""
-    table = np.zeros((60 + 17, 16), dtype=bool)
-    for e in range(-4, 6):
-        for t in range(6):
-            stop = 12 - e - t if e + t < 5 else 6
-            table[6 * (e + 4) + t, 5 - max(e, 0) : stop] = True
-    for n in range(17):
-        table[60 + n, :n] = True
-    return table.view("V16")[:, 0]
-
-
-_KEEP_FIELD = _keep_field_table()
-
-
-def _offset_us(times_s: np.ndarray) -> np.ndarray:
-    """Offsets in whole microseconds, rounded half to even as `timedelta` does."""
-    frac, whole = np.modf(times_s)
-    return whole.astype(np.int64) * 1_000_000 + np.rint(frac * 1e6).astype(np.int64)
-
-
-def _day_label(day: int) -> str:
-    return (EPOCH_START + timedelta(days=day)).date().isoformat()
-
-
-def _day_labels(days: np.ndarray) -> np.ndarray:
-    """`_day_label` of each day as `S10`, formatting each distinct day once.
-
-    Days that form a run (every generated series) skip the sort of
-    `np.unique`: each day from the first to the last is labelled."""
-    first = int(days.min())
-    span = int(days.max()) - first + 1
-    if span <= days.size:
-        distinct, index = range(first, first + span), days - first
-    else:
-        distinct, index = np.unique(days, return_inverse=True)
-        distinct = distinct.tolist()
-    return np.array([_day_label(d) for d in distinct], dtype="S10").take(index)
-
-
-def _put(buf: np.ndarray, col: int, text: np.ndarray) -> None:
-    """Write the fixed-width byte strings `text`, one per row, at `col`."""
-    buf[:, col : col + text.itemsize].view(text.dtype)[:, 0] = text
-
-
-def _fill_stamps(buf, keep, times_s) -> None:
-    """The `_STAMP` bytes of each time; `.ffffff` is kept only when non-zero."""
-    days, us = np.divmod(_offset_us(times_s), _US_PER_DAY)
-    _put(buf, 0, _day_labels(days))
-    seconds, micro = np.divmod(us, 1_000_000)
-    hours, seconds = np.divmod(seconds, 3600)
-    minutes, seconds = np.divmod(seconds, 60)
-    _put(buf, 11, _DIGITS2.take(hours))
-    _put(buf, 14, _DIGITS2.take(minutes))
-    _put(buf, 17, _DIGITS2.take(seconds))
-    high, low = np.divmod(micro, 1000)
-    _put(buf, 20, _DIGITS3.take(high))
-    _put(buf, 23, _DIGITS3.take(low))
-    keep[:, 19:26] = (micro != 0)[:, None]
-
-
-def _fill_values(buf, keep, col: int, x: np.ndarray) -> None:
-    """`%.6g` of each value in `x`: its sign at `col`, its field after it."""
-    magnitude = np.abs(x)
-    decade = np.searchsorted(_DECADE_EDGES, magnitude, "right")
-    with np.errstate(invalid="ignore"):  # inf - inf, NaN
-        scaled = magnitude * _TO_SIX_DIGITS.take(decade)
-        digits = np.rint(scaled)
-        fixed = (digits >= 1e5) & (digits < 1e6) & (np.abs(scaled - digits) < 0.5 - 1e-6)
-    digits[~fixed] = 1e5  # in range for the digit arithmetic; the fallback rewrites these
-    digits = digits.astype(np.int64)
-    high, low = np.divmod(digits, 1000)
-    zeros = _TRAILING_ZEROS3.take(low)
-    round_thousands = np.flatnonzero(low == 0)
-    zeros[round_thousands] += _TRAILING_ZEROS3.take(high[round_thousands])
-    whole, frac = np.divmod(digits * _TO_BILLIONTHS.take(decade), 1_000_000_000)
-    _put(buf, col + 1, _DIGITS3.take(whole // 1000))
-    _put(buf, col + 4, _DIGITS3.take(whole % 1000))
-    buf[:, col + 7] = ord(".")  # a fallback of an earlier block may cover it
-    frac_high, frac = np.divmod(frac, 1_000_000)
-    _put(buf, col + 8, _DIGITS3.take(frac_high))
-    _put(buf, col + 11, _DIGITS3.take(frac // 1000))
-    _put(buf, col + 14, _DIGITS3.take(frac % 1000))
-    keep_row = 6 * (decade - 1) + zeros
-    other = np.flatnonzero(~fixed)
-    if other.size:  # `%.6g` is 13 bytes at most
-        text = np.frombuffer((b"%-16.6g" * other.size) % tuple(x[other].tolist()), dtype="S16")
-        buf[:, col + 1 : col + 17].view("S16")[other, 0] = text
-        padded = text.view(np.uint8).reshape(-1, 16)
-        keep_row[other] = 60 + np.count_nonzero(padded != ord(" "), axis=1)
-    keep[:, col] = fixed & (x < 0)
-    keep[:, col + 1 : col + 17].view("V16")[:, 0] = _KEEP_FIELD.take(keep_row)
-
-
-def write_series_csv(path, times_s: np.ndarray, series: np.ndarray) -> None:
-    """CSV of `series` (n_loads, n_rows) with ISO timestamps at `times_s`.
-
-    A timestamp is EPOCH_START (a midnight) plus its offset rounded half to
-    even to whole microseconds, as `timedelta(seconds=t)` rounds it;
-    `.ffffff` is printed only when non-zero, as `datetime.isoformat` does.
-    A value is printed as `%.6g` prints it.
-
-    Each block of CSV_BLOCK_ROWS rows is one `(rows, width)` byte buffer of
-    fixed-width fields and a mask of the bytes to keep, written with one
-    `fh.write`. A timestamp is `YYYY-MM-DDTHH:MM:SS.ffffff`: the date is
-    formatted once per distinct day, the other digits are taken from 2- and
-    3-digit tables, and the fraction is kept only when non-zero. A value
-    takes a sign column, kept for a negative value, and a 16-byte field.
-
-    Fast path: a finite |x| in [1e-4, 1e6), which `%.6g` prints in fixed
-    notation. Its decade e is exact (see `_DECADE_EDGES`), so
-    s = |x| * 10**(5 - e) lies in [1e5, 1e6] with a rounding error below
-    1e-10 (every multiplier 10**0..10**9 is exact). When q = rint(s) < 1e6
-    and s is more than 1e-6 from a half, the exact |x| * 10**(5 - e) rounds
-    to the same q, so q is the six significant digits `%.6g` prints. The
-    field holds q * 10**(e - 5) as 6 integer digits, a point and 9 fraction
-    digits, and keeps one column range: from the leading digit (or the 0 of
-    `0.`) through the last non-zero fraction digit, without the point when
-    there is none; integer zeros are kept.
-
-    Fallback: every other value (near a tie, rounding into the next decade,
-    zero, NaN, infinite, or printed with an exponent) is formatted by one
-    `%` over those values alone, as `%-16.6g` (`%.6g` padded to the field),
-    and its field is kept up to the padding.
-    """
-    series = np.asarray(series, dtype=np.float64)
-    n_loads, n_rows = series.shape
-    times_s = np.asarray(times_s, dtype=np.float64)
-    row = np.frombuffer(_STAMP + b",".join([_VALUE] * n_loads) + b"\n", dtype=np.uint8)
-    buf = np.empty((min(CSV_BLOCK_ROWS, n_rows), row.size), dtype=np.uint8)
-    buf[:] = row
-    keep = np.ones(buf.shape, dtype=bool)
-    with open(path, "wb") as fh:
-        fh.write(("timestamp" + "".join(f",load_{i+1}" for i in range(n_loads)) + "\n").encode())
-        for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            stop = min(start + CSV_BLOCK_ROWS, n_rows)
-            block, block_keep = buf[: stop - start], keep[: stop - start]
-            _fill_stamps(block, block_keep, times_s[start:stop])
-            for i in range(n_loads):
-                col = len(_STAMP) + i * (len(_VALUE) + 1)  # each value ends in ',' or '\n'
-                _fill_values(block, block_keep, col, series[i, start:stop])
-            fh.write(block[block_keep])
 
 
 # ----------------------------------------------------------------------
@@ -473,7 +273,7 @@ def _bundle_path(args) -> str:
 def cmd_generate(args) -> int:
     request = _build_request(args)
     request.validate()
-    estimate = estimate_file_size(request)
+    estimate = estimate_file_size(request.rows, request.n_loads, request.resolution)
     print(f"estimated file size: {estimate} bytes", file=sys.stderr)
     if args.estimate_only:
         print(estimate)

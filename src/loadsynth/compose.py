@@ -211,6 +211,8 @@ class GenerationRequest:
             raise RequestError(
                 f"duration {self.duration_s}s needs more than the {cap} weeks ({MAX_YEARS} years) of one request"
             )
+        if self.n_loads * self.rows * 8 > np.iinfo(np.intp).max:  # past what numpy can allocate
+            raise MemoryError(f"{self.n_loads} x {self.rows} output values do not fit in memory")
 
 
 def driving_level(resolution: Resolution) -> tuple[Level, int]:

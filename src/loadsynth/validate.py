@@ -150,7 +150,7 @@ def ar_forecast_eval(
     The model predicts the next value from the previous ``lags`` samples
     (36 at 1 sample/10 min = six hours of context).  Error is the absolute
     percentage difference between prediction and actual on the test set.
-    Kept, and exported, as ROADMAP item 3's planned transfer check.
+    Kept, and exported, as ROADMAP item 1's planned transfer check (the fidelity gate).
     """
     xs, ys = [], []
     for s in train:
@@ -196,7 +196,7 @@ def hold_weekly_series(
 
     The naive way to push the year-scale pattern model down to fine
     resolutions: each week's value is held constant across the week.
-    Kept as ROADMAP item 3's planned level-4 baseline.
+    Kept as ROADMAP item 1's planned level-4 baseline (the fidelity gate).
     """
     per_week = SECONDS_PER_WEEK / effective_period_s
     if abs(per_week - round(per_week)) > 1e-9:

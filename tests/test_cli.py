@@ -238,23 +238,20 @@ class TestGrammars:
 
 class TestEstimate:
     def test_documented_formula(self):
-        req = GenerationRequest(1, 0, parse_resolution("1/10min"), 86_400.0)
-        est = estimate_file_size(req)
+        est = estimate_file_size(144, 1, parse_resolution("1/10min"))  # one day
         header = len("timestamp,load_1\n")
         assert est == 144 * (20 + 10) + header
 
     def test_load_count_scales_row_bytes(self):
-        one = GenerationRequest(1, 0, parse_resolution("1/h"), 86_400.0)
-        two = GenerationRequest(1, 1, parse_resolution("1/h"), 86_400.0)
-        assert estimate_file_size(two) - estimate_file_size(one) == 24 * 10 + len(",load_2")
+        hourly = parse_resolution("1/h")
+        assert estimate_file_size(24, 2, hourly) - estimate_file_size(24, 1, hourly) == 24 * 10 + len(",load_2")
 
     def test_header_is_the_sum_over_the_load_columns(self):
         # one row (one week at 1/wk): a 20-byte timestamp, 10 bytes a load, then the header
         header = np.cumsum([len(f",load_{i}") for i in range(1, 10**6 + 1)]) + len("timestamp\n")
         random = np.random.default_rng(25).integers(10**4, 10**6, 200, endpoint=True)
         for n in [*range(1, 10**4 + 1), *random.tolist()]:
-            request = GenerationRequest(n, 0, parse_resolution("1/wk"), WEEK_S)
-            assert estimate_file_size(request) == 20 + 10 * n + header[n - 1], n
+            assert estimate_file_size(1, n, parse_resolution("1/wk")) == 20 + 10 * n + header[n - 1], n
 
 
 # weights of one artifact each, to be made non-finite in a bundle
@@ -302,7 +299,7 @@ class TestGenerate:
             req = GenerationRequest(
                 1, industrial, parse_resolution(res), parse_duration(length), base_mw=base_mw
             )
-            est = estimate_file_size(req)
+            est = estimate_file_size(req.rows, req.n_loads, req.resolution)
             actual = out.stat().st_size
             assert abs(est - actual) / actual < 0.15, (res, base_mw, est, actual)
 
@@ -534,8 +531,8 @@ SMOKE_TRAIN = [
 ]
 # each case: a command, and the module whose open() writes its --output file
 WRITING_COMMANDS = {
-    "generate": (OUTPUT_COMMANDS["generate"], "loadsynth.cli"),
-    "simulate": (OUTPUT_COMMANDS["simulate"], "loadsynth.cli"),
+    "generate": (OUTPUT_COMMANDS["generate"], "loadsynth.ingest"),
+    "simulate": (OUTPUT_COMMANDS["simulate"], "loadsynth.ingest"),
     "train": (SMOKE_TRAIN, "loadsynth.modelio"),
 }
 
@@ -1468,6 +1465,21 @@ def test_request_larger_than_memory_exits_2(command, bundle_path, tmp_path, caps
     assert err.splitlines()[-1] == f"error: {command}: the request does not fit in memory"
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_request_past_numpy_s_array_limit_exits_2(bundle_path, tmp_path, capsys):
+    # 10**13 loads x 53 years of 8736 hours: 3.7e19 bytes, more than an
+    # array's 2**63 - 1, which numpy refuses with a ValueError, not a MemoryError
+    request = GenerationRequest(10**13, 0, parse_resolution("1/h"), parse_duration("53yr"))
+    with pytest.raises(MemoryError):
+        request.validate()
+    out = tmp_path / "out.csv"
+    args = ["--residential", "10000000000000", "--resolution", "1/h", "--length", "53yr"]
+    assert main(["generate", "--bundle", str(bundle_path), *args, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "error: generate: the request does not fit in memory"
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_train_past_the_year_cap_exits_2_before_any_work(tmp_path, capsys, monkeypatch):

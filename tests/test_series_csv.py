@@ -6,6 +6,7 @@ kept here verbatim (apart from its name) as the reference: for every input
 the two must write the same bytes.
 """
 
+import tracemalloc
 from datetime import timedelta
 from unittest import mock
 
@@ -13,8 +14,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loadsynth import cli
-from loadsynth.cli import EPOCH_START, write_series_csv
+from loadsynth import ingest
+from loadsynth.ingest import EPOCH_START, write_series_csv
 
 
 def _format_timestamp(offset_s: float) -> str:
@@ -121,24 +122,35 @@ values = (
 )
 
 
+def row_bytes(n_loads: int) -> int:
+    """A row's width in the writer's buffer: the timestamp, then a sign, a
+    16-byte field and a separator per load (the newline alone for none)."""
+    return 27 + max(18 * n_loads, 1)
+
+
 @st.composite
 def series_csv_inputs(draw):
-    n_loads, n_rows = draw(st.integers(0, 3)), draw(st.integers(0, 40))
+    n_loads, n_rows = draw(st.integers(0, 40)), draw(st.integers(0, 40))
     times = draw(grid_times(n_rows) | scattered_times(n_rows))
-    cells = draw(st.lists(values, min_size=n_loads * n_rows, max_size=n_loads * n_rows))
-    return times, np.array(cells, dtype=np.float64).reshape(n_loads, n_rows)
+    # up to 1,600 cells: each is drawn from a pool of drawn values, as a
+    # seeded generator picks, to stay within one example's draw budget
+    pool = np.array(draw(st.lists(values, min_size=1, max_size=60)), dtype=np.float64)
+    picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(pool.size, size=(n_loads, n_rows))
+    # from below one row (a block is one row at least) to 50 rows a block
+    budget = draw(st.integers(0, 50)) * row_bytes(n_loads) + draw(st.integers(1, row_bytes(n_loads)))
+    return times, pool[picks], budget
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=series_csv_inputs(), block_rows=st.integers(1, 50))
-def test_block_writer_matches_row_writer(tmp_path_factory, data, block_rows):
-    times, series = data
-    with mock.patch.object(cli, "CSV_BLOCK_ROWS", block_rows):
+@given(data=series_csv_inputs())
+def test_block_writer_matches_row_writer(tmp_path_factory, data):
+    times, series, budget = data
+    with mock.patch.object(ingest, "CSV_BLOCK_BYTES", budget):
         assert_same_bytes(tmp_path_factory, times, series)
 
 
 def test_rows_across_a_block_boundary(tmp_path_factory):
-    n_rows = cli.CSV_BLOCK_ROWS + 3
+    n_rows = ingest.CSV_BLOCK_BYTES // row_bytes(2) + 3
     rng = np.random.default_rng(5)
     series = rng.gamma(2.0, 20.0, size=(2, n_rows))
     assert_same_bytes(tmp_path_factory, np.arange(n_rows) * (1.0 / 30.0), series)
@@ -147,7 +159,7 @@ def test_rows_across_a_block_boundary(tmp_path_factory):
 def test_a_column_of_fallback_values_beside_fixed_ones(tmp_path_factory):
     # one load's every value is printed by `%` (NaN, an exponent, a subnormal),
     # the other two take the fixed-notation path, across a block boundary
-    n_rows = cli.CSV_BLOCK_ROWS + 3
+    n_rows = ingest.CSV_BLOCK_BYTES // row_bytes(3) + 3
     rng = np.random.default_rng(8)
     series = rng.uniform(0.5, 900.0, size=(3, n_rows))
     series[1] = np.resize([np.nan, 1e300, 5e-324], n_rows)
@@ -167,3 +179,17 @@ def test_timestamp_rule(tmp_path):
         "2021-01-02T00:00:00",
         "2021-01-02T01:01:01.250000",
     ]
+
+
+def test_writer_memory_is_one_block_whatever_the_load_count(tmp_path):
+    # 500 loads x 2,000 rows is 8 MB of values and 36 MB of fixed-width rows;
+    # the writer holds one block of CSV_BLOCK_BYTES and its per-value arrays
+    series = np.random.default_rng(3).gamma(2.0, 20.0, size=(500, 2_000))
+    times = np.arange(2_000) * 3600.0
+    tracemalloc.start()
+    try:
+        write_series_csv(tmp_path / "wide.csv", times, series)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak / 2**20
