@@ -350,7 +350,7 @@ def cmd_validate(args) -> int:
         duration_s=6 * LEVEL_SPECS[Level.L2].span_s,
         seed=args.seed,
     )
-    _, series = synthesize(request, models)
+    series = synthesize(request, models)[1].array()
     # driven at level 2 with no offset: generated hours join after every 120th sample
     hour = LEVEL_SPECS[Level.L2].profile_length
     junctions = range(hour - 1, series.shape[1] - 1, hour)

@@ -20,6 +20,20 @@ The pipeline per load:
 6. aggregate down to the exact requested resolution with the requested
    metric, scale by base_mw, and truncate to the requested duration.
 
+Generation runs in two stages.  The coarse path (`_coarse_series`: L4
+values, L3 weeks with the seam filter, L2 hours with the hour trend) is
+made whole for every load when `synthesize` is called; at 30 Hz driving it
+ends in the half-minute series, about 8 MB per load-year.  The level-1 step
+(`_level1_ticks`) then turns a range of half-minute indices into 30 Hz
+ticks.  `synthesize` hands the series out as blocks of rows: at 30 Hz
+driving one block per chunk of _CHUNK_PROFILES level-1 profiles of every
+load, made only when the caller takes it, so a request of any duration
+holds one chunk of ticks per load; at every other driving level one block.
+The blocks hold the bits of the whole series made at once: a level-1 row's
+noise is drawn by its index, chunks are whole generator pieces
+(`gan.row_pieces`), and ticks past a chunk's last whole aggregation block
+carry over to the next chunk.
+
 Output values are strictly positive whenever base_mw > 0 because every
 generated profile respects its bounded output activation.
 
@@ -55,7 +69,7 @@ from .core import (
     sub_seed,
 )
 from .errors import DegenerateProfile, InsufficientData, RequestError
-from .neural.gan import GanModel, gan_generate
+from .neural.gan import GanModel, gan_generate, row_pieces
 from .svdgen import SvdModel, svd_generate
 
 _EXTENSION_LIMIT_S = 2 * 86_400.0  # days 365/366 extend the final week
@@ -151,8 +165,14 @@ def add_hour_trend(hour_samples, hourly_context, positions) -> np.ndarray:
     # sub-sample abscissae: centres of the 120 half-minute cells, in hours
     # relative to the centre of the hour of interest
     x = (np.arange(length) - (length - 1) / 2) / length
-    trend = np.polynomial.polynomial.polyval(x, coeffs.T)
-    return hours + trend
+    # polyval(x, coeffs.T) by Horner's rule in one array: each step rounds
+    # as polyval's c[k] + c0 * x does
+    trend = coeffs[:, 4:] + x * 0
+    for k in (3, 2, 1, 0):
+        trend *= x
+        trend += coeffs[:, k : k + 1]
+    trend += hours
+    return trend
 
 
 @dataclass(frozen=True)
@@ -304,21 +324,18 @@ def _l4_week_values(
     return values
 
 
-def _driving_series(
+def _coarse_series(
     request: GenerationRequest,
     models: ModelSet,
     load_index: int,
-    needed: int,
+    span: int,
     driving: Level,
 ) -> np.ndarray:
+    """The coarse path of one load: at driving levels 2-4 the series itself,
+    ``span`` samples or more; at level 1 the half-minute values that its
+    first ceil(span / 900) profiles are scaled to (one value per profile).
+    """
     load_class = request.load_class_of(load_index)
-    plen = LEVEL_SPECS[driving].profile_length
-    # for sub-profile explicit-season requests, cover one full driving
-    # profile so the output can be sliced from a seed-derived offset; at
-    # the year level the seeded in-season week window already does this
-    span = needed
-    if request.season is not None and driving is not Level.L4:
-        span = max(needed, plen)
     needed_time = span * LEVEL_SPECS[driving].sampling_period_s
     weeks_total, extend_last = _extension_weeks(needed_time)
     plan = _plan_weeks(request, weeks_total, load_index)
@@ -354,45 +371,151 @@ def _driving_series(
     hour_profiles = gan_generate(
         models.l2, n_hours, seed=sub_seed(request.seed, load_index, 2)
     )
+    hour_profiles *= hourly[:n_hours, None]
     h = np.arange(n_hours)
     window = np.clip(h - 2, 0, hourly.size - 5)[:, None] + np.arange(5)
-    halfmin = add_hour_trend(
-        hour_profiles * hourly[:n_hours, None], hourly[window], window - h[:, None]
-    ).ravel()
+    return add_hour_trend(hour_profiles, hourly[window], window - h[:, None]).ravel()
 
-    if driving is Level.L2:
-        return halfmin
 
-    # one 30 s profile of 30 Hz ticks per half-minute
-    tick_profiles = gan_generate(
-        models.l1, needed_halfmin, seed=sub_seed(request.seed, load_index, 1)
+def _level1_ticks(
+    request: GenerationRequest, models: ModelSet, load_index: int, halfmin: np.ndarray, lo: int, hi: int
+) -> np.ndarray:
+    """The 30 Hz ticks of half-minutes lo..hi-1: one level-1 profile per
+    half-minute, scaled to its value."""
+    profiles = gan_generate(
+        models.l1, hi - lo, seed=sub_seed(request.seed, load_index, 1), start=lo
     )
-    return (tick_profiles * halfmin[:needed_halfmin, None]).ravel()
+    return (profiles * halfmin[lo:hi, None]).ravel()
 
 
-def synthesize(request: GenerationRequest, models: ModelSet) -> tuple[np.ndarray, np.ndarray]:
+# level-1 profiles made at a time (32 min of ticks): a 30/s request holds
+# one chunk of every load, not its whole series.  Chunks are cut by the rule
+# of `gan.row_pieces`, so each is whole level-1 pieces of the request
+_CHUNK_PROFILES = 64
+
+
+@dataclass(frozen=True)
+class RowTimes:
+    """times_s[i] = i * period_s for the rows of a series, made one slice
+    at a time (``times[a:b]``) or whole (``np.asarray(times)``)."""
+
+    period_s: float
+    rows: int
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return np.arange(*rows.indices(self.rows)) * self.period_s
+
+    def __array__(self, dtype=None, copy=None):
+        return self[:].astype(dtype or np.float64, copy=False)
+
+
+class SeriesBlocks:
+    """The values of a synthesized request, made one block of rows at a time.
+
+    ``shape`` is (loads, rows) of the whole series.  Iterating yields
+    (loads, k) float64 arrays, consecutive rows of every load whose k add up
+    to the rows; each block is made when it is asked for, so the blocks can
+    be iterated once.
+    """
+
+    def __init__(self, shape: tuple[int, int], blocks):
+        self.shape = shape
+        self._blocks = iter(blocks)
+
+    def __iter__(self):
+        return self._blocks
+
+    def array(self) -> np.ndarray:
+        """The whole (loads, rows) series, from the blocks not yet taken."""
+        blocks = list(self)
+        if sum(block.shape[1] for block in blocks) != self.shape[1]:
+            raise ValueError("some of the blocks were taken already")
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+
+
+def _level1_blocks(
+    request: GenerationRequest,
+    models: ModelSet,
+    halfmins: list[np.ndarray],
+    offsets: list[int],
+    n_profiles: int,
+    needed: int,
+    factor: int,
+):
+    """The rows of every load, one chunk of level-1 profiles at a time.
+
+    Load j keeps ticks offsets[j]..offsets[j]+needed-1; the ticks past a
+    chunk's last whole aggregation block carry over to the next chunk.  An
+    offset is non-zero only in a request of one profile, so every load
+    gives a chunk the same number of rows.
+    """
+    tick_len = LEVEL_SPECS[Level.L1].profile_length
+    carry = [np.empty(0)] * request.n_loads
+
+    def fill(j: int, lo: int, hi: int, out: np.ndarray) -> None:
+        first = lo * tick_len
+        ticks = _level1_ticks(request, models, j, halfmins[j], lo, hi)
+        kept = ticks[max(offsets[j] - first, 0) : max(offsets[j] + needed - first, 0)]
+        ticks = np.concatenate([carry[j], kept])
+        whole = out.size * factor
+        if whole:
+            out[:] = downsample(ticks[:whole], factor, request.aggregation) * request.base_mw
+        carry[j] = ticks[whole:].copy()
+
+    for lo, hi in row_pieces(0, n_profiles, _CHUNK_PROFILES):
+        rows = min(hi * tick_len, needed) // factor - min(lo * tick_len, needed) // factor
+        block = np.empty((request.n_loads, rows))
+        for j in range(request.n_loads):
+            fill(j, lo, hi, block[j])
+        if block.size:
+            yield block
+
+
+def synthesize(request: GenerationRequest, models: ModelSet) -> tuple[RowTimes, SeriesBlocks]:
     """Generate all requested loads.
 
-    Returns (times_s, series) where times_s[i] = i * effective period from
-    the nominal start (January 1st for auto-yearly requests) and series has
-    one row per load, residential loads first.
+    Returns (times_s, series): times_s[i] = i * effective period from the
+    nominal start (January 1st for auto-yearly requests), and series the
+    values, one row per load, residential loads first, as blocks of rows
+    (``SeriesBlocks.array`` joins them).  The coarse path of every load is
+    made here.  At 30 Hz driving the level-1 ticks are made, aggregated and
+    handed out one chunk of profiles at a time, as the blocks are taken;
+    at every other driving level the series is one block.
     """
     request.validate()
     driving, factor = driving_level(request.resolution)
     rows = request.rows
     needed = rows * factor
     plen = LEVEL_SPECS[driving].profile_length
+    # for sub-profile explicit-season requests, cover one full driving
+    # profile so the output can be sliced from a seed-derived offset; at
+    # the year level the seeded in-season week window already does this
+    span = needed
+    if request.season is not None and driving is not Level.L4:
+        span = max(needed, plen)
+    n_profiles = int(math.ceil(span / plen))
 
-    out = np.empty((request.n_loads, rows))
+    out = None if driving is Level.L1 else np.empty((request.n_loads, rows))
+    halfmins, offsets = [], []
     for load_index in range(request.n_loads):
-        series = _driving_series(request, models, load_index, needed, driving)
+        series = _coarse_series(request, models, load_index, span, driving)
+        size = series.size if out is not None else n_profiles * plen
         offset = 0
-        if request.season is not None and needed < plen and series.size > needed:
+        if request.season is not None and needed < plen and size > needed:
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=(request.seed, load_index, 9))
             )
-            offset = int(rng.integers(0, min(plen, series.size) - needed + 1))
-        sliced = series[offset : offset + needed]
-        out[load_index] = downsample(sliced, factor, request.aggregation) * request.base_mw
-    times = np.arange(rows) * request.resolution.effective_period_s
-    return times, out
+            offset = int(rng.integers(0, min(plen, size) - needed + 1))
+        if out is None:
+            halfmins.append(series)
+            offsets.append(offset)
+        else:
+            sliced = series[offset : offset + needed]
+            out[load_index] = downsample(sliced, factor, request.aggregation) * request.base_mw
+
+    if out is None:
+        blocks = _level1_blocks(request, models, halfmins, offsets, n_profiles, needed, factor)
+    else:
+        blocks = [out]
+    times = RowTimes(request.resolution.effective_period_s, rows)
+    return times, SeriesBlocks((request.n_loads, rows), blocks)

@@ -321,10 +321,11 @@ def sub_seed(*entropy: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def noise_rows(seed: int, count: int, dim: int) -> np.ndarray:
-    """(count, dim) standard normals; row i is drawn from generator (seed, i),
-    so a row does not depend on how many rows are drawn at once."""
+def noise_rows(seed: int, count: int, dim: int, start: int = 0) -> np.ndarray:
+    """Rows start..start+count-1 of a (rows, dim) array of standard normals;
+    row i is drawn from generator (seed, i), so a row does not depend on
+    which or how many rows are drawn at once."""
     out = np.empty((count, dim))
-    for i in range(count):
-        out[i] = np.random.default_rng((seed, i)).standard_normal(dim)
+    for k in range(count):
+        out[k] = np.random.default_rng((seed, start + k)).standard_normal(dim)
     return out

@@ -26,12 +26,15 @@ uncounted.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import json
 import math
 import os
+import stat
 import sys
+import tempfile
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
@@ -633,17 +636,63 @@ def _fill_values(buf, keep, x: np.ndarray) -> None:
     keep[..., 1:17].view("V16")[..., 0] = _KEEP_FIELD.take(keep_row)
 
 
-def write_series_csv(path, times_s: np.ndarray, series: np.ndarray) -> None:
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file whose content becomes `path`'s once it is written whole.
+
+    An exception before the end leaves `path` as it was, or absent if it
+    was.  A path that is new, or that is not a regular file (such as
+    /dev/null), is written in place; a new one is removed on failure.  A
+    regular file already at `path` is replaced, once the new content is
+    whole, by a file written beside it; opening the old file to append
+    first refuses, as writing it would, a file that may not be written.
+    """
+    target = os.path.realpath(path)
+    if not os.path.isfile(target):
+        created = not os.path.exists(target)
+        with open(path, "wb") as fh:
+            try:
+                yield fh
+            except BaseException:
+                if created:
+                    with contextlib.suppress(OSError):
+                        os.unlink(target)
+                raise
+        return
+    with open(path, "ab"):
+        pass
+    fd, part = tempfile.mkstemp(prefix=f".{os.path.basename(target)}.", suffix=".part", dir=os.path.dirname(target))
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            os.chmod(part, stat.S_IMODE(os.stat(target).st_mode))
+            yield fh
+        os.replace(part, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(part)
+        raise
+
+
+def write_series_csv(path, times_s, series) -> None:
     """CSV of `series` (n_loads, n_rows) with ISO timestamps at `times_s`.
+
+    `series` is an array, or an object with that `shape` whose iteration
+    yields its consecutive (n_loads, k) blocks of rows, as
+    `compose.synthesize` returns it; each block is written as it comes.
+    `times_s` is an array or any sequence whose slices are float arrays,
+    such as `compose.RowTimes`.  The file replaces `path` only once it is
+    whole: a failure part-way, in the writer or in the blocks it is
+    handed, leaves no partial file (see `_replacing`).
 
     A timestamp is EPOCH_START (a midnight) plus its offset rounded half to
     even to whole microseconds, as `timedelta(seconds=t)` rounds it;
     `.ffffff` is printed only when non-zero, as `datetime.isoformat` does.
     A value is printed as `%.6g` prints it.
 
-    Each block of rows, as many as fit in CSV_BLOCK_BYTES (one at least), is
-    one `(rows, width)` byte buffer of fixed-width fields and a mask of the
-    bytes to keep, written with one `fh.write`. A timestamp is
+    Each block of the input is cut into blocks of rows, as many as fit in
+    CSV_BLOCK_BYTES (one at least); each is one `(rows, width)` byte buffer
+    of fixed-width fields and a mask of the bytes to keep, written with one
+    `fh.write`. A timestamp is
     `YYYY-MM-DDTHH:MM:SS.ffffff`: the date is formatted once per distinct
     day, the other digits are taken from 2- and 3-digit tables, and the
     fraction is kept only when non-zero. A value takes a sign column, kept
@@ -666,22 +715,32 @@ def write_series_csv(path, times_s: np.ndarray, series: np.ndarray) -> None:
     `%` over those values alone, as `%-16.6g` (`%.6g` padded to the field),
     and its field is kept up to the padding.
     """
-    series = np.asarray(series, dtype=np.float64)
+    if isinstance(series, np.ndarray) or not hasattr(series, "shape"):
+        series = np.asarray(series, dtype=np.float64)
+        blocks = [series]
+    else:
+        blocks = series
     n_loads, n_rows = series.shape
-    times_s = np.asarray(times_s, dtype=np.float64)
     row = np.frombuffer(_STAMP + b",".join([_VALUE] * n_loads) + b"\n", dtype=np.uint8)
     block_rows = max(1, CSV_BLOCK_BYTES // row.size)
     buf = np.tile(row, (min(block_rows, n_rows), 1))
     keep = np.ones(buf.shape, dtype=bool)
     values = slice(len(_STAMP), len(_STAMP) + n_loads * _FIELD)
     fields, fields_keep = (a[:, values].reshape(len(a), n_loads, _FIELD) for a in (buf, keep))
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(("timestamp" + ",load_%d" * n_loads % tuple(range(1, n_loads + 1)) + "\n").encode())
-        for start in range(0, n_rows, block_rows):
-            n = min(block_rows, n_rows - start)
-            _fill_stamps(buf[:n], keep[:n], times_s[start : start + n])
-            _fill_values(fields[:n], fields_keep[:n], np.ascontiguousarray(series[:, start : start + n].T))
-            fh.write(buf[:n][keep[:n]])
+        done = 0  # rows written
+        for block in blocks:
+            block = np.asarray(block, dtype=np.float64)
+            for start in range(0, block.shape[1], block_rows):
+                n = min(block_rows, block.shape[1] - start)
+                times = np.asarray(times_s[done + start : done + start + n], dtype=np.float64)
+                _fill_stamps(buf[:n], keep[:n], times)
+                _fill_values(fields[:n], fields_keep[:n], np.ascontiguousarray(block[:, start : start + n].T))
+                fh.write(buf[:n][keep[:n]])
+            done += block.shape[1]
+        if done != n_rows:
+            raise ValueError(f"the blocks held {done} rows of the series' {n_rows}")
 
 
 _LEVEL_FILES = {level: f"level{level.value[-1]}.csv" for level in Level}

@@ -16,7 +16,8 @@ hyperparameters, seed); if losses go non-finite the run restarts once with
 the step halved on an explicitly different seed path, then gives up.
 The discriminator lives only while training: a trained model is its
 generator, amplitude scale and log.  Generation returns one float64
-(count, profile length) array of samples.
+(count, profile length) array of samples: any range of a request's rows,
+each the same whichever range it is drawn in (see ``row_pieces``).
 
 Per epoch the log records mean losses plus the distribution distance
 between pooled real and generated amplitudes over 500-sample subsets,
@@ -79,6 +80,50 @@ CONDITIONED_LEVEL = Level.L3
 # per adversarial level: generator transposed-conv kernel, discriminator conv
 # kernel and stride; lengths and output centres come from LEVEL_SPECS
 _NETWORKS = {Level.L1: (4, 25, 5), Level.L2: (9, 9, 2), Level.L3: (4, 25, 5)}
+
+# A generator forwards a request's rows in slices of SLICE_ROWS counted from
+# row 0: the bits of a level-2 or level-3 row depend on the size of its
+# slice (level 2 differs at 7, 255 and 511 rows, level 3 at 511).  A level-1
+# row's bits are the same in any batch of two rows or more, so level 1 cuts
+# its slices into pieces of _L1_PIECE_ROWS: a piece's forward peaks at
+# 9.0 MiB of arrays where a full slice's peaks at 70.5 MiB (tracemalloc,
+# numpy 2.4).  One row alone takes another BLAS path, with other bits, so
+# no piece is one row unless its slice is.
+SLICE_ROWS = 512
+_L1_PIECE_ROWS = 64
+
+
+def row_pieces(start: int, stop: int, size: int) -> list[tuple[int, int]]:
+    """The (lo, hi) row ranges that cover rows start..stop-1 of a request.
+
+    The range is cut at every multiple of ``size`` and of SLICE_ROWS; a
+    one-row piece joins its neighbour in the same slice, where the range
+    holds one.  Each piece of a request's whole range [0, n) then has two
+    rows or more, unless its slice has one row, and a range of whole pieces
+    of [0, n) is cut into those same rows' pieces (or into larger ones).
+    """
+    cuts = {start, stop}
+    for step in (size, SLICE_ROWS):
+        cuts.update(range(start - start % step + step, stop, step))
+    bounds = sorted(cuts)
+    pieces: list[tuple[int, int]] = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        if pieces and lo % SLICE_ROWS and 1 in (hi - lo, lo - pieces[-1][0]):
+            pieces[-1] = (pieces[-1][0], hi)
+        else:
+            pieces.append((lo, hi))
+    return pieces
+
+
+def _forward_rows(generator: Network, level: Level, start: int, stop: int, inputs) -> np.ndarray:
+    """The generator's output for rows start..stop-1 of a request, forwarded
+    piece by piece (see ``row_pieces``); ``inputs(lo, hi)`` gives the input
+    rows lo..hi-1, so no more than a piece of them need exist at once."""
+    size = _L1_PIECE_ROWS if level is Level.L1 else SLICE_ROWS
+    out = np.empty((stop - start, LEVEL_SPECS[level].profile_length))
+    for lo, hi in row_pieces(start, stop, size):
+        out[lo - start : hi - start] = generator.forward(inputs(lo, hi))
+    return out
 
 
 def _network_row(level: Level) -> tuple[int, int, int]:
@@ -296,7 +341,7 @@ def train_gan(profiles: ProfileSet, hyper: HyperParams, seed: int) -> GanModel:
             if onehot is not None:
                 lab_idx = rng.integers(0, n, n_trace)
                 z = np.hstack([z, onehot[lab_idx]])
-            fakes = gen.forward(z)
+            fakes = _forward_rows(gen, level, 0, n_trace, lambda lo, hi: z[lo:hi])
             # trace in the data's real units, not the standardized ones
             real_pool = X_real[subset].ravel()
             fake_pool = (centre + (fakes - centre) * scale).ravel()
@@ -337,10 +382,15 @@ def gan_generate(
     count: int,
     seed: int,
     labels: Optional[Sequence[tuple[LoadClass, Season]]] = None,
+    start: int = 0,
 ) -> np.ndarray:
-    """Sample ``count`` profiles as one float64 (count, profile length) array.
+    """Sample rows start..start+count-1 of a request as one float64
+    (count, profile length) array.
 
-    A conditional model takes one (load class, season) label per row.
+    Row i draws its noise from ``noise_rows`` stream (seed, i).  A range
+    made of whole pieces of the request (``row_pieces``) gives the same
+    bits as the same rows of the whole request drawn at once.  A
+    conditional model takes one (load class, season) label per row.
     Mean-one levels are rescaled to mean exactly 1, the detrended level to
     mean exactly 0.  Rows are plain samples; a ProfileSet is built only
     where a dataset is.  Raises DegenerateProfile when any
@@ -356,21 +406,27 @@ def gan_generate(
 
     spec = LEVEL_SPECS[model.level]
 
-    z = noise_rows(seed, count, model.noise_dim)
-    if model.conditional:
-        z = np.hstack([z, encode_labels(labels)])
-    outputs = np.empty((count, spec.profile_length))
-    for lo in range(0, count, 512):
-        hi = min(lo + 512, count)
-        outputs[lo:hi] = model.generator.forward(z[lo:hi])
-    outputs = spec.centre + (outputs - spec.centre) * model.amplitude_scale
+    onehot = encode_labels(labels) if model.conditional else None
+
+    def inputs(lo: int, hi: int) -> np.ndarray:
+        z = noise_rows(seed, hi - lo, model.noise_dim, lo)
+        return z if onehot is None else np.hstack([z, onehot[lo - start : hi - start]])
+
+    outputs = _forward_rows(model.generator, model.level, start, start + count, inputs)
+    # in place, each value as centre + (value - centre) * scale rounds it
+    outputs -= spec.centre
+    outputs *= model.amplitude_scale
+    outputs += spec.centre
 
     if spec.centre:
         # loads are physically nonnegative; only reachable when the training
         # data was wider than the activation range (amplitude_scale > 2)
-        outputs = np.maximum(outputs, 0.0)
+        np.maximum(outputs, 0.0, out=outputs)
     means = outputs.mean(axis=1, keepdims=True)
-    outputs = outputs / means if spec.centre else outputs - means
+    if spec.centre:
+        outputs /= means
+    else:
+        outputs -= means
     if not np.all(np.isfinite(outputs)):
         raise DegenerateProfile(
             f"level {model.level.value} generator produced non-finite samples"

@@ -393,6 +393,37 @@ def simulate_ground_truth(
     return det * (1.0 + noise)
 
 
+def _ground_truth_windows(config: ToyLoadConfig, starts_s, duration_s: float) -> np.ndarray:
+    """simulate_ground_truth(config, duration_s, t0) for each t0 in starts_s,
+    one window per row.
+
+    Each window draws its own start state and innovations, as
+    simulate_ground_truth does; their AR(1) recursions then run in one
+    lockstep pass over the samples, which gives each window the floats of
+    its own recursion.
+    """
+    n = int(round(duration_s * PMU_RATE_HZ))
+    rho = config.ar_coeff
+    sigma_e = config.noise_rel_std * math.sqrt(1.0 - rho**2)
+    det = np.empty((len(starts_s), n))
+    state = np.zeros(len(starts_s))
+    noise = np.zeros((n, len(starts_s)))  # sample-major: one row per step
+    for k, t0 in enumerate(starts_s):
+        det[k] = config.base_mw * config.deterministic(t0 + np.arange(n) / PMU_RATE_HZ)
+        if sigma_e != 0.0:  # as _ar1_path draws
+            rng = _rng_for(config, 0, int(round(t0 * PMU_RATE_HZ)))
+            state[k] = sigma_e / math.sqrt(1.0 - rho**2) * rng.standard_normal()
+            noise[:, k] = sigma_e * rng.standard_normal(n)
+    if sigma_e != 0.0:
+        step = np.empty_like(state)
+        for y in noise:  # y = rho * y_prev + innovation
+            np.multiply(state, rho, out=step)
+            y += step
+            state = y
+        np.clip(noise, -_NOISE_CLIP, _NOISE_CLIP, out=noise)
+    return det * (1.0 + noise.T)
+
+
 def _samples_per_block(block_s: float) -> int:
     m = block_s * PMU_RATE_HZ
     if not 1 <= m < math.inf or abs(m - round(m)) > 1e-9:
@@ -572,11 +603,12 @@ def desk_level_datasets(
             part = ingest.extract_levels_from_block_means(
                 m30, cfg.load_class, 0.0, max_l2_profiles=l2_profiles_per_load
             )
-            windows = []
-            for j in range(l1_windows_per_load):
-                t0 = halfmin * math.floor(j * span_s / l1_windows_per_load / halfmin)
-                windows.append(simulate_ground_truth(cfg, halfmin, start_time_s=t0))
-            ingest.add_mean_one_rows(part, Level.L1, np.array(windows), cfg.load_class)
+            starts = [
+                halfmin * math.floor(j * span_s / l1_windows_per_load / halfmin)
+                for j in range(l1_windows_per_load)
+            ]
+            windows = _ground_truth_windows(cfg, starts, halfmin)
+            ingest.add_mean_one_rows(part, Level.L1, windows, cfg.load_class)
             parts.append(part)
     return ingest.LevelDatasets.concatenate(parts)
 

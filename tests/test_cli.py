@@ -10,6 +10,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
@@ -397,7 +398,7 @@ class TestGenerate:
         req = GenerationRequest(
             2, 1, parse_resolution("1/h"), 2 * 86_400.0, seed=11, base_mw=42.5
         )
-        _, want = synthesize(req, tiny_models)
+        want = synthesize(req, tiny_models)[1].array()
         _, got = read_series_csv(out)
         np.testing.assert_allclose(got, want, rtol=5e-6)
 
@@ -459,6 +460,43 @@ class TestGenerate:
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == "error: generation failed in DegenerateProfile: level l3 generator produced non-finite samples"
         assert not out.exists()
+
+    @pytest.mark.parametrize("existing", [None, b"an earlier file\n"])
+    def test_failure_mid_stream_writes_nothing(self, existing, bundle_path, tmp_path, capsys, monkeypatch):
+        # 3 min at 30/s in chunks of 2 profiles: the level-1 generator fails
+        # on the second chunk, after the first chunk's rows were written
+        real = compose.gan_generate
+
+        def fails_on_chunk_2(model, count, seed, labels=None, start=0):
+            if model.level is Level.L1 and start > 0:
+                raise DegenerateProfile("level l1 generator produced non-finite samples")
+            return real(model, count, seed, labels, start)
+
+        monkeypatch.setattr(compose, "_CHUNK_PROFILES", 2)
+        monkeypatch.setattr(compose, "gan_generate", fails_on_chunk_2)
+        out = tmp_path / "x.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        code = main(
+            ["generate", "--bundle", str(bundle_path), "--residential", "1", "--resolution", "30/s",
+             "--length", "3min", "--output", str(out)]
+        )
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "error: generation failed in DegenerateProfile: level l1 generator produced non-finite samples"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if existing is None else ["x.csv"])
+        if existing is not None:
+            assert out.read_bytes() == existing
+
+    def test_a_device_output_is_written_in_place(self, bundle_path, capsys):
+        # /dev/null is not replaced by a regular file
+        code = main(
+            ["generate", "--bundle", str(bundle_path), "--residential", "1", "--resolution", "30/s",
+             "--length", "1min", "--output", os.devnull]
+        )
+        assert code == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert capsys.readouterr().err.splitlines()[-1] == f"wrote 1800 rows x 1 loads (0 bytes) to {os.devnull}"
 
     def test_reports_actual_size(self, bundle_path, tmp_path, capsys):
         out = tmp_path / "sized.csv"

@@ -393,21 +393,27 @@ def window_offsets(series, window):
     return [k for k in range(len(series) - n + 1) if np.array_equal(series[k : k + n], window)]
 
 
+def synthesized(request, models):
+    """(times, series) of ``synthesize`` as arrays, every block taken."""
+    times, series = synthesize(request, models)
+    return np.asarray(times), series.array()
+
+
 class TestSynthesize:
     def test_one_hour_at_half_minute(self, tiny_models):
         req = GenerationRequest(1, 0, parse_resolution("1/30s"), 3600.0, seed=1)
-        times, out = synthesize(req, tiny_models)
+        times, out = synthesized(req, tiny_models)
         assert out.shape == (1, 120)
         assert times[1] - times[0] == 30.0
 
     def test_one_year_weekly(self, tiny_models):
         req = GenerationRequest(1, 0, parse_resolution("1/wk"), YEAR_S, seed=2)
-        _, out = synthesize(req, tiny_models)
+        _, out = synthesized(req, tiny_models)
         assert out.shape == (1, 52)
 
     def test_week_mean_equals_yearly_value(self, tiny_models, calls):
         req = GenerationRequest(0, 1, parse_resolution("1/h"), WEEK_S, seed=3)
-        _, out = synthesize(req, tiny_models)
+        _, out = synthesized(req, tiny_models)
         (year,) = calls["svd_generate"]
         (scaled,) = calls["scale_to_parent"]
         assert scaled.parent_values[0] == year.result[0, 0]  # week 0 of year 0
@@ -417,12 +423,12 @@ class TestSynthesize:
 
     def test_levels_generated_lazily(self, tiny_models, calls):
         req = GenerationRequest(1, 0, parse_resolution("1/h"), 86400.0, seed=4)
-        synthesize(req, tiny_models)
+        synthesized(req, tiny_models)
         assert generated(calls, tiny_models) == [(Level.L3, 1), (Level.L4, 1)]
         calls["gan_generate"].clear()
         calls["svd_generate"].clear()
         req = GenerationRequest(1, 0, parse_resolution("30/s"), 600.0, seed=4)
-        synthesize(req, tiny_models)
+        synthesized(req, tiny_models)
         # 10 min: one week, 1 h of half-minute profiles, 20 of 30 Hz ones
         assert generated(calls, tiny_models) == [
             (Level.L3, 1), (Level.L2, 1), (Level.L1, 20), (Level.L4, 1)
@@ -430,31 +436,31 @@ class TestSynthesize:
 
     def test_weekly_driving_skips_l3(self, tiny_models, calls):
         req = GenerationRequest(1, 0, parse_resolution("1/wk"), 4 * WEEK_S, seed=4)
-        synthesize(req, tiny_models)
+        synthesized(req, tiny_models)
         assert generated(calls, tiny_models) == [(Level.L4, 1)]
 
     def test_deterministic(self, tiny_models):
         req = GenerationRequest(2, 1, parse_resolution("1/10min"), 7200.0, seed=9)
-        t1, a = synthesize(req, tiny_models)
-        t2, b = synthesize(req, tiny_models)
+        t1, a = synthesized(req, tiny_models)
+        t2, b = synthesized(req, tiny_models)
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(t1, t2)
 
     def test_different_loads_differ(self, tiny_models):
         req = GenerationRequest(2, 0, parse_resolution("1/h"), 86400.0, seed=10)
-        _, out = synthesize(req, tiny_models)
+        _, out = synthesized(req, tiny_models)
         assert not np.array_equal(out[0], out[1])
 
     def test_positive_output(self, tiny_models):
         req = GenerationRequest(1, 1, parse_resolution("1/10min"), 6 * 3600.0, seed=11)
-        _, out = synthesize(req, tiny_models)
+        _, out = synthesized(req, tiny_models)
         assert np.all(out > 0)
 
     def test_base_mw_scales_output(self, tiny_models):
         req1 = GenerationRequest(1, 0, parse_resolution("1/h"), 86400.0, seed=12, base_mw=1.0)
         req2 = GenerationRequest(1, 0, parse_resolution("1/h"), 86400.0, seed=12, base_mw=75.0)
-        _, a = synthesize(req1, tiny_models)
-        _, b = synthesize(req2, tiny_models)
+        _, a = synthesized(req1, tiny_models)
+        _, b = synthesized(req2, tiny_models)
         np.testing.assert_allclose(b, 75.0 * a, rtol=1e-12)
 
     def test_aggregation_ordering(self, tiny_models):
@@ -463,13 +469,13 @@ class TestSynthesize:
             req = GenerationRequest(
                 1, 0, parse_resolution("1/10min"), 7200.0, seed=13, aggregation=metric
             )
-            _, outs[metric] = synthesize(req, tiny_models)
+            _, outs[metric] = synthesized(req, tiny_models)
         assert np.all(outs[Metric.MIN] <= outs[Metric.MEAN] + 1e-12)
         assert np.all(outs[Metric.MEAN] <= outs[Metric.MAX] + 1e-12)
 
     def test_full_year_seam_count_and_no_bottom_filtering(self, tiny_models, calls):
         req = GenerationRequest(1, 0, parse_resolution("1/h"), YEAR_S, seed=14)
-        _, out = synthesize(req, tiny_models)
+        _, out = synthesized(req, tiny_models)
         assert out.shape == (1, 52 * 168)
         (filtered,) = calls["apply_seam_filter"]
         assert list(filtered.seam_indices) == [168 * (k + 1) - 1 for k in range(51)]
@@ -477,15 +483,15 @@ class TestSynthesize:
         np.testing.assert_array_equal(out[0], filtered.result)
         # half-minute and 30 Hz junctions are never filtered
         calls["apply_seam_filter"].clear()
-        synthesize(GenerationRequest(1, 0, parse_resolution("30/s"), 600.0, seed=14), tiny_models)
-        synthesize(GenerationRequest(1, 0, parse_resolution("1/30s"), 8 * 86400.0, seed=14), tiny_models)
+        synthesized(GenerationRequest(1, 0, parse_resolution("30/s"), 600.0, seed=14), tiny_models)
+        synthesized(GenerationRequest(1, 0, parse_resolution("1/30s"), 8 * 86400.0, seed=14), tiny_models)
         (filtered,) = calls["apply_seam_filter"]
         assert list(filtered.seam_indices) == [167]
         assert filtered.series.size == 2 * 168
 
     def test_full_year_weekly_means_match_before_filter(self, tiny_models, calls):
         req = GenerationRequest(0, 1, parse_resolution("1/h"), YEAR_S, seed=15)
-        synthesize(req, tiny_models)
+        synthesized(req, tiny_models)
         (year,) = calls["svd_generate"]
         (scaled,) = calls["scale_to_parent"]
         (filtered,) = calls["apply_seam_filter"]
@@ -496,7 +502,7 @@ class TestSynthesize:
 
     def test_year_plus_day_extends_final_week(self, tiny_models, calls):
         req = GenerationRequest(1, 0, parse_resolution("1/d"), YEAR_S + 86400.0, seed=16)
-        _, out = synthesize(req, tiny_models)
+        _, out = synthesized(req, tiny_models)
         assert out.shape == (1, 365)
         (weeks,) = calls["gan_generate"]
         assert len(weeks.labels) == 53
@@ -506,7 +512,7 @@ class TestSynthesize:
 
     def test_multi_year_concatenates_independent_years(self, tiny_models, calls):
         req = GenerationRequest(1, 0, parse_resolution("1/wk"), 2 * YEAR_S, seed=17)
-        _, out = synthesize(req, tiny_models)
+        _, out = synthesized(req, tiny_models)
         assert out.shape == (1, 104)
         assert generated(calls, tiny_models) == [(Level.L4, 2)]
         np.testing.assert_array_equal(out[0], calls["svd_generate"][0].result.ravel())
@@ -516,7 +522,7 @@ class TestSynthesize:
         req = GenerationRequest(
             1, 0, parse_resolution("1/h"), 86400.0, seed=18, season=Season.SUMMER
         )
-        _, out = synthesize(req, tiny_models)
+        _, out = synthesized(req, tiny_models)
         assert out.shape == (1, 24)
         (weeks,) = calls["gan_generate"]
         assert all(season is Season.SUMMER for _, season in weeks.labels)
@@ -527,7 +533,7 @@ class TestSynthesize:
 
     def test_auto_yearly_starts_january(self, tiny_models, calls):
         req = GenerationRequest(1, 0, parse_resolution("1/h"), 86400.0, seed=19)
-        _, out = synthesize(req, tiny_models)
+        _, out = synthesized(req, tiny_models)
         assert _plan_weeks(req, 1, 0) == [(0, 0, Season.WINTER)]
         (year,) = calls["svd_generate"]
         (scaled,) = calls["scale_to_parent"]
@@ -540,7 +546,7 @@ class TestSynthesize:
             req = GenerationRequest(
                 1, 0, parse_resolution("1/d"), 10 * WEEK_S, seed=seed, season=Season.WINTER
             )
-            synthesize(req, tiny_models)
+            synthesized(req, tiny_models)
             plan = _plan_weeks(req, 10, 0)
             assert all(season_of_week(week) is Season.WINTER for _, week, _ in plan)
             weeks, year, scaled = (calls[name].pop() for name in SPIED[:3])
@@ -552,3 +558,16 @@ class TestSynthesize:
         req = GenerationRequest(1, 1, parse_resolution("1/h"), WEEK_S, seed=20)
         assert req.load_class_of(0) is LoadClass.MAINLY_RESIDENTIAL
         assert req.load_class_of(1) is LoadClass.MAINLY_INDUSTRIAL
+
+
+def test_hour_trend_rounds_as_polyval():
+    # the in-place Horner steps give the bits of hours + polyval(x, coeffs.T)
+    rng = np.random.default_rng(4)
+    hours = rng.normal(size=(300, 120))
+    context = rng.normal(size=(300, 5)) * 10.0 ** rng.integers(-5, 5, (300, 5))
+    for pos in (np.arange(-2, 3), np.arange(0, 5), np.arange(-4, 1)):
+        vander = np.broadcast_to(pos.astype(float), (300, 5))[:, :, None] ** np.arange(5)
+        coeffs = np.linalg.solve(vander, context[:, :, None])[:, :, 0]
+        x = (np.arange(120) - 119 / 2) / 120
+        want = hours + np.polynomial.polynomial.polyval(x, coeffs.T)
+        assert add_hour_trend(hours, context, pos).tobytes() == want.tobytes()

@@ -13,6 +13,7 @@ from loadsynth.core import (
     ProfileSet,
     Season,
     downsample,
+    noise_rows,
     parse_resolution,
     season_of_week,
     truncate_to_multiple,
@@ -309,3 +310,9 @@ class TestProfileSetInvariants:
         assert both.load_class == (LoadClass.MAINLY_RESIDENTIAL,) * 2 + (LoadClass.MAINLY_INDUSTRIAL,) * 3
         assert both.season == (None, None, Season.FALL, Season.FALL, Season.FALL)
         np.testing.assert_array_equal(both.source_mean, [1.0, 2.0, np.nan, np.nan, np.nan])
+
+
+def test_noise_rows_of_a_range_are_those_rows_of_the_whole():
+    whole = noise_rows(7, 9, 5)
+    assert noise_rows(7, 4, 5, start=3).tobytes() == whole[3:7].tobytes()
+    assert noise_rows(7, 0, 5, start=9).shape == (0, 5)

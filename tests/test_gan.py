@@ -321,3 +321,89 @@ class TestGenerate:
         assert out.shape == (3, 168)
         assert np.all(out >= 0)
         assert np.all(np.abs(out.mean(axis=1) - 1.0) < 1e-9)
+
+
+# ----------------------------------------------------------------------
+# row ranges: 512-row slices, and level 1's 64-row pieces
+# ----------------------------------------------------------------------
+
+
+def slice_forward(generator, z):
+    """The generator over 512-row slices counted from row 0, as every level
+    forwarded a request before level 1 was cut into pieces."""
+    return np.concatenate([generator.forward(z[lo : lo + 512]) for lo in range(0, len(z), 512)])
+
+
+class ForwardSizes:
+    """A generator stand-in that records the row count of each forward."""
+
+    def __init__(self, level):
+        self.length = LEVEL_SPECS[level].profile_length
+        self.sizes = []
+
+    def forward(self, z):
+        self.sizes.append(len(z))
+        return np.zeros((len(z), self.length))
+
+
+@pytest.mark.parametrize("matmul", [True, False], ids=["matmul", "einsum"])
+def test_level_1_pieces_give_the_bits_of_512_row_slices(matmul, monkeypatch):
+    # the generator at its real shape: noise dim 100, random-init weights;
+    # 65 and 577 end in a one-row piece that joins the piece before it,
+    # 513 in a one-row slice
+    from loadsynth.neural import layers
+    from loadsynth.neural.network import init_params
+
+    monkeypatch.setattr(layers, "_EINSUM_IS_MATMUL", matmul)
+    spec = gan.generator_spec(Level.L1, 100)
+    net = Network(spec, init_params(spec, np.random.default_rng(20)))
+    z = np.random.default_rng(21).standard_normal((577, 100))
+    for count in (1, 2, 65, 240, 513, 577):
+        got = gan._forward_rows(net, Level.L1, 0, count, lambda lo, hi: z[lo:hi])
+        assert got.tobytes() == slice_forward(net, z[:count]).tobytes(), count
+
+
+@pytest.mark.parametrize(
+    "count, sizes",
+    [(1, [1]), (2, [2]), (65, [65]), (240, [64, 64, 64, 48]), (513, [64] * 8 + [1]), (577, [64] * 8 + [65])],
+)
+def test_level_1_forwards_64_row_pieces(count, sizes):
+    generator = ForwardSizes(Level.L1)
+    gan._forward_rows(generator, Level.L1, 0, count, lambda lo, hi: np.zeros((hi - lo, 1)))
+    assert generator.sizes == sizes
+
+
+@pytest.mark.parametrize("level", [Level.L2, Level.L3])
+def test_levels_2_and_3_forward_512_row_slices(level):
+    # their rows' bits depend on the slice size
+    generator = ForwardSizes(level)
+    gan._forward_rows(generator, level, 0, 1100, lambda lo, hi: np.zeros((hi - lo, 1)))
+    assert generator.sizes == [512, 512, 76]
+    generator.sizes.clear()
+    gan._forward_rows(generator, level, 0, 513, lambda lo, hi: np.zeros((hi - lo, 1)))
+    assert generator.sizes == [512, 1]
+
+
+def test_a_range_of_whole_pieces_gives_the_rows_of_the_whole_request(generate_model):
+    # level 2: its pieces are the 512-row slices
+    whole = gan_generate(generate_model, 600, seed=4)
+    for lo, hi in [(0, 512), (512, 600)]:
+        part = gan_generate(generate_model, hi - lo, seed=4, start=lo)
+        assert part.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+
+
+def test_training_trace_forwards_level_1_in_pieces(monkeypatch):
+    # the per-epoch trace of 130 generated profiles: two 64-row pieces and
+    # one of 2; the training steps forward batches of 8
+    sizes = []
+    forward = Network.forward
+
+    def spy(self, x, tape=None):
+        if self.spec.layers[-1] == ("flatten",):  # the generator
+            sizes.append(len(x))
+        return forward(self, x, tape)
+
+    monkeypatch.setattr(Network, "forward", spy)
+    rows = 1.0 + 0.01 * np.random.default_rng(3).standard_normal((130, 900))
+    train_gan(l1_set(rows), HyperParams(epochs=1, batch_size=8, noise_dim=100, trace_samples=500), seed=2)
+    assert sizes[-3:] == [64, 64, 2] and set(sizes[:-3]) == {8}

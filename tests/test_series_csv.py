@@ -11,6 +11,7 @@ from datetime import timedelta
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -147,6 +148,44 @@ def test_block_writer_matches_row_writer(tmp_path_factory, data):
     times, series, budget = data
     with mock.patch.object(ingest, "CSV_BLOCK_BYTES", budget):
         assert_same_bytes(tmp_path_factory, times, series)
+
+
+class Blocks:
+    """A series as its consecutive blocks of rows, with the series' shape."""
+
+    def __init__(self, series, cuts):
+        self.shape = series.shape
+        self._blocks = np.split(series, cuts, axis=1)
+
+    def __iter__(self):
+        return iter(self._blocks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=series_csv_inputs(), seed=st.integers(0, 2**32 - 1))
+def test_streamed_blocks_match_row_writer(tmp_path_factory, data, seed):
+    # input blocks of any width, empty ones too, across the writer's blocks
+    times, series, budget = data
+    cuts = np.sort(np.random.default_rng(seed).integers(0, series.shape[1] + 1, 4))
+    base = tmp_path_factory.getbasetemp()
+    oracle_write_series_csv(base / "oracle.csv", times, series)
+    with mock.patch.object(ingest, "CSV_BLOCK_BYTES", budget):
+        write_series_csv(base / "stream.csv", times, Blocks(series, cuts))
+    assert (base / "stream.csv").read_bytes() == (base / "oracle.csv").read_bytes()
+
+
+def test_a_stream_short_of_its_rows_writes_nothing(tmp_path):
+    series = np.ones((2, 10))
+    path = tmp_path / "short.csv"
+    stream = Blocks(series, [4])
+    stream.shape = (2, 11)
+    with pytest.raises(ValueError, match="the blocks held 10 rows of the series' 11"):
+        write_series_csv(path, np.arange(11.0), stream)
+    assert list(tmp_path.iterdir()) == []
+    path.write_text("kept\n")
+    with pytest.raises(ValueError):
+        write_series_csv(path, np.arange(11.0), stream)
+    assert list(tmp_path.iterdir()) == [path] and path.read_text() == "kept\n"
 
 
 def test_rows_across_a_block_boundary(tmp_path_factory):

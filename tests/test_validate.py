@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from loadsynth import cli
+from loadsynth.errors import InsufficientData
 from loadsynth.validate import (
     HISTOGRAM_BINS,
-    ForecastReport,
     SeamStats,
     ar_forecast_eval,
     hold_weekly_series,
@@ -177,10 +178,15 @@ class TestArForecast:
             ar_forecast_eval([np.ones(200)], [np.ones(30)])
 
     def test_report_needs_hundred_predictions(self):
-        with pytest.raises(Exception):
+        # 40 - 36 = 4 predictions; the function alone checks the minimum
+        with pytest.raises(InsufficientData, match="only 4 test predictions; the report needs >= 100"):
             ar_forecast_eval([np.ones(200)], [np.ones(40)])
-        with pytest.raises(ValueError):
-            ForecastReport("a", "b", 1.0, 1.0, 99)
+
+    def test_too_few_predictions_exit_3(self, monkeypatch, capsys):
+        # the check's error family is the one main maps to exit 3, in one line
+        monkeypatch.setattr(cli, "cmd_validate", lambda args: ar_forecast_eval([np.ones(200)], [np.ones(40)]))
+        assert cli.main(["validate", "--data", "data", "--output-dir", "out"]) == 3
+        assert capsys.readouterr().err == "error: only 4 test predictions; the report needs >= 100\n"
 
 
 class TestHoldWeekly:
