@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 invalid arguments or a request that does not fit in
 memory, 3 missing/incompatible bundle or missing/malformed input data,
 4 generation failure, 5 training divergence.  Each is one error family of
-`errors`, and only `main` maps a failure to its code.
+`errors`, and only `main` maps a failure to its code.  Every input reader
+maps its own OSError, so one that reaches `main` comes from writing output:
+it exits 2 naming the file.
 
 Every subcommand takes a JSON configuration file (--config) that may supply
 any of its flags, keyed by the flag's long name (dashes or underscores);
@@ -19,7 +21,6 @@ reads and writes those files only through it.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import math
@@ -136,16 +137,6 @@ def _check_output_dir(path) -> None:
         raise RequestError(f"cannot write {path}: directory {parent} does not exist")
 
 
-@contextlib.contextmanager
-def _writing(path):
-    """Turn an OSError from writing output files into a RequestError naming
-    the file, such as a PermissionError from opening it."""
-    try:
-        yield
-    except OSError as exc:
-        raise RequestError(f"cannot write {exc.filename or path}: {exc.strerror or exc}") from exc
-
-
 def _check_output_tree(path) -> None:
     """Refuse a directory path that a file is in the way of, before any work."""
     path = Path(path)
@@ -221,11 +212,10 @@ def cmd_train(args) -> int:
     }
     bundle = ModelBundle(models=models, provenance=provenance)
     log_path = str(args.output) + ".train_log.json"
-    with _writing(args.output):
-        bundle.save(args.output)
-        with open(log_path, "w", encoding="utf-8") as fh:
-            logs = {name: gan.log.to_jsonable() for name, gan in gans.items()}
-            json.dump({**logs, "provenance": provenance}, fh, sort_keys=True, indent=1)
+    bundle.save(args.output)
+    with open(log_path, "w", encoding="utf-8") as fh:
+        logs = {name: gan.log.to_jsonable() for name, gan in gans.items()}
+        json.dump({**logs, "provenance": provenance}, fh, sort_keys=True, indent=1)
     print(f"bundle written to {args.output} (log: {log_path})", file=sys.stderr)
     return 0
 
@@ -281,8 +271,7 @@ def cmd_generate(args) -> int:
     _check_output_dir(args.output)
     bundle = ModelBundle.load(_bundle_path(args))
     times, series = synthesize(request, bundle.models)
-    with _writing(args.output):
-        write_series_csv(args.output, times, series)
+    write_series_csv(args.output, times, series)
     print(
         f"wrote {series.shape[1]} rows x {series.shape[0]} loads "
         f"({os.path.getsize(args.output)} bytes) to {args.output}",
@@ -396,8 +385,7 @@ def cmd_simulate(args) -> int:
             times = np.arange(values.size) / PMU_RATE_HZ
     except ValueError as exc:
         raise RequestError(f"simulate: {exc}") from exc
-    with _writing(args.output):
-        write_series_csv(args.output, times, values[None, :])
+    write_series_csv(args.output, times, values[None, :])
     print(f"wrote {values.size} samples to {args.output}", file=sys.stderr)
     return 0
 
@@ -597,6 +585,9 @@ def main(argv=None) -> int:
         message = str(exc) if code != 4 else f"generation failed in {type(exc).__name__}: {exc}"
         print(f"error: {message}", file=sys.stderr)
         return code
+    except OSError as exc:  # every input reader maps its own, so this is from writing output
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -364,16 +364,6 @@ def _ar1_repair(rho: float, x: np.ndarray, y: np.ndarray, bad: np.ndarray, end: 
         done = i
 
 
-def _ar1_path(rho: float, sigma_e: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n samples of stationary AR(1) noise, clipped to +-0.9."""
-    if sigma_e == 0.0:
-        return np.zeros(n)
-    sigma = sigma_e / math.sqrt(1.0 - rho**2)
-    n0 = sigma * rng.standard_normal()
-    innov = sigma_e * rng.standard_normal(n)
-    return np.clip(_ar1_filter(rho, innov, n0), -_NOISE_CLIP, _NOISE_CLIP)
-
-
 def simulate_ground_truth(
     config: ToyLoadConfig, duration_s: float, start_time_s: float = 0.0
 ) -> np.ndarray:
@@ -388,40 +378,14 @@ def simulate_ground_truth(
     t = start_time_s + np.arange(n) / PMU_RATE_HZ
     det = config.base_mw * config.deterministic(t)
     sigma_e = config.noise_rel_std * math.sqrt(1.0 - config.ar_coeff**2)
-    rng = _rng_for(config, 0, int(round(start_time_s * PMU_RATE_HZ)))
-    noise = _ar1_path(config.ar_coeff, sigma_e, n, rng)
-    return det * (1.0 + noise)
-
-
-def _ground_truth_windows(config: ToyLoadConfig, starts_s, duration_s: float) -> np.ndarray:
-    """simulate_ground_truth(config, duration_s, t0) for each t0 in starts_s,
-    one window per row.
-
-    Each window draws its own start state and innovations, as
-    simulate_ground_truth does; their AR(1) recursions then run in one
-    lockstep pass over the samples, which gives each window the floats of
-    its own recursion.
-    """
-    n = int(round(duration_s * PMU_RATE_HZ))
+    if sigma_e == 0.0:
+        return det
     rho = config.ar_coeff
-    sigma_e = config.noise_rel_std * math.sqrt(1.0 - rho**2)
-    det = np.empty((len(starts_s), n))
-    state = np.zeros(len(starts_s))
-    noise = np.zeros((n, len(starts_s)))  # sample-major: one row per step
-    for k, t0 in enumerate(starts_s):
-        det[k] = config.base_mw * config.deterministic(t0 + np.arange(n) / PMU_RATE_HZ)
-        if sigma_e != 0.0:  # as _ar1_path draws
-            rng = _rng_for(config, 0, int(round(t0 * PMU_RATE_HZ)))
-            state[k] = sigma_e / math.sqrt(1.0 - rho**2) * rng.standard_normal()
-            noise[:, k] = sigma_e * rng.standard_normal(n)
-    if sigma_e != 0.0:
-        step = np.empty_like(state)
-        for y in noise:  # y = rho * y_prev + innovation
-            np.multiply(state, rho, out=step)
-            y += step
-            state = y
-        np.clip(noise, -_NOISE_CLIP, _NOISE_CLIP, out=noise)
-    return det * (1.0 + noise.T)
+    rng = _rng_for(config, 0, int(round(start_time_s * PMU_RATE_HZ)))
+    n0 = sigma_e / math.sqrt(1.0 - rho**2) * rng.standard_normal()
+    innov = sigma_e * rng.standard_normal(n)
+    noise = np.clip(_ar1_filter(rho, innov, n0), -_NOISE_CLIP, _NOISE_CLIP)
+    return det * (1.0 + noise)
 
 
 def _samples_per_block(block_s: float) -> int:
@@ -590,7 +554,8 @@ def desk_level_datasets(
     Levels 2-4 come from the block-mean path over the full span; level 1
     windows are the only places the 30 Hz signal is materialized, spread
     evenly across the span (aligned to the 30-second grid so each window
-    gets its own deterministic noise stream).
+    gets its own deterministic noise stream).  A window starting at t0
+    is ``simulate_ground_truth(config, 30.0, t0)``.
     """
     from . import ingest  # local import: ingest never imports toydata
 
@@ -607,7 +572,7 @@ def desk_level_datasets(
                 halfmin * math.floor(j * span_s / l1_windows_per_load / halfmin)
                 for j in range(l1_windows_per_load)
             ]
-            windows = _ground_truth_windows(cfg, starts, halfmin)
+            windows = np.stack([simulate_ground_truth(cfg, halfmin, t0) for t0 in starts])
             ingest.add_mean_one_rows(part, Level.L1, windows, cfg.load_class)
             parts.append(part)
     return ingest.LevelDatasets.concatenate(parts)

@@ -2,7 +2,7 @@
 
 The tiny model set trains in seconds and is NOT statistically converged;
 pipeline tests assert mechanics (shapes, scaling, determinism, counters),
-not fidelity.  The acceptance suite trains its own, larger models.
+not fidelity.  No test checks fidelity yet.
 """
 
 import numpy as np

@@ -1427,6 +1427,60 @@ def test_output_dir_blocked_by_a_file_exits_2(command, target, tmp_path, capsys,
     assert err == f"error: cannot write to directory {target}: file is not a directory\n"
 
 
+# each case: a command's arguments up to the flag that names its output
+OUTPUT_NAME_COMMANDS = {
+    **{command: [*argv, "--output"] for command, argv in OUTPUT_COMMANDS.items()},
+    **{f"{argv[0]} {argv[-1]}": argv for argv in OUTPUT_DIR_COMMANDS.values()},
+}
+
+
+@pytest.mark.parametrize("command", OUTPUT_NAME_COMMANDS)
+def test_output_name_too_long_exits_2(command, bundle_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    name = "a" * 300
+    argv = [*OUTPUT_NAME_COMMANDS[command], name]
+    if command == "generate":
+        argv += ["--bundle", str(bundle_path)]
+    code = main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: cannot write {name}: File name too long"
+    assert "simulating" not in err and "Traceback" not in err
+    assert os.listdir() == []
+
+
+# each case: a command writing to directory "out", and the file in it that a
+# directory is put in place of
+DIRECTORY_IN_THE_WAY = {
+    "ingest": (
+        ["ingest", "--series", "series.csv", "--load-class", "residential", "--output-dir", "out"], "level1.csv"
+    ),
+    "validate": (["validate", "--data", "data", "--output-dir", "out"], "summary.txt"),
+    "train": ([*SMOKE_TRAIN, "--output", "b.lsb", "--save-data", "out"], "level2.csv"),
+}
+
+
+@pytest.mark.parametrize("command", DIRECTORY_IN_THE_WAY)
+def test_directory_in_place_of_an_output_file_exits_2(
+    command, bundle_path, tiny_datasets, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.chdir(tmp_path)
+    argv, blocked = DIRECTORY_IN_THE_WAY[command]
+    if command == "ingest":
+        times = np.arange(1800) / 30.0
+        write_series_csv("series.csv", times, np.full((1, times.size), 2.0))
+    if command == "validate":
+        write_level_datasets(tiny_datasets, "data")
+        argv = [*argv, "--bundle", str(bundle_path)]
+    os.makedirs(f"out/{blocked}")
+    code = main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"error: cannot write out/{blocked}: Is a directory"
+    assert "Traceback" not in err
+    assert not os.path.exists("b.lsb")
+
+
 # each case: simulate arguments the simulator cannot honour
 SIMULATE_BAD_ARGS = {
     "block_zero": ["--duration", "1h", "--block-s", "0"],

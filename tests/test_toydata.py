@@ -1,7 +1,6 @@
 """Ground-truth simulator: determinism, class contrast, block-mean math."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from loadsynth.core import LoadClass, Metric, downsample, season_of_week, Season
 from loadsynth.toydata import (
     ToyLoadConfig,
     _ar1_block_moments,
-    _ground_truth_windows,
     default_desk_configs,
     simulate_block_means,
     simulate_ground_truth,
@@ -199,20 +197,3 @@ class TestSeedSplitting:
         assert len({c.seed for c in configs}) == 12
         # regenerating gives the identical fleet
         assert default_desk_configs(n_residential=6, n_industrial=6, seed=2024) == configs
-
-
-@pytest.mark.parametrize(
-    "config",
-    [
-        ToyLoadConfig.residential(seed=3),
-        ToyLoadConfig.industrial(seed=4),
-        replace(ToyLoadConfig.industrial(seed=4), noise_rel_std=0.0),
-        replace(ToyLoadConfig.residential(seed=5), ar_coeff=0.0),
-    ],
-    ids=["residential", "industrial", "no-noise", "white-noise"],
-)
-def test_lockstep_windows_are_the_windows_simulated_one_by_one(config):
-    starts = [30.0 * 997 * k for k in range(12)]
-    windows = _ground_truth_windows(config, starts, 30.0)
-    want = np.array([simulate_ground_truth(config, 30.0, start_time_s=t0) for t0 in starts])
-    assert windows.tobytes() == want.tobytes()
